@@ -210,9 +210,8 @@ class RangeImage:
 class FeaturePointCloud:
     """Points with intensity and a fixed-width feature embedding per point.
 
-    Backed by arrays rather than Point objects; `to_points()` materializes
-    the list form when needed. `source_pixel` records per-point (u, v)
-    provenance when the cloud came out of a range image.
+    Backed by arrays rather than Point objects. `source_pixel` records
+    per-point (u, v) provenance when the cloud came out of a range image.
     """
 
     xyz: np.ndarray
@@ -253,19 +252,6 @@ class FeaturePointCloud:
     @property
     def ranges(self) -> np.ndarray:
         return np.sqrt(np.sum(self.xyz * self.xyz, axis=1))
-
-    def to_points(self) -> list[Point]:
-        return [
-            Point(float(x), float(y), float(z), float(i))
-            for (x, y, z), i in zip(self.xyz, self.intensity)
-        ]
-
-    @classmethod
-    def from_points(cls, points, features=None, source_pixel=None) -> "FeaturePointCloud":
-        arr = points_to_array(points)
-        if features is None:
-            features = np.zeros((arr.shape[0], 0), dtype=np.float64)
-        return cls(arr[:, :3], arr[:, 3], features, source_pixel)
 
 
 def normalize_yaw(yaw: float) -> float:

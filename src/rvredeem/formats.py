@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Box3D, FeaturePointCloud, Point, RangeImage, SensorModel
+from .core import Box3D, FeaturePointCloud, RangeImage, SensorModel
 
 _POINT_RECORD = 16  # four little-endian f32 per KITTI point
 
@@ -196,8 +196,8 @@ def read_rrf1(path) -> np.ndarray:
 # KITTI-style raw clouds
 # ---------------------------------------------------------------------------
 
-def read_kitti_bin(path) -> list[Point]:
-    """Raw f32 quadruples to points; range is derived on load.
+def read_kitti_bin_array(path) -> np.ndarray:
+    """Raw f32 quadruples to (N, 4) float64 (x, y, z, intensity) rows.
 
     Rejects files whose size is not a multiple of 16 and reports the record
     index of any non-finite value.
@@ -211,31 +211,12 @@ def read_kitti_bin(path) -> list[Point]:
     bad = np.flatnonzero(~np.all(np.isfinite(records), axis=1))
     if bad.size:
         raise FormatError(f"{path}: non-finite values at record {int(bad[0])}")
-    return [Point(x, y, z, i) for x, y, z, i in records]
-
-
-def read_kitti_bin_array(path) -> np.ndarray:
-    """(N, 4) float64 (x, y, z, intensity) with the same validation."""
-    data = _read_bytes(path)
-    if len(data) % _POINT_RECORD != 0:
-        raise FormatError(
-            f"{path}: size {len(data)} is not a multiple of {_POINT_RECORD}"
-        )
-    records = np.frombuffer(data, dtype="<f4").astype(np.float64).reshape(-1, 4)
-    bad = np.flatnonzero(~np.all(np.isfinite(records), axis=1))
-    if bad.size:
-        raise FormatError(f"{path}: non-finite values at record {int(bad[0])}")
     return records
 
 
 def write_kitti_bin(path, points) -> None:
-    """Store (x, y, z, intensity) rows or Point objects as raw f32."""
-    if isinstance(points, np.ndarray):
-        arr = np.ascontiguousarray(points[:, :4], dtype="<f4")
-    else:
-        arr = np.array(
-            [(p.x, p.y, p.z, p.intensity) for p in points], dtype="<f4"
-        ).reshape(-1, 4)
+    """Store (x, y, z, intensity) rows as raw f32."""
+    arr = np.ascontiguousarray(points[:, :4], dtype="<f4")
     Path(path).write_bytes(arr.tobytes())
 
 

@@ -39,6 +39,7 @@ from .pointops import (
     VoxelGrid,
     bev_flatten,
     furthest_point_sampling,
+    grid_shape,
     voxelize,
 )
 from .range_geometry import build_range_image, redeem_feature_points, unproject_pixels
@@ -287,7 +288,7 @@ def stage_fps(cfg: PipelineConfig, cloud_path, out_dir) -> dict:
 
 
 def write_voxel_grid(out_dir, grid: VoxelGrid) -> None:
-    """Persist a voxel grid losslessly as three npy arrays.
+    """Persist a voxel grid losslessly: one npy file per array field.
 
     The dense BEV map is huge but almost entirely zero, so the artifact
     stores the occupied cells in their deterministic (sorted flat index)
@@ -295,36 +296,25 @@ def write_voxel_grid(out_dir, grid: VoxelGrid) -> None:
     bit for bit.
     """
     out_dir = Path(out_dir)
-    cells = list(grid.voxels.items())
-    idx = np.array([c[0] for c in cells], dtype=np.int64).reshape(len(cells), 3)
-    counts = np.array([c[1][0] for c in cells], dtype=np.int64)
-    means = (
-        np.stack([c[1][1] for c in cells])
-        if cells
-        else np.zeros((0, grid.feature_dim))
-    )
-    np.save(out_dir / VOXEL_IDX_FILE, idx)
-    np.save(out_dir / VOXEL_COUNT_FILE, counts)
-    np.save(out_dir / VOXEL_MEAN_FILE, means)
+    np.save(out_dir / VOXEL_IDX_FILE, grid.voxels)
+    np.save(out_dir / VOXEL_COUNT_FILE, grid.counts)
+    np.save(out_dir / VOXEL_MEAN_FILE, grid.means)
 
 
 def read_voxel_grid(out_dir, cfg: PipelineConfig) -> VoxelGrid:
-    """Rebuild the persisted voxel grid; geometry comes from the config."""
+    """Rebuild the persisted voxel grid; geometry comes from the config.
+
+    Raises ValueError when the files do not describe a valid grid.
+    """
     out_dir = Path(out_dir)
-    idx = np.load(out_dir / VOXEL_IDX_FILE)
-    counts = np.load(out_dir / VOXEL_COUNT_FILE)
-    means = np.load(out_dir / VOXEL_MEAN_FILE)
-    size = np.asarray(cfg.voxel_size)
-    lo = np.asarray(cfg.range_min)
-    hi = np.asarray(cfg.range_max)
-    shape = tuple(int(s) for s in np.ceil((hi - lo) / size))
-    voxels = {
-        tuple(int(i) for i in idx[k]): (int(counts[k]), means[k])
-        for k in range(idx.shape[0])
-    }
     return VoxelGrid(
-        tuple(cfg.voxel_size), tuple(cfg.range_min), tuple(cfg.range_max),
-        shape, means.shape[1], voxels,
+        tuple(cfg.voxel_size),
+        tuple(cfg.range_min),
+        tuple(cfg.range_max),
+        grid_shape(cfg.voxel_size, cfg.range_min, cfg.range_max),
+        np.load(out_dir / VOXEL_IDX_FILE),
+        np.load(out_dir / VOXEL_COUNT_FILE),
+        np.load(out_dir / VOXEL_MEAN_FILE),
     )
 
 
@@ -338,6 +328,7 @@ def stage_voxelize(cfg: PipelineConfig, cloud_path, out_dir) -> dict:
     write_voxel_grid(out_dir, grid)
     return {
         "in_range_points": grid.total_count,
+        "points_outside_grid": len(cloud) - grid.total_count,
         "occupied_voxels": len(grid.voxels),
         "bev_shape": "x".join(str(s) for s in bev.shape),
     }
@@ -360,9 +351,7 @@ def stage_pool(cfg: PipelineConfig, keypoints_path, boxes_path, out_dir) -> dict
         np.arange(len(kp_cloud)), kp_cloud.xyz, kp_cloud.features
     )
     rois = sgrid_pool(keypoints, boxes, cfg.sgrid, params)
-    roi_len = cfg.sgrid.fine_grid**3 * (
-        cfg.sgrid.fine_channels + cfg.sgrid.coarse_channels
-    )
+    roi_len = cfg.sgrid.roi_feature_length
     vectors = (
         np.stack([roi.vector for roi in rois])
         if rois

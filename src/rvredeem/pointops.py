@@ -8,7 +8,6 @@ Euclidean distance, so ordering never depends on square-root rounding.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,22 +51,39 @@ class KeypointSet:
         return self.indices.size
 
 
+def grid_shape(voxel_size, range_min, range_max) -> tuple[int, int, int]:
+    """Cells per axis, (nx, ny, nz) = ceil((max - min) / size)."""
+    lo = np.asarray(range_min, dtype=np.float64)
+    hi = np.asarray(range_max, dtype=np.float64)
+    return tuple(int(n) for n in np.ceil((hi - lo) / np.asarray(voxel_size)))
+
+
+def _integer_array(name: str, values) -> np.ndarray:
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iu":
+        raise ValueError(f"voxel {name} must be integers, got dtype {arr.dtype}")
+    return np.array(arr, dtype=np.int64, order="C")
+
+
 @dataclass(frozen=True)
 class VoxelGrid:
     """Sparse voxelization: occupied cells hold a count and a mean feature.
 
-    `shape` is the full grid extent (nx, ny, nz); `voxels` maps integer
-    (ix, iy, iz) to (count, mean feature vector). Every occupied index lies
-    inside the extents, and the counts sum to the number of in-range points
-    that produced the grid.
+    `shape` is the full grid extent (nx, ny, nz). Occupied cell k has integer
+    index `voxels[k]` = (ix, iy, iz), `counts[k]` points and mean feature
+    `means[k]`; cells are listed in strictly increasing flat (row-major)
+    index order, so each cell appears once. Every index lies inside the
+    extents, and the counts sum to the number of in-range points that
+    produced the grid.
     """
 
     voxel_size: tuple[float, float, float]
     range_min: tuple[float, float, float]
     range_max: tuple[float, float, float]
     shape: tuple[int, int, int]
-    feature_dim: int
-    voxels: dict[tuple[int, int, int], tuple[int, np.ndarray]]
+    voxels: np.ndarray  # (V, 3) int64
+    counts: np.ndarray  # (V,) int64
+    means: np.ndarray  # (V, d_f) float64
 
     def __post_init__(self):
         for axis in range(3):
@@ -77,22 +93,35 @@ class VoxelGrid:
                 raise ValueError("grid range must satisfy max > min")
             if self.shape[axis] < 1:
                 raise ValueError("grid shape must be positive")
-        frozen = {}
-        for key, (count, mean) in self.voxels.items():
-            if not all(0 <= key[a] < self.shape[a] for a in range(3)):
-                raise ValueError(f"occupied voxel {key} outside grid shape {self.shape}")
-            if count < 1:
-                raise ValueError(f"voxel {key} has nonpositive count")
-            mean = np.array(mean, dtype=np.float64, order="C")
-            if mean.shape != (self.feature_dim,):
-                raise ValueError(f"voxel {key} feature must be ({self.feature_dim},)")
-            mean.setflags(write=False)
-            frozen[key] = (int(count), mean)
-        object.__setattr__(self, "voxels", frozen)
+        # np.array always copies, so freezing never reaches caller arrays.
+        idx = _integer_array("indices", self.voxels)
+        counts = _integer_array("counts", self.counts)
+        means = np.array(self.means, dtype=np.float64, order="C")
+        if idx.ndim != 2 or idx.shape[1] != 3:
+            raise ValueError(f"voxel indices must be (V, 3), got {idx.shape}")
+        v = idx.shape[0]
+        if counts.shape != (v,):
+            raise ValueError(f"voxel counts must be ({v},), got {counts.shape}")
+        if means.ndim != 2 or means.shape[0] != v:
+            raise ValueError(f"voxel means must be ({v}, d), got {means.shape}")
+        if np.any((idx < 0) | (idx >= np.asarray(self.shape))):
+            raise ValueError(f"occupied voxel outside grid shape {self.shape}")
+        if np.any(counts < 1):
+            raise ValueError("occupied voxels must have positive counts")
+        flat = np.ravel_multi_index(tuple(idx.T), self.shape)
+        if np.any(np.diff(flat) <= 0):
+            raise ValueError("voxel indices must be unique and in flat-index order")
+        for name, arr in (("voxels", idx), ("counts", counts), ("means", means)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def total_count(self) -> int:
-        return sum(count for count, _ in self.voxels.values())
+        return int(self.counts.sum())
+
+    @property
+    def feature_dim(self) -> int:
+        return self.means.shape[1]
 
 
 def furthest_point_sampling(
@@ -234,49 +263,32 @@ def voxelize(
     """
     size = np.asarray(voxel_size, dtype=np.float64)
     vmin = np.asarray(range_min, dtype=np.float64)
-    vmax = np.asarray(range_max, dtype=np.float64)
-    shape = tuple(int(math.ceil((vmax[a] - vmin[a]) / size[a])) for a in range(3))
-    grid_kwargs = dict(
-        voxel_size=tuple(float(s) for s in size),
-        range_min=tuple(float(v) for v in vmin),
-        range_max=tuple(float(v) for v in vmax),
-        shape=shape,
-        feature_dim=cloud.feature_dim,
-    )
-    n = len(cloud)
-    if n == 0:
-        return VoxelGrid(voxels={}, **grid_kwargs)
-
+    shape = grid_shape(voxel_size, range_min, range_max)
     idx = np.floor((cloud.xyz - vmin) / size).astype(np.int64)
     in_range = np.all((idx >= 0) & (idx < np.asarray(shape)), axis=1)
-    dropped = int(n - np.sum(in_range))
+    dropped = int(len(cloud) - np.sum(in_range))
     if dropped:
         logger.info("voxelize: %d point(s) outside the grid range", dropped)
-    idx = idx[in_range]
-    feats = cloud.features[in_range]
-    if idx.shape[0] == 0:
-        return VoxelGrid(voxels={}, **grid_kwargs)
 
     # Group by flattened voxel id with a stable sort; summation order inside
     # each group follows ascending point index, so results are reproducible.
-    flat = (idx[:, 0] * shape[1] + idx[:, 1]) * shape[2] + idx[:, 2]
+    flat = np.ravel_multi_index(tuple(idx[in_range].T), shape)
     order = np.argsort(flat, kind="stable")
     flat_sorted = flat[order]
-    boundaries = np.flatnonzero(
-        np.concatenate([[True], flat_sorted[1:] != flat_sorted[:-1]])
+    # Flat ids are nonnegative, so the prepended -1 opens the first group
+    # without inventing one when nothing is in range.
+    starts = np.flatnonzero(np.diff(flat_sorted, prepend=-1))
+    counts = np.diff(starts, append=flat_sorted.size)
+    sums = np.add.reduceat(cloud.features[in_range][order], starts, axis=0)
+    return VoxelGrid(
+        voxel_size=tuple(float(s) for s in size),
+        range_min=tuple(float(v) for v in vmin),
+        range_max=tuple(float(v) for v in range_max),
+        shape=shape,
+        voxels=np.stack(np.unravel_index(flat_sorted[starts], shape), axis=1),
+        counts=counts,
+        means=sums / counts[:, None],
     )
-    counts = np.diff(np.concatenate([boundaries, [flat_sorted.size]]))
-    sums = np.add.reduceat(feats[order], boundaries, axis=0)
-    voxels = {}
-    for b, (start, count) in enumerate(zip(boundaries, counts)):
-        fid = int(flat_sorted[start])
-        key = (
-            fid // (shape[1] * shape[2]),
-            (fid // shape[2]) % shape[1],
-            fid % shape[2],
-        )
-        voxels[key] = (int(count), sums[b] / count)
-    return VoxelGrid(voxels=voxels, **grid_kwargs)
 
 
 def bev_flatten(grid: VoxelGrid) -> np.ndarray:
@@ -285,8 +297,7 @@ def bev_flatten(grid: VoxelGrid) -> np.ndarray:
     Empty voxels contribute zeros.
     """
     nx, ny, nz = grid.shape
-    d_f = grid.feature_dim
-    out = np.zeros((nx, ny, nz * d_f), dtype=np.float64)
-    for (ix, iy, iz), (_, mean) in grid.voxels.items():
-        out[ix, iy, iz * d_f : (iz + 1) * d_f] = mean
-    return out
+    out = np.zeros((nx, ny, nz, grid.feature_dim), dtype=np.float64)
+    ix, iy, iz = grid.voxels.T
+    out[ix, iy, iz] = grid.means
+    return out.reshape(nx, ny, nz * grid.feature_dim)

@@ -83,8 +83,3 @@ class DetRng:
         self._state = (self._state + n * _GOLDEN) & _MASK
         u = (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
         return low + (high - low) * u
-
-    def choice_weighted(self, cumulative: np.ndarray) -> int:
-        """Index into a normalized cumulative-weight vector (last entry 1.0)."""
-        u = self.uniform()
-        return int(np.searchsorted(cumulative, u, side="right"))

@@ -36,30 +36,10 @@ import numpy as np
 from .core import BASE_CHANNELS, RangeImage
 from .rng import STREAM_BASICBLOCK, STREAM_HDMK, DetRng, derive_seed
 
-_OFFSET_UNIT = tuple(
-    (dh, dw) for dh in (-1, 0, 1) for dw in (-1, 0, 1)
-)
-
-
-@dataclass(frozen=True)
-class KernelOffsets:
-    """Ordered (d_h, d_w) sampling offsets for one branch."""
-
-    offsets: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        if len(self.offsets) != 9:
-            raise ValueError(f"expected 9 offsets, got {len(self.offsets)}")
-
-    @classmethod
-    def unit(cls) -> "KernelOffsets":
-        """The 9 offsets with d_h, d_w in {-1, 0, 1}, row-major."""
-        return cls(_OFFSET_UNIT)
-
-    @classmethod
-    def dilated(cls) -> "KernelOffsets":
-        """The unit offsets doubled, reaching two pixels out."""
-        return cls(tuple((2 * dh, 2 * dw) for dh, dw in _OFFSET_UNIT))
+# Ordered (d_h, d_w) sampling offsets of the two meta-kernel branches: the
+# 3x3 unit stencil in row-major order, and the same stencil doubled.
+UNIT_OFFSETS = tuple((dh, dw) for dh in (-1, 0, 1) for dw in (-1, 0, 1))
+DILATED_OFFSETS = tuple((2 * dh, 2 * dw) for dh, dw in UNIT_OFFSETS)
 
 
 def _check_finite(name: str, arr: np.ndarray):
@@ -234,7 +214,7 @@ def masked_conv3x3(
     masked = planes * valid
     out = np.zeros((c_out, h, w), dtype=np.float64)
     flat = masked.reshape(masked.shape[0], h * w)
-    for k, (dh, dw) in enumerate(_OFFSET_UNIT):
+    for k, (dh, dw) in enumerate(UNIT_OFFSETS):
         shifted = shift_planes(masked, dh, dw, wrap_horizontal)
         tap = weight[:, :, dh + 1, dw + 1]
         out += (tap @ shifted.reshape(flat.shape)).reshape(c_out, h, w)
@@ -278,7 +258,7 @@ def basicblock_forward(
 # HD meta kernel
 # ---------------------------------------------------------------------------
 
-_BRANCH_OFFSETS = (KernelOffsets.unit().offsets, KernelOffsets.dilated().offsets)
+_BRANCH_OFFSETS = (UNIT_OFFSETS, DILATED_OFFSETS)
 
 
 def _check_hdmk_input(feat: RangeImage, params: HdMetaKernelParams):
@@ -469,15 +449,17 @@ def _glorot_limit(fan_in: int, fan_out: int) -> float:
 BIAS_LIMIT = 0.1
 
 
+def init_dense(rng: DetRng, n_out: int, n_in: int) -> tuple[np.ndarray, np.ndarray]:
+    """(n_out, n_in) weight within the fan-balanced limit, then (n_out,) bias."""
+    weight = _uniform_tensor(rng, (n_out, n_in), _glorot_limit(n_in, n_out))
+    return weight, _uniform_tensor(rng, (n_out,), BIAS_LIMIT)
+
+
 def _init_branch(rng: DetRng, c_in: int, c_mid: int, c_half: int) -> BranchParams:
-    return BranchParams(
-        w1=_uniform_tensor(rng, (c_mid, 3), _glorot_limit(3, c_mid)),
-        b1=_uniform_tensor(rng, (c_mid,), BIAS_LIMIT),
-        w2=_uniform_tensor(rng, (c_in, c_mid), _glorot_limit(c_mid, c_in)),
-        b2=_uniform_tensor(rng, (c_in,), BIAS_LIMIT),
-        w_acc=_uniform_tensor(rng, (c_half, 9 * c_in), _glorot_limit(9 * c_in, c_half)),
-        b_acc=_uniform_tensor(rng, (c_half,), BIAS_LIMIT),
-    )
+    w1, b1 = init_dense(rng, c_mid, 3)
+    w2, b2 = init_dense(rng, c_in, c_mid)
+    w_acc, b_acc = init_dense(rng, c_half, 9 * c_in)
+    return BranchParams(w1, b1, w2, b2, w_acc, b_acc)
 
 
 def init_params(seed: int, dims: tuple[int, int, int]) -> HdMetaKernelParams:

@@ -31,6 +31,7 @@ from .rng import (
     DetRng,
     derive_seed,
 )
+from .rvfe import init_dense
 
 RESIDUAL_DIM = 7  # (cx, cy, cz, l, w, h, yaw) deltas
 
@@ -306,21 +307,8 @@ def refine_head_forward(roi: RoIFeature, params: SGridParams):
 # Deterministic initialization
 # ---------------------------------------------------------------------------
 
-def _f32_grid(arr: np.ndarray) -> np.ndarray:
-    return np.asarray(arr, dtype=np.float32).astype(np.float64)
-
-
-def _dense_init(rng: DetRng, n_out: int, n_in: int):
-    limit = math.sqrt(6.0 / (n_in + n_out))
-    w = _f32_grid(rng.uniforms(n_out * n_in, -limit, limit).reshape(n_out, n_in))
-    b = _f32_grid(rng.uniforms(n_out, -0.1, 0.1))
-    return w, b
-
-
 def _mlp_init(rng: DetRng, widths) -> SharedMlp:
-    layers = []
-    for n_in, n_out in zip(widths, widths[1:]):
-        layers.append(_dense_init(rng, n_out, n_in))
+    layers = (init_dense(rng, n_out, n_in) for n_in, n_out in zip(widths, widths[1:]))
     return SharedMlp(layers=tuple(layers))
 
 
@@ -338,8 +326,9 @@ def init_sgrid_params(seed: int, cfg: SGridConfig, point_feature_dim: int) -> SG
     rng_head = DetRng(derive_seed(seed, STREAM_HEAD))
     mlp_fine = _mlp_init(rng_fine, (enc, cfg.pool_hidden, cfg.fine_channels))
     mlp_coarse = _mlp_init(rng_coarse, (enc, cfg.pool_hidden, cfg.coarse_channels))
-    roi_len = cfg.fine_grid**3 * (cfg.fine_channels + cfg.coarse_channels)
-    trunk = _mlp_init(rng_head, (roi_len, cfg.head_hidden, cfg.head_hidden))
-    w_conf, b_conf = _dense_init(rng_head, 1, cfg.head_hidden)
-    w_res, b_res = _dense_init(rng_head, RESIDUAL_DIM, cfg.head_hidden)
+    trunk = _mlp_init(
+        rng_head, (cfg.roi_feature_length, cfg.head_hidden, cfg.head_hidden)
+    )
+    w_conf, b_conf = init_dense(rng_head, 1, cfg.head_hidden)
+    w_res, b_res = init_dense(rng_head, RESIDUAL_DIM, cfg.head_hidden)
     return SGridParams(mlp_fine, mlp_coarse, trunk, w_conf, b_conf, w_res, b_res)

@@ -39,7 +39,7 @@ from rvredeem.range_geometry import (
     redeem_feature_points,
     unproject_pixels,
 )
-from rvredeem.rvfe import KernelOffsets, hdmk_forward
+from rvredeem.rvfe import DILATED_OFFSETS, UNIT_OFFSETS, hdmk_forward
 from rvredeem.sgrid import (
     SGridConfig,
     gen_grid_points,
@@ -152,8 +152,8 @@ def test_03_meta_kernel_oracle(capsys):
     # 20 random 8x16 instances against the pixel-by-pixel transcription,
     # 1e-12 absolute; sampling offsets are the 3x3 unit stencil and its
     # doubling.
-    unit = KernelOffsets.unit().offsets
-    dilated = KernelOffsets.dilated().offsets
+    unit = UNIT_OFFSETS
+    dilated = DILATED_OFFSETS
     offsets_ok = (
         set(unit) == {(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)}
         and len(unit) == 9
@@ -341,10 +341,10 @@ def test_07_conservation(capsys):
         in_range = int(
             np.sum(np.all((idx >= 0) & (idx < np.asarray(grid.shape)), axis=1))
         )
-        counted = sum(count for count, _ in grid.voxels.values())
+        counted = int(grid.counts.sum())
         count_ok &= counted == in_range == grid.total_count
 
-        voxel_mass = float(sum(mean.sum() for _, mean in grid.voxels.values()))
+        voxel_mass = float(grid.means.sum())
         mass_worst = max(
             mass_worst, abs(float(bev_flatten(grid).sum()) - voxel_mass)
         )
@@ -464,18 +464,15 @@ def test_09_format_round_trips(capsys, tmp_path):
     formats.write_rrf1(b, formats.read_rrf1(a))
     results["rrf1"] = a.read_bytes() == b.read_bytes()
 
-    # Intensity stays in [0, 1], the domain of the format; values outside
-    # it would be clamped on read and could not round-trip.
+    # Intensity stays in [0, 1], the domain of the format.
     records = np.column_stack(
         [rng.normal(size=(40, 3)), rng.uniform(0.0, 1.0, 40)]
     ).astype(np.float32).astype(np.float64)
     a = tmp_path / "a.bin"
     b = tmp_path / "b.bin"
-    c = tmp_path / "c.bin"
     formats.write_kitti_bin(a, records)
     formats.write_kitti_bin(b, formats.read_kitti_bin_array(a))
-    formats.write_kitti_bin(c, formats.read_kitti_bin(a))
-    results["kitti"] = a.read_bytes() == b.read_bytes() == c.read_bytes()
+    results["kitti"] = a.read_bytes() == b.read_bytes()
 
     ok = all(results.values())
     _report(

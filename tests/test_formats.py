@@ -11,7 +11,6 @@ from rvredeem.core import Box3D, FeaturePointCloud, RangeImage, SensorModel
 from rvredeem.formats import (
     FormatError,
     read_boxes,
-    read_kitti_bin,
     read_kitti_bin_array,
     read_rfp1,
     read_rri1,
@@ -220,16 +219,16 @@ class TestKittiBin:
         path.write_bytes(
             struct.pack("<8f", 1.0, 2.0, 3.0, 0.5, -4.0, 0.0, 3.0, 1.0)
         )
-        points = read_kitti_bin(path)
-        assert len(points) == 2
-        assert (points[0].x, points[0].y, points[0].z) == (1.0, 2.0, 3.0)
-        assert points[1].range == 5.0
+        records = read_kitti_bin_array(path)
+        np.testing.assert_array_equal(
+            records, [[1.0, 2.0, 3.0, 0.5], [-4.0, 0.0, 3.0, 1.0]]
+        )
 
     def test_rejects_bad_length(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(bytes(17))
         with pytest.raises(FormatError, match="multiple of 16"):
-            read_kitti_bin(path)
+            read_kitti_bin_array(path)
 
     def test_nonfinite_names_record_index(self, tmp_path):
         records = np.zeros((3, 4), dtype="<f4")
@@ -237,8 +236,6 @@ class TestKittiBin:
         records[1, 2] = np.nan
         path = tmp_path / "nan.bin"
         path.write_bytes(records.tobytes())
-        with pytest.raises(FormatError, match="record 1"):
-            read_kitti_bin(path)
         with pytest.raises(FormatError, match="record 1"):
             read_kitti_bin_array(path)
 
@@ -250,21 +247,8 @@ class TestKittiBin:
         first = tmp_path / "a.bin"
         second = tmp_path / "b.bin"
         write_kitti_bin(first, records)
-        write_kitti_bin(second, read_kitti_bin(first))
+        write_kitti_bin(second, read_kitti_bin_array(first))
         assert first.read_bytes() == second.read_bytes()
-
-    def test_array_and_point_readers_agree(self, tmp_path):
-        rng = np.random.default_rng(28)
-        records = np.column_stack(
-            [rng.uniform(-40, 40, size=(9, 3)), rng.uniform(0, 1, size=9)]
-        )
-        path = tmp_path / "c.bin"
-        write_kitti_bin(path, records)
-        arr = read_kitti_bin_array(path)
-        pts = read_kitti_bin(path)
-        assert arr.shape == (9, 4)
-        for i, p in enumerate(pts):
-            assert (p.x, p.y, p.z, p.intensity) == tuple(arr[i])
 
 
 class TestBoxFile:

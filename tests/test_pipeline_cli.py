@@ -91,6 +91,34 @@ def write_toy_cloud(path, n=24, d_f=3, seed=0):
     return formats.read_rfp1(path)
 
 
+def _with(arr, index, value):
+    out = arr.copy()
+    out[index] = value
+    return out
+
+
+# Corruption name -> (voxel file, edit of its array, expected error text).
+# Index 32 is one past the toy grid's x extent.
+VOXEL_CORRUPTIONS = {
+    "index outside grid": (
+        pipeline.VOXEL_IDX_FILE, lambda a: _with(a, (0, 0), 32), "outside grid"
+    ),
+    "negative index": (
+        pipeline.VOXEL_IDX_FILE, lambda a: _with(a, (0, 2), -1), "outside grid"
+    ),
+    "duplicate index": (
+        pipeline.VOXEL_IDX_FILE, lambda a: _with(a, 1, a[0]), "unique"
+    ),
+    "unsorted indices": (pipeline.VOXEL_IDX_FILE, lambda a: a[::-1], "unique"),
+    "zero count": (
+        pipeline.VOXEL_COUNT_FILE, lambda a: _with(a, 0, 0), "positive counts"
+    ),
+    "fractional counts": (pipeline.VOXEL_COUNT_FILE, lambda a: a + 0.5, "integers"),
+    "short counts": (pipeline.VOXEL_COUNT_FILE, lambda a: a[:-1], "counts must be"),
+    "short means": (pipeline.VOXEL_MEAN_FILE, lambda a: a[:-1], "means must be"),
+}
+
+
 class TestWeightsPacking:
     def test_rvfe_round_trip_is_lossless(self, tmp_path):
         # init quantizes to the f32 grid, so RWT1 must round-trip exactly.
@@ -178,6 +206,26 @@ class TestStages:
         assert info["occupied_voxels"] == len(reference.voxels)
         np.testing.assert_array_equal(bev_flatten(grid), bev_flatten(reference))
 
+    def test_stage_voxelize_counts_points_outside_grid(self, tmp_path, toy):
+        # Two points share one voxel; one lies past max x, one below min z.
+        xyz = [[0.5, 0.5, 0.0], [0.7, 0.2, 0.1], [40.0, 0.0, 0.0], [0.0, 0.0, -9.0]]
+        cloud = FeaturePointCloud(xyz, np.zeros(4), np.ones((4, 2)))
+        formats.write_rfp1(tmp_path / "c.rfp1", cloud)
+        info = pipeline.stage_voxelize(toy.cfg, tmp_path / "c.rfp1", tmp_path)
+        assert info["in_range_points"] == 2
+        assert info["points_outside_grid"] == 2
+        assert info["occupied_voxels"] == 1
+
+    @pytest.mark.parametrize("corruption", sorted(VOXEL_CORRUPTIONS))
+    def test_read_voxel_grid_rejects_corrupt_files(self, tmp_path, toy, corruption):
+        write_toy_cloud(tmp_path / "c.rfp1", n=60)
+        pipeline.stage_voxelize(toy.cfg, tmp_path / "c.rfp1", tmp_path)
+        pipeline.read_voxel_grid(tmp_path, toy.cfg)
+        name, corrupt, message = VOXEL_CORRUPTIONS[corruption]
+        np.save(tmp_path / name, corrupt(np.load(tmp_path / name)))
+        with pytest.raises(ValueError, match=message):
+            pipeline.read_voxel_grid(tmp_path, toy.cfg)
+
     def test_stage_pool_outputs(self, tmp_path, toy):
         info = pipeline.stage_pool(
             toy.cfg,
@@ -206,6 +254,28 @@ class TestPipeline:
         stages = toy.result["stages"]
         assert stages["redeem"]["redeemed_points"] == stages["project"]["valid_pixels"]
         assert stages["pool"]["roi_length"] == TOY_ROI_LEN
+        voxels = stages["voxelize"]
+        outside = voxels["points_outside_grid"]
+        in_range = voxels["in_range_points"]
+        assert outside == stages["redeem"]["redeemed_points"] - in_range
+        summary = (toy.out / pipeline.SUMMARY_FILE).read_text()
+        assert f"points_outside_grid={outside} " in summary
+
+    def test_benchmark_tracing_wraps_a_run(self, toy, monkeypatch):
+        # The benchmark's traced runs replace pipeline names from outside and
+        # read VoxelGrid fields; a change that breaks them fails here.
+        perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+        monkeypatch.syspath_prepend(str(perfbench))
+        import tracing
+
+        tracer = tracing.Tracer()
+        with tracer.installed():
+            result = pipeline.run_pipeline(toy.cfg, toy.scene, toy.root / "traced")
+        voxels = result["stages"]["voxelize"]
+        counts = tracer.counts
+        assert counts["pointops.occupied_voxels"] == voxels["occupied_voxels"]
+        assert counts["pointops.points_outside_grid"] == voxels["points_outside_grid"]
+        assert result["checksums"] == toy.result["checksums"]
 
     def test_rerun_is_bit_identical(self, toy):
         again = pipeline.run_pipeline(toy.cfg, toy.scene, toy.root / "rerun")

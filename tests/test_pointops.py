@@ -255,15 +255,14 @@ class TestVoxelize:
         cloud = make_cloud([[1.5, 0.5, 0.25]], features=[[2.0, 3.0]])
         grid = voxelize(cloud, **GRID)
         assert grid.shape == (4, 2, 2)
-        assert set(grid.voxels) == {(1, 0, 0)}
-        count, mean = grid.voxels[(1, 0, 0)]
-        assert count == 1
-        np.testing.assert_array_equal(mean, [2.0, 3.0])
+        assert grid.voxels.tolist() == [[1, 0, 0]]
+        assert grid.counts.tolist() == [1]
+        np.testing.assert_array_equal(grid.means, [[2.0, 3.0]])
 
     def test_boundary_point_goes_to_higher_cell(self):
         cloud = make_cloud([[1.0, 0.0, 0.0]])
         grid = voxelize(cloud, **GRID)
-        assert set(grid.voxels) == {(1, 0, 0)}
+        assert grid.voxels.tolist() == [[1, 0, 0]]
 
     def test_count_conservation(self):
         rng = np.random.default_rng(11)
@@ -289,7 +288,9 @@ class TestVoxelize:
         cloud = make_cloud([[100.0, 0.0, 0.0]])
         with caplog.at_level("INFO"):
             grid = voxelize(cloud, **GRID)
-        assert not grid.voxels
+        assert grid.voxels.shape == (0, 3)
+        assert grid.counts.shape == (0,)
+        assert grid.means.shape == (0, 2)
         assert "outside the grid range" in caplog.text
 
     @pytest.mark.parametrize("seed", range(4))
@@ -304,22 +305,24 @@ class TestVoxelize:
             for k, v in expected.items()
             if all(0 <= k[a] < grid.shape[a] for a in range(3))
         }
-        assert set(grid.voxels) == set(expected)
-        for key, (count, mean) in grid.voxels.items():
-            exp_count, exp_mean = expected[key]
+        assert [tuple(key) for key in grid.voxels.tolist()] == sorted(expected)
+        for key, count, mean in zip(grid.voxels.tolist(), grid.counts, grid.means):
+            exp_count, exp_mean = expected[tuple(key)]
             assert count == exp_count
             np.testing.assert_allclose(mean, exp_mean, atol=1e-12)
 
     def test_empty_cloud(self):
         grid = voxelize(make_cloud(np.zeros((0, 3))), **GRID)
         assert grid.total_count == 0
+        assert grid.voxels.shape == (0, 3)
+        assert grid.means.shape == (0, 2)
 
 
 class TestBevFlatten:
     def test_single_voxel_lands_in_z_block(self):
         cloud = make_cloud([[0.5, 0.5, 0.75]], features=[[5.0, 6.0]])
         grid = voxelize(cloud, **GRID)
-        assert set(grid.voxels) == {(0, 0, 1)}
+        assert grid.voxels.tolist() == [[0, 0, 1]]
         bev = bev_flatten(grid)
         assert bev.shape == (4, 2, 4)
         np.testing.assert_array_equal(bev[0, 0], [0.0, 0.0, 5.0, 6.0])
@@ -335,7 +338,7 @@ class TestBevFlatten:
         grid = voxelize(cloud, (1.0, 1.0, 1.0), (-2.0, -2.0, -2.0), (2.0, 2.0, 2.0))
         bev = bev_flatten(grid)
         expected = np.zeros_like(bev)
-        for (ix, iy, iz), (_, mean) in grid.voxels.items():
+        for (ix, iy, iz), mean in zip(grid.voxels, grid.means):
             for j in range(grid.feature_dim):
                 expected[ix, iy, iz * grid.feature_dim + j] = mean[j]
         np.testing.assert_array_equal(bev, expected)
@@ -346,5 +349,5 @@ class TestBevFlatten:
         grid = voxelize(cloud, (0.5, 0.5, 0.5), (-2.0, -2.0, -2.0), (2.0, 2.0, 2.0))
         bev = bev_flatten(grid)
         mass_bev = float(np.sum(bev))
-        mass_vox = float(sum(np.sum(mean) for _, mean in grid.voxels.values()))
+        mass_vox = float(np.sum(grid.means))
         assert mass_bev == pytest.approx(mass_vox, abs=1e-12 * max(1.0, abs(mass_vox)))

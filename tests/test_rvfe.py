@@ -7,9 +7,10 @@ import oracles
 import util
 from rvredeem.core import RangeImage
 from rvredeem.rvfe import (
+    DILATED_OFFSETS,
+    UNIT_OFFSETS,
     BasicBlockParams,
     HdMetaKernelParams,
-    KernelOffsets,
     basicblock_forward,
     hdmk_backward,
     hdmk_forward,
@@ -28,16 +29,10 @@ class TestKernelOffsets:
             (0, -1), (0, 0), (0, 1),
             (1, -1), (1, 0), (1, 1),
         )
-        assert KernelOffsets.unit().offsets == expected
+        assert UNIT_OFFSETS == expected
 
     def test_dilated_doubles_every_offset(self):
-        unit = KernelOffsets.unit().offsets
-        dilated = KernelOffsets.dilated().offsets
-        assert dilated == tuple((2 * dh, 2 * dw) for dh, dw in unit)
-
-    def test_rejects_wrong_count(self):
-        with pytest.raises(ValueError):
-            KernelOffsets(((0, 0),))
+        assert DILATED_OFFSETS == tuple((2 * dh, 2 * dw) for dh, dw in UNIT_OFFSETS)
 
 
 class TestShiftPlanes:
