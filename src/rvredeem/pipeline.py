@@ -37,7 +37,7 @@ from .pointops import (
     KeypointSet,
     SharedMlp,
     VoxelGrid,
-    bev_flatten,
+    bev_flatten,  # noqa: F401 (re-exported: with read_voxel_grid it rebuilds the map)
     furthest_point_sampling,
     grid_shape,
     voxelize,
@@ -319,18 +319,21 @@ def read_voxel_grid(out_dir, cfg: PipelineConfig) -> VoxelGrid:
 
 
 def stage_voxelize(cfg: PipelineConfig, cloud_path, out_dir) -> dict:
-    """Feature cloud to a BEV feature map, persisted as its sparse grid."""
+    """Feature cloud to a sparse voxel grid; reports the BEV map's shape.
+
+    The dense map itself (`bev_flatten`) is never built here.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cloud = formats.read_rfp1(cloud_path)
     grid = voxelize(cloud, cfg.voxel_size, cfg.range_min, cfg.range_max)
-    bev = bev_flatten(grid)
     write_voxel_grid(out_dir, grid)
+    nx, ny, nz = grid.shape
     return {
         "in_range_points": grid.total_count,
         "points_outside_grid": len(cloud) - grid.total_count,
         "occupied_voxels": len(grid.voxels),
-        "bev_shape": "x".join(str(s) for s in bev.shape),
+        "bev_shape": f"{nx}x{ny}x{nz * grid.feature_dim}",
     }
 
 

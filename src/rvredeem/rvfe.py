@@ -17,9 +17,22 @@ columns wrap when `wrap_horizontal` is set, matching a full-circle scan.
 A neighbor that is missing or masked invalid contributes an exact zero
 vector, so masked pixels can never influence a valid pixel's output.
 
+Forward passes are sparse and keep no state: every tap gathers neighbours
+by flat index from planes flattened with one zero column appended for
+"outside the image". The convolutions run at valid centres; each
+meta-kernel branch runs on its support, the valid mask dilated by the
+branch's stencil, and holds its accumulator bias elsewhere. Time and memory
+scale with support pixels, not with h * w.
+
+Results are byte-identical to evaluating every pixel, including the zeros
+at invalid pixels: there the meta kernel outputs the dense value times
+zero, +0 or -0, and RRI1 feature planes keep that sign as part of the byte
+contract. Hence pixels are evaluated in the column blocks a dense BLAS
+product would round them in (`_dense_order`).
+
 The meta kernel has an analytic backward pass (coordinates are constants;
-gradients flow to input features and all parameters). BasicBlock is
-forward-only.
+gradients flow to input features and all parameters). It recomputes its
+taps at all h * w centres. BasicBlock is forward-only.
 
 All arithmetic is 64-bit. Initializers emit values that are exactly
 representable in single precision so weights survive a 32-bit serialization
@@ -168,26 +181,65 @@ class BasicBlockParams:
 
 
 # ---------------------------------------------------------------------------
-# Shifted views with the boundary policy
+# Neighbour gathering with the boundary policy
 # ---------------------------------------------------------------------------
 
-def shift_planes(arr: np.ndarray, dh: int, dw: int, wrap_horizontal: bool) -> np.ndarray:
-    """Values at (r + dh, c + dw) per pixel, zero-filled outside the image.
+def neighbour_index(
+    h: int, w: int, offsets, centres: np.ndarray, wrap_horizontal: bool
+) -> np.ndarray:
+    """Flat indices of each centre's neighbours, (len(offsets), len(centres)).
 
-    Rows never wrap. Columns wrap only when requested.
+    Entry [k, i] is the flat index of pixel centres[i] + offsets[k]. Rows
+    never wrap; columns wrap modulo w only when requested. A neighbour
+    outside the image gets index h * w, the zero column that
+    `_with_outside` appends to flattened planes.
     """
-    out = np.roll(arr, (-dh, -dw), axis=(-2, -1))
-    h, w = arr.shape[-2], arr.shape[-1]
-    if dh > 0:
-        out[..., h - dh:, :] = 0
-    elif dh < 0:
-        out[..., : -dh, :] = 0
-    if not wrap_horizontal:
-        if dw > 0:
-            out[..., :, w - dw:] = 0
-        elif dw < 0:
-            out[..., :, : -dw] = 0
+    d = np.array(offsets, dtype=np.int64).reshape(-1, 2)
+    rows = centres // w + d[:, :1]
+    cols = centres % w + d[:, 1:]
+    if wrap_horizontal:
+        cols %= w
+    inside = (rows >= 0) & (rows < h) & (cols >= 0) & (cols < w)
+    return np.where(inside, rows * w + cols, h * w)
+
+
+def _with_outside(planes: np.ndarray) -> np.ndarray:
+    """(..., h, w) planes flattened to (..., h*w + 1), the last entry zero."""
+    flat = planes.reshape(planes.shape[:-2] + (-1,))
+    out = np.zeros(flat.shape[:-1] + (flat.shape[-1] + 1,), dtype=planes.dtype)
+    out[..., :-1] = flat
     return out
+
+
+# A BLAS product rounds each output column by the kernel that covers it. On
+# OpenBLAS the wide kernel covers blocks of 8 columns, while the last 1-4
+# columns of a product go through narrower kernels and a one-column product
+# through a matrix-vector routine, each rounding differently. Operands are
+# gathered with np.take: `a[:, index]` comes out column-major, which BLAS
+# multiplies by yet another path.
+_GEMM_BLOCK = 8
+
+
+def _dense_order(pixels: np.ndarray, n_px: int) -> np.ndarray:
+    """Centres to evaluate so that `pixels` round as in an n_px-column product.
+
+    The dense product ends in a partial block of n_px % _GEMM_BLOCK pixels.
+    Pixels before it are evaluated in whole blocks, padded by repeating a
+    pixel. If any pixel lies in that last partial block, the whole of it
+    follows at the end, behind at least one whole block.
+    """
+    tail_start = n_px - n_px % _GEMM_BLOCK
+    body = pixels[pixels < tail_start]
+    pad = -len(body) % _GEMM_BLOCK
+    tail = np.arange(tail_start, n_px) if len(body) < len(pixels) else pixels[:0]
+    if len(tail) and not len(body) and tail_start:
+        pad = _GEMM_BLOCK
+    filler = body[:1] if len(body) else np.zeros(1, dtype=np.int64)
+    return np.concatenate([body, np.repeat(filler, pad), tail])
+
+
+def _reflected(offsets):
+    return tuple((-dh, -dw) for dh, dw in offsets)
 
 
 def _relu(x: np.ndarray) -> np.ndarray:
@@ -206,19 +258,22 @@ def masked_conv3x3(
 ) -> np.ndarray:
     """3x3 convolution where masked or out-of-image neighbors contribute 0.
 
-    Output is zeroed at invalid center pixels. Accumulation order over the
-    9 taps is fixed, so results are deterministic.
+    Evaluated at valid centres only; output is zero at invalid ones.
+    Accumulation order over the 9 taps is fixed, so results are
+    deterministic.
     """
     c_out = weight.shape[0]
-    h, w = planes.shape[-2], planes.shape[-1]
-    masked = planes * valid
-    out = np.zeros((c_out, h, w), dtype=np.float64)
-    flat = masked.reshape(masked.shape[0], h * w)
+    h, w = valid.shape
+    masked = _with_outside(planes * valid)
+    valid_flat = valid.reshape(h * w)
+    centres = _dense_order(np.flatnonzero(valid_flat), h * w)
+    index = neighbour_index(h, w, UNIT_OFFSETS, centres, wrap_horizontal)
+    acc = np.zeros((c_out, len(centres)), dtype=np.float64)
     for k, (dh, dw) in enumerate(UNIT_OFFSETS):
-        shifted = shift_planes(masked, dh, dw, wrap_horizontal)
-        tap = weight[:, :, dh + 1, dw + 1]
-        out += (tap @ shifted.reshape(flat.shape)).reshape(c_out, h, w)
-    return out * valid
+        acc += weight[:, :, dh + 1, dw + 1] @ np.take(masked, index[k], axis=1)
+    out = np.zeros((c_out, h * w), dtype=np.float64)
+    out[:, centres] = acc * valid_flat[centres]
+    return out.reshape(c_out, h, w)
 
 
 def basicblock_forward(
@@ -269,35 +324,30 @@ def _check_hdmk_input(feat: RangeImage, params: HdMetaKernelParams):
         raise ValueError(f"params expect c_in={params.c_in}, image has {d_f} feature planes")
 
 
-def _branch_forward(
+def _tap(
     branch: BranchParams,
-    offsets,
     feats: np.ndarray,
     coords: np.ndarray,
     valid: np.ndarray,
-    wrap_horizontal: bool,
+    centre_xyz: np.ndarray,
+    index: np.ndarray,
 ):
-    """Branch output (c_half, h*w) plus saved intermediates for backward."""
-    c_in, h, w = feats.shape
-    n_px = h * w
-    coords_flat = coords.reshape(3, n_px)
-    saved = []
-    chunks = np.empty((9 * c_in, n_px), dtype=np.float64)
-    for k, (dh, dw) in enumerate(offsets):
-        neigh_feat = shift_planes(feats, dh, dw, wrap_horizontal).reshape(c_in, n_px)
-        neigh_valid = shift_planes(valid, dh, dw, wrap_horizontal).reshape(n_px)
-        delta = (
-            shift_planes(coords, dh, dw, wrap_horizontal).reshape(3, n_px)
-            - coords_flat
-        ) * neigh_valid
-        pre = branch.w1 @ delta + branch.b1[:, None]
-        hid = _relu(pre)
-        gate = branch.w2 @ hid + branch.b2[:, None]
-        weighted = gate * neigh_feat * neigh_valid
-        chunks[k * c_in : (k + 1) * c_in] = weighted
-        saved.append((neigh_feat, neigh_valid, delta, pre, hid, gate))
-    out = branch.w_acc @ chunks + branch.b_acc[:, None]
-    return out, chunks, saved
+    """One offset of a branch at a set of centres.
+
+    `feats`, `coords` and `valid` are flattened with the zero column
+    appended (`_with_outside`); `index` holds each centre's neighbour and
+    `centre_xyz` its (3, m) coordinates. Returns the neighbour features and
+    validity, the coordinate deltas, the perceptron's pre-activations,
+    hidden activations and gates, and the weighted (c_in, m) chunk.
+    """
+    neigh_feat = np.take(feats, index, axis=1)
+    neigh_valid = valid[index]
+    delta = (np.take(coords, index, axis=1) - centre_xyz) * neigh_valid
+    pre = branch.w1 @ delta + branch.b1[:, None]
+    hid = _relu(pre)
+    gate = branch.w2 @ hid + branch.b2[:, None]
+    weighted = gate * neigh_feat * neigh_valid
+    return neigh_feat, neigh_valid, delta, pre, hid, gate, weighted
 
 
 def hdmk_forward_planes(
@@ -311,20 +361,45 @@ def hdmk_forward_planes(
 
     Values stored at invalid pixels never reach the output; the result is
     zero at invalid pixels.
+
+    Each branch is evaluated only on its support, the centres with at least
+    one valid neighbour. Everywhere else all nine weighted chunks are zero,
+    so the branch output is exactly its accumulator bias, and the final
+    masking turns that into a zero carrying the bias's sign.
     """
     h, w = valid.shape
     if feats.ndim != 3 or feats.shape[1:] != (h, w):
         raise ValueError(f"features must be (c_in, {h}, {w}), got {feats.shape}")
     if coords.shape != (3, h, w):
         raise ValueError(f"coords must be (3, {h}, {w}), got {coords.shape}")
-    halves = []
-    for branch, offsets in zip((params.branch1, params.branch2), _BRANCH_OFFSETS):
-        out, _, _ = _branch_forward(
-            branch, offsets, feats, coords, valid, wrap_horizontal
-        )
-        halves.append(out)
-    full = np.concatenate(halves, axis=0).reshape(params.c_out, h, w)
-    return full * valid
+    c_in = feats.shape[0]
+    c_half = params.c_out // 2
+    feats_ext = _with_outside(feats)
+    coords_ext = _with_outside(coords)
+    valid_ext = _with_outside(valid)
+    valid_idx = np.flatnonzero(valid_ext)
+    full = np.empty((params.c_out, h * w), dtype=np.float64)
+    for b, (branch, offsets) in enumerate(
+        zip((params.branch1, params.branch2), _BRANCH_OFFSETS)
+    ):
+        # A centre is in the support iff it is some valid pixel's neighbour
+        # under the reflected offset.
+        reach = np.zeros(h * w + 1, dtype=bool)
+        reach[neighbour_index(h, w, _reflected(offsets), valid_idx, wrap_horizontal)] = True
+        centres = _dense_order(np.flatnonzero(reach[:-1]), h * w)
+        index = neighbour_index(h, w, offsets, centres, wrap_horizontal)
+        centre_xyz = np.take(coords_ext, centres, axis=1)
+        chunks = np.empty((9 * c_in, len(centres)), dtype=np.float64)
+        for k in range(len(offsets)):
+            chunks[k * c_in : (k + 1) * c_in] = _tap(
+                branch, feats_ext, coords_ext, valid_ext, centre_xyz, index[k]
+            )[-1]
+        half = full[b * c_half : (b + 1) * c_half]
+        # The product of all-zero chunks is +0, hence the added 0.0.
+        half[:] = branch.b_acc[:, None] + 0.0
+        half[:, centres] = branch.w_acc @ chunks + branch.b_acc[:, None]
+    full *= valid_ext[:-1]
+    return full.reshape(params.c_out, h, w)
 
 
 def hdmk_forward(
@@ -372,8 +447,9 @@ def hdmk_backward(
 ) -> HdMetaKernelGrads:
     """Exact gradients of sum(upstream_grad * hdmk_forward(feat)).
 
-    Coordinate planes are constants. Accumulation runs in a fixed order
-    (branch, then offset), so repeated calls are bit-identical.
+    Recomputes every tap at all h*w centres. Coordinate planes are
+    constants. Accumulation runs in a fixed order (branch, then offset), so
+    repeated calls are bit-identical.
     """
     _check_hdmk_input(feat, params)
     c_in = params.c_in
@@ -386,18 +462,27 @@ def hdmk_backward(
         )
     # Invalid output pixels are identically zero, so no gradient flows there.
     grad = (grad * feat.valid).reshape(params.c_out, n_px)
-    feats = feat.feature_planes
-    coords = feat.channels[:3]
+    feats_ext = _with_outside(feat.feature_planes)
+    coords_ext = _with_outside(feat.channels[:3])
+    valid_ext = _with_outside(feat.valid)
+    centres = np.arange(n_px)
+    centre_xyz = coords_ext[:, :-1]
     c_half = params.c_out // 2
 
-    d_feat = np.zeros((c_in, h, w), dtype=np.float64)
+    d_feat = np.zeros((c_in, n_px), dtype=np.float64)
     branch_grads = []
     for b, (branch, offsets) in enumerate(
         zip((params.branch1, params.branch2), _BRANCH_OFFSETS)
     ):
-        _, chunks, saved = _branch_forward(
-            branch, offsets, feats, coords, feat.valid, wrap_horizontal
-        )
+        index = neighbour_index(h, w, offsets, centres, wrap_horizontal)
+        # Where each pixel's feature gradient comes from: the centre that
+        # sees it as its neighbour.
+        source = neighbour_index(h, w, _reflected(offsets), centres, wrap_horizontal)
+        taps = [
+            _tap(branch, feats_ext, coords_ext, valid_ext, centre_xyz, index[k])
+            for k in range(len(offsets))
+        ]
+        chunks = np.concatenate([tap[-1] for tap in taps])
         g_out = grad[b * c_half : (b + 1) * c_half]
         d_w_acc = g_out @ chunks.T
         d_b_acc = np.sum(g_out, axis=1)
@@ -407,12 +492,11 @@ def hdmk_backward(
         d_b1 = np.zeros_like(branch.b1)
         d_w2 = np.zeros_like(branch.w2)
         d_b2 = np.zeros_like(branch.b2)
-        for k, (dh, dw) in enumerate(offsets):
-            neigh_feat, neigh_valid, delta, pre, hid, gate = saved[k]
+        for k, (neigh_feat, neigh_valid, delta, pre, hid, gate, _) in enumerate(taps):
             d_weighted = d_chunks[k * c_in : (k + 1) * c_in] * neigh_valid
             # Feature gradient scatters back to where the neighbor lives.
-            d_neigh = (d_weighted * gate).reshape(c_in, h, w)
-            d_feat += shift_planes(d_neigh, -dh, -dw, wrap_horizontal)
+            d_neigh = _with_outside((d_weighted * gate).reshape(c_in, h, w))
+            d_feat += d_neigh[:, source[k]]
             # Gate gradient stays at the center pixel.
             d_gate = d_weighted * neigh_feat
             d_w2 += d_gate @ hid.T
@@ -423,7 +507,9 @@ def hdmk_backward(
         branch_grads.append(
             BranchGrads(d_w1, d_b1, d_w2, d_b2, d_w_acc, d_b_acc)
         )
-    return HdMetaKernelGrads(d_feat, branch_grads[0], branch_grads[1])
+    return HdMetaKernelGrads(
+        d_feat.reshape(c_in, h, w), branch_grads[0], branch_grads[1]
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 Everything in this file is written as directly as possible: explicit loops,
 scalar math, dictionary group-bys. None of it imports the package under
-test. Deliberately slow; correctness is the only goal.
+test. Deliberately slow; correctness is the only goal. The exception is the
+dense shifted-plane evaluation at the end, which keeps the package's array
+expressions so that results can be compared byte for byte.
 """
 
 from __future__ import annotations
@@ -266,3 +268,97 @@ def trilinear_weights(p, corners):
             w *= t[a] if frac > 0.5 else (1.0 - t[a])
         weights.append(w)
     return np.array(weights, dtype=np.float64)
+
+
+# ---------------------------------------------------------------------------
+# Dense shifted-plane evaluation (byte-level reference)
+# ---------------------------------------------------------------------------
+# The loop oracles above agree with the package to a tolerance. The functions
+# below evaluate the conv block and the meta kernel densely, at every pixel,
+# with the same NumPy expressions in the same order as the package, so its
+# sparse evaluation can be held to them byte for byte, signed zeros included.
+
+DENSE_UNIT_OFFSETS = tuple((dh, dw) for dh in (-1, 0, 1) for dw in (-1, 0, 1))
+DENSE_DILATED_OFFSETS = tuple((2 * dh, 2 * dw) for dh, dw in DENSE_UNIT_OFFSETS)
+
+
+def shift_planes(arr, dh, dw, wrap_horizontal):
+    """Values at (r + dh, c + dw) per pixel, zero-filled outside the image.
+
+    Rows never wrap. Columns wrap only when requested.
+    """
+    out = np.roll(arr, (-dh, -dw), axis=(-2, -1))
+    h, w = arr.shape[-2], arr.shape[-1]
+    if dh > 0:
+        out[..., h - dh:, :] = 0
+    elif dh < 0:
+        out[..., : -dh, :] = 0
+    if not wrap_horizontal:
+        if dw > 0:
+            out[..., :, w - dw:] = 0
+        elif dw < 0:
+            out[..., :, : -dw] = 0
+    return out
+
+
+def dense_masked_conv3x3(planes, valid, weight, wrap_horizontal):
+    c_out = weight.shape[0]
+    h, w = planes.shape[-2], planes.shape[-1]
+    masked = planes * valid
+    out = np.zeros((c_out, h, w), dtype=np.float64)
+    flat = masked.reshape(masked.shape[0], h * w)
+    for dh, dw in DENSE_UNIT_OFFSETS:
+        shifted = shift_planes(masked, dh, dw, wrap_horizontal)
+        tap = weight[:, :, dh + 1, dw + 1]
+        out += (tap @ shifted.reshape(flat.shape)).reshape(c_out, h, w)
+    return out * valid
+
+
+def dense_basicblock(x, valid, params, wrap_horizontal):
+    """(c_out, h, w) conv block output planes from the raw planes x."""
+    t = dense_masked_conv3x3(x, valid, params.conv1, wrap_horizontal)
+    t = relu(t * params.scale1[:, None, None] + params.shift1[:, None, None] * valid)
+    t = dense_masked_conv3x3(t, valid, params.conv2, wrap_horizontal)
+    t = t * params.scale2[:, None, None] + params.shift2[:, None, None] * valid
+    if params.proj is None:
+        res = x * valid
+    else:
+        h, w = valid.shape
+        res = (params.proj @ (x * valid).reshape(x.shape[0], h * w)).reshape(
+            params.c_out, h, w
+        )
+    return relu(t + res) * valid
+
+
+def dense_hdmk_branch(branch, offsets, feats, coords, valid, wrap_horizontal):
+    """(c_half, h*w) branch output evaluated at every pixel."""
+    c_in, h, w = feats.shape
+    n_px = h * w
+    coords_flat = coords.reshape(3, n_px)
+    chunks = np.empty((9 * c_in, n_px), dtype=np.float64)
+    for k, (dh, dw) in enumerate(offsets):
+        neigh_feat = shift_planes(feats, dh, dw, wrap_horizontal).reshape(c_in, n_px)
+        neigh_valid = shift_planes(valid, dh, dw, wrap_horizontal).reshape(n_px)
+        delta = (
+            shift_planes(coords, dh, dw, wrap_horizontal).reshape(3, n_px)
+            - coords_flat
+        ) * neigh_valid
+        pre = branch.w1 @ delta + branch.b1[:, None]
+        hid = relu(pre)
+        gate = branch.w2 @ hid + branch.b2[:, None]
+        weighted = gate * neigh_feat * neigh_valid
+        chunks[k * c_in : (k + 1) * c_in] = weighted
+    return branch.w_acc @ chunks + branch.b_acc[:, None]
+
+
+def dense_hdmk_forward_planes(feats, coords, valid, params, wrap_horizontal):
+    h, w = valid.shape
+    halves = [
+        dense_hdmk_branch(branch, offsets, feats, coords, valid, wrap_horizontal)
+        for branch, offsets in (
+            (params.branch1, DENSE_UNIT_OFFSETS),
+            (params.branch2, DENSE_DILATED_OFFSETS),
+        )
+    ]
+    full = np.concatenate(halves, axis=0).reshape(params.c_out, h, w)
+    return full * valid

@@ -275,6 +275,10 @@ class TestPipeline:
         counts = tracer.counts
         assert counts["pointops.occupied_voxels"] == voxels["occupied_voxels"]
         assert counts["pointops.points_outside_grid"] == voxels["points_outside_grid"]
+        # The meta kernel's forward is seen by the tracer, and no dense BEV
+        # map is built.
+        assert counts["rvfe.hdmk_forward_calls"] == 1
+        assert counts["pointops.bev_mb"] == 0
         assert result["checksums"] == toy.result["checksums"]
 
     def test_rerun_is_bit_identical(self, toy):
@@ -345,6 +349,21 @@ class TestPipeline:
         summary = (out / pipeline.SUMMARY_FILE).read_text()
         assert "failed at stage project" in summary
         assert "partial output" in summary
+
+    def test_cloud_entirely_out_of_view_stops_at_fps(self, toy, tmp_path):
+        # Straight below the sensor: outside the field of view in every row.
+        points = np.array([[1.0, 0.0, -10.0, 0.5], [0.0, -2.0, -30.0, 0.2]])
+        bin_path = tmp_path / "below.bin"
+        formats.write_kitti_bin(bin_path, points)
+        out = tmp_path / "out"
+        with pytest.raises(pipeline.PipelineError) as err:
+            pipeline.run_pipeline(toy.cfg, bin_path, out)
+        assert str(err.value) == "stage fps failed: cannot sample from an empty cloud"
+        summary = (out / pipeline.SUMMARY_FILE).read_text()
+        assert "stage project: points=2 valid_pixels=0 " in summary
+        # The meta kernel runs with an empty support and redeems nothing.
+        assert "stage redeem: redeemed_points=0 " in summary
+        assert "stage voxelize: in_range_points=0 " in summary
 
     def test_unrecognized_input_rejected(self, toy, tmp_path):
         stray = tmp_path / "scene.xyz"

@@ -1,5 +1,7 @@
 """Sampling offsets, BasicBlock, and the dynamic meta kernel."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from rvredeem.rvfe import (
     init_basicblock,
     init_params,
     masked_conv3x3,
-    shift_planes,
+    neighbour_index,
 )
 
 
@@ -36,18 +38,50 @@ class TestKernelOffsets:
 
 
 class TestShiftPlanes:
+    # The dense reference's boundary policy, which the gathers below must
+    # reproduce.
     def test_vertical_never_wraps(self):
         arr = np.arange(12.0).reshape(3, 4)
-        down = shift_planes(arr, 1, 0, wrap_horizontal=True)
+        down = oracles.shift_planes(arr, 1, 0, wrap_horizontal=True)
         np.testing.assert_array_equal(down[2], 0.0)
         np.testing.assert_array_equal(down[0], arr[1])
 
     def test_horizontal_wrap_flag(self):
         arr = np.arange(8.0).reshape(2, 4)
-        wrapped = shift_planes(arr, 0, 1, wrap_horizontal=True)
+        wrapped = oracles.shift_planes(arr, 0, 1, wrap_horizontal=True)
         assert wrapped[0, 3] == arr[0, 0]
-        clipped = shift_planes(arr, 0, 1, wrap_horizontal=False)
+        clipped = oracles.shift_planes(arr, 0, 1, wrap_horizontal=False)
         assert clipped[0, 3] == 0.0
+
+
+# Shapes where dilated taps clip, or wrap around the whole width, more than
+# once; two whose pixels do not fill whole blocks of 8 (the "last" mask puts
+# all of a 1x12 image's support past its last whole block); and one
+# ordinary image.
+TINY_SHAPES = [(1, 1), (2, 3), (3, 1), (4, 2), (3, 3), (1, 12), (8, 16)]
+
+
+class TestNeighbourIndex:
+    def test_outside_neighbours_get_the_zero_column(self):
+        index = neighbour_index(3, 4, [(1, 0), (0, 1)], np.array([8, 3]), False)
+        # Pixel 8 is (2, 0): its lower neighbour is outside; pixel 3 is
+        # (0, 3): its right neighbour is outside unless columns wrap.
+        np.testing.assert_array_equal(index, [[12, 7], [9, 12]])
+        wrapped = neighbour_index(3, 4, [(0, 1)], np.array([3]), True)
+        np.testing.assert_array_equal(wrapped, [[0]])
+
+    @pytest.mark.parametrize("wrap", [True, False])
+    @pytest.mark.parametrize("shape", TINY_SHAPES)
+    def test_gather_matches_shifted_planes(self, shape, wrap):
+        h, w = shape
+        arr = np.random.default_rng(h * w).normal(size=(2, h, w))
+        padded = np.concatenate([arr.reshape(2, h * w), np.zeros((2, 1))], axis=1)
+        offsets = UNIT_OFFSETS + DILATED_OFFSETS
+        index = neighbour_index(h, w, offsets, np.arange(h * w), wrap)
+        for k, (dh, dw) in enumerate(offsets):
+            shifted = oracles.shift_planes(arr, dh, dw, wrap)
+            gathered = padded[:, index[k]].reshape(2, h, w)
+            assert gathered.tobytes() == shifted.tobytes(), (dh, dw)
 
 
 class TestBasicBlock:
@@ -243,6 +277,126 @@ class TestHdmkForward:
         img = util.random_image(rng, 6, 8, n_feat=0)
         with pytest.raises(ValueError):
             hdmk_forward(img, util.random_hdmk_params(rng, c_in=4))
+
+
+MASKS = ["none", "one", "last", 0.15, 0.85, "all"]
+
+
+def masked_image(rng, shape, mask, n_feat):
+    """Random image whose valid mask is empty, one pixel, random or full."""
+    h, w = shape
+    valid = np.zeros(shape, dtype=bool)
+    if mask == "one":
+        valid[rng.integers(h), rng.integers(w)] = True
+    elif mask == "last":
+        valid[-1, -1] = True
+    elif mask == "all":
+        valid[:] = True
+    elif mask != "none":
+        valid = rng.random(shape) < mask
+    img = util.random_image(rng, h, w, n_feat=n_feat, density=1.0)
+    return RangeImage(img.sensor, img.channels * valid, valid)
+
+
+def dense_block_planes(img, params, wrap):
+    return img.with_features(
+        oracles.dense_basicblock(img.channels, img.valid, params, wrap)
+    ).feature_planes
+
+
+class TestDenseByteIdentity:
+    """Sparse evaluation against the dense formula, byte for byte.
+
+    Bytes count signed zeros: at invalid pixels the meta kernel's output is
+    a zero carrying the sign of the dense value, and RRI1 files keep it.
+    """
+
+    @pytest.mark.parametrize("wrap", [True, False])
+    @pytest.mark.parametrize("mask", MASKS)
+    @pytest.mark.parametrize("shape", TINY_SHAPES)
+    def test_meta_kernel(self, shape, mask, wrap):
+        rng = np.random.default_rng([*shape, MASKS.index(mask), wrap])
+        img = masked_image(rng, shape, mask, n_feat=4)
+        params = util.random_hdmk_params(rng, c_in=4, c_mid=5, c_out=6)
+        args = (img.feature_planes, img.channels[:3], img.valid, params, wrap)
+        out = hdmk_forward_planes(*args)
+        assert out.tobytes() == oracles.dense_hdmk_forward_planes(*args).tobytes()
+
+    @pytest.mark.parametrize("c_out", [5, 6])
+    @pytest.mark.parametrize("wrap", [True, False])
+    @pytest.mark.parametrize("mask", MASKS)
+    @pytest.mark.parametrize("shape", TINY_SHAPES)
+    def test_basic_block(self, shape, mask, wrap, c_out):
+        rng = np.random.default_rng([*shape, MASKS.index(mask), wrap, c_out])
+        img = masked_image(rng, shape, mask, n_feat=0)
+        params = util.random_basicblock_params(rng, c_out=c_out)
+        out = basicblock_forward(img, params, wrap).feature_planes
+        assert out.tobytes() == dense_block_planes(img, params, wrap).tobytes()
+
+    # Pipeline widths; pixel counts leave 0, 1, 2 and 5 pixels past the last
+    # whole block of 8 columns, where BLAS kernels round differently.
+    @pytest.mark.parametrize("shape", [(16, 60), (5, 13), (6, 11), (9, 13)])
+    def test_pipeline_widths(self, shape):
+        rng = np.random.default_rng(list(shape))
+        img = masked_image(rng, shape, 0.15, n_feat=0)
+        block = init_basicblock(0, 32)
+        out = basicblock_forward(img, block)
+        assert out.feature_planes.tobytes() == dense_block_planes(img, block, True).tobytes()
+        params = init_params(0, (32, 32, 64))
+        args = (out.feature_planes, img.channels[:3], img.valid, params, True)
+        assert (
+            hdmk_forward_planes(*args).tobytes()
+            == oracles.dense_hdmk_forward_planes(*args).tobytes()
+        )
+
+    def test_negative_zero_bias(self):
+        # Weight files may hold -0.0. Far from valid pixels the dense output
+        # is (+0 product) + b_acc, which is +0 for such a bias.
+        from dataclasses import replace
+
+        rng = np.random.default_rng(22)
+        img = masked_image(rng, (8, 16), "one", n_feat=4)
+        params = util.random_hdmk_params(rng, c_in=4, c_mid=5, c_out=6)
+        params = HdMetaKernelParams(
+            replace(params.branch1, b_acc=np.array([-0.0, 0.1, -0.0])),
+            params.branch2,
+        )
+        args = (img.feature_planes, img.channels[:3], img.valid, params, True)
+        out = hdmk_forward_planes(*args)
+        assert out.tobytes() == oracles.dense_hdmk_forward_planes(*args).tobytes()
+
+    def test_invalid_pixels_keep_the_dense_sign(self):
+        rng = np.random.default_rng(20)
+        img = masked_image(rng, (8, 16), 0.15, n_feat=4)
+        params = util.random_hdmk_params(rng, c_in=4, c_mid=5, c_out=6)
+        out = hdmk_forward_planes(img.feature_planes, img.channels[:3], img.valid, params)
+        signs = np.signbit(out[:, ~img.valid])
+        assert not out[:, ~img.valid].any()
+        assert signs.any() and not signs.all()
+
+
+class TestForwardMemory:
+    def test_peak_scales_with_valid_pixels(self):
+        # A 64x2048 scan with 500 valid pixels. The dense evaluation held
+        # about 23 times the output's bytes; the support-only one holds the
+        # flattened inputs and the output, under twice the output's bytes.
+        h, w = 64, 2048
+        rng = np.random.default_rng(21)
+        valid = np.zeros(h * w, dtype=bool)
+        valid[rng.choice(h * w, 500, replace=False)] = True
+        valid = valid.reshape(h, w)
+        feats = rng.normal(size=(32, h, w)) * valid
+        coords = rng.uniform(-50.0, 50.0, size=(3, h, w)) * valid
+        params = init_params(0, (32, 32, 64))
+        out_bytes = 8 * params.c_out * h * w
+        tracemalloc.start()
+        try:
+            out = hdmk_forward_planes(feats, coords, valid, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.nbytes == out_bytes
+        assert peak < 3 * out_bytes
 
 
 def flatten_params(params):
