@@ -125,25 +125,20 @@ class Point:
 
 
 def points_to_array(points) -> np.ndarray:
-    """(N, 5) float64 array of (x, y, z, intensity, range) from Point list.
+    """(N, 5) float64 rows of (x, y, z, intensity, range), never the input.
 
-    ndarray inputs may have 3 columns (intensity defaults to 0), 4 columns
+    The input may have 3 columns (intensity defaults to 0), 4 columns
     (range derived), or the full 5.
     """
-    if isinstance(points, np.ndarray):
-        arr = np.asarray(points, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[1] not in (3, 4, 5):
-            raise ValueError(f"point array must be (N, 3..5), got {arr.shape}")
-        if arr.shape[1] == 3:
-            arr = np.column_stack([arr, np.zeros(arr.shape[0])])
-        if arr.shape[1] == 4:
-            r = np.sqrt(np.sum(arr[:, :3] * arr[:, :3], axis=1))
-            arr = np.column_stack([arr, r])
-        return arr
-    out = np.empty((len(points), 5), dtype=np.float64)
-    for i, p in enumerate(points):
-        out[i] = (p.x, p.y, p.z, p.intensity, p.range)
-    return out
+    arr = np.array(points, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[1] not in (3, 4, 5):
+        raise ValueError(f"point array must be (N, 3..5), got {arr.shape}")
+    if arr.shape[1] == 3:
+        arr = np.column_stack([arr, np.zeros(arr.shape[0])])
+    if arr.shape[1] == 4:
+        r = np.sqrt(np.sum(arr[:, :3] * arr[:, :3], axis=1))
+        arr = np.column_stack([arr, r])
+    return arr
 
 
 @dataclass(frozen=True)
@@ -175,8 +170,8 @@ class RangeImage:
             raise ValueError(f"valid mask must be ({h}, {w}), got {mask.shape}")
         if not np.all(np.isfinite(ch)):
             raise ValueError("range image planes must be finite")
-        invalid = ~mask
-        if np.any(ch[:, invalid] != 0.0):
+        # Any plane nonzero at any invalid pixel; -0.0 counts as zero.
+        if np.any(np.any(ch, axis=0) & ~mask):
             raise ValueError("invalid pixels must hold 0 in all planes")
         if np.any(ch[CH_RANGE][mask] <= 0.0):
             raise ValueError("valid pixels must have strictly positive range")
@@ -210,14 +205,13 @@ class RangeImage:
 class FeaturePointCloud:
     """Points with intensity and a fixed-width feature embedding per point.
 
-    Backed by arrays rather than Point objects. `source_pixel` records
-    per-point (u, v) provenance when the cloud came out of a range image.
+    The one point-set type of the pipeline: three row-aligned arrays, (N, 3)
+    coordinates, (N,) intensities in [0, 1] and (N, d) features.
     """
 
     xyz: np.ndarray
     intensity: np.ndarray
     features: np.ndarray
-    source_pixel: np.ndarray | None = None
 
     def __post_init__(self):
         xyz = np.ascontiguousarray(self.xyz, dtype=np.float64)
@@ -236,11 +230,6 @@ class FeaturePointCloud:
         object.__setattr__(self, "xyz", _freeze(xyz))
         object.__setattr__(self, "intensity", _freeze(inten))
         object.__setattr__(self, "features", _freeze(feats))
-        if self.source_pixel is not None:
-            src = np.ascontiguousarray(self.source_pixel, dtype=np.int64)
-            if src.shape != (n, 2):
-                raise ValueError(f"source_pixel must be ({n}, 2), got {src.shape}")
-            object.__setattr__(self, "source_pixel", _freeze(src))
 
     def __len__(self) -> int:
         return self.xyz.shape[0]

@@ -215,7 +215,10 @@ def read_kitti_bin_array(path) -> np.ndarray:
 
 
 def write_kitti_bin(path, points) -> None:
-    """Store (x, y, z, intensity) rows as raw f32."""
+    """Store the (x, y, z, intensity) columns of (N, >= 4) rows as raw f32."""
+    points = np.asarray(points)
+    if points.ndim != 2 or points.shape[1] < 4:
+        raise FormatError(f"{path}: need (N, >= 4) point rows, got {points.shape}")
     arr = np.ascontiguousarray(points[:, :4], dtype="<f4")
     Path(path).write_bytes(arr.tobytes())
 

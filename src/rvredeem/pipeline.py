@@ -34,10 +34,9 @@ from .core import (
     SensorModel,
 )
 from .pointops import (
-    KeypointSet,
     SharedMlp,
     VoxelGrid,
-    bev_flatten,  # noqa: F401 (re-exported: with read_voxel_grid it rebuilds the map)
+    bev_flatten,  # noqa: F401 (unused here; the benchmark's tracer wraps this name)
     furthest_point_sampling,
     grid_shape,
     voxelize,
@@ -279,9 +278,9 @@ def stage_fps(cfg: PipelineConfig, cloud_path, out_dir) -> dict:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cloud = formats.read_rfp1(cloud_path)
-    keypoints = furthest_point_sampling(cloud, cfg.keypoint_count)
+    chosen = furthest_point_sampling(cloud.xyz, cfg.keypoint_count)
     kp_cloud = FeaturePointCloud(
-        keypoints.xyz, cloud.intensity[keypoints.indices], keypoints.features
+        cloud.xyz[chosen], cloud.intensity[chosen], cloud.features[chosen]
     )
     formats.write_rfp1(out_dir / KEYPOINTS_FILE, kp_cloud)
     return {"requested": cfg.keypoint_count, "kept": len(kp_cloud)}
@@ -350,10 +349,7 @@ def stage_pool(cfg: PipelineConfig, keypoints_path, boxes_path, out_dir) -> dict
         formats.read_rwt1(out_dir / SGRID_WEIGHTS_FILE), SGRID_WEIGHTS_FILE
     )
 
-    keypoints = KeypointSet(
-        np.arange(len(kp_cloud)), kp_cloud.xyz, kp_cloud.features
-    )
-    rois = sgrid_pool(keypoints, boxes, cfg.sgrid, params)
+    rois = sgrid_pool(kp_cloud, boxes, cfg.sgrid, params)
     roi_len = cfg.sgrid.roi_feature_length
     vectors = (
         np.stack([roi.vector for roi in rois])

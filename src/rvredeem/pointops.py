@@ -17,38 +17,16 @@ from .core import FeaturePointCloud
 logger = logging.getLogger(__name__)
 
 
+def _coordinates(xyz) -> np.ndarray:
+    xyz = np.asarray(xyz, dtype=np.float64)
+    if xyz.ndim != 2 or xyz.shape[1] != 3:
+        raise ValueError(f"coordinates must be (N, 3), got {xyz.shape}")
+    return xyz
+
+
 def _squared_distances(xyz: np.ndarray, point: np.ndarray) -> np.ndarray:
     diff = xyz - point
     return np.sum(diff * diff, axis=1)
-
-
-@dataclass(frozen=True)
-class KeypointSet:
-    """Points retained by sampling: source indices, coordinates, features."""
-
-    indices: np.ndarray  # (C,) int64 into the source cloud
-    xyz: np.ndarray  # (C, 3)
-    features: np.ndarray  # (C, d_f)
-
-    def __post_init__(self):
-        # np.array always copies, so freezing never reaches caller arrays.
-        idx = np.array(self.indices, dtype=np.int64, order="C")
-        xyz = np.array(self.xyz, dtype=np.float64, order="C")
-        feats = np.array(self.features, dtype=np.float64, order="C")
-        if idx.ndim != 1:
-            raise ValueError("indices must be one-dimensional")
-        if np.unique(idx).size != idx.size:
-            raise ValueError("keypoint indices must be unique")
-        if xyz.shape != (idx.size, 3):
-            raise ValueError(f"xyz must be ({idx.size}, 3), got {xyz.shape}")
-        if feats.ndim != 2 or feats.shape[0] != idx.size:
-            raise ValueError(f"features must be ({idx.size}, d), got {feats.shape}")
-        for name, arr in (("indices", idx), ("xyz", xyz), ("features", feats)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    def __len__(self) -> int:
-        return self.indices.size
 
 
 def grid_shape(voxel_size, range_min, range_max) -> tuple[int, int, int]:
@@ -124,23 +102,22 @@ class VoxelGrid:
         return self.means.shape[1]
 
 
-def furthest_point_sampling(
-    cloud: FeaturePointCloud, count: int, seed_index: int = 0
-) -> KeypointSet:
-    """Greedy max-min downsampling to `count` points.
+def furthest_point_sampling(xyz, count: int, seed_index: int = 0) -> np.ndarray:
+    """Greedy max-min downsampling of (N, 3) coordinates to `count` indices.
 
     Starts at seed_index; each step picks the point whose squared distance
     to the selected set is largest, lowest index on ties (argmax returns the
-    first maximum). Asking for C >= N returns all points in selection order.
+    first maximum). Asking for C >= N returns all N indices in selection
+    order. The result is an int64 index array into `xyz`.
     """
-    n = len(cloud)
+    xyz = _coordinates(xyz)
+    n = xyz.shape[0]
     if n == 0:
         raise ValueError("cannot sample from an empty cloud")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     if not (0 <= seed_index < n):
         raise ValueError(f"seed_index {seed_index} outside [0, {n})")
-    xyz = cloud.xyz
     count = min(count, n)
     chosen = np.empty(count, dtype=np.int64)
     chosen[0] = seed_index
@@ -151,13 +128,11 @@ def furthest_point_sampling(
         best[last] = -1.0  # never reselect
         last = int(np.argmax(best))
         chosen[step] = last
-    return KeypointSet(chosen, xyz[chosen], cloud.features[chosen])
+    return chosen
 
 
-def ball_query(
-    center: np.ndarray, radius: float, cloud: FeaturePointCloud, max_k: int
-) -> np.ndarray:
-    """Indices of points with distance <= radius, nearest first, capped.
+def ball_query(center, radius: float, xyz, max_k: int) -> np.ndarray:
+    """Indices into (N, 3) `xyz` within distance radius, nearest first, capped.
 
     Comparison is on squared distances. Ordering is (distance, index), so
     truncation at max_k is deterministic.
@@ -167,7 +142,7 @@ def ball_query(
     if max_k < 1:
         raise ValueError(f"max_k must be >= 1, got {max_k}")
     center = np.asarray(center, dtype=np.float64).reshape(3)
-    d2 = _squared_distances(cloud.xyz, center)
+    d2 = _squared_distances(_coordinates(xyz), center)
     hits = np.flatnonzero(d2 <= radius * radius)
     order = np.lexsort((hits, d2[hits]))
     return hits[order][:max_k].astype(np.int64)

@@ -127,15 +127,15 @@ def project_points(xyz: np.ndarray, sensor: SensorModel):
     return u, v, r, in_fov
 
 
-def build_range_image(cloud, sensor: SensorModel) -> RangeImage:
-    """Bin points into the five-plane range image.
+def build_range_image(points, sensor: SensorModel) -> RangeImage:
+    """Bin (N, 3..5) point rows (see `points_to_array`) into the range image.
 
     Each in-view point lands at (floor(u), floor(v)). When several points
     share a pixel the smallest range wins, ties broken by lowest input index,
     so the result never depends on traversal order. Out-of-view points are
     skipped and counted in a log line.
     """
-    arr = points_to_array(cloud)
+    arr = points_to_array(points)
     arr[:, CH_INTENSITY] = np.clip(arr[:, CH_INTENSITY], 0.0, 1.0)
     h, w = sensor.height, sensor.width
     planes = np.zeros((BASE_CHANNELS, h, w), dtype=np.float64)
@@ -176,8 +176,8 @@ def redeem_feature_points(
 
     Coordinates and intensity come from the stored planes, never re-derived
     from pixel centers, so no quantization error enters the cloud. The
-    embedding is the pixel's feature-plane vector and `source_pixel` records
-    (row, col). Output count equals the valid-mask popcount.
+    embedding is the pixel's feature-plane vector. Output count equals the
+    valid-mask popcount.
     """
     d_f = img.plane_count - BASE_CHANNELS
     if expected_dim is not None and d_f != expected_dim:
@@ -188,5 +188,4 @@ def redeem_feature_points(
     xyz = img.channels[:3, rows, cols].T
     intensity = img.channels[CH_INTENSITY, rows, cols]
     features = img.feature_planes[:, rows, cols].T.reshape(rows.size, d_f)
-    source = np.column_stack([rows, cols])
-    return FeaturePointCloud(xyz, intensity, features, source)
+    return FeaturePointCloud(xyz, intensity, features)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Box3D, FeaturePointCloud, SGridConfig
-from .pointops import KeypointSet, SharedMlp, ball_query, pointnet_aggregate
+from .pointops import SharedMlp, ball_query, pointnet_aggregate
 from .rng import (
     STREAM_HEAD,
     STREAM_POOL_COARSE,
@@ -211,7 +211,8 @@ def _resolve_radius(configured: float | None, box: Box3D, grid: int) -> float:
 
 
 def _pool_branch(
-    canon_cloud: FeaturePointCloud,
+    canon_xyz: np.ndarray,
+    features: np.ndarray,
     positions: np.ndarray,
     radius: float,
     cap: int,
@@ -222,20 +223,15 @@ def _pool_branch(
     feats = np.empty((n, mlp.out_dim), dtype=np.float64)
     empty = np.empty(n, dtype=bool)
     for g in range(n):
-        idx = ball_query(positions[g], radius, canon_cloud, cap)
-        pooled = pointnet_aggregate(
-            positions[g],
-            canon_cloud.xyz[idx],
-            canon_cloud.features[idx],
-            mlp,
-        )
+        idx = ball_query(positions[g], radius, canon_xyz, cap)
+        pooled = pointnet_aggregate(positions[g], canon_xyz[idx], features[idx], mlp)
         feats[g] = pooled[:-1]
         empty[g] = pooled[-1] == 1.0
     return feats, empty
 
 
 def sgrid_pool(
-    keypoints: KeypointSet,
+    keypoints: FeaturePointCloud,
     boxes,
     cfg: SGridConfig,
     params: SGridParams,
@@ -243,8 +239,9 @@ def sgrid_pool(
     """Dual-grid RoI pooling; one RoIFeature per box.
 
     All neighbor geometry is evaluated in each box's canonical frame: the
-    keypoints are transformed once per box, queried around the canonical
-    grid positions, and encoded relative to those positions.
+    keypoint coordinates are transformed once per box, queried around the
+    canonical grid positions, and encoded relative to those positions.
+    Keypoint intensities are not used.
     """
     if params.mlp_fine.out_dim != cfg.fine_channels:
         raise ValueError("fine MLP output width disagrees with the config")
@@ -253,20 +250,19 @@ def sgrid_pool(
     out = []
     for box in boxes:
         canon_xyz = canonical_transform(keypoints.xyz, box)
-        canon_cloud = FeaturePointCloud(
-            canon_xyz, np.zeros(len(keypoints)), keypoints.features
-        )
         fine_pos = grid_cell_centers(box.dims, cfg.fine_grid)
         coarse_pos = grid_cell_centers(box.dims, cfg.coarse_grid)
         fine_feats, fine_empty = _pool_branch(
-            canon_cloud,
+            canon_xyz,
+            keypoints.features,
             fine_pos,
             _resolve_radius(cfg.fine_radius, box, cfg.fine_grid),
             cfg.neighbor_cap,
             params.mlp_fine,
         )
         coarse_feats, coarse_empty = _pool_branch(
-            canon_cloud,
+            canon_xyz,
+            keypoints.features,
             coarse_pos,
             _resolve_radius(cfg.coarse_radius, box, cfg.coarse_grid),
             cfg.neighbor_cap,

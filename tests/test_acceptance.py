@@ -25,7 +25,6 @@ from rvredeem.core import (
     load_config,
 )
 from rvredeem.pointops import (
-    KeypointSet,
     bev_flatten,
     furthest_point_sampling,
     voxelize,
@@ -218,22 +217,22 @@ def test_05_fps_oracle(capsys):
         seed_index = int(rng.integers(0, n))
         xyz = rng.uniform(-40.0, 40.0, size=(n, 3))
         cloud = FeaturePointCloud(xyz, np.zeros(n), np.zeros((n, 0)))
-        ks = furthest_point_sampling(cloud, c, seed_index)
+        chosen = furthest_point_sampling(cloud.xyz, c, seed_index)
         exact_ok &= np.array_equal(
-            ks.indices, oracles.fps_indices(xyz, c, seed_index)
+            chosen, oracles.fps_indices(xyz, c, seed_index)
         )
         shifted = FeaturePointCloud(
             xyz + rng.uniform(-100.0, 100.0, size=3), np.zeros(n), np.zeros((n, 0))
         )
         shift_ok &= np.array_equal(
-            furthest_point_sampling(shifted, c, seed_index).indices, ks.indices
+            furthest_point_sampling(shifted.xyz, c, seed_index), chosen
         )
 
     edge = np.random.default_rng(55).normal(size=(5, 3))
     edge_cloud = FeaturePointCloud(edge, np.zeros(5), np.zeros((5, 0)))
-    edge_ks = furthest_point_sampling(edge_cloud, 64, 2)
-    edge_ok = np.array_equal(edge_ks.indices, oracles.fps_indices(edge, 64, 2))
-    edge_ok &= len(edge_ks) == 5 and sorted(edge_ks.indices.tolist()) == [0, 1, 2, 3, 4]
+    edge_chosen = furthest_point_sampling(edge_cloud.xyz, 64, 2)
+    edge_ok = np.array_equal(edge_chosen, oracles.fps_indices(edge, 64, 2))
+    edge_ok &= len(edge_chosen) == 5 and sorted(edge_chosen.tolist()) == [0, 1, 2, 3, 4]
 
     ok = exact_ok and shift_ok and edge_ok
     _report(
@@ -269,7 +268,7 @@ def test_06_sgrid_pooling_equivariance(capsys):
         xyz = box.center + rng.uniform(-3.5, 3.5, size=(n, 3))
         feats = rng.normal(size=(n, 5))
         roi = sgrid_pool(
-            KeypointSet(np.arange(n), xyz, feats), [box], cfg, params
+            FeaturePointCloud(xyz, np.zeros(n), feats), [box], cfg, params
         )[0]
 
         alpha = rng.uniform(-math.pi, math.pi)
@@ -281,7 +280,7 @@ def test_06_sgrid_pooling_equivariance(capsys):
             *moved_center, box.length, box.width, box.height, box.yaw + alpha
         )
         roi2 = sgrid_pool(
-            KeypointSet(np.arange(n), xyz @ rot.T + t, feats),
+            FeaturePointCloud(xyz @ rot.T + t, np.zeros(n), feats),
             [moved_box], cfg, params,
         )[0]
         worst = max(worst, float(np.max(np.abs(roi.vector - roi2.vector))))

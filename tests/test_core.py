@@ -70,7 +70,7 @@ class TestPoint:
 
 class TestPointsToArray:
     def test_from_list(self):
-        arr = points_to_array([Point(3.0, 4.0, 0.0, 0.25)])
+        arr = points_to_array([[3.0, 4.0, 0.0, 0.25]])
         assert arr.shape == (1, 5)
         np.testing.assert_allclose(arr[0], [3.0, 4.0, 0.0, 0.25, 5.0])
 
@@ -103,6 +103,21 @@ class TestRangeImage:
         planes[0, 0, 0] = 1.0
         with pytest.raises(ValueError):
             RangeImage(s, planes, np.zeros((4, 8), dtype=bool))
+
+    def test_rejects_subnormal_feature_at_invalid_pixel(self):
+        s = make_sensor()
+        planes = np.zeros((7, 4, 8))
+        planes[6, 3, 5] = 5e-324
+        with pytest.raises(ValueError, match="invalid pixels must hold 0"):
+            RangeImage(s, planes, np.zeros((4, 8), dtype=bool))
+
+    def test_accepts_negative_zero_at_invalid_pixel(self):
+        s = make_sensor()
+        planes = np.zeros((7, 4, 8))
+        planes[6, 3, 5] = -0.0
+        planes[0, 0, 0] = -0.0
+        img = RangeImage(s, planes, np.zeros((4, 8), dtype=bool))
+        assert np.signbit(img.channels[6, 3, 5])
 
     def test_rejects_zero_range_at_valid_pixel(self):
         s = make_sensor()
@@ -137,15 +152,6 @@ class TestFeaturePointCloud:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             FeaturePointCloud(np.zeros((2, 3)), np.zeros(3), np.zeros((2, 1)))
-
-    def test_source_pixel_shape(self):
-        with pytest.raises(ValueError):
-            FeaturePointCloud(
-                np.zeros((2, 3)),
-                np.zeros(2),
-                np.zeros((2, 0)),
-                source_pixel=np.zeros((1, 2), dtype=np.int64),
-            )
 
 
 class TestBox3D:

@@ -250,6 +250,14 @@ class TestKittiBin:
         write_kitti_bin(second, read_kitti_bin_array(first))
         assert first.read_bytes() == second.read_bytes()
 
+    @pytest.mark.parametrize("shape", [(4, 3), (4,), (2, 2, 4)])
+    def test_write_rejects_rows_without_intensity(self, tmp_path, shape):
+        # Three-column rows would be read back as fewer, scrambled records.
+        path = tmp_path / "p.bin"
+        with pytest.raises(FormatError, match="need \\(N, >= 4\\) point rows"):
+            write_kitti_bin(path, np.ones(shape))
+        assert not path.exists()
+
 
 class TestBoxFile:
     def test_round_trip_exact(self, tmp_path):

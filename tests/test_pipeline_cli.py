@@ -190,10 +190,10 @@ class TestStages:
         info = pipeline.stage_fps(cfg, cloud_path, tmp_path)
         assert info == {"requested": 5, "kept": 5}
         kp = formats.read_rfp1(tmp_path / pipeline.KEYPOINTS_FILE)
-        ks = furthest_point_sampling(cloud, 5)
-        np.testing.assert_array_equal(kp.xyz, ks.xyz)
-        np.testing.assert_array_equal(kp.features, ks.features)
-        np.testing.assert_array_equal(kp.intensity, cloud.intensity[ks.indices])
+        chosen = furthest_point_sampling(cloud.xyz, 5)
+        np.testing.assert_array_equal(kp.xyz, cloud.xyz[chosen])
+        np.testing.assert_array_equal(kp.features, cloud.features[chosen])
+        np.testing.assert_array_equal(kp.intensity, cloud.intensity[chosen])
 
     def test_stage_voxelize_persists_grid_losslessly(self, tmp_path, toy):
         cloud_path = tmp_path / "c.rfp1"
@@ -279,6 +279,14 @@ class TestPipeline:
         # map is built.
         assert counts["rvfe.hdmk_forward_calls"] == 1
         assert counts["pointops.bev_mb"] == 0
+        # Sampling and pooling are seen too: FPS through the index array it
+        # returns, each grid point's ball query, each pooled box.
+        boxes = result["stages"]["pool"]["boxes"]
+        grids = toy.cfg.sgrid.fine_grid**3 + toy.cfg.sgrid.coarse_grid**3
+        assert boxes > 0
+        assert counts["pointops.ball_query_calls"] == boxes * grids
+        assert counts["pointops.fps_steps"] == result["stages"]["fps"]["kept"] - 1
+        assert counts["sgrid.boxes"] == boxes
         assert result["checksums"] == toy.result["checksums"]
 
     def test_rerun_is_bit_identical(self, toy):

@@ -6,7 +6,6 @@ import pytest
 import oracles
 from rvredeem.core import FeaturePointCloud
 from rvredeem.pointops import (
-    KeypointSet,
     SharedMlp,
     ball_query,
     bev_flatten,
@@ -36,19 +35,19 @@ class TestFurthestPointSampling:
         # Points on the x axis at 0, 1, 2, 10. From seed 0 the farthest is
         # 10 (index 3), then 2 (squared distances 4 vs 1), then 1.
         cloud = make_cloud([[0, 0, 0], [1, 0, 0], [2, 0, 0], [10, 0, 0]])
-        ks = furthest_point_sampling(cloud, 4, seed_index=0)
-        np.testing.assert_array_equal(ks.indices, [0, 3, 2, 1])
+        idx = furthest_point_sampling(cloud.xyz, 4, seed_index=0)
+        np.testing.assert_array_equal(idx, [0, 3, 2, 1])
 
     def test_count_capped_at_n(self):
         cloud = make_cloud(np.random.default_rng(0).normal(size=(5, 3)))
-        ks = furthest_point_sampling(cloud, 7)
-        assert len(ks) == 5
-        assert sorted(ks.indices.tolist()) == [0, 1, 2, 3, 4]
+        idx = furthest_point_sampling(cloud.xyz, 7)
+        assert len(idx) == 5
+        assert sorted(idx.tolist()) == [0, 1, 2, 3, 4]
 
     def test_seed_is_first(self):
         cloud = make_cloud(np.random.default_rng(1).normal(size=(10, 3)))
-        ks = furthest_point_sampling(cloud, 4, seed_index=3)
-        assert ks.indices[0] == 3
+        idx = furthest_point_sampling(cloud.xyz, 4, seed_index=3)
+        assert idx[0] == 3
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_naive_oracle(self, seed):
@@ -57,9 +56,9 @@ class TestFurthestPointSampling:
         c = int(rng.integers(1, 40))
         cloud = random_cloud(rng, n)
         seed_index = int(rng.integers(0, n))
-        ks = furthest_point_sampling(cloud, c, seed_index)
+        idx = furthest_point_sampling(cloud.xyz, c, seed_index)
         expected = oracles.fps_indices(cloud.xyz, c, seed_index)
-        np.testing.assert_array_equal(ks.indices, expected)
+        np.testing.assert_array_equal(idx, expected)
 
     def test_translation_equivariance(self):
         rng = np.random.default_rng(6)
@@ -69,9 +68,9 @@ class TestFurthestPointSampling:
             cloud.intensity,
             cloud.features,
         )
-        a = furthest_point_sampling(cloud, 12, 2)
-        b = furthest_point_sampling(moved, 12, 2)
-        np.testing.assert_array_equal(a.indices, b.indices)
+        a = furthest_point_sampling(cloud.xyz, 12, 2)
+        b = furthest_point_sampling(moved.xyz, 12, 2)
+        np.testing.assert_array_equal(a, b)
 
     def test_monotone_coverage(self):
         # The distance from the farthest unselected point to the selected
@@ -80,9 +79,9 @@ class TestFurthestPointSampling:
         cloud = random_cloud(rng, 80)
         gaps = []
         for c in range(2, 30):
-            ks = furthest_point_sampling(cloud, c)
-            sel = cloud.xyz[ks.indices]
-            rest = np.setdiff1d(np.arange(80), ks.indices)
+            idx = furthest_point_sampling(cloud.xyz, c)
+            sel = cloud.xyz[idx]
+            rest = np.setdiff1d(np.arange(80), idx)
             if rest.size == 0:
                 break
             d2 = np.min(
@@ -95,59 +94,58 @@ class TestFurthestPointSampling:
         assert all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
 
     def test_gathers_matching_rows(self):
+        # The result is an int64 index array into the rows it was given, so
+        # a plain nested list of the same rows selects the same points.
         rng = np.random.default_rng(8)
         cloud = random_cloud(rng, 30)
-        ks = furthest_point_sampling(cloud, 6, 4)
-        np.testing.assert_array_equal(ks.xyz, cloud.xyz[ks.indices])
-        np.testing.assert_array_equal(ks.features, cloud.features[ks.indices])
+        idx = furthest_point_sampling(cloud.xyz, 6, 4)
+        assert idx.dtype == np.int64 and idx.shape == (6,)
+        listed = furthest_point_sampling(cloud.xyz.tolist(), 6, 4)
+        np.testing.assert_array_equal(cloud.xyz[listed], cloud.xyz[idx])
 
     def test_duplicate_points_still_unique_indices(self):
         cloud = make_cloud([[1, 1, 1]] * 4)
-        ks = furthest_point_sampling(cloud, 4)
-        assert sorted(ks.indices.tolist()) == [0, 1, 2, 3]
+        idx = furthest_point_sampling(cloud.xyz, 4)
+        assert sorted(idx.tolist()) == [0, 1, 2, 3]
 
     def test_empty_cloud_rejected(self):
         cloud = make_cloud(np.zeros((0, 3)))
         with pytest.raises(ValueError):
-            furthest_point_sampling(cloud, 1)
+            furthest_point_sampling(cloud.xyz, 1)
 
     def test_bad_seed_rejected(self):
         cloud = make_cloud([[0, 0, 0]])
         with pytest.raises(ValueError):
-            furthest_point_sampling(cloud, 1, seed_index=5)
+            furthest_point_sampling(cloud.xyz, 1, seed_index=5)
 
-
-class TestKeypointSet:
-    def test_rejects_duplicate_indices(self):
-        with pytest.raises(ValueError):
-            KeypointSet(
-                np.array([1, 1]), np.zeros((2, 3)), np.zeros((2, 1))
-            )
+    def test_rejects_non_xyz_rows(self):
+        with pytest.raises(ValueError, match=r"must be \(N, 3\)"):
+            furthest_point_sampling(np.zeros((4, 2)), 1)
 
 
 class TestBallQuery:
     def test_sorted_nearest_first(self):
         cloud = make_cloud([[3, 0, 0], [1, 0, 0], [2, 0, 0]])
-        idx = ball_query([0, 0, 0], 2.5, cloud, max_k=8)
+        idx = ball_query([0, 0, 0], 2.5, cloud.xyz, max_k=8)
         np.testing.assert_array_equal(idx, [1, 2])
 
     def test_cap_is_deterministic(self):
         cloud = make_cloud([[3, 0, 0], [1, 0, 0], [2, 0, 0]])
-        idx = ball_query([0, 0, 0], 2.5, cloud, max_k=1)
+        idx = ball_query([0, 0, 0], 2.5, cloud.xyz, max_k=1)
         np.testing.assert_array_equal(idx, [1])
 
     def test_zero_radius_keeps_coincident(self):
         cloud = make_cloud([[1, 2, 3], [0, 0, 0], [1, 2, 3]])
-        idx = ball_query([1, 2, 3], 0.0, cloud, max_k=8)
+        idx = ball_query([1, 2, 3], 0.0, cloud.xyz, max_k=8)
         np.testing.assert_array_equal(idx, [0, 2])
 
     def test_empty_result(self):
         cloud = make_cloud([[5, 5, 5]])
-        assert ball_query([0, 0, 0], 1.0, cloud, max_k=4).size == 0
+        assert ball_query([0, 0, 0], 1.0, cloud.xyz, max_k=4).size == 0
 
     def test_tie_breaks_by_index(self):
         cloud = make_cloud([[1, 0, 0], [-1, 0, 0], [0, 1, 0]])
-        idx = ball_query([0, 0, 0], 1.0, cloud, max_k=2)
+        idx = ball_query([0, 0, 0], 1.0, cloud.xyz, max_k=2)
         np.testing.assert_array_equal(idx, [0, 1])
 
     @pytest.mark.parametrize("seed", range(5))
@@ -159,14 +157,16 @@ class TestBallQuery:
         max_k = int(rng.integers(1, 12))
         expected = oracles.ball_query(centers, cloud.xyz, radius, max_k)
         for c, exp in zip(centers, expected):
-            np.testing.assert_array_equal(ball_query(c, radius, cloud, max_k), exp)
+            np.testing.assert_array_equal(ball_query(c, radius, cloud.xyz, max_k), exp)
 
     def test_rejects_bad_arguments(self):
         cloud = make_cloud([[0, 0, 0]])
         with pytest.raises(ValueError):
-            ball_query([0, 0, 0], -1.0, cloud, max_k=1)
+            ball_query([0, 0, 0], -1.0, cloud.xyz, max_k=1)
         with pytest.raises(ValueError):
-            ball_query([0, 0, 0], 1.0, cloud, max_k=0)
+            ball_query([0, 0, 0], 1.0, cloud.xyz, max_k=0)
+        with pytest.raises(ValueError, match=r"must be \(N, 3\)"):
+            ball_query([0, 0, 0], 1.0, np.zeros(3), max_k=1)
 
 
 def tiny_mlp():

@@ -148,16 +148,16 @@ class TestPointToPixel:
 class TestBuildRangeImage:
     def test_nearest_wins(self):
         # Two points along +x bin to the same pixel; the 5 m one must win.
-        pts = [Point(7.0, 0.0, 0.0), Point(5.0, 0.0, 0.0)]
+        pts = np.array([[7.0, 0.0, 0.0], [5.0, 0.0, 0.0]])
         img = build_range_image(pts, SENSOR)
         assert int(np.sum(img.valid)) == 1
         assert img.channels[4, 32, 256] == 5.0
 
     def test_tie_breaks_by_input_index(self):
-        a = Point(5.0, 0.0, 0.0, 0.25)
-        b = Point(5.0, 0.0, 0.0, 0.75)
-        img_ab = build_range_image([a, b], SENSOR)
-        img_ba = build_range_image([b, a], SENSOR)
+        a = [5.0, 0.0, 0.0, 0.25]
+        b = [5.0, 0.0, 0.0, 0.75]
+        img_ab = build_range_image(np.array([a, b]), SENSOR)
+        img_ba = build_range_image(np.array([b, a]), SENSOR)
         assert img_ab.channels[3, 32, 256] == 0.25
         assert img_ba.channels[3, 32, 256] == 0.75
 
@@ -172,15 +172,22 @@ class TestBuildRangeImage:
         np.testing.assert_array_equal(img.valid, img_p.valid)
 
     def test_empty_cloud(self):
-        img = build_range_image([], SENSOR)
+        img = build_range_image(np.zeros((0, 3)), SENSOR)
         assert not img.valid.any()
         assert not img.channels.any()
 
     def test_out_of_fov_counted(self, caplog):
         with caplog.at_level("INFO"):
-            img = build_range_image([Point(0.0, 0.0, 5.0)], SENSOR)
+            img = build_range_image(np.array([[0.0, 0.0, 5.0]]), SENSOR)
         assert not img.valid.any()
         assert "1 point(s) outside" in caplog.text
+
+    def test_leaves_the_callers_array_unchanged(self):
+        # Intensity 1.5 is clipped in the image, not in the caller's rows.
+        pts = np.array([[5.0, 0.0, 0.0, 1.5, 5.0]])
+        img = build_range_image(pts, SENSOR)
+        assert img.channels[3, 32, 256] == 1.0
+        np.testing.assert_array_equal(pts, [[5.0, 0.0, 0.0, 1.5, 5.0]])
 
     def test_stored_point_within_quantization_bound(self):
         rng = np.random.default_rng(17)
@@ -221,10 +228,9 @@ class TestRedeemFeaturePoints:
         np.testing.assert_array_equal(cloud.xyz, vecs[:, :3])
         np.testing.assert_array_equal(cloud.intensity, vecs[:, 3])
         np.testing.assert_array_equal(cloud.features, vecs[:, 5:])
-        np.testing.assert_array_equal(cloud.source_pixel, np.array(pixels))
 
     def test_singleton_image(self):
-        pts = [Point(5.0, 0.0, 0.0, 0.5)]
+        pts = np.array([[5.0, 0.0, 0.0, 0.5]])
         img = build_range_image(pts, SENSOR).with_features(
             np.full((2, SENSOR.height, SENSOR.width), 3.0)
         )
@@ -234,7 +240,7 @@ class TestRedeemFeaturePoints:
         np.testing.assert_array_equal(cloud.xyz, [[5.0, 0.0, 0.0]])
 
     def test_empty_image(self):
-        img = build_range_image([], SENSOR)
+        img = build_range_image(np.zeros((0, 3)), SENSOR)
         cloud = redeem_feature_points(img)
         assert len(cloud) == 0
 

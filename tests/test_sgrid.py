@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import oracles
-from rvredeem.core import Box3D, SGridConfig
-from rvredeem.pointops import KeypointSet, SharedMlp, ball_query, pointnet_aggregate
+from rvredeem.core import Box3D, FeaturePointCloud, SGridConfig
+from rvredeem.pointops import SharedMlp, pointnet_aggregate
 from rvredeem.sgrid import (
     RoIFeature,
     SGridParams,
@@ -23,10 +23,10 @@ from rvredeem.sgrid import (
 )
 
 
-def random_keypoints(rng, n, d_f=4, scale=6.0) -> KeypointSet:
-    return KeypointSet(
-        np.arange(n, dtype=np.int64),
+def random_keypoints(rng, n, d_f=4, scale=6.0) -> FeaturePointCloud:
+    return FeaturePointCloud(
         rng.uniform(-scale, scale, size=(n, 3)),
+        np.zeros(n),
         rng.normal(size=(n, d_f)),
     )
 
@@ -193,9 +193,7 @@ class TestSgridPool:
         assert roi.vector.size == 27 * (5 + 4)
 
     def test_zero_keypoints_all_flagged(self):
-        kps = KeypointSet(
-            np.zeros(0, dtype=np.int64), np.zeros((0, 3)), np.zeros((0, 4))
-        )
+        kps = FeaturePointCloud(np.zeros((0, 3)), np.zeros(0), np.zeros((0, 4)))
         params = init_sgrid_params(1, SMALL_CFG, 4)
         (roi,) = sgrid_pool(kps, [Box3D(0, 0, 0, 2, 2, 2, 0.0)], SMALL_CFG, params)
         assert not roi.vector.any()
@@ -208,7 +206,7 @@ class TestSgridPool:
         params = init_sgrid_params(2, SMALL_CFG, 2)
         box = Box3D(1.0, 2.0, -0.5, 2.0, 2.0, 2.0, 0.8)
         feature = np.array([[0.7, -0.3]])
-        kps = KeypointSet(np.array([0]), box.center[None, :], feature)
+        kps = FeaturePointCloud(box.center[None, :], np.zeros(1), feature)
         (roi,) = sgrid_pool(kps, [box], SMALL_CFG, params)
 
         canon = canonical_transform(kps.xyz, box)
@@ -256,8 +254,8 @@ class TestSgridPool:
         ]
         alpha = float(rng.uniform(-math.pi, math.pi))
         shift = rng.uniform(-20, 20, 3)
-        moved_kps = KeypointSet(
-            kps.indices, rotate_z(kps.xyz, alpha) + shift, kps.features
+        moved_kps = FeaturePointCloud(
+            rotate_z(kps.xyz, alpha) + shift, kps.intensity, kps.features
         )
         moved_boxes = [
             Box3D(*(rotate_z(b.center, alpha) + shift), b.length, b.width,
@@ -280,9 +278,9 @@ class TestSgridPool:
         far = box.center + (reach + 0.5 * np.linalg.norm(box.dims) + 1.0) * np.array(
             [1.0, 0.0, 0.0]
         )
-        extended = KeypointSet(
-            np.arange(41, dtype=np.int64),
+        extended = FeaturePointCloud(
             np.vstack([kps.xyz, far]),
+            np.zeros(41),
             np.vstack([kps.features, rng.normal(size=(1, 4))]),
         )
         (a,) = sgrid_pool(kps, [box], SMALL_CFG, params)
