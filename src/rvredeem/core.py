@@ -8,13 +8,16 @@ live in `range_geometry`.
 
 All types here are immutable after construction and safe to share across
 workers. Array-backed fields are marked read-only.
+
+Config defaults live only on the dataclass fields: loaders pass just the keys
+a file sets. Empty values are rejected, and `sgrid.coarse_grid` must be 2.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -288,9 +291,9 @@ class Box3D:
 class SGridConfig:
     """Dual-grid RoI pooling configuration.
 
-    The default grid sizes are 3 (fine) and 2 (coarse). Radii of None resolve
-    per box to half the cell diagonal of that branch's grid, which guarantees
-    neighboring grid-point balls leave no gaps.
+    The coarse grid must be 2: its features are upsampled from a 2x2x2 lattice.
+    Radii of None resolve per box to half the cell diagonal of that branch's
+    grid, which guarantees neighboring grid-point balls leave no gaps.
     """
 
     fine_grid: int = 3
@@ -305,17 +308,14 @@ class SGridConfig:
     upsample_mode: str = "trilinear"
 
     def __post_init__(self):
-        for name in (
-            "fine_grid",
-            "coarse_grid",
-            "neighbor_cap",
-            "pool_hidden",
-            "fine_channels",
-            "coarse_channels",
-            "head_hidden",
-        ):
-            if getattr(self, name) < 1:
-                raise ValueError(f"sgrid {name} must be >= 1")
+        if self.coarse_grid != 2:
+            raise ValueError(
+                "sgrid coarse_grid must be 2 (upsampling interpolates a 2x2x2"
+                f" lattice), got {self.coarse_grid}"
+            )
+        for f in fields(self):
+            if f.type == "int" and getattr(self, f.name) < 1:
+                raise ValueError(f"sgrid {f.name} must be >= 1")
         for name in ("fine_radius", "coarse_radius"):
             r = getattr(self, name)
             if r is not None and not (math.isfinite(r) and r > 0.0):
@@ -368,10 +368,6 @@ class PipelineConfig:
 # Config file loading: line-oriented `key = value`, `#` comments, dotted keys.
 # ---------------------------------------------------------------------------
 
-_SENSOR_REQUIRED = ("sensor.height", "sensor.width")
-_ANGLE_KEYS = ("sensor.fov_up", "sensor.fov_down")
-
-
 def parse_kv_file(path) -> dict[str, str]:
     """Parse a `key = value` file into a string map.
 
@@ -386,9 +382,7 @@ def parse_kv_file(path) -> dict[str, str]:
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected `key = value`, got {raw!r}")
-        key, value = line.split("=", 1)
-        key = key.strip()
-        value = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
         if not key:
             raise ConfigError(f"line {lineno}: empty key")
         if key in out:
@@ -397,84 +391,91 @@ def parse_kv_file(path) -> dict[str, str]:
     return out
 
 
-class _KeyReader:
+_BOOLEANS = {"true": True, "1": True, "yes": True, "on": True}
+_BOOLEANS.update({"false": False, "0": False, "no": False, "off": False})
+
+# Field annotation -> (parser of a nonempty value, what a valid value is).
+_PARSERS = {
+    "int": (int, "an integer"),
+    "float": (float, "a number"),
+    "bool": (lambda text: _BOOLEANS[text.lower()], "a boolean"),
+    "float | None": (
+        lambda text: None if text.lower() == "auto" else float(text),
+        "a number or `auto`",
+    ),
+    "str": (str, "a nonempty value"),
+}
+
+
+class KeyReader:
+    """Typed reads that consume the keys of a parsed key-value file."""
+
     def __init__(self, raw: dict[str, str]):
-        self.raw = dict(raw)
-        self.used: set[str] = set()
+        self.unread = dict(raw)
 
-    def _take(self, key: str) -> str | None:
-        if key in self.raw:
-            self.used.add(key)
-            return self.raw[key]
-        return None
-
-    def require(self, key: str) -> str:
-        value = self._take(key)
-        if value is None:
+    def get(self, key: str, kind: str):
+        """Parse `key` as field type `kind`, raising a ConfigError that names it."""
+        if key not in self.unread:
             raise ConfigError(f"missing required key: {key}")
-        return value
-
-    def get_int(self, key: str, default: int | None = None) -> int:
-        value = self._take(key)
-        if value is None:
-            if default is None:
-                raise ConfigError(f"missing required key: {key}")
-            return default
+        text = self.unread.pop(key)
+        parse, expected = _PARSERS[kind]
         try:
-            return int(value)
-        except ValueError:
-            raise ConfigError(f"{key}: expected an integer, got {value!r}") from None
-
-    def get_float(self, key: str, default: float | None = None) -> float:
-        value = self._take(key)
-        if value is None:
-            if default is None:
-                raise ConfigError(f"missing required key: {key}")
-            return default
-        try:
-            return float(value)
-        except ValueError:
-            raise ConfigError(f"{key}: expected a number, got {value!r}") from None
-
-    def get_bool(self, key: str, default: bool) -> bool:
-        value = self._take(key)
-        if value is None:
-            return default
-        lowered = value.lower()
-        if lowered in ("true", "1", "yes", "on"):
-            return True
-        if lowered in ("false", "0", "no", "off"):
-            return False
-        raise ConfigError(f"{key}: expected a boolean, got {value!r}")
-
-    def get_radius(self, key: str) -> float | None:
-        value = self._take(key)
-        if value is None or value.lower() == "auto":
-            return None
-        try:
-            return float(value)
-        except ValueError:
-            raise ConfigError(f"{key}: expected a number or `auto`, got {value!r}") from None
+            if text:
+                return parse(text)
+        except (KeyError, ValueError):
+            pass
+        raise ConfigError(f"{key}: expected {expected}, got {text!r}")
 
     def get_angle(self, key: str) -> float:
         """Radians from `key`, or degrees from `key_deg`; exactly one required."""
-        rad = self._take(key)
-        deg = self._take(key + "_deg")
-        if rad is not None and deg is not None:
-            raise ConfigError(f"{key}: give either {key} or {key}_deg, not both")
-        if rad is not None:
-            try:
-                return float(rad)
-            except ValueError:
-                raise ConfigError(f"{key}: expected a number, got {rad!r}") from None
-        if deg is not None:
-            try:
-                return math.radians(float(deg))
-            except ValueError:
-                raise ConfigError(
-                    f"{key}_deg: expected a number, got {deg!r}"
-                ) from None
-        raise ConfigError(f"missing required key: {key} (or {key}_deg)")
+        deg = key + "_deg"
+        if key in self.unread and deg in self.unread:
+            raise ConfigError(f"{key}: give either {key} or {deg}, not both")
+        if deg in self.unread:
+            return math.radians(self.get(deg, "float"))
+        if key not in self.unread:
+            raise ConfigError(f"missing required key: {key} (or {deg})")
+        return self.get(key, "float")
+
+    def read_fields(self, cls, keys: dict[str, str]) -> dict:
+        """Keyword arguments for dataclass `cls` from `keys` (file key -> field).
+
+        Only keys in the file are passed, so every other field keeps its
+        dataclass default; a field without a default is required.
+        """
+        spec = {f.name: f for f in fields(cls)}
+        return {
+            name: self.get(key, spec[name].type)
+            for key, name in keys.items()
+            if key in self.unread
+            or (spec[name].default is MISSING and spec[name].default_factory is MISSING)
+        }
+
+    def finish(self) -> None:
+        """Reject the file if any of its keys was not read."""
+        if self.unread:
+            raise ConfigError(f"unknown key: {min(self.unread)}")
+
+
+# File key -> PipelineConfig field; `sensor.` and `voxel.` keys are read apart.
+_PIPELINE_KEYS = {
+    "rvfe.conv_channels": "conv_channels",
+    "rvfe.mlp_hidden": "mlp_hidden",
+    "rvfe.feature_dim": "feature_dim",
+    "rvfe.wrap_horizontal": "wrap_horizontal",
+    "keypoints.count": "keypoint_count",
+    "seed": "seed",
+}
+_SGRID_KEYS = {f"sgrid.{f.name}": f.name for f in fields(SGridConfig)}
+# Key prefix, completed by the axis x, y or z -> (x, y, z) PipelineConfig field.
+_VOXEL_KEYS = {"voxel.size_": "voxel_size", "voxel.min_": "range_min", "voxel.max_": "range_max"}
+
+
+def _build(cls, prefix: str, **kwargs):
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}: {exc}") from None
 
 
 def load_config(path) -> PipelineConfig:
@@ -483,67 +484,30 @@ def load_config(path) -> PipelineConfig:
     Every error names the offending key. Loading is pure: the same file
     always yields an identical configuration.
     """
-    reader = _KeyReader(parse_kv_file(path))
-    try:
-        sensor = SensorModel(
-            height=reader.get_int("sensor.height"),
-            width=reader.get_int("sensor.width"),
-            fov_up=reader.get_angle("sensor.fov_up"),
-            fov_down=reader.get_angle("sensor.fov_down"),
-        )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"sensor: {exc}") from None
-
-    def build(cls, prefix, **kwargs):
-        try:
-            return cls(**kwargs)
-        except ValueError as exc:
-            raise ConfigError(f"{prefix}: {exc}") from None
-
-    sgrid = build(
-        SGridConfig,
-        "sgrid",
-        fine_grid=reader.get_int("sgrid.fine_grid", 3),
-        coarse_grid=reader.get_int("sgrid.coarse_grid", 2),
-        fine_radius=reader.get_radius("sgrid.fine_radius"),
-        coarse_radius=reader.get_radius("sgrid.coarse_radius"),
-        neighbor_cap=reader.get_int("sgrid.neighbor_cap", 16),
-        pool_hidden=reader.get_int("sgrid.pool_hidden", 32),
-        fine_channels=reader.get_int("sgrid.fine_channels", 32),
-        coarse_channels=reader.get_int("sgrid.coarse_channels", 32),
-        head_hidden=reader.get_int("sgrid.head_hidden", 128),
-        upsample_mode=reader._take("sgrid.upsample_mode") or "trilinear",
+    reader = KeyReader(parse_kv_file(path))
+    sensor = _build(
+        SensorModel,
+        "sensor",
+        height=reader.get("sensor.height", "int"),
+        width=reader.get("sensor.width", "int"),
+        fov_up=reader.get_angle("sensor.fov_up"),
+        fov_down=reader.get_angle("sensor.fov_down"),
     )
-    config = build(
+    # An axis missing from the file keeps its entry of the field's default.
+    voxel = {
+        name: tuple(
+            reader.get(prefix + a, "float") if prefix + a in reader.unread else default
+            for a, default in zip("xyz", getattr(PipelineConfig, name))
+        )
+        for prefix, name in _VOXEL_KEYS.items()
+    }
+    config = _build(
         PipelineConfig,
         "config",
         sensor=sensor,
-        conv_channels=reader.get_int("rvfe.conv_channels", 32),
-        mlp_hidden=reader.get_int("rvfe.mlp_hidden", 32),
-        feature_dim=reader.get_int("rvfe.feature_dim", 64),
-        wrap_horizontal=reader.get_bool("rvfe.wrap_horizontal", True),
-        keypoint_count=reader.get_int("keypoints.count", 2048),
-        voxel_size=(
-            reader.get_float("voxel.size_x", 0.4),
-            reader.get_float("voxel.size_y", 0.4),
-            reader.get_float("voxel.size_z", 0.25),
-        ),
-        range_min=(
-            reader.get_float("voxel.min_x", -48.0),
-            reader.get_float("voxel.min_y", -48.0),
-            reader.get_float("voxel.min_z", -3.0),
-        ),
-        range_max=(
-            reader.get_float("voxel.max_x", 48.0),
-            reader.get_float("voxel.max_y", 48.0),
-            reader.get_float("voxel.max_z", 3.0),
-        ),
-        sgrid=sgrid,
-        seed=reader.get_int("seed", 0),
+        sgrid=_build(SGridConfig, "sgrid", **reader.read_fields(SGridConfig, _SGRID_KEYS)),
+        **voxel,
+        **reader.read_fields(PipelineConfig, _PIPELINE_KEYS),
     )
-    unknown = set(reader.raw) - reader.used
-    if unknown:
-        raise ConfigError(f"unknown key: {sorted(unknown)[0]}")
+    reader.finish()
     return config

@@ -54,7 +54,7 @@ from .rvfe import (
     init_basicblock,
     init_params,
 )
-from .sgrid import RoIFeature, SGridParams, init_sgrid_params, refine_head_forward, sgrid_pool
+from .sgrid import SGridParams, init_sgrid_params, refine_head_forward, sgrid_pool
 from .synth import gen_synthetic_scene, parse_synth_spec
 
 log = logging.getLogger(__name__)
@@ -360,10 +360,8 @@ def stage_pool(cfg: PipelineConfig, keypoints_path, boxes_path, out_dir) -> dict
     vectors = formats.read_rrf1(out_dir / ROI_FILE)
 
     lines = ["# confidence dcx dcy dcz dlength dwidth dheight dyaw"]
-    for roi, vector in zip(rois, vectors):
-        conf, residuals = refine_head_forward(
-            RoIFeature(vector, roi.fine_empty, roi.coarse_empty), params
-        )
+    for vector in vectors:
+        conf, residuals = refine_head_forward(vector, params)
         lines.append(" ".join(repr(float(v)) for v in (conf, *residuals)))
     (out_dir / REFINED_FILE).write_text("\n".join(lines) + "\n", encoding="utf-8")
     return {"boxes": len(boxes), "roi_length": roi_len}

@@ -287,13 +287,14 @@ def _sigmoid(x: float) -> float:
     return e / (1.0 + e)
 
 
-def refine_head_forward(roi: RoIFeature, params: SGridParams):
-    """(confidence in [0, 1], 7 box residuals) from a pooled RoI feature."""
-    if roi.vector.size != params.trunk.in_dim:
+def refine_head_forward(vector: np.ndarray, params: SGridParams):
+    """(confidence in [0, 1], 7 box residuals) from one pooled RoI vector."""
+    vector = np.asarray(vector, dtype=np.float64)
+    if vector.shape != (params.trunk.in_dim,):
         raise ValueError(
-            f"head expects {params.trunk.in_dim} inputs, RoI vector has {roi.vector.size}"
+            f"head expects {params.trunk.in_dim} inputs, RoI vector has shape {vector.shape}"
         )
-    hidden = params.trunk.apply(roi.vector[:, None])[:, 0]
+    hidden = params.trunk.apply(vector[:, None])[:, 0]
     conf = _sigmoid(float(params.w_conf[0] @ hidden + params.b_conf[0]))
     residuals = params.w_res @ hidden + params.b_res
     return conf, residuals

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import Box3D, ConfigError, FeaturePointCloud, _KeyReader, parse_kv_file
+from .core import Box3D, ConfigError, FeaturePointCloud, KeyReader, parse_kv_file
 from .rng import STREAM_SCENE, DetRng, derive_seed
 from .sgrid import canonical_transform, inverse_canonical_transform
 
@@ -61,20 +61,15 @@ class SynthSpec:
             raise ConfigError("ground_z must be finite")
 
 
+# File key -> SynthSpec field: the field's own name, but `boxes` sets `box_count`.
+_SPEC_KEYS = {"boxes" if f.name == "box_count" else f.name: f.name for f in fields(SynthSpec)}
+
+
 def parse_synth_spec(path) -> SynthSpec:
-    """Read a key=value scene spec. The seed key is required."""
-    reader = _KeyReader(parse_kv_file(path))
-    spec = SynthSpec(
-        box_count=reader.get_int("boxes"),
-        box_density=reader.get_float("box_density"),
-        ground_density=reader.get_float("ground_density"),
-        extent=reader.get_float("extent"),
-        seed=reader.get_int("seed"),
-        ground_z=reader.get_float("ground_z", -1.7),
-    )
-    unknown = set(reader.raw) - reader.used
-    if unknown:
-        raise ConfigError(f"unknown key: {sorted(unknown)[0]}")
+    """Read a key=value scene spec. Only `ground_z` has a default."""
+    reader = KeyReader(parse_kv_file(path))
+    spec = SynthSpec(**reader.read_fields(SynthSpec, _SPEC_KEYS))
+    reader.finish()
     return spec
 
 

@@ -1,6 +1,7 @@
 """Domain type invariants and config loading."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,8 +17,10 @@ from rvredeem.core import (
     SGridConfig,
     load_config,
     normalize_yaw,
+    parse_kv_file,
     points_to_array,
 )
+from rvredeem.synth import parse_synth_spec
 
 
 def make_sensor(h=4, w=8):
@@ -233,9 +236,17 @@ class TestLoadConfig:
         assert load_config(path) == load_config(path)
 
     def test_missing_key_named(self, tmp_path):
-        path = self.write(tmp_path, "sensor.height = 64\n")
-        with pytest.raises(ConfigError, match="sensor.width"):
-            load_config(path)
+        no_fov_down = "sensor.height = 64\nsensor.width = 512\nsensor.fov_up = 0.1\n"
+        cases = [
+            ("sensor.height = 64\n", "sensor.width"),
+            (
+                no_fov_down,
+                r"^missing required key: sensor\.fov_down \(or sensor\.fov_down_deg\)$",
+            ),
+        ]
+        for text, message in cases:
+            with pytest.raises(ConfigError, match=message):
+                load_config(self.write(tmp_path, text))
 
     def test_unknown_key_named(self, tmp_path):
         path = self.write(tmp_path, CONFIG_TEXT + "sensor.tilt = 3\n")
@@ -253,11 +264,79 @@ class TestLoadConfig:
             load_config(self.write(tmp_path, text))
 
     def test_bad_number_named(self, tmp_path):
-        text = CONFIG_TEXT.replace("seed = 7", "seed = seven")
-        with pytest.raises(ConfigError, match="seed"):
+        cases = [
+            ("seed = 7", "seed = seven", "seed"),
+            (
+                "sgrid.fine_radius = 0.8",
+                "sgrid.fine_radius = far",
+                r"^sgrid\.fine_radius: expected a number or `auto`, got 'far'$",
+            ),
+            (
+                "sensor.fov_down_deg = 24.8",
+                "sensor.fov_down_deg = steep",
+                r"^sensor\.fov_down_deg: expected a number, got 'steep'$",
+            ),
+        ]
+        for old, new, message in cases:
+            text = CONFIG_TEXT.replace(old, new)
+            with pytest.raises(ConfigError, match=message):
+                load_config(self.write(tmp_path, text))
+
+    def test_bad_boolean_named(self, tmp_path):
+        text = CONFIG_TEXT + "rvfe.wrap_horizontal = maybe\n"
+        with pytest.raises(
+            ConfigError,
+            match=r"^rvfe\.wrap_horizontal: expected a boolean, got 'maybe'$",
+        ):
             load_config(self.write(tmp_path, text))
+
+    def test_sensor_only_file_takes_every_default(self, tmp_path):
+        text = "sensor.height = 8\nsensor.width = 16\nsensor.fov_up = 0.1\nsensor.fov_down = 0.3\n"
+        assert load_config(self.write(tmp_path, text)) == PipelineConfig(
+            sensor=SensorModel(8, 16, 0.1, 0.3)
+        )
 
     def test_invariant_violation_reported(self, tmp_path):
         text = CONFIG_TEXT.replace("rvfe.feature_dim = 32", "rvfe.feature_dim = 33")
         with pytest.raises(ConfigError, match="feature_dim"):
             load_config(self.write(tmp_path, text))
+
+    def test_empty_value_rejected(self, tmp_path):
+        for key in ("sgrid.upsample_mode", "sgrid.neighbor_cap", "rvfe.wrap_horizontal"):
+            text = CONFIG_TEXT + f"{key} =\n"
+            with pytest.raises(ConfigError, match=rf"^{key}: expected .*, got ''$"):
+                load_config(self.write(tmp_path, text))
+
+    def test_coarse_grid_other_than_two_rejected(self, tmp_path):
+        for size in (1, 3):
+            text = CONFIG_TEXT + f"sgrid.coarse_grid = {size}\n"
+            with pytest.raises(ConfigError, match="coarse_grid must be 2"):
+                load_config(self.write(tmp_path, text))
+
+
+REPO = Path(__file__).resolve().parents[1]
+SHIPPED_FILES = sorted(
+    path
+    for folder in ("configs", "perfbench/workloads")
+    for path in (REPO / folder).iterdir()
+    if path.suffix in (".cfg", ".synth")
+)
+
+
+class TestShippedConfigs:
+    @pytest.mark.parametrize(
+        "path", SHIPPED_FILES, ids=lambda path: path.relative_to(REPO).as_posix()
+    )
+    def test_loads(self, path):
+        if path.suffix == ".cfg":
+            assert isinstance(load_config(path), PipelineConfig)
+            # Every shipped pipeline config spells out every key.
+            assert parse_kv_file(path).keys() == parse_kv_file(
+                REPO / "configs" / "default.cfg"
+            ).keys()
+        else:
+            parse_synth_spec(path)
+
+    def test_default_cfg_shows_the_defaults(self):
+        sensor = SensorModel(64, 512, math.radians(2.0), math.radians(24.8))
+        assert load_config(REPO / "configs" / "default.cfg") == PipelineConfig(sensor=sensor)

@@ -9,7 +9,6 @@ import oracles
 from rvredeem.core import Box3D, FeaturePointCloud, SGridConfig
 from rvredeem.pointops import SharedMlp, pointnet_aggregate
 from rvredeem.sgrid import (
-    RoIFeature,
     SGridParams,
     auto_radius,
     canonical_transform,
@@ -300,11 +299,8 @@ class TestSgridPool:
 
 
 class TestRefineHead:
-    def make_roi(self, rng, cfg=SMALL_CFG):
-        n = 27 * (cfg.fine_channels + cfg.coarse_channels)
-        return RoIFeature(
-            rng.normal(size=n), np.zeros(27, dtype=bool), np.zeros(8, dtype=bool)
-        )
+    def make_vector(self, rng, cfg=SMALL_CFG):
+        return rng.normal(size=27 * (cfg.fine_channels + cfg.coarse_channels))
 
     def test_zero_params_give_half_confidence(self):
         cfg = SMALL_CFG
@@ -321,8 +317,8 @@ class TestRefineHead:
             w_res=np.zeros((7, 8)),
             b_res=np.zeros(7),
         )
-        roi = self.make_roi(np.random.default_rng(30))
-        conf, res = refine_head_forward(roi, params)
+        vector = self.make_vector(np.random.default_rng(30))
+        conf, res = refine_head_forward(vector, params)
         assert conf == 0.5
         np.testing.assert_array_equal(res, np.zeros(7))
 
@@ -330,16 +326,16 @@ class TestRefineHead:
         rng = np.random.default_rng(31)
         params = init_sgrid_params(6, SMALL_CFG, 4)
         for _ in range(20):
-            conf, _ = refine_head_forward(self.make_roi(rng), params)
+            conf, _ = refine_head_forward(self.make_vector(rng), params)
             assert 0.0 < conf < 1.0
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(32)
         params = init_sgrid_params(7, SMALL_CFG, 4)
-        roi = self.make_roi(rng)
-        conf, res = refine_head_forward(roi, params)
+        vector = self.make_vector(rng)
+        conf, res = refine_head_forward(vector, params)
 
-        x = roi.vector
+        x = vector
         for w, b in params.trunk.layers:
             x = oracles.relu(oracles.dense(x, w, b))
         z = oracles.dense(x, params.w_conf, params.b_conf)[0]
@@ -351,14 +347,13 @@ class TestRefineHead:
     def test_residual_vector_has_seven_entries(self):
         rng = np.random.default_rng(33)
         params = init_sgrid_params(8, SMALL_CFG, 4)
-        _, res = refine_head_forward(self.make_roi(rng), params)
+        _, res = refine_head_forward(self.make_vector(rng), params)
         assert res.shape == (7,)
 
     def test_length_mismatch_rejected(self):
         params = init_sgrid_params(9, SMALL_CFG, 4)
-        roi = RoIFeature(np.zeros(27), np.ones(27, dtype=bool), np.ones(8, dtype=bool))
         with pytest.raises(ValueError):
-            refine_head_forward(roi, params)
+            refine_head_forward(np.zeros(27), params)
 
 
 class TestInitSgridParams:
