@@ -109,6 +109,12 @@ def furthest_point_sampling(xyz, count: int, seed_index: int = 0) -> np.ndarray:
     to the selected set is largest, lowest index on ties (argmax returns the
     first maximum). Asking for C >= N returns all N indices in selection
     order. The result is an int64 index array into `xyz`.
+
+    The coordinates are copied once into three contiguous columns, and each
+    step writes (dx^2 + dy^2) + dz^2 into two preallocated scratch vectors.
+    Those are the additions, in the same order, of the (N, 3) row sum that
+    `ball_query` uses, so every distance and every pick are bit for bit
+    that formula's, without an allocation per step.
     """
     xyz = _coordinates(xyz)
     n = xyz.shape[0]
@@ -121,10 +127,22 @@ def furthest_point_sampling(xyz, count: int, seed_index: int = 0) -> np.ndarray:
     count = min(count, n)
     chosen = np.empty(count, dtype=np.int64)
     chosen[0] = seed_index
+    x, y, z = (np.ascontiguousarray(xyz[:, a]) for a in range(3))
     best = np.full(n, np.inf, dtype=np.float64)
+    d2 = np.empty(n, dtype=np.float64)
+    term = np.empty(n, dtype=np.float64)
     last = seed_index
     for step in range(1, count):
-        best = np.minimum(best, _squared_distances(xyz, xyz[last]))
+        px, py, pz = xyz[last]
+        np.subtract(x, px, out=d2)
+        np.multiply(d2, d2, out=d2)
+        np.subtract(y, py, out=term)
+        np.multiply(term, term, out=term)
+        np.add(d2, term, out=d2)
+        np.subtract(z, pz, out=term)
+        np.multiply(term, term, out=term)
+        np.add(d2, term, out=d2)
+        np.minimum(best, d2, out=best)
         best[last] = -1.0  # never reselect
         last = int(np.argmax(best))
         chosen[step] = last

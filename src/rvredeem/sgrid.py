@@ -114,7 +114,7 @@ def upsample_grid(
     coarse: np.ndarray,
     coarse_positions: np.ndarray,
     fine_positions: np.ndarray,
-    mode: str = "trilinear",
+    mode: str,
 ) -> np.ndarray:
     """Interpolate 8 coarse per-point features at the fine positions.
 
@@ -218,12 +218,27 @@ def _pool_branch(
     cap: int,
     mlp: SharedMlp,
 ):
-    """Pool every grid point; returns (features (n, c), empty flags (n,))."""
+    """Pool every grid point; returns (features (n, c), empty flags (n,)).
+
+    Each grid point queries only the candidates: keypoints whose squared
+    offset on every axis, to the nearest grid level on that axis, is at most
+    r*r. The cull is exact. A squared distance is (s0 + s1) + s2 of
+    nonnegative terms, and rounding is monotone, so the computed sum is no
+    smaller than any s_a; a keypoint in a ball therefore passes on every
+    axis. Candidates keep ascending index order and the same per-point
+    squared distances, so each neighbor list, its (distance, index) order
+    and its truncation at `cap` equal those of a query over all keypoints.
+    """
     n = positions.shape[0]
+    cand = np.arange(canon_xyz.shape[0])
+    for a in range(3):
+        offset = canon_xyz[cand, a] - np.unique(positions[:, a])[:, None]
+        cand = cand[np.min(offset * offset, axis=0) <= radius * radius]
+    cand_xyz = canon_xyz[cand]
     feats = np.empty((n, mlp.out_dim), dtype=np.float64)
     empty = np.empty(n, dtype=bool)
     for g in range(n):
-        idx = ball_query(positions[g], radius, canon_xyz, cap)
+        idx = cand[ball_query(positions[g], radius, cand_xyz, cap)]
         pooled = pointnet_aggregate(positions[g], canon_xyz[idx], features[idx], mlp)
         feats[g] = pooled[:-1]
         empty[g] = pooled[-1] == 1.0

@@ -2,9 +2,10 @@
 
 Everything in this file is written as directly as possible: explicit loops,
 scalar math, dictionary group-bys. None of it imports the package under
-test. Deliberately slow; correctness is the only goal. The exception is the
-dense shifted-plane evaluation at the end, which keeps the package's array
-expressions so that results can be compared byte for byte.
+test. Deliberately slow; correctness is the only goal. The exceptions are
+the dense shifted-plane evaluation and the row-sum point ops at the end,
+which keep the package's array expressions so that results can be compared
+byte for byte.
 """
 
 from __future__ import annotations
@@ -362,3 +363,55 @@ def dense_hdmk_forward_planes(feats, coords, valid, params, wrap_horizontal):
     ]
     full = np.concatenate(halves, axis=0).reshape(params.c_out, h, w)
     return full * valid
+
+
+# ---------------------------------------------------------------------------
+# Row-sum point ops (byte-level reference)
+# ---------------------------------------------------------------------------
+# Furthest point sampling and grid-point pooling as plain (N, 3) row sums over
+# every point: a fresh difference array per step, and a ball query over all
+# keypoints for every grid point. The package computes the same squared
+# distances column by column and queries only the keypoints that can reach
+# a grid point; both are held to these functions byte for byte.
+
+def fps_row_sum(xyz, count, seed_index):
+    """FPS whose step is np.sum(diff * diff, axis=1) over the whole cloud."""
+    n = xyz.shape[0]
+    count = min(count, n)
+    chosen = np.empty(count, dtype=np.int64)
+    chosen[0] = seed_index
+    best = np.full(n, np.inf, dtype=np.float64)
+    last = seed_index
+    for step in range(1, count):
+        diff = xyz - xyz[last]
+        best = np.minimum(best, np.sum(diff * diff, axis=1))
+        best[last] = -1.0
+        last = int(np.argmax(best))
+        chosen[step] = last
+    return chosen
+
+
+def pool_branch_all_keypoints(canon_xyz, features, positions, radius, cap, layers):
+    """(features (n, c), empty flags (n,)) of one pooling branch.
+
+    Every grid point queries all keypoints: hits within radius ordered by
+    (squared distance, index) and cut at cap, then the shared MLP given as
+    (weight, bias) layers, rectified, and a channel max; an empty list gives
+    zeros and a set flag.
+    """
+    n = positions.shape[0]
+    feats = np.zeros((n, layers[-1][0].shape[0]), dtype=np.float64)
+    empty = np.ones(n, dtype=bool)
+    for g in range(n):
+        diff = canon_xyz - positions[g]
+        d2 = np.sum(diff * diff, axis=1)
+        hits = np.flatnonzero(d2 <= radius * radius)
+        idx = hits[np.lexsort((hits, d2[hits]))][:cap]
+        if idx.size == 0:
+            continue
+        out = np.concatenate([canon_xyz[idx] - positions[g], features[idx]], axis=1).T
+        for weight, bias in layers:
+            out = np.maximum(weight @ out + bias[:, None], 0.0)
+        feats[g] = np.max(out, axis=1)
+        empty[g] = False
+    return feats, empty

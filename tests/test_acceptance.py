@@ -293,12 +293,14 @@ def test_06_sgrid_pooling_equivariance(capsys):
         dims = rng.uniform(1.0, 6.0, size=3)
         pos = grid_cell_centers(dims, 2)
         coarse = rng.normal(size=(8, 4))
-        corners_ok &= np.array_equal(upsample_grid(coarse, pos, pos), coarse)
+        corners_ok &= np.array_equal(
+            upsample_grid(coarse, pos, pos, mode="trilinear"), coarse
+        )
         slope = rng.normal(size=(3, 4))
         intercept = rng.normal(size=4)
         lo, hi = pos.min(axis=0), pos.max(axis=0)
         fine = lo + rng.uniform(0.0, 1.0, size=(40, 3)) * (hi - lo)
-        up = upsample_grid(pos @ slope + intercept, pos, fine)
+        up = upsample_grid(pos @ slope + intercept, pos, fine, mode="trilinear")
         linear_worst = max(
             linear_worst,
             float(np.max(np.abs(up - (fine @ slope + intercept)))),

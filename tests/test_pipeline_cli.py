@@ -337,6 +337,25 @@ class TestPipeline:
             toy.out / pipeline.ROI_FILE
         ).read_bytes()
 
+    def test_zero_box_scene_pools_nothing(self, tmp_path):
+        # The proposals-512 benchmark sensor over a scene with no boxes.
+        workloads = Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
+        cfg = load_config(workloads / "proposals-512.cfg")
+        scene = tmp_path / "no_boxes.synth"
+        scene.write_text(
+            "boxes = 0\nbox_density = 2.5\nground_density = 0.5\n"
+            "extent = 20.0\nseed = 0\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        result = pipeline.run_pipeline(cfg, scene, out)
+        assert result["status"] == "ok"
+        assert result["stages"]["pool"]["boxes"] == 0
+        lines = (out / pipeline.REFINED_FILE).read_text().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("# confidence")
+        rois = formats.read_rrf1(out / pipeline.ROI_FILE)
+        assert rois.shape == (0, cfg.sgrid.roi_feature_length)
+
     def test_rri1_input_starts_at_redeem(self, toy):
         out = toy.root / "fromimage"
         result = pipeline.run_pipeline(

@@ -60,6 +60,31 @@ class TestFurthestPointSampling:
         expected = oracles.fps_indices(cloud.xyz, c, seed_index)
         np.testing.assert_array_equal(idx, expected)
 
+    def test_matches_row_sum_on_lattice_with_ties(self):
+        # A 27^3 lattice plus 300 repeated rows, shuffled: at each step many
+        # points tie, so only the lowest-index rule decides. Scaled by 0.1,
+        # the ties survive only if every distance rounds as the row sum does.
+        rng = np.random.default_rng(105)
+        axis = np.arange(27.0)
+        lattice = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1)
+        lattice = lattice.reshape(-1, 3)
+        xyz = np.vstack([lattice, lattice[rng.integers(0, len(lattice), 300)]])
+        xyz = xyz[rng.permutation(len(xyz))]
+        for scale in (1.0, 0.1):
+            idx = furthest_point_sampling(xyz * scale, 256, seed_index=7)
+            expected = oracles.fps_row_sum(xyz * scale, 256, 7)
+            np.testing.assert_array_equal(idx, expected)
+
+    @pytest.mark.parametrize("extra", [0, 5])
+    def test_matches_row_sum_when_budget_covers_cloud(self, extra):
+        # 150 points on a 7^3 lattice repeat some rows; every index is
+        # returned once, duplicates last at distance zero.
+        rng = np.random.default_rng(106)
+        xyz = rng.integers(-3, 4, size=(150, 3)).astype(np.float64)
+        idx = furthest_point_sampling(xyz, 150 + extra, seed_index=4)
+        np.testing.assert_array_equal(np.sort(idx), np.arange(150))
+        np.testing.assert_array_equal(idx, oracles.fps_row_sum(xyz, 150 + extra, 4))
+
     def test_translation_equivariance(self):
         rng = np.random.default_rng(6)
         cloud = random_cloud(rng, 60)

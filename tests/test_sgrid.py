@@ -22,6 +22,37 @@ from rvredeem.sgrid import (
 )
 
 
+def pool_all_keypoints(kps, box, cfg, params):
+    """(vector, fine flags, coarse flags) of one box, every query over all keypoints."""
+    canon = canonical_transform(kps.xyz, box)
+    fine_pos = grid_cell_centers(box.dims, cfg.fine_grid)
+    coarse_pos = grid_cell_centers(box.dims, cfg.coarse_grid)
+    branches = []
+    for pos, radius, grid, mlp in (
+        (fine_pos, cfg.fine_radius, cfg.fine_grid, params.mlp_fine),
+        (coarse_pos, cfg.coarse_radius, cfg.coarse_grid, params.mlp_coarse),
+    ):
+        radius = auto_radius(box, grid) if radius is None else radius
+        branches.append(oracles.pool_branch_all_keypoints(
+            canon, kps.features, pos, radius, cfg.neighbor_cap, mlp.layers
+        ))
+    (fine, fine_empty), (coarse, coarse_empty) = branches
+    upsampled = upsample_grid(coarse, coarse_pos, fine_pos, mode=cfg.upsample_mode)
+    vector = np.concatenate([fine, upsampled], axis=1).ravel()
+    return vector, fine_empty, coarse_empty
+
+
+def assert_pool_matches_all_keypoints(kps, boxes, cfg, params):
+    rois = sgrid_pool(kps, boxes, cfg, params)
+    assert len(rois) == len(boxes)
+    for roi, box in zip(rois, boxes):
+        vector, fine_empty, coarse_empty = pool_all_keypoints(kps, box, cfg, params)
+        assert roi.vector.tobytes() == vector.tobytes()
+        np.testing.assert_array_equal(roi.fine_empty, fine_empty)
+        np.testing.assert_array_equal(roi.coarse_empty, coarse_empty)
+    return rois
+
+
 def random_keypoints(rng, n, d_f=4, scale=6.0) -> FeaturePointCloud:
     return FeaturePointCloud(
         rng.uniform(-scale, scale, size=(n, 3)),
@@ -124,14 +155,14 @@ class TestUpsampleGrid:
     def test_constant_field(self):
         coarse = np.full((8, 3), 2.5)
         fine = grid_cell_centers(np.ones(3), 3)
-        out = upsample_grid(coarse, cube_corners(), fine)
+        out = upsample_grid(coarse, cube_corners(), fine, mode="trilinear")
         np.testing.assert_allclose(out, 2.5, atol=1e-12)
 
     def test_corner_positions_exact(self):
         rng = np.random.default_rng(22)
         coarse = rng.normal(size=(8, 2))
         corners = cube_corners()
-        out = upsample_grid(coarse, corners, corners)
+        out = upsample_grid(coarse, corners, corners, mode="trilinear")
         np.testing.assert_array_equal(out, coarse)
 
     def test_linear_field_exact_inside_hull(self):
@@ -141,7 +172,7 @@ class TestUpsampleGrid:
         offset = 0.3
         coarse = (corners @ coeff + offset)[:, None]
         inside = rng.uniform(-0.25, 0.25, size=(40, 3))
-        out = upsample_grid(coarse, corners, inside)
+        out = upsample_grid(coarse, corners, inside, mode="trilinear")
         expected = (inside @ coeff + offset)[:, None]
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
@@ -152,8 +183,8 @@ class TestUpsampleGrid:
         beyond = np.array([[5.0, 5.0, 5.0]])
         at_corner = np.array([[0.25, 0.25, 0.25]])
         np.testing.assert_array_equal(
-            upsample_grid(coarse, corners, beyond),
-            upsample_grid(coarse, corners, at_corner),
+            upsample_grid(coarse, corners, beyond, mode="trilinear"),
+            upsample_grid(coarse, corners, at_corner, mode="trilinear"),
         )
 
     def test_matches_weight_oracle(self):
@@ -161,7 +192,7 @@ class TestUpsampleGrid:
         corners = cube_corners()
         coarse = rng.normal(size=(8, 3))
         positions = rng.uniform(-0.25, 0.25, size=(30, 3))
-        out = upsample_grid(coarse, corners, positions)
+        out = upsample_grid(coarse, corners, positions, mode="trilinear")
         for i, p in enumerate(positions):
             w = oracles.trilinear_weights(p, corners)
             np.testing.assert_allclose(out[i], w @ coarse, atol=1e-12)
@@ -177,7 +208,7 @@ class TestUpsampleGrid:
     def test_rejects_degenerate_corners(self):
         flat = np.zeros((8, 3))
         with pytest.raises(ValueError):
-            upsample_grid(np.zeros((8, 1)), flat, np.zeros((1, 3)))
+            upsample_grid(np.zeros((8, 1)), flat, np.zeros((1, 3)), mode="trilinear")
 
 
 class TestSgridPool:
@@ -231,7 +262,7 @@ class TestSgridPool:
                 coarse_pos[g], canon, feature, params.mlp_coarse
             )
             coarse[g] = pooled[:-1]
-        upsampled = upsample_grid(coarse, coarse_pos, fine_pos)
+        upsampled = upsample_grid(coarse, coarse_pos, fine_pos, mode="trilinear")
         expected = np.concatenate([fine, upsampled], axis=1).ravel()
         np.testing.assert_array_equal(roi.vector, expected)
         np.testing.assert_array_equal(roi.fine_empty, fine_empty)
@@ -285,6 +316,61 @@ class TestSgridPool:
         (a,) = sgrid_pool(kps, [box], SMALL_CFG, params)
         (b,) = sgrid_pool(extended, [box], SMALL_CFG, params)
         np.testing.assert_array_equal(a.vector, b.vector)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("auto", [False, True])
+    def test_cull_matches_query_over_all_keypoints(self, seed, auto):
+        # Dense enough that some balls hold more than neighbor_cap keypoints,
+        # so the order of the cut is checked too.
+        rng = np.random.default_rng(410 + seed)
+        kps = random_keypoints(rng, 400, scale=4.0)
+        cfg = SMALL_CFG
+        if auto:
+            cfg = SGridConfig(
+                neighbor_cap=8, pool_hidden=6, fine_channels=5,
+                coarse_channels=4, head_hidden=8,
+            )
+        params = init_sgrid_params(6, cfg, 4)
+        boxes = [
+            Box3D(*rng.uniform(-3, 3, 3), *rng.uniform(0.8, 4, 3),
+                  float(rng.uniform(-math.pi, math.pi)))
+            for _ in range(4)
+        ]
+        rois = assert_pool_matches_all_keypoints(kps, boxes, cfg, params)
+        assert not all(roi.fine_empty.all() for roi in rois)
+
+    def test_cull_keeps_keypoints_on_a_ball_boundary(self):
+        # Fine levels are exactly -1, 0, 1 on every axis and r*r = 0.25, so a
+        # keypoint 1.5 out along one axis, on grid levels along the others,
+        # sits at squared distance exactly r*r from a face grid point.
+        cfg = SGridConfig(
+            fine_radius=0.5, coarse_radius=1.0, neighbor_cap=8, pool_hidden=6,
+            fine_channels=5, coarse_channels=4, head_hidden=8,
+        )
+        box = Box3D(0.0, 0.0, 0.0, 3.0, 3.0, 3.0, 0.0)
+        on_sphere = []
+        for axis in range(3):
+            for sign in (-1.0, 1.0):
+                for u in (-1.0, 0.0, 1.0):
+                    p = [u, u, u]
+                    p[axis] = 1.5 * sign
+                    on_sphere.append(p)
+        xyz = np.array(on_sphere)
+        rng = np.random.default_rng(34)
+        kps = FeaturePointCloud(xyz, np.zeros(len(xyz)), rng.normal(size=(len(xyz), 4)))
+        params = init_sgrid_params(7, cfg, 4)
+        (roi,) = assert_pool_matches_all_keypoints(kps, [box], cfg, params)
+        # The face grid points find their keypoint, the centre finds none.
+        assert not roi.fine_empty.all()
+        assert roi.fine_empty[13]
+
+    def test_cull_with_no_candidates(self):
+        rng = np.random.default_rng(35)
+        kps = random_keypoints(rng, 60, scale=2.0)
+        params = init_sgrid_params(8, SMALL_CFG, 4)
+        box = Box3D(40.0, -40.0, 0.0, 2.0, 2.0, 2.0, 0.6)
+        (roi,) = assert_pool_matches_all_keypoints(kps, [box], SMALL_CFG, params)
+        assert roi.fine_empty.all() and roi.coarse_empty.all()
 
     def test_width_mismatch_rejected(self):
         rng = np.random.default_rng(29)
