@@ -21,13 +21,20 @@ from . import __version__, formats, pipeline
 from .core import ConfigError, load_config
 
 
-def _add_config(parser, required=True):
-    parser.add_argument(
-        "--config", required=required, help="key=value pipeline config file"
-    )
-    parser.add_argument(
-        "--seed", type=int, default=None, help="override the config seed"
-    )
+# Stage subcommand -> (help, --input help); each runs pipeline.stage_<name>
+# on the config, the input, the boxes for `pool` only, and the output.
+STAGES = {
+    "project": ("project raw points to a range image", "raw point file (.bin)"),
+    "redeem": ("extract per-pixel features and lift to points", "range image (.rri1)"),
+    "fps": ("furthest point sampling of a feature cloud", "feature cloud (.rfp1)"),
+    "voxelize": ("voxelize a feature cloud to a BEV map", "feature cloud (.rfp1)"),
+    "pool": ("pool RoI features and refine boxes", "keypoint cloud (.rfp1)"),
+}
+
+
+def _add_config(parser):
+    parser.add_argument("--config", required=True, help="key=value pipeline config file")
+    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -49,31 +56,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="scene spec file (.synth)")
     p.add_argument("--out", required=True, help="output directory")
 
-    p = sub.add_parser("project", help="project raw points to a range image")
-    _add_config(p)
-    p.add_argument("--input", required=True, help="raw point file (.bin)")
-    p.add_argument("--out", required=True, help="output directory")
-
-    p = sub.add_parser("redeem", help="extract per-pixel features and lift to points")
-    _add_config(p)
-    p.add_argument("--input", required=True, help="range image (.rri1)")
-    p.add_argument("--out", required=True, help="output directory")
-
-    p = sub.add_parser("fps", help="furthest point sampling of a feature cloud")
-    _add_config(p)
-    p.add_argument("--input", required=True, help="feature cloud (.rfp1)")
-    p.add_argument("--out", required=True, help="output directory")
-
-    p = sub.add_parser("voxelize", help="voxelize a feature cloud to a BEV map")
-    _add_config(p)
-    p.add_argument("--input", required=True, help="feature cloud (.rfp1)")
-    p.add_argument("--out", required=True, help="output directory")
-
-    p = sub.add_parser("pool", help="pool RoI features and refine boxes")
-    _add_config(p)
-    p.add_argument("--input", required=True, help="keypoint cloud (.rfp1)")
-    p.add_argument("--boxes", required=True, help="box list file")
-    p.add_argument("--out", required=True, help="output directory")
+    for name, (help_text, input_help) in STAGES.items():
+        p = sub.add_parser(name, help=help_text)
+        _add_config(p)
+        p.add_argument("--input", required=True, help=input_help)
+        if name == "pool":
+            p.add_argument("--boxes", required=True, help="box list file")
+        p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("pipeline", help="run every stage in one shot")
     _add_config(p)
@@ -134,22 +123,10 @@ def main(argv=None) -> int:
     try:
         if args.command == "synth":
             _print_info(pipeline.stage_synth(args.input, args.out))
-        elif args.command == "project":
-            _print_info(pipeline.stage_project(_config_from(args), args.input, args.out))
-        elif args.command == "redeem":
-            _print_info(pipeline.stage_redeem(_config_from(args), args.input, args.out))
-        elif args.command == "fps":
-            _print_info(pipeline.stage_fps(_config_from(args), args.input, args.out))
-        elif args.command == "voxelize":
-            _print_info(
-                pipeline.stage_voxelize(_config_from(args), args.input, args.out)
-            )
-        elif args.command == "pool":
-            _print_info(
-                pipeline.stage_pool(
-                    _config_from(args), args.input, args.boxes, args.out
-                )
-            )
+        elif args.command in STAGES:
+            boxes = (args.boxes,) if args.command == "pool" else ()
+            stage = getattr(pipeline, f"stage_{args.command}")
+            _print_info(stage(_config_from(args), args.input, *boxes, args.out))
         elif args.command == "pipeline":
             pipeline.run_pipeline(
                 _config_from(args), args.input, args.out, args.boxes

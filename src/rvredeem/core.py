@@ -7,7 +7,8 @@ below the reference row mapping); the sign conventions of the projection all
 live in `range_geometry`.
 
 All types here are immutable after construction and safe to share across
-workers. Array-backed fields are marked read-only.
+workers. Every array field of an artifact or parameter type, here and in the
+stage modules, is a read-only, finite, C-ordered copy made by `frozen_array`.
 
 Config defaults live only on the dataclass fields: loaders pass just the keys
 a file sets. Empty values are rejected, and `sgrid.coarse_grid` must be 2.
@@ -37,10 +38,20 @@ class ConfigError(ValueError):
     """Raised on a missing, unparsable, or invariant-violating config key."""
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    # Always copy: freezing an array the caller still holds would silently
-    # make their object read-only.
-    out = np.array(arr, order="C")
+def frozen_array(name: str, value, dtype=np.float64) -> np.ndarray:
+    """A read-only C-ordered copy of `value` as `dtype`: how types keep arrays.
+
+    The copy is always made, so freezing never reaches an array the caller
+    holds, and every later check reads the data the object keeps. A float
+    copy must be finite; an integer dtype takes only integer input, never
+    truncated floats. Errors name the field: "{name} must be finite".
+    """
+    src = np.asarray(value)
+    if np.dtype(dtype).kind in "iu" and src.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be integers, got dtype {src.dtype}")
+    out = np.array(src, dtype=dtype, order="C")
+    if out.dtype.kind == "f" and not np.all(np.isfinite(out)):
+        raise ValueError(f"{name} must be finite")
     out.setflags(write=False)
     return out
 
@@ -49,10 +60,13 @@ def clamp_intensity(value, key: str = "intensity"):
     """Clamp intensities into [0, 1], warning once per call on violations.
 
     Calibrated sensor intensities occasionally exceed 1; rejecting them would
-    make real scans unloadable, so out-of-range values are clamped instead.
-    Works on scalars and arrays.
+    make real scans unloadable, so finite out-of-range values are clamped
+    instead. NaN or +-inf raises ValueError naming `key`. Works on scalars and
+    arrays.
     """
     arr = np.asarray(value, dtype=np.float64)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{key} must be finite")
     if np.any(arr < 0.0) or np.any(arr > 1.0):
         n = int(np.sum((arr < 0.0) | (arr > 1.0)))
         logger.warning("%s: clamped %d value(s) outside [0, 1]", key, n)
@@ -158,8 +172,9 @@ class RangeImage:
     valid: np.ndarray
 
     def __post_init__(self):
-        ch = np.ascontiguousarray(self.channels, dtype=np.float64)
-        mask = np.ascontiguousarray(self.valid, dtype=bool)
+        for name, dtype in (("channels", np.float64), ("valid", bool)):
+            object.__setattr__(self, name, frozen_array(name, getattr(self, name), dtype))
+        ch, mask = self.channels, self.valid
         h, w = self.sensor.height, self.sensor.width
         if ch.ndim != 3 or ch.shape[1:] != (h, w):
             raise ValueError(
@@ -171,15 +186,11 @@ class RangeImage:
             )
         if mask.shape != (h, w):
             raise ValueError(f"valid mask must be ({h}, {w}), got {mask.shape}")
-        if not np.all(np.isfinite(ch)):
-            raise ValueError("range image planes must be finite")
         # Any plane nonzero at any invalid pixel; -0.0 counts as zero.
         if np.any(np.any(ch, axis=0) & ~mask):
             raise ValueError("invalid pixels must hold 0 in all planes")
         if np.any(ch[CH_RANGE][mask] <= 0.0):
             raise ValueError("valid pixels must have strictly positive range")
-        object.__setattr__(self, "channels", _freeze(ch))
-        object.__setattr__(self, "valid", _freeze(mask))
 
     @property
     def plane_count(self) -> int:
@@ -217,9 +228,10 @@ class FeaturePointCloud:
     features: np.ndarray
 
     def __post_init__(self):
-        xyz = np.ascontiguousarray(self.xyz, dtype=np.float64)
-        inten = np.ascontiguousarray(self.intensity, dtype=np.float64)
-        feats = np.ascontiguousarray(self.features, dtype=np.float64)
+        object.__setattr__(self, "intensity", clamp_intensity(self.intensity, "cloud intensity"))
+        for name in ("xyz", "intensity", "features"):
+            object.__setattr__(self, name, frozen_array(name, getattr(self, name)))
+        xyz, inten, feats = self.xyz, self.intensity, self.features
         if xyz.ndim != 2 or xyz.shape[1] != 3:
             raise ValueError(f"xyz must be (N, 3), got {xyz.shape}")
         n = xyz.shape[0]
@@ -227,12 +239,6 @@ class FeaturePointCloud:
             raise ValueError(f"intensity must be ({n},), got {inten.shape}")
         if feats.ndim != 2 or feats.shape[0] != n:
             raise ValueError(f"features must be ({n}, d), got {feats.shape}")
-        if not (np.all(np.isfinite(xyz)) and np.all(np.isfinite(feats))):
-            raise ValueError("cloud arrays must be finite")
-        inten = clamp_intensity(inten, "cloud intensity")
-        object.__setattr__(self, "xyz", _freeze(xyz))
-        object.__setattr__(self, "intensity", _freeze(inten))
-        object.__setattr__(self, "features", _freeze(feats))
 
     def __len__(self) -> int:
         return self.xyz.shape[0]

@@ -83,7 +83,7 @@ def read_rri1(path, sensor: SensorModel) -> RangeImage:
     mask, offset = _take(data, offset, h * w, path)
     if offset != len(data):
         raise FormatError(f"{path}: {len(data) - offset} trailing byte(s)")
-    channels = np.frombuffer(body, dtype="<f4").astype(np.float64)
+    channels = np.frombuffer(body, dtype="<f4")
     valid = np.frombuffer(mask, dtype=np.uint8) != 0
     return RangeImage(
         sensor, channels.reshape(planes, h, w), valid.reshape(h, w)
@@ -114,8 +114,7 @@ def read_rfp1(path) -> FeaturePointCloud:
     body, offset = _take(data, offset, n * (4 + d_f) * 4, path)
     if offset != len(data):
         raise FormatError(f"{path}: {len(data) - offset} trailing byte(s)")
-    records = np.frombuffer(body, dtype="<f4").astype(np.float64)
-    records = records.reshape(n, 4 + d_f)
+    records = np.frombuffer(body, dtype="<f4").reshape(n, 4 + d_f)
     return FeaturePointCloud(records[:, :3], records[:, 3], records[:, 4:])
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FeaturePointCloud
+from .core import FeaturePointCloud, frozen_array
 
 logger = logging.getLogger(__name__)
 
@@ -34,13 +34,6 @@ def grid_shape(voxel_size, range_min, range_max) -> tuple[int, int, int]:
     lo = np.asarray(range_min, dtype=np.float64)
     hi = np.asarray(range_max, dtype=np.float64)
     return tuple(int(n) for n in np.ceil((hi - lo) / np.asarray(voxel_size)))
-
-
-def _integer_array(name: str, values) -> np.ndarray:
-    arr = np.asarray(values)
-    if arr.dtype.kind not in "iu":
-        raise ValueError(f"voxel {name} must be integers, got dtype {arr.dtype}")
-    return np.array(arr, dtype=np.int64, order="C")
 
 
 @dataclass(frozen=True)
@@ -71,10 +64,9 @@ class VoxelGrid:
                 raise ValueError("grid range must satisfy max > min")
             if self.shape[axis] < 1:
                 raise ValueError("grid shape must be positive")
-        # np.array always copies, so freezing never reaches caller arrays.
-        idx = _integer_array("indices", self.voxels)
-        counts = _integer_array("counts", self.counts)
-        means = np.array(self.means, dtype=np.float64, order="C")
+        for name, dtype in (("voxels", np.int64), ("counts", np.int64), ("means", np.float64)):
+            object.__setattr__(self, name, frozen_array(name, getattr(self, name), dtype))
+        idx, counts, means = self.voxels, self.counts, self.means
         if idx.ndim != 2 or idx.shape[1] != 3:
             raise ValueError(f"voxel indices must be (V, 3), got {idx.shape}")
         v = idx.shape[0]
@@ -89,9 +81,6 @@ class VoxelGrid:
         flat = np.ravel_multi_index(tuple(idx.T), self.shape)
         if np.any(np.diff(flat) <= 0):
             raise ValueError("voxel indices must be unique and in flat-index order")
-        for name, arr in (("voxels", idx), ("counts", counts), ("means", means)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
 
     @property
     def total_count(self) -> int:
@@ -177,18 +166,14 @@ class SharedMlp:
             raise ValueError("need at least one layer")
         frozen = []
         prev_out = None
-        for weight, bias in self.layers:
-            weight = np.array(weight, dtype=np.float64, order="C")
-            bias = np.array(bias, dtype=np.float64, order="C")
+        for i, (weight, bias) in enumerate(self.layers):
+            weight = frozen_array(f"layers[{i}] weight", weight)
+            bias = frozen_array(f"layers[{i}] bias", bias)
             if weight.ndim != 2 or bias.shape != (weight.shape[0],):
                 raise ValueError("each layer needs (out, in) weight and (out,) bias")
             if prev_out is not None and weight.shape[1] != prev_out:
                 raise ValueError("layer widths must chain")
-            if not (np.all(np.isfinite(weight)) and np.all(np.isfinite(bias))):
-                raise ValueError("layer parameters must be finite")
             prev_out = weight.shape[0]
-            weight.setflags(write=False)
-            bias.setflags(write=False)
             frozen.append((weight, bias))
         object.__setattr__(self, "layers", tuple(frozen))
 

@@ -46,26 +46,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BASE_CHANNELS, RangeImage
+from .core import BASE_CHANNELS, RangeImage, frozen_array
 from .rng import STREAM_BASICBLOCK, STREAM_HDMK, DetRng, derive_seed
 
 # Ordered (d_h, d_w) sampling offsets of the two meta-kernel branches: the
 # 3x3 unit stencil in row-major order, and the same stencil doubled.
 UNIT_OFFSETS = tuple((dh, dw) for dh in (-1, 0, 1) for dw in (-1, 0, 1))
 DILATED_OFFSETS = tuple((2 * dh, 2 * dw) for dh, dw in UNIT_OFFSETS)
-
-
-def _check_finite(name: str, arr: np.ndarray):
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite")
-
-
-def _as_f64(arr) -> np.ndarray:
-    # Always copy: freezing an array the caller still holds would silently
-    # make their object read-only.
-    out = np.array(arr, dtype=np.float64, order="C")
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)
@@ -86,9 +73,7 @@ class BranchParams:
 
     def __post_init__(self):
         for name in ("w1", "b1", "w2", "b2", "w_acc", "b_acc"):
-            arr = _as_f64(getattr(self, name))
-            _check_finite(name, arr)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, frozen_array(name, getattr(self, name)))
         c_mid = self.w1.shape[0]
         c_in = self.w2.shape[0]
         if self.w1.shape != (c_mid, 3) or self.b1.shape != (c_mid,):
@@ -148,9 +133,7 @@ class BasicBlockParams:
 
     def __post_init__(self):
         for name in ("conv1", "scale1", "shift1", "conv2", "scale2", "shift2"):
-            arr = _as_f64(getattr(self, name))
-            _check_finite(name, arr)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, frozen_array(name, getattr(self, name)))
         if self.conv1.ndim != 4 or self.conv1.shape[2:] != (3, 3):
             raise ValueError(f"conv1 must be (c_out, c_in, 3, 3), got {self.conv1.shape}")
         c_out, c_in = self.conv1.shape[:2]
@@ -165,8 +148,7 @@ class BasicBlockParams:
                     f"identity residual needs matching channels, got {c_in} -> {c_out}"
                 )
         else:
-            proj = _as_f64(self.proj)
-            _check_finite("proj", proj)
+            proj = frozen_array("proj", self.proj)
             if proj.shape != (c_out, c_in):
                 raise ValueError(f"proj must be ({c_out}, {c_in}), got {proj.shape}")
             object.__setattr__(self, "proj", proj)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Box3D, FeaturePointCloud, SGridConfig
+from .core import Box3D, FeaturePointCloud, SGridConfig, frozen_array
 from .pointops import SharedMlp, ball_query, pointnet_aggregate
 from .rng import (
     STREAM_HEAD,
@@ -161,19 +161,15 @@ class RoIFeature:
     coarse_empty: np.ndarray  # (G2^3,) bool
 
     def __post_init__(self):
-        # np.array always copies, so freezing never reaches caller arrays.
-        vec = np.array(self.vector, dtype=np.float64, order="C")
-        fine = np.array(self.fine_empty, dtype=bool, order="C")
-        coarse = np.array(self.coarse_empty, dtype=bool, order="C")
+        for name, dtype in (("vector", np.float64), ("fine_empty", bool), ("coarse_empty", bool)):
+            object.__setattr__(self, name, frozen_array(name, getattr(self, name), dtype))
+        vec, fine, coarse = self.vector, self.fine_empty, self.coarse_empty
         if vec.ndim != 1 or fine.ndim != 1 or coarse.ndim != 1:
             raise ValueError("RoI feature arrays must be one-dimensional")
         if fine.size == 0 or vec.size % fine.size != 0:
             raise ValueError(
                 f"vector length {vec.size} not divisible by {fine.size} grid points"
             )
-        for name, arr in (("vector", vec), ("fine_empty", fine), ("coarse_empty", coarse)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
 
 
 @dataclass(frozen=True)
@@ -194,11 +190,7 @@ class SGridParams:
 
     def __post_init__(self):
         for name in ("w_conf", "b_conf", "w_res", "b_res"):
-            arr = np.array(getattr(self, name), dtype=np.float64, order="C")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} must be finite")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, frozen_array(name, getattr(self, name)))
         d_h = self.trunk.out_dim
         if self.w_conf.shape != (1, d_h) or self.b_conf.shape != (1,):
             raise ValueError("confidence branch must map trunk output to a scalar")

@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import Box3D, ConfigError, FeaturePointCloud, KeyReader, parse_kv_file
+from .core import Box3D, ConfigError, FeaturePointCloud, KeyReader, frozen_array, parse_kv_file
 from .rng import STREAM_SCENE, DetRng, derive_seed
 from .sgrid import canonical_transform, inverse_canonical_transform
 
@@ -89,14 +89,13 @@ class SyntheticScene:
     seed: int
 
     def __post_init__(self):
-        labels = np.array(self.labels, dtype=np.int64, order="C")
+        labels = frozen_array("labels", self.labels, np.int64)
         if labels.shape != (len(self.cloud),):
             raise ValueError(
                 f"labels must be ({len(self.cloud)},), got {labels.shape}"
             )
         if labels.size and (labels.min() < -1 or labels.max() >= len(self.boxes)):
             raise ValueError("labels must be -1 or a valid box index")
-        labels.setflags(write=False)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "boxes", tuple(self.boxes))
         for index, box in enumerate(self.boxes):

@@ -1,11 +1,15 @@
 """Domain type invariants and config loading."""
 
+import inspect
 import math
+import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from rvredeem import core
 from rvredeem.core import (
     Box3D,
     ConfigError,
@@ -15,12 +19,17 @@ from rvredeem.core import (
     RangeImage,
     SensorModel,
     SGridConfig,
+    clamp_intensity,
+    frozen_array,
     load_config,
     normalize_yaw,
     parse_kv_file,
     points_to_array,
 )
-from rvredeem.synth import parse_synth_spec
+from rvredeem.pointops import SharedMlp, VoxelGrid
+from rvredeem.rvfe import BasicBlockParams, BranchParams
+from rvredeem.sgrid import RoIFeature, SGridParams
+from rvredeem.synth import SyntheticScene, parse_synth_spec
 
 
 def make_sensor(h=4, w=8):
@@ -69,6 +78,23 @@ class TestPoint:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             Point(math.nan, 0.0, 0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_intensity(self, value):
+        with pytest.raises(ValueError, match="point intensity must be finite"):
+            Point(1.0, 0.0, 0.0, value)
+
+
+class TestClampIntensity:
+    def test_rejects_nonfinite_naming_the_key(self):
+        with pytest.raises(ValueError, match="^scan intensity must be finite$"):
+            clamp_intensity(np.array([0.5, math.nan]), "scan intensity")
+
+    def test_clamps_finite_values_outside_the_unit_interval(self, caplog):
+        with caplog.at_level("WARNING"):
+            out = clamp_intensity(np.array([-0.5, 0.25, 2.0]), "scan intensity")
+        np.testing.assert_array_equal(out, [0.0, 0.25, 1.0])
+        assert "scan intensity: clamped 2 value(s)" in caplog.text
 
 
 class TestPointsToArray:
@@ -340,3 +366,148 @@ class TestShippedConfigs:
     def test_default_cfg_shows_the_defaults(self):
         sensor = SensorModel(64, 512, math.radians(2.0), math.radians(24.8))
         assert load_config(REPO / "configs" / "default.cfg") == PipelineConfig(sensor=sensor)
+
+
+def _range_image_arrays():
+    channels = np.zeros((5, 4, 8))
+    valid = np.zeros((4, 8), dtype=bool)
+    valid[1, 2] = True
+    channels[:, 1, 2] = [3.0, 0.0, 4.0, 0.5, 5.0]
+    return {"channels": channels, "valid": valid}
+
+
+def _mlp_arrays():
+    return {
+        "layers[0] weight": np.ones((2, 3)),
+        "layers[0] bias": np.zeros(2),
+        "layers[1] weight": np.ones((1, 2)),
+        "layers[1] bias": np.zeros(1),
+    }
+
+
+def _mlp(a):
+    return SharedMlp(tuple((a[f"layers[{i}] weight"], a[f"layers[{i}] bias"]) for i in range(2)))
+
+
+def _sgrid_params(a):
+    mlp = SharedMlp(((np.ones((2, 2)), np.zeros(2)),))
+    return SGridParams(mlp, mlp, mlp, **a)
+
+
+def _scene(a):
+    box = Box3D(0.0, 0.0, 0.0, 2.0, 2.0, 2.0, 0.0)
+    cloud = FeaturePointCloud([[1.0, 0.2, -0.3]], [0.5], np.empty((1, 0)))
+    return SyntheticScene((box,), cloud, seed=0, **a)
+
+
+# Type -> (fresh writable input arrays by field name, constructor from them).
+KEPT_ARRAYS = {
+    "RangeImage": (_range_image_arrays, lambda a: RangeImage(make_sensor(), **a)),
+    "FeaturePointCloud": (
+        lambda: {"xyz": np.ones((2, 3)), "intensity": np.full(2, 0.5), "features": np.ones((2, 4))},
+        lambda a: FeaturePointCloud(**a),
+    ),
+    "BranchParams": (
+        lambda: {
+            "w1": np.ones((2, 3)),
+            "b1": np.zeros(2),
+            "w2": np.ones((1, 2)),
+            "b2": np.zeros(1),
+            "w_acc": np.ones((1, 9)),
+            "b_acc": np.zeros(1),
+        },
+        lambda a: BranchParams(**a),
+    ),
+    "BasicBlockParams": (
+        lambda: {
+            "conv1": np.ones((2, 1, 3, 3)),
+            "scale1": np.ones(2),
+            "shift1": np.zeros(2),
+            "conv2": np.ones((2, 2, 3, 3)),
+            "scale2": np.ones(2),
+            "shift2": np.zeros(2),
+            "proj": np.ones((2, 1)),
+        },
+        lambda a: BasicBlockParams(**a),
+    ),
+    "VoxelGrid": (
+        lambda: {
+            "voxels": np.array([[0, 0, 0], [1, 1, 1]]),
+            "counts": np.array([1, 2]),
+            "means": np.ones((2, 3)),
+        },
+        lambda a: VoxelGrid((1.0, 1.0, 1.0), (0.0, 0.0, 0.0), (2.0, 2.0, 2.0), (2, 2, 2), **a),
+    ),
+    "SharedMlp": (_mlp_arrays, _mlp),
+    "RoIFeature": (
+        lambda: {
+            "vector": np.ones(4),
+            "fine_empty": np.zeros(2, dtype=bool),
+            "coarse_empty": np.ones(1, dtype=bool),
+        },
+        lambda a: RoIFeature(**a),
+    ),
+    "SGridParams": (
+        lambda: {
+            "w_conf": np.ones((1, 2)),
+            "b_conf": np.zeros(1),
+            "w_res": np.ones((7, 2)),
+            "b_res": np.zeros(7),
+        },
+        _sgrid_params,
+    ),
+    "SyntheticScene": (lambda: {"labels": np.array([0])}, _scene),
+}
+
+
+def _kept_arrays(obj) -> dict:
+    if isinstance(obj, SharedMlp):
+        return {
+            f"layers[{i}] {part}": arr
+            for i, layer in enumerate(obj.layers)
+            for part, arr in zip(("weight", "bias"), layer)
+        }
+    values = {f.name: getattr(obj, f.name) for f in fields(obj)}
+    return {name: v for name, v in values.items() if isinstance(v, np.ndarray)}
+
+
+@pytest.mark.parametrize("kind", sorted(KEPT_ARRAYS))
+def test_kept_arrays_are_frozen_finite_copies(kind):
+    make_arrays, build = KEPT_ARRAYS[kind]
+    given = make_arrays()
+    kept = _kept_arrays(build(given))
+    assert kept.keys() == given.keys()
+    before = {name: arr.copy() for name, arr in kept.items()}
+    for arr in given.values():
+        arr[...] = ~arr if arr.dtype == bool else arr + 1
+        assert arr.flags.writeable
+    for name, arr in kept.items():
+        np.testing.assert_array_equal(arr, before[name])
+        assert not arr.flags.writeable and arr.flags.c_contiguous
+    for name in (name for name, arr in given.items() if arr.dtype.kind == "f"):
+        bad = make_arrays()
+        bad[name].flat[0] = np.nan
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be finite")):
+            build(bad)
+
+
+class TestFrozenArray:
+    def test_rejects_fractional_input_for_an_integer_dtype(self):
+        with pytest.raises(ValueError, match="^counts must be integers, got dtype float64$"):
+            frozen_array("counts", np.array([1.5]), np.int64)
+
+    def test_copies_even_a_frozen_contiguous_input(self):
+        first = frozen_array("a", np.arange(3.0))
+        assert not np.shares_memory(first, frozen_array("a", first))
+
+    def test_setflags_appears_only_in_frozen_array(self):
+        lines, start = inspect.getsourcelines(frozen_array)
+        home = Path(core.__file__)
+        allowed = {(home, n) for n in range(start, start + len(lines))}
+        found = {
+            (path, n)
+            for path in sorted(home.parent.rglob("*.py"))
+            for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+            if "setflags(" in line
+        }
+        assert found and found <= allowed

@@ -138,6 +138,14 @@ class TestRfp1:
         with pytest.raises(FormatError, match="truncated"):
             read_rfp1(path)
 
+    @pytest.mark.parametrize("intensity", [math.nan, math.inf])
+    def test_rejects_nonfinite_intensity(self, tmp_path, intensity):
+        path = tmp_path / "n.rfp1"
+        body = struct.pack("<fffff", 1.0, 2.0, 3.0, intensity, 9.0)
+        path.write_bytes(b"RFP1" + struct.pack("<II", 1, 1) + body)
+        with pytest.raises(ValueError, match="intensity must be finite"):
+            read_rfp1(path)
+
 
 class TestRwt1:
     def test_byte_layout(self, tmp_path):

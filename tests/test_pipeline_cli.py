@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from rvredeem import formats, pipeline
+from rvredeem.cli import build_parser
 from rvredeem.cli import main as cli_main
 from rvredeem.core import FeaturePointCloud, load_config
 from rvredeem.pointops import bev_flatten, furthest_point_sampling, voxelize
@@ -116,6 +117,7 @@ VOXEL_CORRUPTIONS = {
     "fractional counts": (pipeline.VOXEL_COUNT_FILE, lambda a: a + 0.5, "integers"),
     "short counts": (pipeline.VOXEL_COUNT_FILE, lambda a: a[:-1], "counts must be"),
     "short means": (pipeline.VOXEL_MEAN_FILE, lambda a: a[:-1], "means must be"),
+    "nan mean": (pipeline.VOXEL_MEAN_FILE, lambda a: _with(a, (0, 0), np.nan), "finite"),
 }
 
 
@@ -401,6 +403,13 @@ class TestPipeline:
 
 
 class TestCli:
+    def test_every_stage_has_a_subcommand(self):
+        (subparsers,) = (
+            action for action in build_parser()._actions if action.dest == "command"
+        )
+        stages = {name[len("stage_"):] for name in dir(pipeline) if name.startswith("stage_")}
+        assert set(subparsers.choices) - {"pipeline", "gradcheck"} == stages
+
     def test_pipeline_subcommand_prints_summary(self, toy, capsys):
         out = toy.root / "cli_run"
         code = cli_main(

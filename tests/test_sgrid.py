@@ -9,6 +9,7 @@ import oracles
 from rvredeem.core import Box3D, FeaturePointCloud, SGridConfig
 from rvredeem.pointops import SharedMlp, pointnet_aggregate
 from rvredeem.sgrid import (
+    RoIFeature,
     SGridParams,
     auto_radius,
     canonical_transform,
@@ -209,6 +210,14 @@ class TestUpsampleGrid:
         flat = np.zeros((8, 3))
         with pytest.raises(ValueError):
             upsample_grid(np.zeros((8, 1)), flat, np.zeros((1, 3)), mode="trilinear")
+
+
+class TestRoIFeature:
+    def test_rejects_nan_vector(self):
+        vector = np.ones(4)
+        vector[3] = np.nan
+        with pytest.raises(ValueError, match="vector must be finite"):
+            RoIFeature(vector, np.zeros(2, dtype=bool), np.zeros(1, dtype=bool))
 
 
 class TestSgridPool:

@@ -187,6 +187,11 @@ class TestSceneValidation:
         with pytest.raises(ValueError, match="box index"):
             SyntheticScene((box,), cloud, np.array([-2]), seed=0)
 
+    def test_fractional_labels_rejected(self):
+        box, cloud = single_point_scene_parts([1.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="labels must be integers"):
+            SyntheticScene((box,), cloud, np.array([0.5]), seed=0)
+
 
 class TestSpecValidation:
     def test_negative_box_count_rejected(self):
