@@ -19,7 +19,8 @@ KITTI-style .bin clouds are raw little-endian f32 quadruples
 Values are stored in single precision; readers widen to float64. Code that
 needs bit-stable composition across process boundaries must therefore
 round-trip its data through these formats (write, then read back) before
-feeding the next stage.
+feeding the next stage, unless the values are already on the f32 grid, as
+generated parameters are.
 """
 
 from __future__ import annotations
@@ -84,9 +85,11 @@ def read_rri1(path, sensor: SensorModel) -> RangeImage:
     if offset != len(data):
         raise FormatError(f"{path}: {len(data) - offset} trailing byte(s)")
     channels = np.frombuffer(body, dtype="<f4")
-    valid = np.frombuffer(mask, dtype=np.uint8) != 0
+    flags = np.frombuffer(mask, dtype=np.uint8)
+    if np.any(flags > 1):
+        raise FormatError(f"{path}: validity bytes must be 0 or 1")
     return RangeImage(
-        sensor, channels.reshape(planes, h, w), valid.reshape(h, w)
+        sensor, channels.reshape(planes, h, w), (flags == 1).reshape(h, w)
     )
 
 
@@ -150,7 +153,10 @@ def read_rwt1(path) -> dict[str, np.ndarray]:
         head, offset = _take(data, offset, 2, path)
         (name_len,) = struct.unpack("<H", head)
         raw_name, offset = _take(data, offset, name_len, path)
-        name = raw_name.decode("utf-8")
+        try:
+            name = raw_name.decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"{path}: tensor name is not UTF-8") from None
         head, offset = _take(data, offset, 1, path)
         rank = head[0]
         head, offset = _take(data, offset, 4 * rank, path)

@@ -7,27 +7,28 @@ keypoints plus boxes to pooled RoI vectors and refined detections. The
 single-shot `run_pipeline` and the per-stage CLI subcommands call the same
 functions, so composing subcommands reproduces the one-shot run bit for bit.
 
-Inside a stage, any freshly written artifact that feeds a later computation
-is first read back from disk. Artifacts store values in single precision;
-the read-back makes that rounding part of the stage's defined output rather
-than an accident of process boundaries.
+Inside a stage, any freshly written data artifact that feeds a later
+computation is first read back from disk. Artifacts store values in single
+precision; the read-back makes that rounding part of the stage's defined
+output rather than an accident of process boundaries.
 
-Parameters are generated from the config seed, quantized to the
-single-precision grid at initialization, and round-trip through RWT1 files
-without loss.
+Weight files are outputs only. Parameters are generated from the config
+seed on the single-precision grid, so the RWT1 file a stage writes holds
+exactly the parameters it goes on with, and no stage reads one back;
+`rvredeem gradcheck --input` is their reader.
 """
 
 from __future__ import annotations
 
 import logging
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import formats
 from .core import (
-    BASE_CHANNELS,
     FeaturePointCloud,
     PipelineConfig,
     RangeImage,
@@ -38,14 +39,12 @@ from .pointops import (
     VoxelGrid,
     bev_flatten,  # noqa: F401 (unused here; the benchmark's tracer wraps this name)
     furthest_point_sampling,
-    grid_shape,
     voxelize,
 )
 from .range_geometry import build_range_image, redeem_feature_points, unproject_pixels
 from .rng import STREAM_SCENE, DetRng, derive_seed
 from .rvfe import (
     BasicBlockParams,
-    BranchParams,
     HdMetaKernelParams,
     basicblock_forward,
     hdmk_backward,
@@ -109,10 +108,26 @@ class PipelineError(RuntimeError):
 # Parameter packing for RWT1 files
 # ---------------------------------------------------------------------------
 
-_BRANCH_FIELDS = ("w1", "b1", "w2", "b2", "w_acc", "b_acc")
+def pack_rvfe_weights(
+    block: BasicBlockParams, hdmk: HdMetaKernelParams
+) -> dict[str, np.ndarray]:
+    """RWT1 tensors: `block.<field>` in field order (no `block.proj` when
+    the residual is the identity), then `hdmk.<name>` for each meta-kernel
+    tensor."""
+    out = {
+        f"block.{f.name}": getattr(block, f.name)
+        for f in fields(block)
+        if getattr(block, f.name) is not None
+    }
+    out.update({f"hdmk.{name}": tensor for name, tensor in hdmk.tensors().items()})
+    return out
 
 
-def _taker(tensors: dict[str, np.ndarray], source: str):
+def unpack_rvfe_weights(
+    tensors: dict[str, np.ndarray], source: str = "weights"
+) -> tuple[BasicBlockParams, HdMetaKernelParams]:
+    """Inverse of `pack_rvfe_weights`; a missing or unexpected tensor is a
+    ValueError naming `source`."""
     remaining = dict(tensors)
 
     def take(name: str) -> np.ndarray:
@@ -121,67 +136,20 @@ def _taker(tensors: dict[str, np.ndarray], source: str):
         except KeyError:
             raise ValueError(f"{source}: missing tensor {name!r}") from None
 
-    def finish():
-        if remaining:
-            raise ValueError(f"{source}: unexpected tensor {sorted(remaining)[0]!r}")
-
-    return take, finish
-
-
-def pack_rvfe_weights(
-    block: BasicBlockParams, hdmk: HdMetaKernelParams
-) -> dict[str, np.ndarray]:
-    out = {
-        "block.conv1": block.conv1,
-        "block.scale1": block.scale1,
-        "block.shift1": block.shift1,
-        "block.conv2": block.conv2,
-        "block.scale2": block.scale2,
-        "block.shift2": block.shift2,
-    }
-    if block.proj is not None:
-        out["block.proj"] = block.proj
-    for tag, branch in (("branch1", hdmk.branch1), ("branch2", hdmk.branch2)):
-        for field in _BRANCH_FIELDS:
-            out[f"hdmk.{tag}.{field}"] = getattr(branch, field)
-    return out
-
-
-def unpack_rvfe_weights(
-    tensors: dict[str, np.ndarray], source: str = "weights"
-) -> tuple[BasicBlockParams, HdMetaKernelParams]:
-    take, finish = _taker(tensors, source)
-    block = BasicBlockParams(
-        conv1=take("block.conv1"),
-        scale1=take("block.scale1"),
-        shift1=take("block.shift1"),
-        conv2=take("block.conv2"),
-        scale2=take("block.scale2"),
-        shift2=take("block.shift2"),
-        proj=take("block.proj") if "block.proj" in tensors else None,
-    )
-    branches = []
-    for tag in ("branch1", "branch2"):
-        fields = {f: take(f"hdmk.{tag}.{f}") for f in _BRANCH_FIELDS}
-        branches.append(BranchParams(**fields))
-    finish()
-    return block, HdMetaKernelParams(*branches)
+    block = BasicBlockParams(**{
+        f.name: remaining.pop("block.proj", None) if f.name == "proj" else take(f"block.{f.name}")
+        for f in fields(BasicBlockParams)
+    })
+    hdmk = HdMetaKernelParams.from_tensors(lambda name: take(f"hdmk.{name}"))
+    if remaining:
+        raise ValueError(f"{source}: unexpected tensor {sorted(remaining)[0]!r}")
+    return block, hdmk
 
 
 def _pack_mlp(out: dict, prefix: str, mlp: SharedMlp):
     for i, (weight, bias) in enumerate(mlp.layers):
         out[f"{prefix}.{i}.w"] = weight
         out[f"{prefix}.{i}.b"] = bias
-
-
-def _unpack_mlp(tensors, take, prefix: str) -> SharedMlp:
-    layers = []
-    while f"{prefix}.{len(layers)}.w" in tensors:
-        i = len(layers)
-        layers.append((take(f"{prefix}.{i}.w"), take(f"{prefix}.{i}.b")))
-    if not layers:
-        raise ValueError(f"no layers found under {prefix!r}")
-    return SharedMlp(tuple(layers))
 
 
 def pack_sgrid_weights(params: SGridParams) -> dict[str, np.ndarray]:
@@ -194,23 +162,6 @@ def pack_sgrid_weights(params: SGridParams) -> dict[str, np.ndarray]:
     out["sgrid.head.res.w"] = params.w_res
     out["sgrid.head.res.b"] = params.b_res
     return out
-
-
-def unpack_sgrid_weights(
-    tensors: dict[str, np.ndarray], source: str = "weights"
-) -> SGridParams:
-    take, finish = _taker(tensors, source)
-    params = SGridParams(
-        mlp_fine=_unpack_mlp(tensors, take, "sgrid.fine"),
-        mlp_coarse=_unpack_mlp(tensors, take, "sgrid.coarse"),
-        trunk=_unpack_mlp(tensors, take, "sgrid.head.trunk"),
-        w_conf=take("sgrid.head.conf.w"),
-        b_conf=take("sgrid.head.conf.b"),
-        w_res=take("sgrid.head.res.w"),
-        b_res=take("sgrid.head.res.b"),
-    )
-    finish()
-    return params
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +207,6 @@ def stage_redeem(cfg: PipelineConfig, range_path, out_dir) -> dict:
     block = init_basicblock(cfg.seed, cfg.conv_channels)
     hdmk = init_params(cfg.seed, (cfg.conv_channels, cfg.mlp_hidden, cfg.feature_dim))
     formats.write_rwt1(out_dir / WEIGHTS_FILE, pack_rvfe_weights(block, hdmk))
-    block, hdmk = unpack_rvfe_weights(
-        formats.read_rwt1(out_dir / WEIGHTS_FILE), WEIGHTS_FILE
-    )
 
     block_img = basicblock_forward(img, block, cfg.wrap_horizontal)
     formats.write_rri1(out_dir / BLOCK_FILE, block_img)
@@ -310,7 +258,6 @@ def read_voxel_grid(out_dir, cfg: PipelineConfig) -> VoxelGrid:
         tuple(cfg.voxel_size),
         tuple(cfg.range_min),
         tuple(cfg.range_max),
-        grid_shape(cfg.voxel_size, cfg.range_min, cfg.range_max),
         np.load(out_dir / VOXEL_IDX_FILE),
         np.load(out_dir / VOXEL_COUNT_FILE),
         np.load(out_dir / VOXEL_MEAN_FILE),
@@ -345,9 +292,6 @@ def stage_pool(cfg: PipelineConfig, keypoints_path, boxes_path, out_dir) -> dict
 
     params = init_sgrid_params(cfg.seed, cfg.sgrid, kp_cloud.feature_dim)
     formats.write_rwt1(out_dir / SGRID_WEIGHTS_FILE, pack_sgrid_weights(params))
-    params = unpack_sgrid_weights(
-        formats.read_rwt1(out_dir / SGRID_WEIGHTS_FILE), SGRID_WEIGHTS_FILE
-    )
 
     rois = sgrid_pool(kp_cloud, boxes, cfg.sgrid, params)
     roi_len = cfg.sgrid.roi_feature_length
@@ -485,15 +429,22 @@ def run_pipeline(
 # Gradient checking
 # ---------------------------------------------------------------------------
 
-def gradcheck_instance(
-    seed: int, dims: tuple[int, int, int], height: int, width: int
-):
+# The checked instance: (c_in, c_mid, c_out) of the default parameters, the
+# image's (height, width), and the central-difference step.
+GRADCHECK_DIMS = (4, 6, 8)
+GRADCHECK_SHAPE = (6, 10)
+GRADCHECK_STEP = 1e-5
+
+
+def gradcheck_instance(seed: int, dims: tuple[int, int, int]):
     """Deterministic (image, params, upstream) triple for gradient checks.
 
-    The image has plausible geometry: pixel-center rays at random ranges,
-    about 15 percent of pixels dropped, features uniform in [-1, 1].
+    The image is GRADCHECK_SHAPE with plausible geometry: pixel-center rays
+    at random ranges, about 15 percent of pixels dropped, features uniform
+    in [-1, 1].
     """
     c_in = dims[0]
+    height, width = GRADCHECK_SHAPE
     sensor = SensorModel(height, width, fov_up=0.3, fov_down=0.3)
     rng = DetRng(derive_seed(seed, STREAM_SCENE))
     n = height * width
@@ -524,55 +475,33 @@ def gradcheck_instance(
     return img, params, upstream
 
 
-def _branch_dict(branch: BranchParams) -> dict[str, np.ndarray]:
-    return {field: getattr(branch, field) for field in _BRANCH_FIELDS}
-
-
 def run_gradcheck(
-    seed: int = 0,
-    dims: tuple[int, int, int] = (4, 6, 8),
-    height: int = 6,
-    width: int = 10,
-    step: float = 1e-5,
-    wrap_horizontal: bool = True,
-    params: HdMetaKernelParams | None = None,
+    seed: int = 0, params: HdMetaKernelParams | None = None
 ) -> tuple[bool, list[dict]]:
     """Central finite differences against the analytic meta-kernel backward.
 
     Checks every element of the input feature planes and of every parameter
-    tensor in both branches. An element passes when
+    tensor in both branches, with columns wrapping. An element passes when
     |analytic - fd| <= max(1e-4 * max(|analytic|, |fd|), 1e-7). Returns
     (all passed, per-slice reports).
     """
-    if params is not None:
-        dims = (params.c_in, params.c_mid, params.c_out)
-    img, init, upstream = gradcheck_instance(seed, dims, height, width)
+    dims = GRADCHECK_DIMS if params is None else (params.c_in, params.c_mid, params.c_out)
+    img, init, upstream = gradcheck_instance(seed, dims)
     if params is None:
         params = init
 
     coords = img.channels[:3]
     valid = img.valid
-    base_feat = img.feature_planes.copy()
-    tensors = {"feat": base_feat}
-    for tag, branch in (("branch1", params.branch1), ("branch2", params.branch2)):
-        for field, value in _branch_dict(branch).items():
-            tensors[f"{tag}.{field}"] = value.copy()
+    tensors = {"feat": img.feature_planes.copy()}
+    tensors.update({name: value.copy() for name, value in params.tensors().items()})
 
     def loss(active: dict[str, np.ndarray]) -> float:
-        rebuilt = HdMetaKernelParams(
-            BranchParams(**{f: active[f"branch1.{f}"] for f in _BRANCH_FIELDS}),
-            BranchParams(**{f: active[f"branch2.{f}"] for f in _BRANCH_FIELDS}),
-        )
-        out = hdmk_forward_planes(
-            active["feat"] * valid, coords, valid, rebuilt, wrap_horizontal
-        )
+        rebuilt = HdMetaKernelParams.from_tensors(active.__getitem__)
+        out = hdmk_forward_planes(active["feat"] * valid, coords, valid, rebuilt)
         return float(np.sum(upstream * out))
 
-    grads = hdmk_backward(img, params, upstream, wrap_horizontal)
-    analytic = {"feat": grads.feat}
-    for tag, branch_grads in (("branch1", grads.branch1), ("branch2", grads.branch2)):
-        for field in _BRANCH_FIELDS:
-            analytic[f"{tag}.{field}"] = getattr(branch_grads, field)
+    grads = hdmk_backward(img, params, upstream)
+    analytic = {"feat": grads.feat, **grads.params.tensors()}
 
     reports = []
     all_ok = True
@@ -581,12 +510,12 @@ def run_gradcheck(
         worst_margin = 0.0
         for index in np.ndindex(tensor.shape):
             saved = tensor[index]
-            tensor[index] = saved + step
+            tensor[index] = saved + GRADCHECK_STEP
             high = loss(tensors)
-            tensor[index] = saved - step
+            tensor[index] = saved - GRADCHECK_STEP
             low = loss(tensors)
             tensor[index] = saved
-            fd = (high - low) / (2.0 * step)
+            fd = (high - low) / (2.0 * GRADCHECK_STEP)
             a = float(analytic[name][index])
             diff = abs(a - fd)
             allowed = max(1e-4 * max(abs(a), abs(fd)), 1e-7)

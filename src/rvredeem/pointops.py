@@ -40,7 +40,8 @@ def grid_shape(voxel_size, range_min, range_max) -> tuple[int, int, int]:
 class VoxelGrid:
     """Sparse voxelization: occupied cells hold a count and a mean feature.
 
-    `shape` is the full grid extent (nx, ny, nz). Occupied cell k has integer
+    `shape`, the full grid extent (nx, ny, nz), follows from the geometry
+    (`grid_shape`) and is not stored. Occupied cell k has integer
     index `voxels[k]` = (ix, iy, iz), `counts[k]` points and mean feature
     `means[k]`; cells are listed in strictly increasing flat (row-major)
     index order, so each cell appears once. Every index lies inside the
@@ -51,7 +52,6 @@ class VoxelGrid:
     voxel_size: tuple[float, float, float]
     range_min: tuple[float, float, float]
     range_max: tuple[float, float, float]
-    shape: tuple[int, int, int]
     voxels: np.ndarray  # (V, 3) int64
     counts: np.ndarray  # (V,) int64
     means: np.ndarray  # (V, d_f) float64
@@ -62,8 +62,6 @@ class VoxelGrid:
                 raise ValueError("voxel sizes must be positive")
             if self.range_max[axis] <= self.range_min[axis]:
                 raise ValueError("grid range must satisfy max > min")
-            if self.shape[axis] < 1:
-                raise ValueError("grid shape must be positive")
         for name, dtype in (("voxels", np.int64), ("counts", np.int64), ("means", np.float64)):
             object.__setattr__(self, name, frozen_array(name, getattr(self, name), dtype))
         idx, counts, means = self.voxels, self.counts, self.means
@@ -74,13 +72,20 @@ class VoxelGrid:
             raise ValueError(f"voxel counts must be ({v},), got {counts.shape}")
         if means.ndim != 2 or means.shape[0] != v:
             raise ValueError(f"voxel means must be ({v}, d), got {means.shape}")
-        if np.any((idx < 0) | (idx >= np.asarray(self.shape))):
-            raise ValueError(f"occupied voxel outside grid shape {self.shape}")
+        shape = self.shape
+        if min(shape) < 1:
+            raise ValueError("grid shape must be positive")
+        if np.any((idx < 0) | (idx >= np.asarray(shape))):
+            raise ValueError(f"occupied voxel outside grid shape {shape}")
         if np.any(counts < 1):
             raise ValueError("occupied voxels must have positive counts")
-        flat = np.ravel_multi_index(tuple(idx.T), self.shape)
+        flat = np.ravel_multi_index(tuple(idx.T), shape)
         if np.any(np.diff(flat) <= 0):
             raise ValueError("voxel indices must be unique and in flat-index order")
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        return grid_shape(self.voxel_size, self.range_min, self.range_max)
 
     @property
     def total_count(self) -> int:
@@ -262,7 +267,6 @@ def voxelize(
         voxel_size=tuple(float(s) for s in size),
         range_min=tuple(float(v) for v in vmin),
         range_max=tuple(float(v) for v in range_max),
-        shape=shape,
         voxels=np.stack(np.unravel_index(flat_sorted[starts], shape), axis=1),
         counts=counts,
         means=sums / counts[:, None],

@@ -32,17 +32,18 @@ product would round them in (`_dense_order`).
 
 The meta kernel has an analytic backward pass (coordinates are constants;
 gradients flow to input features and all parameters). It recomputes its
-taps at all h * w centres. BasicBlock is forward-only.
+taps at all h * w centres and returns the parameter gradients as an
+`HdMetaKernelParams`. BasicBlock is forward-only.
 
 All arithmetic is 64-bit. Initializers emit values that are exactly
-representable in single precision so weights survive a 32-bit serialization
-round trip bit-identically.
+representable in single precision, so a 32-bit weight file holds exactly
+the parameters in use and no stage needs to read it back.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -72,8 +73,8 @@ class BranchParams:
     b_acc: np.ndarray  # (c_half,)
 
     def __post_init__(self):
-        for name in ("w1", "b1", "w2", "b2", "w_acc", "b_acc"):
-            object.__setattr__(self, name, frozen_array(name, getattr(self, name)))
+        for f in fields(self):
+            object.__setattr__(self, f.name, frozen_array(f.name, getattr(self, f.name)))
         c_mid = self.w1.shape[0]
         c_in = self.w2.shape[0]
         if self.w1.shape != (c_mid, 3) or self.b1.shape != (c_mid,):
@@ -90,7 +91,12 @@ class BranchParams:
 
 @dataclass(frozen=True)
 class HdMetaKernelParams:
-    """Parameters of both branches; the branch outputs concatenate to c_out."""
+    """Parameters of both branches; the branch outputs concatenate to c_out.
+
+    `tensors()` and `from_tensors` are the one map between these parameters
+    and tensor names ("branch1.w1" ... "branch2.b_acc"), shared by weight
+    files, gradients and the gradient check.
+    """
 
     branch1: BranchParams
     branch2: BranchParams
@@ -100,6 +106,22 @@ class HdMetaKernelParams:
             raise ValueError("branches must share c_in")
         if self.branch1.w_acc.shape[0] != self.branch2.w_acc.shape[0]:
             raise ValueError("branches must produce equal half-widths")
+
+    def tensors(self) -> dict[str, np.ndarray]:
+        """Every tensor by name, branch by branch in field order."""
+        return {
+            f"{b.name}.{t.name}": getattr(getattr(self, b.name), t.name)
+            for b in fields(self)
+            for t in fields(BranchParams)
+        }
+
+    @classmethod
+    def from_tensors(cls, get) -> HdMetaKernelParams:
+        """Parameters from `get(name)` for every name that `tensors()` uses."""
+        return cls(*(
+            BranchParams(*(get(f"{b.name}.{t.name}") for t in fields(BranchParams)))
+            for b in fields(cls)
+        ))
 
     @property
     def c_in(self) -> int:
@@ -401,24 +423,15 @@ def hdmk_forward(
 
 
 @dataclass(frozen=True)
-class BranchGrads:
-    """Gradients mirroring BranchParams."""
-
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    w_acc: np.ndarray
-    b_acc: np.ndarray
-
-
-@dataclass(frozen=True)
 class HdMetaKernelGrads:
-    """Gradients of <upstream, output> for inputs and every parameter."""
+    """Gradients of <upstream, output> for inputs and every parameter.
+
+    `params` holds each parameter's gradient in that parameter's place, so
+    gradients and parameters share one type and one name map.
+    """
 
     feat: np.ndarray  # (c_in, h, w)
-    branch1: BranchGrads
-    branch2: BranchGrads
+    params: HdMetaKernelParams
 
 
 def hdmk_backward(
@@ -486,11 +499,9 @@ def hdmk_backward(
             d_pre = (branch.w2.T @ d_gate) * (pre > 0.0)
             d_w1 += d_pre @ delta.T
             d_b1 += np.sum(d_pre, axis=1)
-        branch_grads.append(
-            BranchGrads(d_w1, d_b1, d_w2, d_b2, d_w_acc, d_b_acc)
-        )
+        branch_grads.append(BranchParams(d_w1, d_b1, d_w2, d_b2, d_w_acc, d_b_acc))
     return HdMetaKernelGrads(
-        d_feat.reshape(c_in, h, w), branch_grads[0], branch_grads[1]
+        d_feat.reshape(c_in, h, w), HdMetaKernelParams(*branch_grads)
     )
 
 

@@ -436,7 +436,7 @@ KEPT_ARRAYS = {
             "counts": np.array([1, 2]),
             "means": np.ones((2, 3)),
         },
-        lambda a: VoxelGrid((1.0, 1.0, 1.0), (0.0, 0.0, 0.0), (2.0, 2.0, 2.0), (2, 2, 2), **a),
+        lambda a: VoxelGrid((1.0, 1.0, 1.0), (0.0, 0.0, 0.0), (2.0, 2.0, 2.0), **a),
     ),
     "SharedMlp": (_mlp_arrays, _mlp),
     "RoIFeature": (

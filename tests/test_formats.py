@@ -95,6 +95,16 @@ class TestRri1:
         with pytest.raises(FormatError, match="8x4"):
             read_rri1(path, other)
 
+    def test_rejects_validity_byte_other_than_0_or_1(self, tmp_path):
+        # A 2 would read as valid, and writing the image back would give
+        # different bytes.
+        img = tiny_image()
+        path = tmp_path / "x.rri1"
+        write_rri1(path, img)
+        path.write_bytes(path.read_bytes()[:-2] + bytes([2, 0]))
+        with pytest.raises(FormatError, match=f"{path}: validity bytes must be 0 or 1"):
+            read_rri1(path, img.sensor)
+
 
 class TestRfp1:
     def test_byte_layout(self, tmp_path):
@@ -191,6 +201,14 @@ class TestRwt1:
         path = tmp_path / "x.rwt1"
         path.write_bytes(b"RWT1" + struct.pack("<I", 1) + struct.pack("<H", 5))
         with pytest.raises(FormatError, match="truncated"):
+            read_rwt1(path)
+
+    def test_rejects_name_that_is_not_utf8(self, tmp_path):
+        record = struct.pack("<H", 1) + b"\xff" + struct.pack("<B", 0)
+        record += struct.pack("<f", 1.0)
+        path = tmp_path / "x.rwt1"
+        path.write_bytes(b"RWT1" + struct.pack("<I", 1) + record)
+        with pytest.raises(FormatError, match=f"{path}: tensor name is not UTF-8"):
             read_rwt1(path)
 
 

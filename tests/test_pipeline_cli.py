@@ -1,6 +1,8 @@
 """Weight packing, pipeline stages, one-shot runs, and the CLI front end."""
 
 import dataclasses
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -17,6 +19,9 @@ from rvredeem.core import FeaturePointCloud, load_config
 from rvredeem.pointops import bev_flatten, furthest_point_sampling, voxelize
 from rvredeem.rvfe import hdmk_backward, init_basicblock, init_params
 from rvredeem.sgrid import SGridConfig, init_sgrid_params
+from rvredeem.synth import gen_synthetic_scene, parse_synth_spec
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 TOY_CONFIG = """\
 sensor.height = 24
@@ -161,14 +166,14 @@ class TestWeightsPacking:
     def test_sgrid_round_trip_is_lossless(self, tmp_path):
         cfg = SGridConfig(pool_hidden=6, fine_channels=5, coarse_channels=4, head_hidden=8)
         params = init_sgrid_params(11, cfg, point_feature_dim=8)
+        # init quantizes to the f32 grid, so the file holds exactly the
+        # parameters in use; that is why the pool stage never reads it back.
         packed = pipeline.pack_sgrid_weights(params)
         formats.write_rwt1(tmp_path / "s.rwt1", packed)
-        repacked = pipeline.pack_sgrid_weights(
-            pipeline.unpack_sgrid_weights(formats.read_rwt1(tmp_path / "s.rwt1"))
-        )
-        assert sorted(packed) == sorted(repacked)
+        loaded = formats.read_rwt1(tmp_path / "s.rwt1")
+        assert list(loaded) == list(packed)
         for name in packed:
-            np.testing.assert_array_equal(packed[name], repacked[name])
+            np.testing.assert_array_equal(loaded[name], packed[name])
 
 
 class TestStages:
@@ -266,8 +271,7 @@ class TestPipeline:
     def test_benchmark_tracing_wraps_a_run(self, toy, monkeypatch):
         # The benchmark's traced runs replace pipeline names from outside and
         # read VoxelGrid fields; a change that breaks them fails here.
-        perfbench = Path(__file__).resolve().parents[1] / "perfbench"
-        monkeypatch.syspath_prepend(str(perfbench))
+        monkeypatch.syspath_prepend(str(PERFBENCH))
         import tracing
 
         tracer = tracing.Tracer()
@@ -293,6 +297,16 @@ class TestPipeline:
 
     def test_rerun_is_bit_identical(self, toy):
         again = pipeline.run_pipeline(toy.cfg, toy.scene, toy.root / "rerun")
+        assert again["checksums"] == toy.result["checksums"]
+
+    def test_stages_never_read_weight_files(self, toy, monkeypatch):
+        # Weight files are outputs: the stages go on with the parameters
+        # they generated, so a run needs no RWT1 reader at all.
+        def refuse(path):
+            raise AssertionError(f"a stage read {path}")
+
+        monkeypatch.setattr(formats, "read_rwt1", refuse)
+        again = pipeline.run_pipeline(toy.cfg, toy.scene, toy.root / "no_read_back")
         assert again["checksums"] == toy.result["checksums"]
 
     def test_stage_subcommands_compose_bit_identically(self, toy):
@@ -339,9 +353,39 @@ class TestPipeline:
             toy.out / pipeline.ROI_FILE
         ).read_bytes()
 
+    def test_benchmark_bytes_match_recorded(self, tmp_path):
+        # sky-64x512 at seed 0, built as perfbench/run.py builds it, and the
+        # default gradient check: every output the benchmark checks must
+        # equal perfbench/expected.json, so byte drift shows up here first.
+        expected = json.loads((PERFBENCH / "expected.json").read_text(encoding="utf-8"))
+        workloads = PERFBENCH / "workloads"
+        cfg = load_config(workloads / "sky-64x512.cfg")
+        spec = dataclasses.replace(parse_synth_spec(workloads / "sky-64x512.synth"), seed=0)
+        scene = gen_synthetic_scene(spec)
+        points, boxes = tmp_path / "points.bin", tmp_path / "boxes.txt"
+        formats.write_kitti_bin(
+            points, np.concatenate([scene.cloud.xyz, scene.cloud.intensity[:, None]], axis=1)
+        )
+        formats.write_boxes(boxes, scene.boxes)
+        result = pipeline.run_pipeline(cfg, points, tmp_path / "out", boxes_path=boxes)
+        stages = result["stages"]
+        counts = {
+            "points": stages["project"]["points"],
+            "valid_pixels": stages["project"]["valid_pixels"],
+            "boxes": stages["pool"]["boxes"],
+            "kept": stages["fps"]["kept"],
+        }
+        assert counts == expected["sky-64x512"]["counts"]
+        assert result["checksums"] == expected["sky-64x512"]["checksums"]
+
+        ok, reports = pipeline.run_gradcheck()
+        digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
+        assert ok
+        assert digest == expected["gradcheck-6x10"]["checksums"]["reports"]
+
     def test_zero_box_scene_pools_nothing(self, tmp_path):
         # The proposals-512 benchmark sensor over a scene with no boxes.
-        workloads = Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
+        workloads = PERFBENCH / "workloads"
         cfg = load_config(workloads / "proposals-512.cfg")
         scene = tmp_path / "no_boxes.synth"
         scene.write_text(
@@ -486,11 +530,7 @@ class TestCli:
         # comparison actually fails and the exit code reports it.
         def corrupted(feat, params, upstream, wrap_horizontal=True):
             grads = hdmk_backward(feat, params, upstream, wrap_horizontal)
-            return SimpleNamespace(
-                feat=grads.feat + 1.0,
-                branch1=grads.branch1,
-                branch2=grads.branch2,
-            )
+            return SimpleNamespace(feat=grads.feat + 1.0, params=grads.params)
 
         monkeypatch.setattr(pipeline, "hdmk_backward", corrupted)
         assert cli_main(["gradcheck"]) == 1

@@ -7,6 +7,7 @@ import oracles
 from rvredeem.core import FeaturePointCloud
 from rvredeem.pointops import (
     SharedMlp,
+    VoxelGrid,
     ball_query,
     bev_flatten,
     furthest_point_sampling,
@@ -341,6 +342,14 @@ class TestVoxelize:
         assert grid.total_count == 0
         assert grid.voxels.shape == (0, 3)
         assert grid.means.shape == (0, 2)
+
+    def test_shape_follows_geometry_and_bounds_indices(self):
+        # A 2x2x2 geometry has a 2x2x2 grid; no index may lie past it.
+        geometry = ((1.0, 1.0, 1.0), (0.0, 0.0, 0.0), (2.0, 2.0, 2.0))
+        grid = VoxelGrid(*geometry, [[1, 1, 1]], [1], [[0.0]])
+        assert grid.shape == (2, 2, 2)
+        with pytest.raises(ValueError, match=r"outside grid shape \(2, 2, 2\)"):
+            VoxelGrid(*geometry, [[4, 4, 4]], [1], [[0.0]])
 
 
 class TestBevFlatten:

@@ -450,7 +450,7 @@ class TestHdmkBackward:
         img, params, upstream = self.setup_instance()
         grads = hdmk_backward(img, params, np.zeros_like(upstream))
         assert not grads.feat.any()
-        for _, g in flatten_params(grads):
+        for _, g in flatten_params(grads.params):
             assert not g.any()
 
     def test_feature_gradient_matches_finite_differences(self):
@@ -472,7 +472,7 @@ class TestHdmkBackward:
         img, params, upstream = self.setup_instance()
         grads = hdmk_backward(img, params, upstream)
         base = flatten_params(params)
-        grad_map = dict(flatten_params(grads))
+        grad_map = dict(flatten_params(grads.params))
         for label, tensor in base:
             def f(flat, label=label, tensor=tensor):
                 values = [
@@ -494,7 +494,7 @@ class TestHdmkBackward:
         a = hdmk_backward(img, params, upstream)
         b = hdmk_backward(img, params, upstream)
         np.testing.assert_array_equal(a.feat, b.feat)
-        for (_, ga), (_, gb) in zip(flatten_params(a), flatten_params(b)):
+        for (_, ga), (_, gb) in zip(flatten_params(a.params), flatten_params(b.params)):
             np.testing.assert_array_equal(ga, gb)
 
 
