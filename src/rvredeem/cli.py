@@ -18,7 +18,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__, formats, pipeline
-from .core import ConfigError, load_config
+from .core import load_config
 
 
 # Stage subcommand -> (help, --input help); each runs pipeline.stage_<name>
@@ -134,10 +134,7 @@ def main(argv=None) -> int:
             print((Path(args.out) / pipeline.SUMMARY_FILE).read_text(), end="")
         elif args.command == "gradcheck":
             return _cmd_gradcheck(args)
-    except (ConfigError, formats.FormatError, pipeline.PipelineError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, pipeline.PipelineError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

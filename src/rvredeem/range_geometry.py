@@ -37,6 +37,7 @@ from .core import (
     Point,
     RangeImage,
     SensorModel,
+    clamp_intensity,
     points_to_array,
 )
 
@@ -133,10 +134,14 @@ def build_range_image(points, sensor: SensorModel) -> RangeImage:
     Each in-view point lands at (floor(u), floor(v)). When several points
     share a pixel the smallest range wins, ties broken by lowest input index,
     so the result never depends on traversal order. Out-of-view points are
-    skipped and counted in a log line.
+    skipped and counted in a log line. Coordinates and ranges must be finite;
+    intensities follow `clamp_intensity`, checked on every row, kept or not.
     """
     arr = points_to_array(points)
-    arr[:, CH_INTENSITY] = np.clip(arr[:, CH_INTENSITY], 0.0, 1.0)
+    bad = np.flatnonzero(~np.isfinite(np.delete(arr, CH_INTENSITY, axis=1)).all(axis=1))
+    if bad.size:
+        raise ValueError(f"point x, y, z and range must be finite; row {bad[0]} is not")
+    arr[:, CH_INTENSITY] = clamp_intensity(arr[:, CH_INTENSITY], "point intensity")
     h, w = sensor.height, sensor.width
     planes = np.zeros((BASE_CHANNELS, h, w), dtype=np.float64)
     valid = np.zeros((h, w), dtype=bool)

@@ -17,18 +17,19 @@ columns wrap when `wrap_horizontal` is set, matching a full-circle scan.
 A neighbor that is missing or masked invalid contributes an exact zero
 vector, so masked pixels can never influence a valid pixel's output.
 
-Forward passes are sparse and keep no state: every tap gathers neighbours
-by flat index from planes flattened with one zero column appended for
-"outside the image". The convolutions run at valid centres; each
-meta-kernel branch runs on its support, the valid mask dilated by the
-branch's stencil, and holds its accumulator bias elsewhere. Time and memory
-scale with support pixels, not with h * w.
+Forward passes are sparse and keep no state. The conv block runs on one
+(c, n) column per valid pixel; a tap reads a neighbour's column through a
+pixel-to-column map, where invalid and outside neighbours read an appended
+zero column. Each meta-kernel branch gathers by flat index from planes
+flattened with a zero column appended for "outside the image", runs on its
+support (the valid mask dilated by its stencil) and holds its accumulator
+bias elsewhere. Time and memory scale with support pixels, not with h * w.
 
 Results are byte-identical to evaluating every pixel, including the zeros
-at invalid pixels: there the meta kernel outputs the dense value times
-zero, +0 or -0, and RRI1 feature planes keep that sign as part of the byte
-contract. Hence pixels are evaluated in the column blocks a dense BLAS
-product would round them in (`_dense_order`).
+at invalid pixels: the conv block's are +0, and the meta kernel's are the
+dense value times zero, +0 or -0, a sign RRI1 feature planes keep as part
+of the byte contract. Hence pixels are evaluated in the column blocks a
+dense BLAS product would round them in (`_dense_order`).
 
 The meta kernel has an analytic backward pass (coordinates are constants;
 gradients flow to input features and all parameters). It recomputes its
@@ -254,30 +255,17 @@ def _relu(x: np.ndarray) -> np.ndarray:
 # BasicBlock
 # ---------------------------------------------------------------------------
 
-def masked_conv3x3(
-    planes: np.ndarray,
-    valid: np.ndarray,
-    weight: np.ndarray,
-    wrap_horizontal: bool,
-) -> np.ndarray:
-    """3x3 convolution where masked or out-of-image neighbors contribute 0.
+def _conv3x3(cols: np.ndarray, weight: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """3x3 convolution on pixel columns, (c_in, n) to (c_out, n).
 
-    Evaluated at valid centres only; output is zero at invalid ones.
-    Accumulation order over the 9 taps is fixed, so results are
-    deterministic.
+    Tap k of column i reads column index[k, i]; index n reads an appended
+    zero column. Accumulation order over the 9 taps is fixed.
     """
-    c_out = weight.shape[0]
-    h, w = valid.shape
-    masked = _with_outside(planes * valid)
-    valid_flat = valid.reshape(h * w)
-    centres = _dense_order(np.flatnonzero(valid_flat), h * w)
-    index = neighbour_index(h, w, UNIT_OFFSETS, centres, wrap_horizontal)
-    acc = np.zeros((c_out, len(centres)), dtype=np.float64)
+    padded = np.concatenate([cols, np.zeros((cols.shape[0], 1))], axis=1)
+    acc = np.zeros((weight.shape[0], cols.shape[1]), dtype=np.float64)
     for k, (dh, dw) in enumerate(UNIT_OFFSETS):
-        acc += weight[:, :, dh + 1, dw + 1] @ np.take(masked, index[k], axis=1)
-    out = np.zeros((c_out, h * w), dtype=np.float64)
-    out[:, centres] = acc * valid_flat[centres]
-    return out.reshape(c_out, h, w)
+        acc += weight[:, :, dh + 1, dw + 1] @ np.take(padded, index[k], axis=1)
+    return acc
 
 
 def basicblock_forward(
@@ -285,8 +273,8 @@ def basicblock_forward(
 ) -> RangeImage:
     """Residual conv unit over the five raw planes.
 
-    out = relu(norm2(conv2(relu(norm1(conv1(x))))) + proj(x)), computed at
-    valid pixels; the validity mask passes through unchanged.
+    out = relu(norm2(conv2(relu(norm1(conv1(x))))) + proj(x)), computed on
+    valid-pixel columns and scattered once; the validity mask passes through.
     """
     if img.plane_count != BASE_CHANNELS:
         raise ValueError(
@@ -296,21 +284,22 @@ def basicblock_forward(
         raise ValueError(
             f"params expect {params.c_in} input planes, image has {BASE_CHANNELS}"
         )
-    x = img.channels
-    valid = img.valid
-    t = masked_conv3x3(x, valid, params.conv1, wrap_horizontal)
-    t = _relu(t * params.scale1[:, None, None] + params.shift1[:, None, None] * valid)
-    t = masked_conv3x3(t, valid, params.conv2, wrap_horizontal)
-    t = t * params.scale2[:, None, None] + params.shift2[:, None, None] * valid
-    if params.proj is None:
-        res = x * valid
-    else:
-        h, w = valid.shape
-        res = (params.proj @ (x * valid).reshape(x.shape[0], h * w)).reshape(
-            params.c_out, h, w
-        )
-    out = _relu(t + res) * valid
-    return img.with_features(out)
+    h, w = img.valid.shape
+    valid = img.valid.reshape(h * w)
+    centres = _dense_order(np.flatnonzero(valid), h * w)
+    # Each valid pixel's column; invalid and outside pixels read zero column n.
+    kept = np.flatnonzero(valid[centres])
+    column = np.full(h * w + 1, len(centres))
+    column[centres[kept]] = kept
+    index = column[neighbour_index(h, w, UNIT_OFFSETS, centres, wrap_horizontal)]
+    x = np.take(img.channels.reshape(BASE_CHANNELS, h * w), centres, axis=1)
+    t = _conv3x3(x, params.conv1, index)
+    t = _relu(t * params.scale1[:, None] + params.shift1[:, None])
+    t = _conv3x3(t, params.conv2, index) * params.scale2[:, None] + params.shift2[:, None]
+    res = x if params.proj is None else params.proj @ x
+    out = np.zeros((params.c_out, h * w), dtype=np.float64)
+    out[:, centres] = _relu(t + res)  # `with_features` zeroes invalid pixels
+    return img.with_features(out.reshape(params.c_out, h, w))
 
 
 # ---------------------------------------------------------------------------
@@ -464,15 +453,12 @@ def hdmk_backward(
     centre_xyz = coords_ext[:, :-1]
     c_half = params.c_out // 2
 
-    d_feat = np.zeros((c_in, n_px), dtype=np.float64)
+    d_feat = np.zeros((c_in, n_px + 1), dtype=np.float64)  # last: outside
     branch_grads = []
     for b, (branch, offsets) in enumerate(
         zip((params.branch1, params.branch2), _BRANCH_OFFSETS)
     ):
         index = neighbour_index(h, w, offsets, centres, wrap_horizontal)
-        # Where each pixel's feature gradient comes from: the centre that
-        # sees it as its neighbour.
-        source = neighbour_index(h, w, _reflected(offsets), centres, wrap_horizontal)
         taps = [
             _tap(branch, feats_ext, coords_ext, valid_ext, centre_xyz, index[k])
             for k in range(len(offsets))
@@ -489,9 +475,10 @@ def hdmk_backward(
         d_b2 = np.zeros_like(branch.b2)
         for k, (neigh_feat, neigh_valid, delta, pre, hid, gate, _) in enumerate(taps):
             d_weighted = d_chunks[k * c_in : (k + 1) * c_in] * neigh_valid
-            # Feature gradient scatters back to where the neighbor lives.
-            d_neigh = _with_outside((d_weighted * gate).reshape(c_in, h, w))
-            d_feat += d_neigh[:, source[k]]
+            # Feature gradient scatters back to where the neighbor lives. An
+            # offset sends distinct centres to distinct pixels, so only the
+            # outside column sees repeated indices.
+            d_feat[:, index[k]] += d_weighted * gate
             # Gate gradient stays at the center pixel.
             d_gate = d_weighted * neigh_feat
             d_w2 += d_gate @ hid.T
@@ -501,7 +488,7 @@ def hdmk_backward(
             d_b1 += np.sum(d_pre, axis=1)
         branch_grads.append(BranchParams(d_w1, d_b1, d_w2, d_b2, d_w_acc, d_b_acc))
     return HdMetaKernelGrads(
-        d_feat.reshape(c_in, h, w), HdMetaKernelParams(*branch_grads)
+        d_feat[:, :-1].reshape(c_in, h, w), HdMetaKernelParams(*branch_grads)
     )
 
 

@@ -189,6 +189,36 @@ class TestBuildRangeImage:
         assert img.channels[3, 32, 256] == 1.0
         np.testing.assert_array_equal(pts, [[5.0, 0.0, 0.0, 1.5, 5.0]])
 
+    @pytest.mark.parametrize(
+        "pts",
+        [
+            [[np.nan, 0.0, 0.0, 0.5], [10.0, 0.0, 0.0, 0.5]],
+            [[5.0, np.inf, 0.0]],
+            [[5.0, 0.0, -np.inf, 0.5]],
+            [[5.0, 0.0, 0.0, 0.5, np.nan]],
+        ],
+    )
+    def test_rejects_nonfinite_coordinates(self, pts):
+        with pytest.raises(ValueError, match="must be finite; row 0 is not"):
+            build_range_image(np.array(pts), SENSOR)
+
+    @pytest.mark.parametrize(
+        "pts",
+        [
+            [[0.0, 0.0, 5.0, np.nan]],  # out of view
+            [[5.0, 0.0, 0.0, 0.5], [7.0, 0.0, 0.0, np.inf]],  # loses its pixel
+        ],
+    )
+    def test_rejects_nonfinite_intensity_of_dropped_points(self, pts):
+        with pytest.raises(ValueError, match="point intensity must be finite"):
+            build_range_image(np.array(pts), SENSOR)
+
+    def test_clamps_intensity_with_a_warning(self, caplog):
+        with caplog.at_level("WARNING"):
+            img = build_range_image(np.array([[5.0, 0.0, 0.0, 7.0]]), SENSOR)
+        assert img.channels[3, 32, 256] == 1.0
+        assert "point intensity: clamped 1 value(s)" in caplog.text
+
     def test_stored_point_within_quantization_bound(self):
         rng = np.random.default_rng(17)
         pts = rng.uniform(-30, 30, size=(500, 3))

@@ -19,7 +19,6 @@ from rvredeem.rvfe import (
     hdmk_forward_planes,
     init_basicblock,
     init_params,
-    masked_conv3x3,
     neighbour_index,
 )
 
@@ -169,17 +168,22 @@ class TestBasicBlock:
         with pytest.raises(ValueError):
             basicblock_forward(img, params)
 
-    def test_conv_ignores_values_at_invalid_pixels(self):
-        rng = np.random.default_rng(7)
-        h, w = 6, 8
-        valid = rng.random((h, w)) < 0.6
-        planes = rng.normal(size=(3, h, w))
-        weight = rng.normal(size=(2, 3, 3, 3))
-        base = masked_conv3x3(planes, valid, weight, wrap_horizontal=True)
-        junk = planes.copy()
-        junk[:, ~valid] = 1e6
-        poisoned = masked_conv3x3(junk, valid, weight, wrap_horizontal=True)
-        np.testing.assert_array_equal(base, poisoned)
+    @pytest.mark.parametrize("c_out", [5, 6])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_signed_zeros_at_invalid_pixels_give_same_bytes(self, seed, c_out):
+        # Invalid pixels may hold -0.0 as well as +0.0; neither may reach
+        # the output, through the convolutions or the residual.
+        rng = np.random.default_rng([7, seed, c_out])
+        img = util.random_image(rng, 6, 8, density=0.6)
+        params = util.random_basicblock_params(rng, c_out=c_out)
+        outs = [
+            basicblock_forward(
+                RangeImage(img.sensor, np.where(img.valid, img.channels, zero), img.valid),
+                params,
+            ).feature_planes.tobytes()
+            for zero in (0.0, -0.0)
+        ]
+        assert outs[0] == outs[1]
 
 
 def branch_oracle(img, branch, dilation, wrap):
@@ -397,6 +401,29 @@ class TestForwardMemory:
             tracemalloc.stop()
         assert out.nbytes == out_bytes
         assert peak < 3 * out_bytes
+
+    def test_basic_block_peak_scales_with_valid_pixels(self):
+        # The same scan through the conv block. Every step runs on the 500
+        # valid columns; what remains is the output scatter and the 37-plane
+        # image built from it. Running the affine, ReLU and residual steps
+        # over full planes held 5.6 times the output image's bytes.
+        h, w = 64, 2048
+        rng = np.random.default_rng(23)
+        valid = np.zeros(h * w, dtype=bool)
+        valid[rng.choice(h * w, 500, replace=False)] = True
+        valid = valid.reshape(h, w)
+        img = util.random_image(rng, h, w, density=1.0)
+        img = RangeImage(img.sensor, img.channels * valid, valid)
+        block = init_basicblock(0, 32)
+        out_bytes = 8 * (5 + block.c_out) * h * w
+        tracemalloc.start()
+        try:
+            out = basicblock_forward(img, block)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.channels.nbytes == out_bytes
+        assert peak < 4.5 * out_bytes
 
 
 def flatten_params(params):
