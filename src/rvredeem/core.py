@@ -210,8 +210,9 @@ class RangeImage:
         h, w = self.sensor.height, self.sensor.width
         if feats.ndim != 3 or feats.shape[1:] != (h, w):
             raise ValueError(f"feature planes must be (F, {h}, {w}), got {feats.shape}")
-        feats = feats * self.valid
-        stacked = np.concatenate([self.channels[:BASE_CHANNELS], feats], axis=0)
+        stacked = np.empty((BASE_CHANNELS + feats.shape[0], h, w))
+        stacked[:BASE_CHANNELS] = self.channels[:BASE_CHANNELS]
+        np.multiply(feats, self.valid, out=stacked[BASE_CHANNELS:])
         return RangeImage(self.sensor, stacked, self.valid)
 
 

@@ -492,12 +492,14 @@ def run_gradcheck(
 
     coords = img.channels[:3]
     valid = img.valid
-    tensors = {"feat": img.feature_planes.copy()}
+    feat = img.feature_planes.copy()
+    tensors = {"feat": feat}
     tensors.update({name: value.copy() for name, value in params.tensors().items()})
 
-    def loss(active: dict[str, np.ndarray]) -> float:
-        rebuilt = HdMetaKernelParams.from_tensors(active.__getitem__)
-        out = hdmk_forward_planes(active["feat"] * valid, coords, valid, rebuilt)
+    def loss(name: str) -> float:
+        """The loss with `tensors[name]` in place of its unperturbed value."""
+        active = params if name == "feat" else params.with_tensor(name, tensors[name])
+        out = hdmk_forward_planes(feat * valid, coords, valid, active)
         return float(np.sum(upstream * out))
 
     grads = hdmk_backward(img, params, upstream)
@@ -511,9 +513,9 @@ def run_gradcheck(
         for index in np.ndindex(tensor.shape):
             saved = tensor[index]
             tensor[index] = saved + GRADCHECK_STEP
-            high = loss(tensors)
+            high = loss(name)
             tensor[index] = saved - GRADCHECK_STEP
-            low = loss(tensors)
+            low = loss(name)
             tensor[index] = saved
             fd = (high - low) / (2.0 * GRADCHECK_STEP)
             a = float(analytic[name][index])

@@ -21,15 +21,19 @@ Forward passes are sparse and keep no state. The conv block runs on one
 (c, n) column per valid pixel; a tap reads a neighbour's column through a
 pixel-to-column map, where invalid and outside neighbours read an appended
 zero column. Each meta-kernel branch gathers by flat index from planes
-flattened with a zero column appended for "outside the image", runs on its
-support (the valid mask dilated by its stencil) and holds its accumulator
-bias elsewhere. Time and memory scale with support pixels, not with h * w.
+flattened with a zero column appended for "outside the image" (features
+zeroed at invalid pixels in that copy), runs on its support (the valid mask
+dilated by its stencil) and holds its accumulator bias elsewhere. The
+support is walked in blocks of _COLUMN_BLOCK centres through buffers
+allocated once per branch, so time scales with support pixels and the
+working set beyond inputs and output is fixed, not a multiple of h * w.
 
 Results are byte-identical to evaluating every pixel, including the zeros
 at invalid pixels: the conv block's are +0, and the meta kernel's are the
 dense value times zero, +0 or -0, a sign RRI1 feature planes keep as part
-of the byte contract. Hence pixels are evaluated in the column blocks a
-dense BLAS product would round them in (`_dense_order`).
+of the byte contract. Hence pixels are evaluated in the 8-column blocks a
+dense BLAS product would round them in (`_dense_order`), and a partial
+tail ends a meta-kernel block behind a whole one (`_column_blocks`).
 
 The meta kernel has an analytic backward pass (coordinates are constants;
 gradients flow to input features and all parameters). It recomputes its
@@ -44,7 +48,7 @@ the parameters in use and no stage needs to read it back.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -94,9 +98,9 @@ class BranchParams:
 class HdMetaKernelParams:
     """Parameters of both branches; the branch outputs concatenate to c_out.
 
-    `tensors()` and `from_tensors` are the one map between these parameters
-    and tensor names ("branch1.w1" ... "branch2.b_acc"), shared by weight
-    files, gradients and the gradient check.
+    `tensors()`, `from_tensors` and `with_tensor` are the one map between
+    these parameters and tensor names ("branch1.w1" ... "branch2.b_acc"),
+    shared by weight files, gradients and the gradient check.
     """
 
     branch1: BranchParams
@@ -123,6 +127,11 @@ class HdMetaKernelParams:
             BranchParams(*(get(f"{b.name}.{t.name}") for t in fields(BranchParams)))
             for b in fields(cls)
         ))
+
+    def with_tensor(self, name: str, value) -> HdMetaKernelParams:
+        """A copy with tensor `name` replaced; only its branch is rebuilt."""
+        branch, tensor = name.split(".")
+        return replace(self, **{branch: replace(getattr(self, branch), **{tensor: value})})
 
     @property
     def c_in(self) -> int:
@@ -317,6 +326,17 @@ def _check_hdmk_input(feat: RangeImage, params: HdMetaKernelParams):
         raise ValueError(f"params expect c_in={params.c_in}, image has {d_f} feature planes")
 
 
+def _tap_buffers(c_in: int, c_mid: int, n: int) -> tuple[np.ndarray, ...]:
+    """Uninitialised outputs of one `_tap` call at n centres."""
+    return (
+        np.empty((c_in, n)),
+        np.empty(n, dtype=bool),
+        np.empty((3, n)),
+        np.empty((c_mid, n)),
+        np.empty((c_in, n)),
+    )
+
+
 def _tap(
     branch: BranchParams,
     feats: np.ndarray,
@@ -324,23 +344,53 @@ def _tap(
     valid: np.ndarray,
     centre_xyz: np.ndarray,
     index: np.ndarray,
-):
-    """One offset of a branch at a set of centres.
+    bufs: tuple[np.ndarray, ...],
+    weighted: np.ndarray,
+) -> None:
+    """One offset of a branch at a set of centres, written in place.
 
     `feats`, `coords` and `valid` are flattened with the zero column
-    appended (`_with_outside`); `index` holds each centre's neighbour and
-    `centre_xyz` its (3, m) coordinates. Returns the neighbour features and
-    validity, the coordinate deltas, the perceptron's pre-activations,
-    hidden activations and gates, and the weighted (c_in, m) chunk.
+    appended (`_with_outside`), and `feats` is zero at invalid pixels;
+    `index` holds each centre's neighbour and `centre_xyz` its (3, m)
+    coordinates. Fills `bufs` (from `_tap_buffers`) with the neighbour
+    features and validity, the coordinate deltas, the perceptron's hidden
+    activations and its gates, and `weighted` with the (c_in, m) chunk.
+    Zeroed features make the chunk gate * feature * validity to the bit:
+    at an invalid neighbour both are a zero of the same sign.
     """
-    neigh_feat = np.take(feats, index, axis=1)
-    neigh_valid = valid[index]
-    delta = (np.take(coords, index, axis=1) - centre_xyz) * neigh_valid
-    pre = branch.w1 @ delta + branch.b1[:, None]
-    hid = _relu(pre)
-    gate = branch.w2 @ hid + branch.b2[:, None]
-    weighted = gate * neigh_feat * neigh_valid
-    return neigh_feat, neigh_valid, delta, pre, hid, gate, weighted
+    neigh_feat, neigh_valid, delta, hid, gate = bufs
+    # Every index is in range; "clip" keeps `take` from buffering `out`.
+    feats.take(index, axis=1, out=neigh_feat, mode="clip")
+    valid.take(index, out=neigh_valid, mode="clip")
+    coords.take(index, axis=1, out=delta, mode="clip")
+    delta -= centre_xyz
+    delta *= neigh_valid
+    np.matmul(branch.w1, delta, out=hid)
+    hid += branch.b1[:, None]
+    np.maximum(hid, 0.0, out=hid)
+    np.matmul(branch.w2, hid, out=gate)
+    gate += branch.b2[:, None]
+    np.multiply(gate, neigh_feat, out=weighted)
+
+
+# Centres per meta-kernel block: a multiple of _GEMM_BLOCK, so that every
+# block but the last holds whole BLAS blocks.
+_COLUMN_BLOCK = 4096
+
+
+def _column_blocks(n: int) -> list[tuple[int, int]]:
+    """(start, stop) of the column blocks an n-column product is split into.
+
+    Blocks hold _COLUMN_BLOCK columns. When the last would hold only a
+    partial tail of n % _GEMM_BLOCK columns, it starts one BLAS block
+    earlier, so that the tail rounds behind a whole block as in
+    `_dense_order`.
+    """
+    starts = list(range(0, n, _COLUMN_BLOCK))
+    if len(starts) > 1 and n - starts[-1] < _GEMM_BLOCK:
+        starts[-1] -= _GEMM_BLOCK
+    blocks = zip(starts, starts[1:] + [n])
+    return [(start, stop) for start, stop in blocks if start < stop]
 
 
 def hdmk_forward_planes(
@@ -358,7 +408,8 @@ def hdmk_forward_planes(
     Each branch is evaluated only on its support, the centres with at least
     one valid neighbour. Everywhere else all nine weighted chunks are zero,
     so the branch output is exactly its accumulator bias, and the final
-    masking turns that into a zero carrying the bias's sign.
+    masking turns that into a zero carrying the bias's sign. The support is
+    walked in column blocks (`_column_blocks`) through one set of buffers.
     """
     h, w = valid.shape
     if feats.ndim != 3 or feats.shape[1:] != (h, w):
@@ -368,6 +419,7 @@ def hdmk_forward_planes(
     c_in = feats.shape[0]
     c_half = params.c_out // 2
     feats_ext = _with_outside(feats)
+    feats_ext[:, :-1] *= valid.reshape(h * w)
     coords_ext = _with_outside(coords)
     valid_ext = _with_outside(valid)
     valid_idx = np.flatnonzero(valid_ext)
@@ -380,17 +432,29 @@ def hdmk_forward_planes(
         reach = np.zeros(h * w + 1, dtype=bool)
         reach[neighbour_index(h, w, _reflected(offsets), valid_idx, wrap_horizontal)] = True
         centres = _dense_order(np.flatnonzero(reach[:-1]), h * w)
-        index = neighbour_index(h, w, offsets, centres, wrap_horizontal)
-        centre_xyz = np.take(coords_ext, centres, axis=1)
-        chunks = np.empty((9 * c_in, len(centres)), dtype=np.float64)
-        for k in range(len(offsets)):
-            chunks[k * c_in : (k + 1) * c_in] = _tap(
-                branch, feats_ext, coords_ext, valid_ext, centre_xyz, index[k]
-            )[-1]
         half = full[b * c_half : (b + 1) * c_half]
         # The product of all-zero chunks is +0, hence the added 0.0.
         half[:] = branch.b_acc[:, None] + 0.0
-        half[:, centres] = branch.w_acc @ chunks + branch.b_acc[:, None]
+        blocks = _column_blocks(len(centres))
+        width = max((stop - start for start, stop in blocks), default=0)
+        bufs = _tap_buffers(c_in, params.c_mid, width)
+        centre_xyz = np.empty((3, width))
+        chunks = np.empty((9 * c_in, width))
+        acc = np.empty((c_half, width))
+        for start, stop in blocks:
+            n = stop - start
+            block = centres[start:stop]
+            index = neighbour_index(h, w, offsets, block, wrap_horizontal)
+            coords_ext.take(block, axis=1, out=centre_xyz[:, :n], mode="clip")
+            views = tuple(buf[..., :n] for buf in bufs)
+            for k in range(len(offsets)):
+                _tap(
+                    branch, feats_ext, coords_ext, valid_ext, centre_xyz[:, :n], index[k],
+                    views, chunks[k * c_in : (k + 1) * c_in, :n],
+                )
+            np.matmul(branch.w_acc, chunks[:, :n], out=acc[:, :n])
+            acc[:, :n] += branch.b_acc[:, None]
+            half[:, block] = acc[:, :n]
     full *= valid_ext[:-1]
     return full.reshape(params.c_out, h, w)
 
@@ -458,12 +522,16 @@ def hdmk_backward(
     for b, (branch, offsets) in enumerate(
         zip((params.branch1, params.branch2), _BRANCH_OFFSETS)
     ):
+        # The image keeps its features zero at invalid pixels, as `_tap`
+        # needs; each tap keeps its own buffers for the backward sweep.
         index = neighbour_index(h, w, offsets, centres, wrap_horizontal)
-        taps = [
-            _tap(branch, feats_ext, coords_ext, valid_ext, centre_xyz, index[k])
-            for k in range(len(offsets))
-        ]
-        chunks = np.concatenate([tap[-1] for tap in taps])
+        chunks = np.empty((9 * c_in, n_px), dtype=np.float64)
+        taps = [_tap_buffers(c_in, params.c_mid, n_px) for _ in offsets]
+        for k, bufs in enumerate(taps):
+            _tap(
+                branch, feats_ext, coords_ext, valid_ext, centre_xyz, index[k],
+                bufs, chunks[k * c_in : (k + 1) * c_in],
+            )
         g_out = grad[b * c_half : (b + 1) * c_half]
         d_w_acc = g_out @ chunks.T
         d_b_acc = np.sum(g_out, axis=1)
@@ -473,7 +541,7 @@ def hdmk_backward(
         d_b1 = np.zeros_like(branch.b1)
         d_w2 = np.zeros_like(branch.w2)
         d_b2 = np.zeros_like(branch.b2)
-        for k, (neigh_feat, neigh_valid, delta, pre, hid, gate, _) in enumerate(taps):
+        for k, (neigh_feat, neigh_valid, delta, hid, gate) in enumerate(taps):
             d_weighted = d_chunks[k * c_in : (k + 1) * c_in] * neigh_valid
             # Feature gradient scatters back to where the neighbor lives. An
             # offset sends distinct centres to distinct pixels, so only the
@@ -483,7 +551,8 @@ def hdmk_backward(
             d_gate = d_weighted * neigh_feat
             d_w2 += d_gate @ hid.T
             d_b2 += np.sum(d_gate, axis=1)
-            d_pre = (branch.w2.T @ d_gate) * (pre > 0.0)
+            # hid > 0 exactly where the pre-activation is.
+            d_pre = (branch.w2.T @ d_gate) * (hid > 0.0)
             d_w1 += d_pre @ delta.T
             d_b1 += np.sum(d_pre, axis=1)
         branch_grads.append(BranchParams(d_w1, d_b1, d_w2, d_b2, d_w_acc, d_b_acc))

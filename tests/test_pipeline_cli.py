@@ -23,6 +23,22 @@ from rvredeem.synth import gen_synthetic_scene, parse_synth_spec
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
+
+def benchmark_inputs(name, tmp_path):
+    """A benchmark workload's config, points and boxes at seed 0, as
+    perfbench/run.py builds them."""
+    workloads = PERFBENCH / "workloads"
+    cfg = load_config(workloads / f"{name}.cfg")
+    spec = dataclasses.replace(parse_synth_spec(workloads / f"{name}.synth"), seed=0)
+    scene = gen_synthetic_scene(spec)
+    points, boxes = tmp_path / "points.bin", tmp_path / "boxes.txt"
+    formats.write_kitti_bin(
+        points, np.concatenate([scene.cloud.xyz, scene.cloud.intensity[:, None]], axis=1)
+    )
+    formats.write_boxes(boxes, scene.boxes)
+    return cfg, points, boxes
+
+
 TOY_CONFIG = """\
 sensor.height = 24
 sensor.width = 96
@@ -358,15 +374,7 @@ class TestPipeline:
         # default gradient check: every output the benchmark checks must
         # equal perfbench/expected.json, so byte drift shows up here first.
         expected = json.loads((PERFBENCH / "expected.json").read_text(encoding="utf-8"))
-        workloads = PERFBENCH / "workloads"
-        cfg = load_config(workloads / "sky-64x512.cfg")
-        spec = dataclasses.replace(parse_synth_spec(workloads / "sky-64x512.synth"), seed=0)
-        scene = gen_synthetic_scene(spec)
-        points, boxes = tmp_path / "points.bin", tmp_path / "boxes.txt"
-        formats.write_kitti_bin(
-            points, np.concatenate([scene.cloud.xyz, scene.cloud.intensity[:, None]], axis=1)
-        )
-        formats.write_boxes(boxes, scene.boxes)
+        cfg, points, boxes = benchmark_inputs("sky-64x512", tmp_path)
         result = pipeline.run_pipeline(cfg, points, tmp_path / "out", boxes_path=boxes)
         stages = result["stages"]
         counts = {
@@ -382,6 +390,29 @@ class TestPipeline:
         digest = hashlib.sha256(json.dumps(reports, sort_keys=True).encode()).hexdigest()
         assert ok
         assert digest == expected["gradcheck-6x10"]["checksums"]["reports"]
+
+    def test_multi_block_redeem_matches_recorded(self, tmp_path):
+        # proposals-512 at seed 0 up to the feature cloud: each meta-kernel
+        # branch covers some 20,000 centres, five column blocks.
+        expected = json.loads((PERFBENCH / "expected.json").read_text(encoding="utf-8"))
+        cfg, points, _ = benchmark_inputs("proposals-512", tmp_path)
+        out = tmp_path / "out"
+        pipeline.stage_project(cfg, points, out)
+        pipeline.stage_redeem(cfg, out / pipeline.RANGE_FILE, out)
+        written = {
+            name: formats.sha256_file(out / name)
+            for name in pipeline.ARTIFACT_ORDER
+            if (out / name).exists()
+        }
+        assert list(written) == [
+            pipeline.RANGE_FILE,
+            pipeline.WEIGHTS_FILE,
+            pipeline.BLOCK_FILE,
+            pipeline.FEATURES_FILE,
+            pipeline.CLOUD_FILE,
+        ]
+        recorded = expected["proposals-512"]["checksums"]
+        assert written == {name: recorded[name] for name in written}
 
     def test_zero_box_scene_pools_nothing(self, tmp_path):
         # The proposals-512 benchmark sensor over a scene with no boxes.

@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 import util
+from rvredeem import rvfe
 from rvredeem.core import RangeImage
 from rvredeem.rvfe import (
     DILATED_OFFSETS,
@@ -258,6 +259,21 @@ class TestHdmkForward:
         poisoned = hdmk_forward_planes(feats_junk, coords_junk, valid, params)
         np.testing.assert_array_equal(base, poisoned)
 
+    def test_caller_arrays_stay_unmodified(self):
+        # Invalid pixels are zeroed in the kernel's own copy of the features,
+        # never in the arrays the caller passed.
+        rng = np.random.default_rng(24)
+        h, w = 8, 16
+        valid = rng.random((h, w)) < 0.6
+        feats = rng.normal(size=(4, h, w))
+        coords = rng.uniform(-5, 5, size=(3, h, w))
+        feats[:, ~valid] = 7e5
+        coords[:, ~valid] = -3e6
+        inputs = (feats, coords, valid)
+        before = [arr.tobytes() for arr in inputs]
+        hdmk_forward_planes(feats, coords, valid, util.random_hdmk_params(rng, c_in=4))
+        assert [arr.tobytes() for arr in inputs] == before
+
     def test_locality_radius_two(self):
         rng = np.random.default_rng(14)
         h, w = 8, 16
@@ -308,6 +324,9 @@ def dense_block_planes(img, params, wrap):
     ).feature_planes
 
 
+PIPELINE_SHAPES = [(16, 60), (5, 13), (6, 11), (9, 13)]
+
+
 class TestDenseByteIdentity:
     """Sparse evaluation against the dense formula, byte for byte.
 
@@ -339,7 +358,7 @@ class TestDenseByteIdentity:
 
     # Pipeline widths; pixel counts leave 0, 1, 2 and 5 pixels past the last
     # whole block of 8 columns, where BLAS kernels round differently.
-    @pytest.mark.parametrize("shape", [(16, 60), (5, 13), (6, 11), (9, 13)])
+    @pytest.mark.parametrize("shape", PIPELINE_SHAPES)
     def test_pipeline_widths(self, shape):
         rng = np.random.default_rng(list(shape))
         img = masked_image(rng, shape, 0.15, n_feat=0)
@@ -348,6 +367,32 @@ class TestDenseByteIdentity:
         assert out.feature_planes.tobytes() == dense_block_planes(img, block, True).tobytes()
         params = init_params(0, (32, 32, 64))
         args = (out.feature_planes, img.channels[:3], img.valid, params, True)
+        assert (
+            hdmk_forward_planes(*args).tobytes()
+            == oracles.dense_hdmk_forward_planes(*args).tobytes()
+        )
+
+    # Blocks of 8 or 16 centres split even these supports, so products start
+    # mid-support, and a lone partial tail moves into the last block.
+    @pytest.mark.parametrize("width", [8, 16])
+    @pytest.mark.parametrize("wrap", [True, False])
+    @pytest.mark.parametrize("mask", MASKS)
+    @pytest.mark.parametrize("shape", TINY_SHAPES)
+    def test_meta_kernel_in_column_blocks(self, shape, mask, wrap, width, monkeypatch):
+        monkeypatch.setattr(rvfe, "_COLUMN_BLOCK", width)
+        self.test_meta_kernel(shape, mask, wrap)
+
+    # With every pixel valid, the 65, 66 and 117 centres of the last three
+    # shapes leave only a partial tail past the last whole 16-column block.
+    @pytest.mark.parametrize("width", [8, 16])
+    @pytest.mark.parametrize("mask", [0.15, "all"])
+    @pytest.mark.parametrize("shape", PIPELINE_SHAPES)
+    def test_pipeline_widths_in_column_blocks(self, shape, mask, width, monkeypatch):
+        monkeypatch.setattr(rvfe, "_COLUMN_BLOCK", width)
+        rng = np.random.default_rng([*shape, width])
+        img = masked_image(rng, shape, mask, n_feat=32)
+        params = init_params(0, (32, 32, 64))
+        args = (img.feature_planes, img.channels[:3], img.valid, params, True)
         assert (
             hdmk_forward_planes(*args).tobytes()
             == oracles.dense_hdmk_forward_planes(*args).tobytes()
@@ -379,27 +424,41 @@ class TestDenseByteIdentity:
         assert signs.any() and not signs.all()
 
 
+def hdmk_peak_on_a_scan(seed, n_valid):
+    """(tracemalloc peak, output bytes) of the meta kernel on a 64x2048
+    image with n_valid valid pixels at random places."""
+    h, w = 64, 2048
+    rng = np.random.default_rng(seed)
+    valid = np.zeros(h * w, dtype=bool)
+    valid[rng.choice(h * w, n_valid, replace=False)] = True
+    valid = valid.reshape(h, w)
+    feats = rng.normal(size=(32, h, w)) * valid
+    coords = rng.uniform(-50.0, 50.0, size=(3, h, w)) * valid
+    params = init_params(0, (32, 32, 64))
+    tracemalloc.start()
+    try:
+        out = hdmk_forward_planes(feats, coords, valid, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.nbytes == 8 * params.c_out * h * w
+    return peak, out.nbytes
+
+
 class TestForwardMemory:
     def test_peak_scales_with_valid_pixels(self):
         # A 64x2048 scan with 500 valid pixels. The dense evaluation held
         # about 23 times the output's bytes; the support-only one holds the
         # flattened inputs and the output, under twice the output's bytes.
-        h, w = 64, 2048
-        rng = np.random.default_rng(21)
-        valid = np.zeros(h * w, dtype=bool)
-        valid[rng.choice(h * w, 500, replace=False)] = True
-        valid = valid.reshape(h, w)
-        feats = rng.normal(size=(32, h, w)) * valid
-        coords = rng.uniform(-50.0, 50.0, size=(3, h, w)) * valid
-        params = init_params(0, (32, 32, 64))
-        out_bytes = 8 * params.c_out * h * w
-        tracemalloc.start()
-        try:
-            out = hdmk_forward_planes(feats, coords, valid, params)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert out.nbytes == out_bytes
+        peak, out_bytes = hdmk_peak_on_a_scan(21, 500)
+        assert peak < 3 * out_bytes
+
+    def test_peak_at_scan_density(self):
+        # The scan workload's count of valid pixels, scattered so that each
+        # branch's support is nearly the whole image. The column blocks hold
+        # a fixed working set; one chunk matrix over the support held about
+        # ten times the output's bytes.
+        peak, out_bytes = hdmk_peak_on_a_scan(25, 35_863)
         assert peak < 3 * out_bytes
 
     def test_basic_block_peak_scales_with_valid_pixels(self):
@@ -424,6 +483,29 @@ class TestForwardMemory:
             tracemalloc.stop()
         assert out.channels.nbytes == out_bytes
         assert peak < 4.5 * out_bytes
+
+
+class TestColumnBlocks:
+    @pytest.mark.parametrize("width", [16, 4096])
+    def test_blocks_tile_the_columns_within_the_width(self, width, monkeypatch):
+        monkeypatch.setattr(rvfe, "_COLUMN_BLOCK", width)
+        near_edges = [k * width + r for k in (1, 2, 3) for r in range(-9, 18)]
+        for n in [*range(40), *near_edges]:
+            blocks = rvfe._column_blocks(n)
+            edges = [start for start, _ in blocks] + [n]
+            assert edges[0] == 0 and blocks == list(zip(edges, edges[1:]))
+            assert all(0 < stop - start <= width for start, stop in blocks)
+            # Only the last block may end in a partial BLAS block, and then
+            # behind a whole one unless it is the only block.
+            assert all((stop - start) % 8 == 0 for start, stop in blocks[:-1])
+            if len(blocks) > 1:
+                assert blocks[-1][1] - blocks[-1][0] >= 8
+
+    def test_a_lone_tail_moves_into_the_last_block(self, monkeypatch):
+        monkeypatch.setattr(rvfe, "_COLUMN_BLOCK", 16)
+        assert rvfe._column_blocks(65) == [(0, 16), (16, 32), (32, 48), (48, 56), (56, 65)]
+        monkeypatch.setattr(rvfe, "_COLUMN_BLOCK", 8)
+        assert rvfe._column_blocks(12) == [(0, 12)]
 
 
 def flatten_params(params):
