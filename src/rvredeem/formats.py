@@ -40,10 +40,6 @@ class FormatError(ValueError):
     """Raised when a binary artifact violates its format contract."""
 
 
-def _read_bytes(path) -> bytes:
-    return Path(path).read_bytes()
-
-
 def _check_magic(data: bytes, magic: bytes, path):
     if len(data) < 4 or data[:4] != magic:
         raise FormatError(f"{path}: missing {magic.decode()} magic")
@@ -71,7 +67,7 @@ def write_rri1(path, img: RangeImage) -> None:
 
 
 def read_rri1(path, sensor: SensorModel) -> RangeImage:
-    data = _read_bytes(path)
+    data = Path(path).read_bytes()
     _check_magic(data, b"RRI1", path)
     head, offset = _take(data, 4, 12, path)
     h, w, planes = struct.unpack("<III", head)
@@ -110,7 +106,7 @@ def write_rfp1(path, cloud: FeaturePointCloud) -> None:
 
 
 def read_rfp1(path) -> FeaturePointCloud:
-    data = _read_bytes(path)
+    data = Path(path).read_bytes()
     _check_magic(data, b"RFP1", path)
     head, offset = _take(data, 4, 8, path)
     n, d_f = struct.unpack("<II", head)
@@ -144,7 +140,7 @@ def write_rwt1(path, tensors: dict[str, np.ndarray]) -> None:
 
 
 def read_rwt1(path) -> dict[str, np.ndarray]:
-    data = _read_bytes(path)
+    data = Path(path).read_bytes()
     _check_magic(data, b"RWT1", path)
     head, offset = _take(data, 4, 4, path)
     (count,) = struct.unpack("<I", head)
@@ -185,7 +181,7 @@ def write_rrf1(path, vectors: np.ndarray) -> None:
 
 
 def read_rrf1(path) -> np.ndarray:
-    data = _read_bytes(path)
+    data = Path(path).read_bytes()
     _check_magic(data, b"RRF1", path)
     head, offset = _take(data, 4, 8, path)
     boxes, length = struct.unpack("<II", head)
@@ -207,7 +203,7 @@ def read_kitti_bin_array(path) -> np.ndarray:
     Rejects files whose size is not a multiple of 16 and reports the record
     index of any non-finite value.
     """
-    data = _read_bytes(path)
+    data = Path(path).read_bytes()
     if len(data) % _POINT_RECORD != 0:
         raise FormatError(
             f"{path}: size {len(data)} is not a multiple of {_POINT_RECORD}"

@@ -499,7 +499,7 @@ def run_gradcheck(
     def loss(name: str) -> float:
         """The loss with `tensors[name]` in place of its unperturbed value."""
         active = params if name == "feat" else params.with_tensor(name, tensors[name])
-        out = hdmk_forward_planes(feat * valid, coords, valid, active)
+        out = hdmk_forward_planes(feat, coords, valid, active)
         return float(np.sum(upstream * out))
 
     grads = hdmk_backward(img, params, upstream)

@@ -17,16 +17,17 @@ columns wrap when `wrap_horizontal` is set, matching a full-circle scan.
 A neighbor that is missing or masked invalid contributes an exact zero
 vector, so masked pixels can never influence a valid pixel's output.
 
-Forward passes are sparse and keep no state. The conv block runs on one
-(c, n) column per valid pixel; a tap reads a neighbour's column through a
-pixel-to-column map, where invalid and outside neighbours read an appended
-zero column. Each meta-kernel branch gathers by flat index from planes
-flattened with a zero column appended for "outside the image" (features
-zeroed at invalid pixels in that copy), runs on its support (the valid mask
-dilated by its stencil) and holds its accumulator bias elsewhere. The
-support is walked in blocks of _COLUMN_BLOCK centres through buffers
-allocated once per branch, so time scales with support pixels and the
-working set beyond inputs and output is fixed, not a multiple of h * w.
+Forward passes are sparse. One cached plan per (shape, wrap flag, mask
+bytes), `_stencil_plan`, kept for the last mask, tells every layer where to
+evaluate. The conv block runs on one (c, n) column per valid pixel; a tap
+reads a neighbour's column through the plan's pixel-to-column map, where
+invalid and outside neighbours read an appended zero column. Each
+meta-kernel branch gathers by flat index from planes flattened with a zero
+"outside" column (features zeroed at invalid pixels in that copy), runs on
+its support (the valid mask dilated by its stencil) and holds its
+accumulator bias elsewhere. The support is walked in blocks of _COLUMN_BLOCK
+centres through buffers allocated once per branch, so time scales with
+support pixels and the working set beyond inputs and output is fixed.
 
 Results are byte-identical to evaluating every pixel, including the zeros
 at invalid pixels: the conv block's are +0, and the meta kernel's are the
@@ -47,6 +48,7 @@ the parameters in use and no stage needs to read it back.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields, replace
 
@@ -59,6 +61,7 @@ from .rng import STREAM_BASICBLOCK, STREAM_HDMK, DetRng, derive_seed
 # 3x3 unit stencil in row-major order, and the same stencil doubled.
 UNIT_OFFSETS = tuple((dh, dw) for dh in (-1, 0, 1) for dw in (-1, 0, 1))
 DILATED_OFFSETS = tuple((2 * dh, 2 * dw) for dh, dw in UNIT_OFFSETS)
+_BRANCH_OFFSETS = (UNIT_OFFSETS, DILATED_OFFSETS)
 
 
 @dataclass(frozen=True)
@@ -252,8 +255,34 @@ def _dense_order(pixels: np.ndarray, n_px: int) -> np.ndarray:
     return np.concatenate([body, np.repeat(filler, pad), tail])
 
 
-def _reflected(offsets):
-    return tuple((-dh, -dw) for dh, dw in offsets)
+@functools.lru_cache(maxsize=1)
+def _stencil_plan(h: int, w: int, wrap_horizontal: bool, mask_bytes: bytes):
+    """Where the layers evaluate on one mask, as read-only arrays: the flat
+    mask with its outside entry; the conv block's centres and each pixel's
+    column among them (invalid and outside pixels read zero column
+    len(centres)); each branch's support, the centres with a valid
+    neighbour. Centres and supports are in `_dense_order`.
+    """
+    valid_ext = np.append(np.frombuffer(mask_bytes, dtype=bool), False)
+    valid_idx = np.flatnonzero(valid_ext)
+    centres = _dense_order(valid_idx, h * w)
+    kept = np.flatnonzero(valid_ext[centres])
+    column = np.full(h * w + 1, len(centres))
+    column[centres[kept]] = kept
+    supports = []
+    for offsets in _BRANCH_OFFSETS:
+        # The support is what valid pixels reach under the reflected offsets.
+        reach = np.zeros(h * w + 1, dtype=bool)
+        reach[neighbour_index(h, w, -np.array(offsets), valid_idx, wrap_horizontal)] = True
+        supports.append(_dense_order(np.flatnonzero(reach[:-1]), h * w))
+    ints = [frozen_array("stencil plan", a, np.int64) for a in (centres, column, *supports)]
+    return frozen_array("stencil plan", valid_ext, bool), tuple(ints[:2]), tuple(ints[2:])
+
+
+def _stencils(valid: np.ndarray, wrap_horizontal: bool):
+    """The cached `_stencil_plan` of `valid`, whatever its dtype or order."""
+    mask = np.ascontiguousarray(valid, dtype=bool)
+    return _stencil_plan(*mask.shape, bool(wrap_horizontal), mask.tobytes())
 
 
 def _relu(x: np.ndarray) -> np.ndarray:
@@ -294,12 +323,7 @@ def basicblock_forward(
             f"params expect {params.c_in} input planes, image has {BASE_CHANNELS}"
         )
     h, w = img.valid.shape
-    valid = img.valid.reshape(h * w)
-    centres = _dense_order(np.flatnonzero(valid), h * w)
-    # Each valid pixel's column; invalid and outside pixels read zero column n.
-    kept = np.flatnonzero(valid[centres])
-    column = np.full(h * w + 1, len(centres))
-    column[centres[kept]] = kept
+    _, (centres, column), _ = _stencils(img.valid, wrap_horizontal)
     index = column[neighbour_index(h, w, UNIT_OFFSETS, centres, wrap_horizontal)]
     x = np.take(img.channels.reshape(BASE_CHANNELS, h * w), centres, axis=1)
     t = _conv3x3(x, params.conv1, index)
@@ -314,9 +338,6 @@ def basicblock_forward(
 # ---------------------------------------------------------------------------
 # HD meta kernel
 # ---------------------------------------------------------------------------
-
-_BRANCH_OFFSETS = (UNIT_OFFSETS, DILATED_OFFSETS)
-
 
 def _check_hdmk_input(feat: RangeImage, params: HdMetaKernelParams):
     d_f = feat.plane_count - BASE_CHANNELS
@@ -418,20 +439,14 @@ def hdmk_forward_planes(
         raise ValueError(f"coords must be (3, {h}, {w}), got {coords.shape}")
     c_in = feats.shape[0]
     c_half = params.c_out // 2
+    valid_ext, _, supports = _stencils(valid, wrap_horizontal)
     feats_ext = _with_outside(feats)
-    feats_ext[:, :-1] *= valid.reshape(h * w)
+    feats_ext[:, :-1] *= valid_ext[:-1]
     coords_ext = _with_outside(coords)
-    valid_ext = _with_outside(valid)
-    valid_idx = np.flatnonzero(valid_ext)
     full = np.empty((params.c_out, h * w), dtype=np.float64)
-    for b, (branch, offsets) in enumerate(
-        zip((params.branch1, params.branch2), _BRANCH_OFFSETS)
+    for b, (branch, offsets, centres) in enumerate(
+        zip((params.branch1, params.branch2), _BRANCH_OFFSETS, supports)
     ):
-        # A centre is in the support iff it is some valid pixel's neighbour
-        # under the reflected offset.
-        reach = np.zeros(h * w + 1, dtype=bool)
-        reach[neighbour_index(h, w, _reflected(offsets), valid_idx, wrap_horizontal)] = True
-        centres = _dense_order(np.flatnonzero(reach[:-1]), h * w)
         half = full[b * c_half : (b + 1) * c_half]
         # The product of all-zero chunks is +0, hence the added 0.0.
         half[:] = branch.b_acc[:, None] + 0.0
@@ -512,7 +527,7 @@ def hdmk_backward(
     grad = (grad * feat.valid).reshape(params.c_out, n_px)
     feats_ext = _with_outside(feat.feature_planes)
     coords_ext = _with_outside(feat.channels[:3])
-    valid_ext = _with_outside(feat.valid)
+    valid_ext = _stencils(feat.valid, wrap_horizontal)[0]
     centres = np.arange(n_px)
     centre_xyz = coords_ext[:, :-1]
     c_half = params.c_out // 2

@@ -571,7 +571,9 @@ class TestCli:
 
 class TestThreadCap:
     def run_python(self, code, **env_extra):
-        env = {**os.environ, **env_extra}
+        # The child imports the package the tests import, installed or not.
+        paths = [str(Path(pipeline.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths)), **env_extra}
         return subprocess.run(
             [sys.executable, "-c", code],
             capture_output=True,

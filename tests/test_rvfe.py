@@ -1,5 +1,6 @@
 """Sampling offsets, BasicBlock, and the dynamic meta kernel."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ import oracles
 import util
 from rvredeem import rvfe
 from rvredeem.core import RangeImage
+from rvredeem.pipeline import run_gradcheck
 from rvredeem.rvfe import (
     DILATED_OFFSETS,
     UNIT_OFFSETS,
@@ -422,6 +424,80 @@ class TestDenseByteIdentity:
         signs = np.signbit(out[:, ~img.valid])
         assert not out[:, ~img.valid].any()
         assert signs.any() and not signs.all()
+
+
+def layer_bytes(valid, wrap):
+    """Output bytes of the conv block and the meta kernel on mask `valid`."""
+    h, w = valid.shape
+    rng = np.random.default_rng([h, w])
+    img = util.random_image(rng, h, w, n_feat=4, density=1.0)
+    raw = RangeImage(img.sensor, img.channels[:5] * valid, valid)
+    block = basicblock_forward(raw, util.random_basicblock_params(rng), wrap)
+    params = util.random_hdmk_params(rng, c_in=4, c_mid=5, c_out=6)
+    meta = hdmk_forward_planes(img.feature_planes, img.channels[:3], valid, params, wrap)
+    return block.feature_planes.tobytes() + meta.tobytes()
+
+
+class TestStencilPlan:
+    """The layers share one cached plan per (shape, wrap flag, mask bytes)."""
+
+    def test_interleaved_masks_match_fresh_plans(self):
+        # Three valid pixels, so that the supports differ between the shapes
+        # and with the wrap flag; a stale plan shows in the signed zeros.
+        valid = np.zeros(24, dtype=bool)
+        valid[[0, 11, 15]] = True
+        cases = [
+            (valid.reshape(4, 6), True),
+            (valid.reshape(6, 4), True),
+            (valid.reshape(4, 6), False),
+        ]
+        fresh = []
+        for case in cases:
+            rvfe._stencil_plan.cache_clear()
+            fresh.append(layer_bytes(*case))
+        for before, case in itertools.permutations(range(3), 2):
+            layer_bytes(*cases[before])
+            assert layer_bytes(*cases[case]) == fresh[case], (before, case)
+
+    @pytest.mark.parametrize(
+        "as_mask",
+        [
+            lambda v: v.astype(np.uint8),
+            lambda v: v.astype(np.int64),
+            lambda v: v.astype(np.float64),
+            np.asfortranarray,
+        ],
+        ids=["uint8", "int64", "float64", "fortran"],
+    )
+    def test_mask_dtype_and_order_give_the_bool_bytes(self, as_mask):
+        rng = np.random.default_rng(4)
+        img = masked_image(rng, (4, 6), 0.5, n_feat=4)
+        params = util.random_hdmk_params(rng, c_in=4, c_mid=5, c_out=6)
+        args = (img.feature_planes, img.channels[:3])
+        mask = as_mask(img.valid)
+        rvfe._stencil_plan.cache_clear()
+        expected = hdmk_forward_planes(*args, img.valid, params).tobytes()
+        assert hdmk_forward_planes(*args, mask, params).tobytes() == expected
+        rvfe._stencil_plan.cache_clear()
+        assert hdmk_forward_planes(*args, mask, params).tobytes() == expected
+
+    def test_plan_arrays_are_read_only(self):
+        valid_ext, conv, supports = rvfe._stencils(np.eye(4, 6, dtype=bool), True)
+        assert not any(a.flags.writeable for a in (valid_ext, *conv, *supports))
+
+    def test_gradcheck_builds_one_plan(self, monkeypatch):
+        # Three centre lists: the conv block's and one support per branch.
+        calls = []
+        dense_order = rvfe._dense_order
+
+        def counted(*args):
+            calls.append(args)
+            return dense_order(*args)
+
+        monkeypatch.setattr(rvfe, "_dense_order", counted)
+        rvfe._stencil_plan.cache_clear()
+        run_gradcheck()
+        assert len(calls) == 3
 
 
 def hdmk_peak_on_a_scan(seed, n_valid):
