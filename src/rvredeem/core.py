@@ -135,26 +135,29 @@ class Point:
         else:
             if not math.isfinite(self.range):
                 raise ValueError("point range must be finite")
-            if abs(self.range - r) > 1e-9 * max(r, 1e-300):
-                raise ValueError(
-                    f"stored range {self.range!r} disagrees with |xyz| = {r!r}"
-                )
+            points_to_array([[self.x, self.y, self.z, 0.0, self.range]])  # checks it
 
 
 def points_to_array(points) -> np.ndarray:
     """(N, 5) float64 rows of (x, y, z, intensity, range), never the input.
 
     The input may have 3 columns (intensity defaults to 0), 4 columns
-    (range derived), or the full 5.
+    (range derived), or the full 5, whose finite ranges must agree with
+    |xyz| to 1e-9 relative; `Point` checks its range here.
     """
     arr = np.array(points, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] not in (3, 4, 5):
         raise ValueError(f"point array must be (N, 3..5), got {arr.shape}")
     if arr.shape[1] == 3:
         arr = np.column_stack([arr, np.zeros(arr.shape[0])])
+    r = np.sqrt(np.sum(arr[:, :3] * arr[:, :3], axis=1))
     if arr.shape[1] == 4:
-        r = np.sqrt(np.sum(arr[:, :3] * arr[:, :3], axis=1))
-        arr = np.column_stack([arr, r])
+        return np.column_stack([arr, r])
+    off = np.isfinite(arr[:, 4]) & (np.abs(arr[:, 4] - r) > 1e-9 * np.maximum(r, 1e-300))
+    if off.any():
+        i = np.argmax(off)
+        stored, derived = float(arr[i, 4]), float(r[i])
+        raise ValueError(f"stored range {stored!r} disagrees with |xyz| = {derived!r}")
     return arr
 
 

@@ -17,15 +17,16 @@ KITTI-style .bin clouds are raw little-endian f32 quadruples
 `cx cy cz l w h yaw` line per box.
 
 Values are stored in single precision; readers widen to float64. Code that
-needs bit-stable composition across process boundaries must therefore
-round-trip its data through these formats (write, then read back) before
-feeding the next stage, unless the values are already on the f32 grid, as
-generated parameters are.
+needs bit-stable composition across process boundaries therefore goes on
+with values rounded as their file stores them, never with the wider ones:
+`as_stored` gives, in memory, the image that `read_rri1` would return. Values
+already on the f32 grid, as generated parameters are, need no rounding.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from pathlib import Path
 
@@ -57,13 +58,17 @@ def _take(data: bytes, offset: int, size: int, path) -> tuple[bytes, int]:
 
 def write_rri1(path, img: RangeImage) -> None:
     h, w = img.sensor.height, img.sensor.width
-    parts = [
-        b"RRI1",
-        struct.pack("<III", h, w, img.plane_count),
-        np.ascontiguousarray(img.channels, dtype="<f4").tobytes(),
-        np.ascontiguousarray(img.valid, dtype=np.uint8).tobytes(),
-    ]
-    Path(path).write_bytes(b"".join(parts))
+    with open(path, "wb") as f:
+        f.write(b"RRI1" + struct.pack("<III", h, w, img.plane_count))
+        img.channels.astype("<f4").tofile(f)
+        img.valid.astype(np.uint8).tofile(f)
+
+
+def as_stored(img: RangeImage) -> RangeImage:
+    """The image `read_rri1` returns for the file `write_rri1` makes of `img`,
+    validated alike: a value beyond the f32 range becomes inf and is rejected.
+    """
+    return RangeImage(img.sensor, img.channels.astype(np.float32), img.valid)
 
 
 def read_rri1(path, sensor: SensorModel) -> RangeImage:
@@ -157,7 +162,7 @@ def read_rwt1(path) -> dict[str, np.ndarray]:
         rank = head[0]
         head, offset = _take(data, offset, 4 * rank, path)
         dims = struct.unpack(f"<{rank}I", head)
-        size = int(np.prod(dims, dtype=np.int64)) if rank else 1
+        size = math.prod(dims)  # exact, and 1 for rank 0
         body, offset = _take(data, offset, size * 4, path)
         if name in out:
             raise FormatError(f"{path}: duplicate tensor name {name!r}")

@@ -7,10 +7,11 @@ keypoints plus boxes to pooled RoI vectors and refined detections. The
 single-shot `run_pipeline` and the per-stage CLI subcommands call the same
 functions, so composing subcommands reproduces the one-shot run bit for bit.
 
-Inside a stage, any freshly written data artifact that feeds a later
-computation is first read back from disk. Artifacts store values in single
-precision; the read-back makes that rounding part of the stage's defined
-output rather than an accident of process boundaries.
+Artifacts store values in single precision. Inside a stage, data that feeds
+a later computation is first rounded in memory exactly as its artifact
+stores it (`formats.as_stored` for range images), so that the rounding is
+part of the stage's defined output rather than an accident of process
+boundaries. Stages read only their inputs, never a file they wrote.
 
 Weight files are outputs only. Parameters are generated from the config
 seed on the single-precision grid, so the RWT1 file a stage writes holds
@@ -208,13 +209,11 @@ def stage_redeem(cfg: PipelineConfig, range_path, out_dir) -> dict:
     hdmk = init_params(cfg.seed, (cfg.conv_channels, cfg.mlp_hidden, cfg.feature_dim))
     formats.write_rwt1(out_dir / WEIGHTS_FILE, pack_rvfe_weights(block, hdmk))
 
-    block_img = basicblock_forward(img, block, cfg.wrap_horizontal)
+    block_img = formats.as_stored(basicblock_forward(img, block, cfg.wrap_horizontal))
     formats.write_rri1(out_dir / BLOCK_FILE, block_img)
-    block_img = formats.read_rri1(out_dir / BLOCK_FILE, cfg.sensor)
 
-    feat_img = hdmk_forward(block_img, hdmk, cfg.wrap_horizontal)
+    feat_img = formats.as_stored(hdmk_forward(block_img, hdmk, cfg.wrap_horizontal))
     formats.write_rri1(out_dir / FEATURES_FILE, feat_img)
-    feat_img = formats.read_rri1(out_dir / FEATURES_FILE, cfg.sensor)
 
     cloud = redeem_feature_points(feat_img, cfg.feature_dim)
     formats.write_rfp1(out_dir / CLOUD_FILE, cloud)
@@ -295,13 +294,9 @@ def stage_pool(cfg: PipelineConfig, keypoints_path, boxes_path, out_dir) -> dict
 
     rois = sgrid_pool(kp_cloud, boxes, cfg.sgrid, params)
     roi_len = cfg.sgrid.roi_feature_length
-    vectors = (
-        np.stack([roi.vector for roi in rois])
-        if rois
-        else np.zeros((0, roi_len))
-    )
+    vectors = np.array([roi.vector for roi in rois], dtype=np.float32).reshape(-1, roi_len)
+    vectors = vectors.astype(np.float64)  # rounded as RRF1 stores them
     formats.write_rrf1(out_dir / ROI_FILE, vectors)
-    vectors = formats.read_rrf1(out_dir / ROI_FILE)
 
     lines = ["# confidence dcx dcy dcz dlength dwidth dheight dyaw"]
     for vector in vectors:

@@ -19,26 +19,28 @@ vector, so masked pixels can never influence a valid pixel's output.
 
 Forward passes are sparse. One cached plan per (shape, wrap flag, mask
 bytes), `_stencil_plan`, kept for the last mask, tells every layer where to
-evaluate. The conv block runs on one (c, n) column per valid pixel; a tap
-reads a neighbour's column through the plan's pixel-to-column map, where
-invalid and outside neighbours read an appended zero column. Each
-meta-kernel branch gathers by flat index from planes flattened with a zero
-"outside" column (features zeroed at invalid pixels in that copy), runs on
-its support (the valid mask dilated by its stencil) and holds its
-accumulator bias elsewhere. The support is walked in blocks of _COLUMN_BLOCK
-centres through buffers allocated once per branch, so time scales with
-support pixels and the working set beyond inputs and output is fixed.
+evaluate. Both layers gather (c, n + 1) columns, one per conv-block centre
+and a zero column, through its pixel-to-column map, which sends invalid
+pixels and the outside of the image to the zero column: values stored at
+invalid pixels are never read. The conv block runs on valid-pixel columns;
+each meta-kernel branch on its support (the valid mask dilated by its
+stencil), holding its accumulator bias elsewhere, in blocks of
+_COLUMN_BLOCK centres through buffers allocated once per branch. So time
+scales with support pixels and the working set beyond inputs and output is
+fixed.
 
-Results are byte-identical to evaluating every pixel, including the zeros
-at invalid pixels: the conv block's are +0, and the meta kernel's are the
-dense value times zero, +0 or -0, a sign RRI1 feature planes keep as part
-of the byte contract. Hence pixels are evaluated in the 8-column blocks a
-dense BLAS product would round them in (`_dense_order`), and a partial
-tail ends a meta-kernel block behind a whole one (`_column_blocks`).
+On images whose invalid pixels hold zeros, results are byte-identical to
+evaluating every pixel, including those zeros: the conv block's are +0,
+the meta kernel's are the dense value times zero, +0 or -0, a sign RRI1
+feature planes keep as part of the byte contract. Hence pixels are
+evaluated in the 8-column blocks a dense BLAS product would round them in
+(`_dense_order`), and a partial tail ends a meta-kernel block behind a
+whole one (`_column_blocks`).
 
 The meta kernel has an analytic backward pass (coordinates are constants;
 gradients flow to input features and all parameters). It recomputes its
-taps at all h * w centres and returns the parameter gradients as an
+taps at all h * w centres through the same columns, accumulates feature
+gradients in them, and returns the parameter gradients as an
 `HdMetaKernelParams`. BasicBlock is forward-only.
 
 All arithmetic is 64-bit. Initializers emit values that are exactly
@@ -208,8 +210,8 @@ def neighbour_index(
 
     Entry [k, i] is the flat index of pixel centres[i] + offsets[k]. Rows
     never wrap; columns wrap modulo w only when requested. A neighbour
-    outside the image gets index h * w, the zero column that
-    `_with_outside` appends to flattened planes.
+    outside the image gets index h * w, which a plan's pixel-to-column map
+    sends to the zero column, as it sends every invalid pixel.
     """
     d = np.array(offsets, dtype=np.int64).reshape(-1, 2)
     rows = centres // w + d[:, :1]
@@ -218,14 +220,6 @@ def neighbour_index(
         cols %= w
     inside = (rows >= 0) & (rows < h) & (cols >= 0) & (cols < w)
     return np.where(inside, rows * w + cols, h * w)
-
-
-def _with_outside(planes: np.ndarray) -> np.ndarray:
-    """(..., h, w) planes flattened to (..., h*w + 1), the last entry zero."""
-    flat = planes.reshape(planes.shape[:-2] + (-1,))
-    out = np.zeros(flat.shape[:-1] + (flat.shape[-1] + 1,), dtype=planes.dtype)
-    out[..., :-1] = flat
-    return out
 
 
 # A BLAS product rounds each output column by the kernel that covers it. On
@@ -257,16 +251,16 @@ def _dense_order(pixels: np.ndarray, n_px: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=1)
 def _stencil_plan(h: int, w: int, wrap_horizontal: bool, mask_bytes: bytes):
-    """Where the layers evaluate on one mask, as read-only arrays: the flat
-    mask with its outside entry; the conv block's centres and each pixel's
-    column among them (invalid and outside pixels read zero column
-    len(centres)); each branch's support, the centres with a valid
-    neighbour. Centres and supports are in `_dense_order`.
+    """Where the layers evaluate on one mask, as read-only arrays: the conv
+    block's centres; each pixel's column among them, h * w + 1 entries where
+    invalid pixels and the outside index read zero column len(centres); then
+    each branch's support, the centres with a valid neighbour. Centres and
+    supports are in `_dense_order`.
     """
-    valid_ext = np.append(np.frombuffer(mask_bytes, dtype=bool), False)
-    valid_idx = np.flatnonzero(valid_ext)
+    valid = np.frombuffer(mask_bytes, dtype=bool)
+    valid_idx = np.flatnonzero(valid)
     centres = _dense_order(valid_idx, h * w)
-    kept = np.flatnonzero(valid_ext[centres])
+    kept = np.flatnonzero(valid[centres])
     column = np.full(h * w + 1, len(centres))
     column[centres[kept]] = kept
     supports = []
@@ -275,14 +269,21 @@ def _stencil_plan(h: int, w: int, wrap_horizontal: bool, mask_bytes: bytes):
         reach = np.zeros(h * w + 1, dtype=bool)
         reach[neighbour_index(h, w, -np.array(offsets), valid_idx, wrap_horizontal)] = True
         supports.append(_dense_order(np.flatnonzero(reach[:-1]), h * w))
-    ints = [frozen_array("stencil plan", a, np.int64) for a in (centres, column, *supports)]
-    return frozen_array("stencil plan", valid_ext, bool), tuple(ints[:2]), tuple(ints[2:])
+    return tuple(frozen_array("stencil plan", a, np.int64) for a in (centres, column, *supports))
 
 
 def _stencils(valid: np.ndarray, wrap_horizontal: bool):
     """The cached `_stencil_plan` of `valid`, whatever its dtype or order."""
     mask = np.ascontiguousarray(valid, dtype=bool)
     return _stencil_plan(*mask.shape, bool(wrap_horizontal), mask.tobytes())
+
+
+def _columns(planes: np.ndarray, centres: np.ndarray) -> np.ndarray:
+    """(c, h, w) planes at flat `centres`, then a zero column: (c, len + 1)."""
+    flat = planes.reshape(planes.shape[0], -1)
+    out = np.zeros((flat.shape[0], len(centres) + 1))
+    flat.take(centres, axis=1, out=out[:, :-1], mode="clip")
+    return out
 
 
 def _relu(x: np.ndarray) -> np.ndarray:
@@ -323,7 +324,7 @@ def basicblock_forward(
             f"params expect {params.c_in} input planes, image has {BASE_CHANNELS}"
         )
     h, w = img.valid.shape
-    _, (centres, column), _ = _stencils(img.valid, wrap_horizontal)
+    centres, column = _stencils(img.valid, wrap_horizontal)[:2]
     index = column[neighbour_index(h, w, UNIT_OFFSETS, centres, wrap_horizontal)]
     x = np.take(img.channels.reshape(BASE_CHANNELS, h * w), centres, axis=1)
     t = _conv3x3(x, params.conv1, index)
@@ -349,40 +350,32 @@ def _check_hdmk_input(feat: RangeImage, params: HdMetaKernelParams):
 
 def _tap_buffers(c_in: int, c_mid: int, n: int) -> tuple[np.ndarray, ...]:
     """Uninitialised outputs of one `_tap` call at n centres."""
-    return (
-        np.empty((c_in, n)),
-        np.empty(n, dtype=bool),
-        np.empty((3, n)),
-        np.empty((c_mid, n)),
-        np.empty((c_in, n)),
-    )
+    return np.empty((c_in, n)), np.empty((3, n)), np.empty((c_mid, n)), np.empty((c_in, n))
 
 
 def _tap(
     branch: BranchParams,
     feats: np.ndarray,
     coords: np.ndarray,
-    valid: np.ndarray,
     centre_xyz: np.ndarray,
     index: np.ndarray,
+    neigh_valid: np.ndarray,
     bufs: tuple[np.ndarray, ...],
     weighted: np.ndarray,
 ) -> None:
     """One offset of a branch at a set of centres, written in place.
 
-    `feats`, `coords` and `valid` are flattened with the zero column
-    appended (`_with_outside`), and `feats` is zero at invalid pixels;
-    `index` holds each centre's neighbour and `centre_xyz` its (3, m)
-    coordinates. Fills `bufs` (from `_tap_buffers`) with the neighbour
-    features and validity, the coordinate deltas, the perceptron's hidden
-    activations and its gates, and `weighted` with the (c_in, m) chunk.
-    Zeroed features make the chunk gate * feature * validity to the bit:
-    at an invalid neighbour both are a zero of the same sign.
+    `feats` and `coords` are pixel columns from `_columns`, the last one
+    zero; `index` holds the column of each centre's neighbour, the zero
+    column when that neighbour is invalid or outside, `neigh_valid` whether
+    it is not, and `centre_xyz` the centres' (3, m) coordinates. Fills
+    `bufs` (from `_tap_buffers`) with the neighbour features, the coordinate
+    deltas, the perceptron's hidden activations and its gates, and
+    `weighted` with the (c_in, m) chunk, a zero at every invalid neighbour.
     """
-    neigh_feat, neigh_valid, delta, hid, gate = bufs
+    neigh_feat, delta, hid, gate = bufs
     # Every index is in range; "clip" keeps `take` from buffering `out`.
     feats.take(index, axis=1, out=neigh_feat, mode="clip")
-    valid.take(index, out=neigh_valid, mode="clip")
     coords.take(index, axis=1, out=delta, mode="clip")
     delta -= centre_xyz
     delta *= neigh_valid
@@ -439,18 +432,17 @@ def hdmk_forward_planes(
         raise ValueError(f"coords must be (3, {h}, {w}), got {coords.shape}")
     c_in = feats.shape[0]
     c_half = params.c_out // 2
-    valid_ext, _, supports = _stencils(valid, wrap_horizontal)
-    feats_ext = _with_outside(feats)
-    feats_ext[:, :-1] *= valid_ext[:-1]
-    coords_ext = _with_outside(coords)
+    centres, column, *supports = _stencils(valid, wrap_horizontal)
+    feat_cols = _columns(feats, centres)
+    coord_cols = _columns(coords, centres)
     full = np.empty((params.c_out, h * w), dtype=np.float64)
-    for b, (branch, offsets, centres) in enumerate(
+    for b, (branch, offsets, support) in enumerate(
         zip((params.branch1, params.branch2), _BRANCH_OFFSETS, supports)
     ):
         half = full[b * c_half : (b + 1) * c_half]
         # The product of all-zero chunks is +0, hence the added 0.0.
         half[:] = branch.b_acc[:, None] + 0.0
-        blocks = _column_blocks(len(centres))
+        blocks = _column_blocks(len(support))
         width = max((stop - start for start, stop in blocks), default=0)
         bufs = _tap_buffers(c_in, params.c_mid, width)
         centre_xyz = np.empty((3, width))
@@ -458,19 +450,20 @@ def hdmk_forward_planes(
         acc = np.empty((c_half, width))
         for start, stop in blocks:
             n = stop - start
-            block = centres[start:stop]
-            index = neighbour_index(h, w, offsets, block, wrap_horizontal)
-            coords_ext.take(block, axis=1, out=centre_xyz[:, :n], mode="clip")
+            block = support[start:stop]
+            index = column[neighbour_index(h, w, offsets, block, wrap_horizontal)]
+            neigh_valid = index != len(centres)
+            coord_cols.take(column[block], axis=1, out=centre_xyz[:, :n], mode="clip")
             views = tuple(buf[..., :n] for buf in bufs)
             for k in range(len(offsets)):
                 _tap(
-                    branch, feats_ext, coords_ext, valid_ext, centre_xyz[:, :n], index[k],
+                    branch, feat_cols, coord_cols, centre_xyz[:, :n], index[k], neigh_valid[k],
                     views, chunks[k * c_in : (k + 1) * c_in, :n],
                 )
             np.matmul(branch.w_acc, chunks[:, :n], out=acc[:, :n])
             acc[:, :n] += branch.b_acc[:, None]
             half[:, block] = acc[:, :n]
-    full *= valid_ext[:-1]
+    full *= valid.astype(bool).reshape(h * w)
     return full.reshape(params.c_out, h, w)
 
 
@@ -525,26 +518,26 @@ def hdmk_backward(
         )
     # Invalid output pixels are identically zero, so no gradient flows there.
     grad = (grad * feat.valid).reshape(params.c_out, n_px)
-    feats_ext = _with_outside(feat.feature_planes)
-    coords_ext = _with_outside(feat.channels[:3])
-    valid_ext = _stencils(feat.valid, wrap_horizontal)[0]
-    centres = np.arange(n_px)
-    centre_xyz = coords_ext[:, :-1]
+    centres, column = _stencils(feat.valid, wrap_horizontal)[:2]
+    feat_cols = _columns(feat.feature_planes, centres)
+    coord_cols = _columns(feat.channels[:3], centres)
+    pixel_cols = column[:-1]
+    centre_xyz = coord_cols[:, pixel_cols]
     c_half = params.c_out // 2
 
-    d_feat = np.zeros((c_in, n_px + 1), dtype=np.float64)  # last: outside
+    d_cols = np.zeros_like(feat_cols)
     branch_grads = []
     for b, (branch, offsets) in enumerate(
         zip((params.branch1, params.branch2), _BRANCH_OFFSETS)
     ):
-        # The image keeps its features zero at invalid pixels, as `_tap`
-        # needs; each tap keeps its own buffers for the backward sweep.
-        index = neighbour_index(h, w, offsets, centres, wrap_horizontal)
+        # Each tap keeps its own buffers for the backward sweep.
+        index = column[neighbour_index(h, w, offsets, np.arange(n_px), wrap_horizontal)]
+        neigh_valid = index != len(centres)
         chunks = np.empty((9 * c_in, n_px), dtype=np.float64)
         taps = [_tap_buffers(c_in, params.c_mid, n_px) for _ in offsets]
         for k, bufs in enumerate(taps):
             _tap(
-                branch, feats_ext, coords_ext, valid_ext, centre_xyz, index[k],
+                branch, feat_cols, coord_cols, centre_xyz, index[k], neigh_valid[k],
                 bufs, chunks[k * c_in : (k + 1) * c_in],
             )
         g_out = grad[b * c_half : (b + 1) * c_half]
@@ -556,12 +549,12 @@ def hdmk_backward(
         d_b1 = np.zeros_like(branch.b1)
         d_w2 = np.zeros_like(branch.w2)
         d_b2 = np.zeros_like(branch.b2)
-        for k, (neigh_feat, neigh_valid, delta, hid, gate) in enumerate(taps):
-            d_weighted = d_chunks[k * c_in : (k + 1) * c_in] * neigh_valid
-            # Feature gradient scatters back to where the neighbor lives. An
+        for k, (neigh_feat, delta, hid, gate) in enumerate(taps):
+            d_weighted = d_chunks[k * c_in : (k + 1) * c_in] * neigh_valid[k]
+            # Feature gradient scatters back to the neighbour's column. An
             # offset sends distinct centres to distinct pixels, so only the
-            # outside column sees repeated indices.
-            d_feat[:, index[k]] += d_weighted * gate
+            # zero column sees repeated indices.
+            d_cols[:, index[k]] += d_weighted * gate
             # Gate gradient stays at the center pixel.
             d_gate = d_weighted * neigh_feat
             d_w2 += d_gate @ hid.T
@@ -571,8 +564,9 @@ def hdmk_backward(
             d_w1 += d_pre @ delta.T
             d_b1 += np.sum(d_pre, axis=1)
         branch_grads.append(BranchParams(d_w1, d_b1, d_w2, d_b2, d_w_acc, d_b_acc))
+    d_cols[:, -1] = 0.0  # what invalid pixels read back
     return HdMetaKernelGrads(
-        d_feat[:, :-1].reshape(c_in, h, w), HdMetaKernelParams(*branch_grads)
+        d_cols[:, pixel_cols].reshape(c_in, h, w), HdMetaKernelParams(*branch_grads)
     )
 
 

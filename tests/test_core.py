@@ -111,6 +111,18 @@ class TestPointsToArray:
         with pytest.raises(ValueError):
             points_to_array(np.zeros((2, 2)))
 
+    def test_rejects_range_column_that_disagrees_with_xyz(self):
+        # Same tolerance and message as Point.
+        message = "stored range 99.0 disagrees with |xyz| = 5.0"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            points_to_array([[1.0, 2.0, 2.0, 0.0, 3.0], [5.0, 0.0, 0.0, 0.5, 99.0]])
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Point(5.0, 0.0, 0.0, 0.5, 99.0)
+
+    def test_accepts_range_column_within_tolerance(self):
+        arr = points_to_array([[3.0, 4.0, 0.0, 0.5, 5.0 * (1 + 5e-10)]])
+        assert arr[0, 4] == 5.0 * (1 + 5e-10)
+
 
 class TestRangeImage:
     def make_image(self):

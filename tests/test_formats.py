@@ -10,6 +10,7 @@ import util
 from rvredeem.core import Box3D, FeaturePointCloud, RangeImage, SensorModel
 from rvredeem.formats import (
     FormatError,
+    as_stored,
     read_boxes,
     read_kitti_bin_array,
     read_rfp1,
@@ -104,6 +105,52 @@ class TestRri1:
         path.write_bytes(path.read_bytes()[:-2] + bytes([2, 0]))
         with pytest.raises(FormatError, match=f"{path}: validity bytes must be 0 or 1"):
             read_rri1(path, img.sensor)
+
+
+def rounding_image(extra):
+    """2x3 image with one valid row; feature planes hold -0.0 at invalid
+    pixels and, at valid ones, `extra` followed by values that exercise
+    single-precision rounding."""
+    sensor = SensorModel(2, 3, math.pi / 8, math.pi / 8)
+    valid = np.array([[True, True, True], [False, False, False]])
+    channels = np.full((8, 2, 3), -0.0)
+    channels[:5, 0] = [
+        [1.0, 2.0, 3.0], [0.5, 0.1, 0.2], [0.3, 0.4, 0.6], [0.0, 0.5, 1.0], [3.0, 4.0, 5.0]
+    ]
+    channels[5:, 0] = [
+        [extra, 2.0**-149 * 1.5, 2.0**-149 * 0.5],  # subnormal tie, rounds to even
+        [1.0 + 2.0**-24, 1.0 + 3 * 2.0**-24, -1e-50],  # normal ties, -0.0 by underflow
+        [1e-40, 1.0 / 3.0, -2.0**-130],  # subnormals, ordinary rounding
+    ]
+    return RangeImage(sensor, channels, valid)
+
+
+class TestAsStored:
+    def test_matches_a_write_read_round_trip_byte_for_byte(self, tmp_path):
+        img = rounding_image(0.1)
+        path = tmp_path / "x.rri1"
+        write_rri1(path, img)
+        loaded = read_rri1(path, img.sensor)
+        stored = as_stored(img)
+        assert stored.channels.tobytes() == loaded.channels.tobytes()
+        assert stored.valid.tobytes() == loaded.valid.tobytes()
+        assert stored.sensor == loaded.sensor
+        # The cases above do round, and both zero signs survive.
+        assert stored.channels.tobytes() != img.channels.tobytes()
+        assert np.signbit(stored.channels[6, 0, 2]) and np.signbit(stored.channels[5, 1, 0])
+        # Rounding twice changes nothing.
+        assert as_stored(stored).channels.tobytes() == stored.channels.tobytes()
+
+    def test_value_beyond_single_precision_raises_as_the_reader_does(self, tmp_path):
+        img = rounding_image(1e39)
+        path = tmp_path / "x.rri1"
+        with np.errstate(over="ignore"):
+            write_rri1(path, img)
+            with pytest.raises(ValueError) as from_file:
+                read_rri1(path, img.sensor)
+            with pytest.raises(ValueError) as in_memory:
+                as_stored(img)
+        assert str(in_memory.value) == str(from_file.value) == "channels must be finite"
 
 
 class TestRfp1:
@@ -201,6 +248,16 @@ class TestRwt1:
         path = tmp_path / "x.rwt1"
         path.write_bytes(b"RWT1" + struct.pack("<I", 1) + struct.pack("<H", 5))
         with pytest.raises(FormatError, match="truncated"):
+            read_rwt1(path)
+
+    @pytest.mark.parametrize("dims", [(65536,) * 4, (2**21, 2**21, 2**21 + 1)])
+    def test_rejects_dims_whose_size_overflows_int64(self, tmp_path, dims):
+        # Both element counts wrap in 64 bits; the file is too short for either.
+        record = struct.pack("<H", 1) + b"t" + struct.pack("<B", len(dims))
+        record += struct.pack(f"<{len(dims)}I", *dims) + struct.pack("<f", 1.0)
+        path = tmp_path / "x.rwt1"
+        path.write_bytes(b"RWT1" + struct.pack("<I", 1) + record)
+        with pytest.raises(FormatError, match=f"{path}: truncated file"):
             read_rwt1(path)
 
     def test_rejects_name_that_is_not_utf8(self, tmp_path):

@@ -325,6 +325,21 @@ class TestPipeline:
         again = pipeline.run_pipeline(toy.cfg, toy.scene, toy.root / "no_read_back")
         assert again["checksums"] == toy.result["checksums"]
 
+    def test_stages_read_no_file_they_wrote(self, toy, monkeypatch):
+        # Stages round in memory as the files store values, so the block and
+        # feature images and the RoI vectors are outputs only; the one file
+        # read is the range image, the redeem stage's input.
+        read = []
+        for name in ("read_rri1", "read_rrf1"):
+            def recording(path, *args, reader=getattr(formats, name)):
+                read.append(Path(path).name)
+                return reader(path, *args)
+
+            monkeypatch.setattr(formats, name, recording)
+        again = pipeline.run_pipeline(toy.cfg, toy.scene, toy.root / "no_read_back")
+        assert read == [pipeline.RANGE_FILE]
+        assert again["checksums"] == toy.result["checksums"]
+
     def test_stage_subcommands_compose_bit_identically(self, toy):
         out = toy.root / "chain"
         cfg = ["--config", str(toy.config)]
@@ -569,11 +584,18 @@ class TestCli:
         assert "gradcheck FAILED" in captured.out
 
 
+THREAD_CAP_VARS = (
+    "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS",
+)
+
+
 class TestThreadCap:
     def run_python(self, code, **env_extra):
         # The child imports the package the tests import, installed or not.
         paths = [str(Path(pipeline.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths)), **env_extra}
+        # Importing the package here may already have exported a cap.
+        inherited = {k: v for k, v in os.environ.items() if k not in THREAD_CAP_VARS}
+        env = {**inherited, "PYTHONPATH": os.pathsep.join(filter(None, paths)), **env_extra}
         return subprocess.run(
             [sys.executable, "-c", code],
             capture_output=True,

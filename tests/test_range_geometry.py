@@ -202,6 +202,12 @@ class TestBuildRangeImage:
         with pytest.raises(ValueError, match="must be finite; row 0 is not"):
             build_range_image(np.array(pts), SENSOR)
 
+    def test_rejects_range_column_that_disagrees_with_xyz(self):
+        # Storing 99 would leave a range plane the nearest-point tie-break,
+        # which ranks by |xyz| = 5, never saw.
+        with pytest.raises(ValueError, match="stored range 99.0 disagrees with"):
+            build_range_image(np.array([[5.0, 0.0, 0.0, 0.5, 99.0]]), SENSOR)
+
     @pytest.mark.parametrize(
         "pts",
         [

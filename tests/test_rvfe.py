@@ -247,23 +247,26 @@ class TestHdmkForward:
         np.testing.assert_allclose(out.feature_planes, expected, atol=1e-12)
 
     def test_values_at_invalid_pixels_never_leak(self):
-        rng = np.random.default_rng(13)
-        h, w = 8, 16
-        valid = rng.random((h, w)) < 0.6
-        feats = rng.normal(size=(4, h, w))
-        coords = rng.uniform(-5, 5, size=(3, h, w))
-        params = util.random_hdmk_params(rng, c_in=4)
-        base = hdmk_forward_planes(feats, coords, valid, params)
-        feats_junk = feats.copy()
-        feats_junk[:, ~valid] = 7e5
-        coords_junk = coords.copy()
-        coords_junk[:, ~valid] = -3e6
-        poisoned = hdmk_forward_planes(feats_junk, coords_junk, valid, params)
-        np.testing.assert_array_equal(base, poisoned)
+        # Byte for byte: invalid pixels are read only as the zero column, so
+        # not even the signs of the zeros stored there depend on them.
+        for seed, junk in itertools.product((13, 26, 27), ((7e5, -3e6), (np.nan, np.inf))):
+            rng = np.random.default_rng(seed)
+            h, w = 8, 16
+            valid = rng.random((h, w)) < 0.6
+            feats = rng.normal(size=(4, h, w))
+            coords = rng.uniform(-5, 5, size=(3, h, w))
+            params = util.random_hdmk_params(rng, c_in=4)
+            base = hdmk_forward_planes(feats, coords, valid, params)
+            feats_junk = feats.copy()
+            feats_junk[:, ~valid] = junk[0]
+            coords_junk = coords.copy()
+            coords_junk[:, ~valid] = junk[1]
+            poisoned = hdmk_forward_planes(feats_junk, coords_junk, valid, params)
+            assert base.tobytes() == poisoned.tobytes(), (seed, junk)
 
     def test_caller_arrays_stay_unmodified(self):
-        # Invalid pixels are zeroed in the kernel's own copy of the features,
-        # never in the arrays the caller passed.
+        # The kernel gathers its own pixel columns; the arrays the caller
+        # passed are never written.
         rng = np.random.default_rng(24)
         h, w = 8, 16
         valid = rng.random((h, w)) < 0.6
@@ -465,9 +468,10 @@ class TestStencilPlan:
             lambda v: v.astype(np.uint8),
             lambda v: v.astype(np.int64),
             lambda v: v.astype(np.float64),
+            lambda v: v * 2.5,
             np.asfortranarray,
         ],
-        ids=["uint8", "int64", "float64", "fortran"],
+        ids=["uint8", "int64", "float64", "scaled float64", "fortran"],
     )
     def test_mask_dtype_and_order_give_the_bool_bytes(self, as_mask):
         rng = np.random.default_rng(4)
@@ -482,8 +486,13 @@ class TestStencilPlan:
         assert hdmk_forward_planes(*args, mask, params).tobytes() == expected
 
     def test_plan_arrays_are_read_only(self):
-        valid_ext, conv, supports = rvfe._stencils(np.eye(4, 6, dtype=bool), True)
-        assert not any(a.flags.writeable for a in (valid_ext, *conv, *supports))
+        # No mask with an outside entry: the column map alone marks invalid
+        # and outside pixels, by its zero column.
+        valid = np.eye(4, 6, dtype=bool)
+        centres, column, _, _ = arrays = rvfe._stencils(valid, True)
+        assert all(a.dtype == np.int64 and not a.flags.writeable for a in arrays)
+        assert column.shape == (4 * 6 + 1,)
+        np.testing.assert_array_equal(column == len(centres), np.append(~valid.ravel(), True))
 
     def test_gradcheck_builds_one_plan(self, monkeypatch):
         # Three centre lists: the conv block's and one support per branch.
