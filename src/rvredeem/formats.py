@@ -21,6 +21,8 @@ needs bit-stable composition across process boundaries therefore goes on
 with values rounded as their file stores them, never with the wider ones:
 `as_stored` gives, in memory, the image that `read_rri1` would return. Values
 already on the f32 grid, as generated parameters are, need no rounding.
+Writers refuse, before opening the file, a value that single precision holds
+only as inf, so no artifact is written that its reader would reject.
 """
 
 from __future__ import annotations
@@ -52,15 +54,29 @@ def _take(data: bytes, offset: int, size: int, path) -> tuple[bytes, int]:
     return data[offset : offset + size], offset + size
 
 
+def _finite_f32(path, values, what: str) -> np.ndarray:
+    """`values` as a C-ordered little-endian f32 array, which must be finite:
+    a finite value beyond the f32 range casts to inf, and readers reject it.
+    """
+    with np.errstate(over="ignore"):
+        # ascontiguousarray would promote rank-0 tensors to rank 1.
+        arr = np.asarray(values, dtype="<f4", order="C")
+    # min and max see every inf and NaN without a payload-sized temporary.
+    if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
+        raise FormatError(f"{path}: {what} must be finite in single precision")
+    return arr
+
+
 # ---------------------------------------------------------------------------
 # RRI1 range images
 # ---------------------------------------------------------------------------
 
 def write_rri1(path, img: RangeImage) -> None:
     h, w = img.sensor.height, img.sensor.width
+    planes = _finite_f32(path, img.channels, "channels")
     with open(path, "wb") as f:
         f.write(b"RRI1" + struct.pack("<III", h, w, img.plane_count))
-        img.channels.astype("<f4").tofile(f)
+        planes.tofile(f)
         img.valid.astype(np.uint8).tofile(f)
 
 
@@ -102,9 +118,11 @@ def write_rfp1(path, cloud: FeaturePointCloud) -> None:
     n = len(cloud)
     d_f = cloud.feature_dim
     records = np.empty((n, 4 + d_f), dtype="<f4")
-    records[:, :3] = cloud.xyz
-    records[:, 3] = cloud.intensity
-    records[:, 4:] = cloud.features
+    with np.errstate(over="ignore"):
+        records[:, :3] = cloud.xyz
+        records[:, 3] = cloud.intensity
+        records[:, 4:] = cloud.features
+    records = _finite_f32(path, records, "point records")
     Path(path).write_bytes(
         b"RFP1" + struct.pack("<II", n, d_f) + records.tobytes()
     )
@@ -132,8 +150,7 @@ def write_rwt1(path, tensors: dict[str, np.ndarray]) -> None:
         encoded = name.encode("utf-8")
         if len(encoded) > 0xFFFF:
             raise FormatError(f"tensor name too long: {name[:40]}...")
-        # ascontiguousarray would promote rank-0 tensors to rank 1.
-        arr = np.asarray(tensor, dtype="<f4", order="C")
+        arr = _finite_f32(path, tensor, name)
         if arr.ndim > 0xFF:
             raise FormatError(f"{name}: rank {arr.ndim} exceeds format limit")
         parts.append(struct.pack("<H", len(encoded)))
@@ -177,7 +194,7 @@ def read_rwt1(path) -> dict[str, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 def write_rrf1(path, vectors: np.ndarray) -> None:
-    arr = np.ascontiguousarray(vectors, dtype="<f4")
+    arr = _finite_f32(path, vectors, "RoI vectors")
     if arr.ndim != 2:
         raise FormatError(f"RoI payload must be (boxes, length), got {arr.shape}")
     Path(path).write_bytes(
@@ -193,9 +210,8 @@ def read_rrf1(path) -> np.ndarray:
     body, offset = _take(data, offset, boxes * length * 4, path)
     if offset != len(data):
         raise FormatError(f"{path}: {len(data) - offset} trailing byte(s)")
-    return (
-        np.frombuffer(body, dtype="<f4").astype(np.float64).reshape(boxes, length)
-    )
+    vectors = _finite_f32(path, np.frombuffer(body, dtype="<f4"), "RoI vectors")
+    return vectors.astype(np.float64).reshape(boxes, length)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +241,7 @@ def write_kitti_bin(path, points) -> None:
     points = np.asarray(points)
     if points.ndim != 2 or points.shape[1] < 4:
         raise FormatError(f"{path}: need (N, >= 4) point rows, got {points.shape}")
-    arr = np.ascontiguousarray(points[:, :4], dtype="<f4")
+    arr = _finite_f32(path, points[:, :4], "points")
     Path(path).write_bytes(arr.tobytes())
 
 

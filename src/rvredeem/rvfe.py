@@ -39,9 +39,10 @@ whole one (`_column_blocks`).
 
 The meta kernel has an analytic backward pass (coordinates are constants;
 gradients flow to input features and all parameters). It recomputes its
-taps at all h * w centres through the same columns, accumulates feature
-gradients in them, and returns the parameter gradients as an
-`HdMetaKernelParams`. BasicBlock is forward-only.
+taps at all h * w centres through the same columns, one tap at a time
+through one buffer set, so its memory is linear in c * h * w; it
+accumulates feature gradients in the columns and returns the parameter
+gradients as an `HdMetaKernelParams`. BasicBlock is forward-only.
 
 All arithmetic is 64-bit. Initializers emit values that are exactly
 representable in single precision, so a 32-bit weight file holds exactly
@@ -503,9 +504,10 @@ def hdmk_backward(
 ) -> HdMetaKernelGrads:
     """Exact gradients of sum(upstream_grad * hdmk_forward(feat)).
 
-    Recomputes every tap at all h*w centres. Coordinate planes are
-    constants. Accumulation runs in a fixed order (branch, then offset), so
-    repeated calls are bit-identical.
+    Recomputes the taps at all h*w centres one at a time through one buffer
+    set, so memory is linear in c * h * w. Coordinate planes are constants.
+    Accumulation runs in a fixed order (branch, then offset), so repeated
+    calls are bit-identical.
     """
     _check_hdmk_input(feat, params)
     c_in = params.c_in
@@ -526,31 +528,28 @@ def hdmk_backward(
     c_half = params.c_out // 2
 
     d_cols = np.zeros_like(feat_cols)
+    bufs = neigh_feat, delta, hid, gate = _tap_buffers(c_in, params.c_mid, n_px)
+    weighted = np.empty((c_in, n_px))
     branch_grads = []
     for b, (branch, offsets) in enumerate(
         zip((params.branch1, params.branch2), _BRANCH_OFFSETS)
     ):
-        # Each tap keeps its own buffers for the backward sweep.
         index = column[neighbour_index(h, w, offsets, np.arange(n_px), wrap_horizontal)]
         neigh_valid = index != len(centres)
-        chunks = np.empty((9 * c_in, n_px), dtype=np.float64)
-        taps = [_tap_buffers(c_in, params.c_mid, n_px) for _ in offsets]
-        for k, bufs in enumerate(taps):
-            _tap(
-                branch, feat_cols, coord_cols, centre_xyz, index[k], neigh_valid[k],
-                bufs, chunks[k * c_in : (k + 1) * c_in],
-            )
         g_out = grad[b * c_half : (b + 1) * c_half]
-        d_w_acc = g_out @ chunks.T
+        d_w_acc = np.empty_like(branch.w_acc)
         d_b_acc = np.sum(g_out, axis=1)
-        d_chunks = branch.w_acc.T @ g_out  # (9*c_in, n_px)
-
         d_w1 = np.zeros_like(branch.w1)
         d_b1 = np.zeros_like(branch.b1)
         d_w2 = np.zeros_like(branch.w2)
         d_b2 = np.zeros_like(branch.b2)
-        for k, (neigh_feat, delta, hid, gate) in enumerate(taps):
-            d_weighted = d_chunks[k * c_in : (k + 1) * c_in] * neigh_valid[k]
+        for k in range(len(offsets)):
+            _tap(
+                branch, feat_cols, coord_cols, centre_xyz, index[k], neigh_valid[k], bufs, weighted
+            )
+            block = slice(k * c_in, (k + 1) * c_in)
+            d_w_acc[:, block] = g_out @ weighted.T
+            d_weighted = (branch.w_acc[:, block].T @ g_out) * neigh_valid[k]
             # Feature gradient scatters back to the neighbour's column. An
             # offset sends distinct centres to distinct pixels, so only the
             # zero column sees repeated indices.

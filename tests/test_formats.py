@@ -143,14 +143,23 @@ class TestAsStored:
 
     def test_value_beyond_single_precision_raises_as_the_reader_does(self, tmp_path):
         img = rounding_image(1e39)
+        # The file an unchecked f32 cast would write: 1e39 stored as inf.
+        planes = np.where(img.channels == 1e39, math.inf, img.channels).ravel()
         path = tmp_path / "x.rri1"
-        with np.errstate(over="ignore"):
-            write_rri1(path, img)
-            with pytest.raises(ValueError) as from_file:
-                read_rri1(path, img.sensor)
-            with pytest.raises(ValueError) as in_memory:
-                as_stored(img)
+        path.write_bytes(
+            b"RRI1" + struct.pack("<III", 2, 3, 8) + struct.pack(f"<{planes.size}f", *planes)
+            + img.valid.astype(np.uint8).tobytes()
+        )
+        with pytest.raises(ValueError) as from_file:
+            read_rri1(path, img.sensor)
+        with np.errstate(over="ignore"), pytest.raises(ValueError) as in_memory:
+            as_stored(img)
         assert str(in_memory.value) == str(from_file.value) == "channels must be finite"
+        # The writer refuses that file before opening it.
+        refused = tmp_path / "y.rri1"
+        with pytest.raises(FormatError, match=f"{refused.name}: channels must be finite"):
+            write_rri1(refused, img)
+        assert not refused.exists()
 
 
 class TestRfp1:
@@ -202,6 +211,15 @@ class TestRfp1:
         path.write_bytes(b"RFP1" + struct.pack("<II", 1, 1) + body)
         with pytest.raises(ValueError, match="intensity must be finite"):
             read_rfp1(path)
+
+    def test_write_refuses_value_beyond_single_precision(self, tmp_path):
+        cloud = FeaturePointCloud(
+            np.array([[1.0, 2.0, 3.0]]), np.array([0.5]), np.array([[-1e39]])
+        )
+        path = tmp_path / "big.rfp1"
+        with pytest.raises(FormatError, match=f"{path.name}: point records must be finite"):
+            write_rfp1(path, cloud)
+        assert not path.exists()
 
 
 class TestRwt1:
@@ -260,6 +278,14 @@ class TestRwt1:
         with pytest.raises(FormatError, match=f"{path}: truncated file"):
             read_rwt1(path)
 
+    @pytest.mark.parametrize("value", [1e39, math.nan])
+    def test_write_refuses_nonfinite_single_precision(self, tmp_path, value):
+        path = tmp_path / "big.rwt1"
+        tensors = {"ok": np.ones(2), "bad": np.array([[0.0, value]])}
+        with pytest.raises(FormatError, match=f"{path.name}: bad must be finite"):
+            write_rwt1(path, tensors)
+        assert not path.exists()
+
     def test_rejects_name_that_is_not_utf8(self, tmp_path):
         record = struct.pack("<H", 1) + b"\xff" + struct.pack("<B", 0)
         record += struct.pack("<f", 1.0)
@@ -294,6 +320,20 @@ class TestRrf1:
     def test_rejects_non_matrix(self, tmp_path):
         with pytest.raises(FormatError, match="boxes, length"):
             write_rrf1(tmp_path / "x.rrf1", np.zeros(4))
+
+    @pytest.mark.parametrize("value", [1e39, math.nan])
+    def test_write_refuses_nonfinite_single_precision(self, tmp_path, value):
+        path = tmp_path / "big.rrf1"
+        with pytest.raises(FormatError, match=f"{path.name}: RoI vectors must be finite"):
+            write_rrf1(path, np.array([[value, 1.0]]))
+        assert not path.exists()
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_rejects_nonfinite(self, tmp_path, value):
+        path = tmp_path / "n.rrf1"
+        path.write_bytes(b"RRF1" + struct.pack("<II", 1, 2) + struct.pack("<ff", 1.0, value))
+        with pytest.raises(FormatError, match=f"{path.name}: RoI vectors must be finite"):
+            read_rrf1(path)
 
 
 class TestKittiBin:
@@ -332,6 +372,12 @@ class TestKittiBin:
         write_kitti_bin(first, records)
         write_kitti_bin(second, read_kitti_bin_array(first))
         assert first.read_bytes() == second.read_bytes()
+
+    def test_write_refuses_value_beyond_single_precision(self, tmp_path):
+        path = tmp_path / "big.bin"
+        with pytest.raises(FormatError, match=f"{path.name}: points must be finite"):
+            write_kitti_bin(path, np.array([[1.0, 2.0, 1e39, 0.5]]))
+        assert not path.exists()
 
     @pytest.mark.parametrize("shape", [(4, 3), (4,), (2, 2, 4)])
     def test_write_rejects_rows_without_intensity(self, tmp_path, shape):

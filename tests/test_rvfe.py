@@ -570,6 +570,26 @@ class TestForwardMemory:
         assert peak < 4.5 * out_bytes
 
 
+class TestBackwardMemory:
+    def test_peak_is_linear_in_channels_times_pixels(self):
+        # A 64x512 image with 27% of its pixels valid. One buffer set walks
+        # the nine taps of both branches, about 10.5 times the image's
+        # bytes; keeping every tap's buffers and the (9 * c_in, h * w) chunk
+        # matrices of a branch alive at once held about 69 times.
+        rng = np.random.default_rng(29)
+        img = util.random_image(rng, 64, 512, n_feat=32, density=0.27)
+        params = init_params(0, (32, 32, 64))
+        upstream = rng.normal(size=(params.c_out, 64, 512))
+        tracemalloc.start()
+        try:
+            grads = hdmk_backward(img, params, upstream)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert grads.feat.shape == (32, 64, 512)
+        assert peak < 16 * img.channels.nbytes
+
+
 class TestColumnBlocks:
     @pytest.mark.parametrize("width", [16, 4096])
     def test_blocks_tile_the_columns_within_the_width(self, width, monkeypatch):
