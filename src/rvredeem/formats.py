@@ -16,6 +16,11 @@ KITTI-style .bin clouds are raw little-endian f32 quadruples
 (x, y, z, intensity) with no header. Box list files are UTF-8 text, one
 `cx cy cz l w h yaw` line per box.
 
+The headed formats share one reader: it reads a file once and hands out
+views of its bytes, so the type a reader builds makes the only copy of the
+payload. Every binary writer goes through one writer, which writes header
+bytes and C-ordered arrays each as its own buffer, never a joined copy.
+
 Values are stored in single precision; readers widen to float64. Code that
 needs bit-stable composition across process boundaries therefore goes on
 with values rounded as their file stores them, never with the wider ones:
@@ -43,15 +48,41 @@ class FormatError(ValueError):
     """Raised when a binary artifact violates its format contract."""
 
 
-def _check_magic(data: bytes, magic: bytes, path):
-    if len(data) < 4 or data[:4] != magic:
-        raise FormatError(f"{path}: missing {magic.decode()} magic")
+class _Reader:
+    """An artifact file read once and walked from its magic to its end in
+    views of its bytes; every error names the file."""
+
+    def __init__(self, path, magic: bytes):
+        self.path = path
+        self._data = memoryview(Path(path).read_bytes())
+        self._offset = len(magic)
+        if self._data[: len(magic)] != magic:
+            raise FormatError(f"{path}: missing {magic.decode()} magic")
+
+    def take(self, n: int) -> memoryview:
+        end = self._offset + n
+        if end > len(self._data):
+            raise FormatError(f"{self.path}: truncated file")
+        part = self._data[self._offset : end]
+        self._offset = end
+        return part
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def array(self, count: int, dtype="<f4") -> np.ndarray:
+        return np.frombuffer(self.take(count * np.dtype(dtype).itemsize), dtype)
+
+    def end(self) -> None:
+        extra = len(self._data) - self._offset
+        if extra:
+            raise FormatError(f"{self.path}: {extra} trailing byte(s)")
 
 
-def _take(data: bytes, offset: int, size: int, path) -> tuple[bytes, int]:
-    if offset + size > len(data):
-        raise FormatError(f"{path}: truncated file")
-    return data[offset : offset + size], offset + size
+def _write(path, *parts) -> None:
+    """Write `parts` in order; a C-ordered array goes out as its own buffer."""
+    with open(path, "wb") as f:
+        f.writelines(parts)
 
 
 def _finite_f32(path, values, what: str) -> np.ndarray:
@@ -74,10 +105,7 @@ def _finite_f32(path, values, what: str) -> np.ndarray:
 def write_rri1(path, img: RangeImage) -> None:
     h, w = img.sensor.height, img.sensor.width
     planes = _finite_f32(path, img.channels, "channels")
-    with open(path, "wb") as f:
-        f.write(b"RRI1" + struct.pack("<III", h, w, img.plane_count))
-        planes.tofile(f)
-        img.valid.astype(np.uint8).tofile(f)
+    _write(path, b"RRI1", struct.pack("<III", h, w, img.plane_count), planes, img.valid)
 
 
 def as_stored(img: RangeImage) -> RangeImage:
@@ -88,21 +116,16 @@ def as_stored(img: RangeImage) -> RangeImage:
 
 
 def read_rri1(path, sensor: SensorModel) -> RangeImage:
-    data = Path(path).read_bytes()
-    _check_magic(data, b"RRI1", path)
-    head, offset = _take(data, 4, 12, path)
-    h, w, planes = struct.unpack("<III", head)
+    r = _Reader(path, b"RRI1")
+    h, w, planes = r.unpack("<III")
     if (h, w) != (sensor.height, sensor.width):
         raise FormatError(
             f"{path}: image is {h}x{w}, sensor expects "
             f"{sensor.height}x{sensor.width}"
         )
-    body, offset = _take(data, offset, planes * h * w * 4, path)
-    mask, offset = _take(data, offset, h * w, path)
-    if offset != len(data):
-        raise FormatError(f"{path}: {len(data) - offset} trailing byte(s)")
-    channels = np.frombuffer(body, dtype="<f4")
-    flags = np.frombuffer(mask, dtype=np.uint8)
+    channels = r.array(planes * h * w)
+    flags = r.array(h * w, np.uint8)
+    r.end()
     if np.any(flags > 1):
         raise FormatError(f"{path}: validity bytes must be 0 or 1")
     return RangeImage(
@@ -123,20 +146,14 @@ def write_rfp1(path, cloud: FeaturePointCloud) -> None:
         records[:, 3] = cloud.intensity
         records[:, 4:] = cloud.features
     records = _finite_f32(path, records, "point records")
-    Path(path).write_bytes(
-        b"RFP1" + struct.pack("<II", n, d_f) + records.tobytes()
-    )
+    _write(path, b"RFP1", struct.pack("<II", n, d_f), records)
 
 
 def read_rfp1(path) -> FeaturePointCloud:
-    data = Path(path).read_bytes()
-    _check_magic(data, b"RFP1", path)
-    head, offset = _take(data, 4, 8, path)
-    n, d_f = struct.unpack("<II", head)
-    body, offset = _take(data, offset, n * (4 + d_f) * 4, path)
-    if offset != len(data):
-        raise FormatError(f"{path}: {len(data) - offset} trailing byte(s)")
-    records = np.frombuffer(body, dtype="<f4").reshape(n, 4 + d_f)
+    r = _Reader(path, b"RFP1")
+    n, d_f = r.unpack("<II")
+    records = r.array(n * (4 + d_f)).reshape(n, 4 + d_f)
+    r.end()
     return FeaturePointCloud(records[:, :3], records[:, 3], records[:, 4:])
 
 
@@ -149,43 +166,30 @@ def write_rwt1(path, tensors: dict[str, np.ndarray]) -> None:
     for name, tensor in tensors.items():
         encoded = name.encode("utf-8")
         if len(encoded) > 0xFFFF:
-            raise FormatError(f"tensor name too long: {name[:40]}...")
+            raise FormatError(f"{path}: tensor name too long: {name[:40]}...")
         arr = _finite_f32(path, tensor, name)
-        if arr.ndim > 0xFF:
-            raise FormatError(f"{name}: rank {arr.ndim} exceeds format limit")
-        parts.append(struct.pack("<H", len(encoded)))
-        parts.append(encoded)
-        parts.append(struct.pack("<B", arr.ndim))
-        parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        parts.append(arr.tobytes())
-    Path(path).write_bytes(b"".join(parts))
+        parts += [struct.pack("<H", len(encoded)), encoded]
+        parts += [struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape), arr]
+    _write(path, *parts)
 
 
 def read_rwt1(path) -> dict[str, np.ndarray]:
-    data = Path(path).read_bytes()
-    _check_magic(data, b"RWT1", path)
-    head, offset = _take(data, 4, 4, path)
-    (count,) = struct.unpack("<I", head)
+    r = _Reader(path, b"RWT1")
+    (count,) = r.unpack("<I")
     out: dict[str, np.ndarray] = {}
     for _ in range(count):
-        head, offset = _take(data, offset, 2, path)
-        (name_len,) = struct.unpack("<H", head)
-        raw_name, offset = _take(data, offset, name_len, path)
+        (name_len,) = r.unpack("<H")
         try:
-            name = raw_name.decode("utf-8")
+            name = str(r.take(name_len), "utf-8")
         except UnicodeDecodeError:
             raise FormatError(f"{path}: tensor name is not UTF-8") from None
-        head, offset = _take(data, offset, 1, path)
-        rank = head[0]
-        head, offset = _take(data, offset, 4 * rank, path)
-        dims = struct.unpack(f"<{rank}I", head)
-        size = math.prod(dims)  # exact, and 1 for rank 0
-        body, offset = _take(data, offset, size * 4, path)
+        (rank,) = r.unpack("<B")
+        dims = r.unpack(f"<{rank}I")
+        body = r.array(math.prod(dims))  # exact, and 1 for rank 0
         if name in out:
             raise FormatError(f"{path}: duplicate tensor name {name!r}")
-        out[name] = np.frombuffer(body, dtype="<f4").astype(np.float64).reshape(dims)
-    if offset != len(data):
-        raise FormatError(f"{path}: {len(data) - offset} trailing byte(s)")
+        out[name] = body.astype(np.float64).reshape(dims)
+    r.end()
     return out
 
 
@@ -196,21 +200,16 @@ def read_rwt1(path) -> dict[str, np.ndarray]:
 def write_rrf1(path, vectors: np.ndarray) -> None:
     arr = _finite_f32(path, vectors, "RoI vectors")
     if arr.ndim != 2:
-        raise FormatError(f"RoI payload must be (boxes, length), got {arr.shape}")
-    Path(path).write_bytes(
-        b"RRF1" + struct.pack("<II", arr.shape[0], arr.shape[1]) + arr.tobytes()
-    )
+        raise FormatError(f"{path}: RoI payload must be (boxes, length), got {arr.shape}")
+    _write(path, b"RRF1", struct.pack("<II", *arr.shape), arr)
 
 
 def read_rrf1(path) -> np.ndarray:
-    data = Path(path).read_bytes()
-    _check_magic(data, b"RRF1", path)
-    head, offset = _take(data, 4, 8, path)
-    boxes, length = struct.unpack("<II", head)
-    body, offset = _take(data, offset, boxes * length * 4, path)
-    if offset != len(data):
-        raise FormatError(f"{path}: {len(data) - offset} trailing byte(s)")
-    vectors = _finite_f32(path, np.frombuffer(body, dtype="<f4"), "RoI vectors")
+    r = _Reader(path, b"RRF1")
+    boxes, length = r.unpack("<II")
+    body = r.array(boxes * length)
+    r.end()
+    vectors = _finite_f32(path, body, "RoI vectors")
     return vectors.astype(np.float64).reshape(boxes, length)
 
 
@@ -241,8 +240,7 @@ def write_kitti_bin(path, points) -> None:
     points = np.asarray(points)
     if points.ndim != 2 or points.shape[1] < 4:
         raise FormatError(f"{path}: need (N, >= 4) point rows, got {points.shape}")
-    arr = _finite_f32(path, points[:, :4], "points")
-    Path(path).write_bytes(arr.tobytes())
+    _write(path, _finite_f32(path, points[:, :4], "points"))
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,11 @@ single-shot `run_pipeline` and the per-stage CLI subcommands call the same
 functions, so composing subcommands reproduces the one-shot run bit for bit.
 
 Artifacts store values in single precision. Inside a stage, data that feeds
-a later computation is first rounded in memory exactly as its artifact
-stores it (`formats.as_stored` for range images), so that the rounding is
-part of the stage's defined output rather than an accident of process
-boundaries. Stages read only their inputs, never a file they wrote.
+later arithmetic is first rounded in memory exactly as its artifact stores
+it (`formats.as_stored` for range images), so that the rounding is part of
+the stage's defined output rather than an accident of process boundaries.
+Data that only goes on to a writer, directly or through a gather, is rounded
+by that writer. Stages read only their inputs, never a file they wrote.
 
 Weight files are outputs only. Parameters are generated from the config
 seed on the single-precision grid, so the RWT1 file a stage writes holds
@@ -212,7 +213,7 @@ def stage_redeem(cfg: PipelineConfig, range_path, out_dir) -> dict:
     block_img = formats.as_stored(basicblock_forward(img, block, cfg.wrap_horizontal))
     formats.write_rri1(out_dir / BLOCK_FILE, block_img)
 
-    feat_img = formats.as_stored(hdmk_forward(block_img, hdmk, cfg.wrap_horizontal))
+    feat_img = hdmk_forward(block_img, hdmk, cfg.wrap_horizontal)
     formats.write_rri1(out_dir / FEATURES_FILE, feat_img)
 
     cloud = redeem_feature_points(feat_img, cfg.feature_dim)

@@ -1,7 +1,9 @@
 """Binary artifact formats: byte layouts, round trips, error contracts."""
 
 import math
+import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -286,6 +288,15 @@ class TestRwt1:
             write_rwt1(path, tensors)
         assert not path.exists()
 
+    def test_write_refuses_name_too_long(self, tmp_path):
+        path = tmp_path / "long.rwt1"
+        with pytest.raises(FormatError, match=f"{path.name}: tensor name too long"):
+            write_rwt1(path, {"ok": np.ones(2), "n" * 0x10000: np.ones(2)})
+        assert not path.exists()
+        # The longest name a u16 length holds is accepted.
+        write_rwt1(path, {"n" * 0xFFFF: np.ones(2)})
+        assert list(read_rwt1(path)) == ["n" * 0xFFFF]
+
     def test_rejects_name_that_is_not_utf8(self, tmp_path):
         record = struct.pack("<H", 1) + b"\xff" + struct.pack("<B", 0)
         record += struct.pack("<f", 1.0)
@@ -318,8 +329,10 @@ class TestRrf1:
         assert read_rrf1(path).shape == (0, 9)
 
     def test_rejects_non_matrix(self, tmp_path):
-        with pytest.raises(FormatError, match="boxes, length"):
-            write_rrf1(tmp_path / "x.rrf1", np.zeros(4))
+        path = tmp_path / "x.rrf1"
+        with pytest.raises(FormatError, match=f"{path.name}: RoI payload must be \\(boxes, length\\)"):
+            write_rrf1(path, np.zeros(4))
+        assert not path.exists()
 
     @pytest.mark.parametrize("value", [1e39, math.nan])
     def test_write_refuses_nonfinite_single_precision(self, tmp_path, value):
@@ -334,6 +347,93 @@ class TestRrf1:
         path.write_bytes(b"RRF1" + struct.pack("<II", 1, 2) + struct.pack("<ff", 1.0, value))
         with pytest.raises(FormatError, match=f"{path.name}: RoI vectors must be finite"):
             read_rrf1(path)
+
+
+# One well-formed file per headed format, built from struct bytes, and how to
+# read it.
+HEADED_FILES = {
+    "RRI1": (
+        b"RRI1" + struct.pack("<III", 1, 2, 5) + bytes(40) + bytes([0, 0]),
+        lambda path: read_rri1(path, SensorModel(1, 2, 0.1, 0.1)),
+    ),
+    "RFP1": (
+        b"RFP1" + struct.pack("<II", 1, 1) + struct.pack("<5f", 1.0, 2.0, 3.0, 0.5, 9.0),
+        read_rfp1,
+    ),
+    "RWT1": (
+        b"RWT1" + struct.pack("<IH", 1, 1) + b"t" + struct.pack("<BI2f", 1, 2, 1.0, 2.0),
+        read_rwt1,
+    ),
+    "RRF1": (b"RRF1" + struct.pack("<II2f", 1, 2, 1.0, 2.0), read_rrf1),
+}
+
+# Each damage to a well-formed file, and the error that follows the path.
+DAMAGES = {
+    "wrong magic": (lambda data: b"JUNK" + data[4:], "missing {magic} magic"),
+    "shorter than magic": (lambda data: data[:3], "missing {magic} magic"),
+    "truncated payload": (lambda data: data[:-1], "truncated file"),
+    "trailing byte": (lambda data: data + b"\x00", "1 trailing byte\\(s\\)"),
+}
+
+
+class TestReaderContract:
+    @pytest.mark.parametrize("magic", sorted(HEADED_FILES))
+    def test_well_formed_file_reads(self, tmp_path, magic):
+        data, read = HEADED_FILES[magic]
+        path = tmp_path / f"x.{magic.lower()}"
+        path.write_bytes(data)
+        read(path)
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGES))
+    @pytest.mark.parametrize("magic", sorted(HEADED_FILES))
+    def test_damaged_file_raises_naming_the_path(self, tmp_path, magic, damage):
+        data, read = HEADED_FILES[magic]
+        corrupt, message = DAMAGES[damage]
+        path = tmp_path / f"x.{magic.lower()}"
+        path.write_bytes(corrupt(data))
+        expected = re.escape(str(path)) + ": " + message.format(magic=magic)
+        with pytest.raises(FormatError, match=expected):
+            read(path)
+
+
+def scan_cloud():
+    """35,863 points with 64 features: the scan workload's redeemed cloud."""
+    rng = np.random.default_rng(30)
+    n = 35_863
+    return FeaturePointCloud(
+        rng.uniform(-60, 60, size=(n, 3)), rng.uniform(0, 1, size=n), rng.normal(size=(n, 64))
+    )
+
+
+def traced_peak(call):
+    """`call()`'s result and the traced peak of Python and NumPy allocations
+    while it ran."""
+    tracemalloc.start()
+    try:
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+class TestArtifactMemory:
+    def test_write_rfp1_peak_is_the_record_matrix(self, tmp_path):
+        # One f32 record matrix goes out as its own buffer; copying it to
+        # bytes and joining a header to them held three times the file.
+        cloud = scan_cloud()
+        path = tmp_path / "c.rfp1"
+        _, peak = traced_peak(lambda: write_rfp1(path, cloud))
+        assert peak <= 1.2 * path.stat().st_size
+
+    def test_read_rfp1_peak_is_the_file_and_the_cloud(self, tmp_path):
+        # The file's bytes, read once, and the cloud built from views of
+        # them; slicing the payload out of the bytes held a second copy.
+        path = tmp_path / "c.rfp1"
+        write_rfp1(path, scan_cloud())
+        cloud, peak = traced_peak(lambda: read_rfp1(path))
+        own = cloud.xyz.nbytes + cloud.intensity.nbytes + cloud.features.nbytes
+        assert peak <= own + 1.5 * path.stat().st_size
 
 
 class TestKittiBin:

@@ -267,6 +267,24 @@ class TestStages:
             assert len(values) == 8
             assert 0.0 < values[0] < 1.0
 
+    def test_stage_redeem_refuses_features_beyond_single_precision(
+        self, tmp_path, toy, monkeypatch
+    ):
+        # The feature image is rounded only by its writer, which refuses a
+        # value single precision holds only as inf.
+        def overflowing(img, params, wrap):
+            features = np.zeros((toy.cfg.feature_dim,) + img.valid.shape)
+            features[0][img.valid] = 1e39
+            return img.with_features(features)
+
+        monkeypatch.setattr(pipeline, "hdmk_forward", overflowing)
+        with pytest.raises(
+            formats.FormatError,
+            match=f"{pipeline.FEATURES_FILE}: channels must be finite in single precision",
+        ):
+            pipeline.stage_redeem(toy.cfg, toy.out / pipeline.RANGE_FILE, tmp_path)
+        assert not (tmp_path / pipeline.FEATURES_FILE).exists()
+
 
 class TestPipeline:
     def test_one_shot_runs_every_stage(self, toy):
