@@ -41,15 +41,17 @@ class ConfigError(ValueError):
 def frozen_array(name: str, value, dtype=np.float64) -> np.ndarray:
     """A read-only C-ordered copy of `value` as `dtype`: how types keep arrays.
 
-    The copy is always made, so freezing never reaches an array the caller
-    holds, and every later check reads the data the object keeps. A float
-    copy must be finite; an integer dtype takes only integer input, never
-    truncated floats. Errors name the field: "{name} must be finite".
+    Exactly one copy is made from any input, a list of planes included, so
+    freezing never reaches an array the caller holds, and every later check
+    reads the data the object keeps. A float copy must be finite; an integer
+    dtype takes only integer input, never truncated floats. Errors name the
+    field: "{name} must be finite".
     """
-    src = np.asarray(value)
-    if np.dtype(dtype).kind in "iu" and src.dtype.kind not in "iu":
-        raise ValueError(f"{name} must be integers, got dtype {src.dtype}")
-    out = np.array(src, dtype=dtype, order="C")
+    if np.dtype(dtype).kind in "iu":
+        src = np.asarray(value)
+        if src.dtype.kind not in "iu":
+            raise ValueError(f"{name} must be integers, got dtype {src.dtype}")
+    out = np.array(value, dtype=dtype, order="C")
     if out.dtype.kind == "f" and not np.all(np.isfinite(out)):
         raise ValueError(f"{name} must be finite")
     out.setflags(write=False)
@@ -206,17 +208,14 @@ class RangeImage:
     def with_features(self, features: np.ndarray) -> "RangeImage":
         """New image keeping the five base planes, replacing feature planes.
 
-        Feature planes are zeroed at invalid pixels to preserve the type
-        invariant.
+        The features must already hold 0 at invalid pixels, as the layers
+        that compute them leave them; the planes are stacked in one copy.
         """
-        feats = np.asarray(features, dtype=np.float64)
+        feats = np.asarray(features)
         h, w = self.sensor.height, self.sensor.width
         if feats.ndim != 3 or feats.shape[1:] != (h, w):
             raise ValueError(f"feature planes must be (F, {h}, {w}), got {feats.shape}")
-        stacked = np.empty((BASE_CHANNELS + feats.shape[0], h, w))
-        stacked[:BASE_CHANNELS] = self.channels[:BASE_CHANNELS]
-        np.multiply(feats, self.valid, out=stacked[BASE_CHANNELS:])
-        return RangeImage(self.sensor, stacked, self.valid)
+        return RangeImage(self.sensor, [*self.channels[:BASE_CHANNELS], *feats], self.valid)
 
 
 @dataclass(frozen=True)
@@ -250,10 +249,6 @@ class FeaturePointCloud:
     @property
     def feature_dim(self) -> int:
         return self.features.shape[1]
-
-    @property
-    def ranges(self) -> np.ndarray:
-        return np.sqrt(np.sum(self.xyz * self.xyz, axis=1))
 
 
 def normalize_yaw(yaw: float) -> float:

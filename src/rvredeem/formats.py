@@ -281,6 +281,9 @@ def write_boxes(path, boxes) -> None:
 
 
 def sha256_file(path) -> str:
+    """Hex SHA-256 of a file, read in 256 KiB blocks."""
     digest = hashlib.sha256()
-    digest.update(Path(path).read_bytes())
+    with open(path, "rb") as f:
+        while block := f.read(1 << 18):
+            digest.update(block)
     return digest.hexdigest()

@@ -27,7 +27,9 @@ each meta-kernel branch on its support (the valid mask dilated by its
 stencil), holding its accumulator bias elsewhere, in blocks of
 _COLUMN_BLOCK centres through buffers allocated once per branch. So time
 scales with support pixels and the working set beyond inputs and output is
-fixed.
+fixed. The conv block's output and the backward's feature gradient are
+gathered back to planes through the same map (`_planes`), not scattered, so
+each layer zeroes its own invalid pixels and `with_features` only stacks.
 
 On images whose invalid pixels hold zeros, results are byte-identical to
 evaluating every pixel, including those zeros: the conv block's are +0,
@@ -287,6 +289,13 @@ def _columns(planes: np.ndarray, centres: np.ndarray) -> np.ndarray:
     return out
 
 
+def _planes(cols: np.ndarray, column: np.ndarray, h: int, w: int) -> np.ndarray:
+    """The inverse of `_columns`: (c, n) columns to (c, h, w) planes, where
+    each pixel reads its `column` and invalid pixels an appended zero one."""
+    padded = np.concatenate([cols, np.zeros((cols.shape[0], 1))], axis=1)
+    return padded.take(column[:-1], axis=1).reshape(cols.shape[0], h, w)
+
+
 def _relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
 
@@ -314,7 +323,8 @@ def basicblock_forward(
     """Residual conv unit over the five raw planes.
 
     out = relu(norm2(conv2(relu(norm1(conv1(x))))) + proj(x)), computed on
-    valid-pixel columns and scattered once; the validity mask passes through.
+    valid-pixel columns and gathered back to planes through the plan's column
+    map, which leaves +0 at invalid pixels; the validity mask passes through.
     """
     if img.plane_count != BASE_CHANNELS:
         raise ValueError(
@@ -332,9 +342,7 @@ def basicblock_forward(
     t = _relu(t * params.scale1[:, None] + params.shift1[:, None])
     t = _conv3x3(t, params.conv2, index) * params.scale2[:, None] + params.shift2[:, None]
     res = x if params.proj is None else params.proj @ x
-    out = np.zeros((params.c_out, h * w), dtype=np.float64)
-    out[:, centres] = _relu(t + res)  # `with_features` zeroes invalid pixels
-    return img.with_features(out.reshape(params.c_out, h, w))
+    return img.with_features(_planes(_relu(t + res), column, h, w))
 
 
 # ---------------------------------------------------------------------------
@@ -523,8 +531,7 @@ def hdmk_backward(
     centres, column = _stencils(feat.valid, wrap_horizontal)[:2]
     feat_cols = _columns(feat.feature_planes, centres)
     coord_cols = _columns(feat.channels[:3], centres)
-    pixel_cols = column[:-1]
-    centre_xyz = coord_cols[:, pixel_cols]
+    centre_xyz = coord_cols[:, column[:-1]]
     c_half = params.c_out // 2
 
     d_cols = np.zeros_like(feat_cols)
@@ -563,9 +570,8 @@ def hdmk_backward(
             d_w1 += d_pre @ delta.T
             d_b1 += np.sum(d_pre, axis=1)
         branch_grads.append(BranchParams(d_w1, d_b1, d_w2, d_b2, d_w_acc, d_b_acc))
-    d_cols[:, -1] = 0.0  # what invalid pixels read back
     return HdMetaKernelGrads(
-        d_cols[:, pixel_cols].reshape(c_in, h, w), HdMetaKernelParams(*branch_grads)
+        _planes(d_cols[:, :-1], column, h, w), HdMetaKernelParams(*branch_grads)
     )
 
 

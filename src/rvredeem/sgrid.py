@@ -68,14 +68,8 @@ def grid_cell_centers(dims: np.ndarray, grid: int) -> np.ndarray:
     if grid < 1:
         raise ValueError(f"grid size must be >= 1, got {grid}")
     axes = [((np.arange(grid) + 0.5) / grid - 0.5) * dims[a] for a in range(3)]
-    out = np.empty((grid**3, 3), dtype=np.float64)
-    i = 0
-    for z in axes[2]:
-        for y in axes[1]:
-            for x in axes[0]:
-                out[i] = (x, y, z)
-                i += 1
-    return out
+    z, y, x = np.meshgrid(axes[2], axes[1], axes[0], indexing="ij")
+    return np.stack([x.ravel(), y.ravel(), z.ravel()], axis=1)
 
 
 def gen_grid_points(box: Box3D, grid: int) -> np.ndarray:

@@ -3,12 +3,14 @@
 import inspect
 import math
 import re
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import util
 from rvredeem import core
 from rvredeem.core import (
     Box3D,
@@ -169,18 +171,35 @@ class TestRangeImage:
         with pytest.raises(ValueError):
             RangeImage(s, planes, valid)
 
-    def test_with_features_zeroes_invalid(self):
+    def test_with_features_rejects_values_at_invalid_pixels(self):
         img = self.make_image()
-        feats = np.ones((2, 4, 8))
+        with pytest.raises(ValueError, match="invalid pixels must hold 0"):
+            img.with_features(np.ones((2, 4, 8)))
+        feats = np.ones((2, 4, 8)) * img.valid
         out = img.with_features(feats)
         assert out.plane_count == 7
         assert out.channels[5, 0, 0] == 0.0
         assert out.channels[5, 1, 2] == 1.0
         np.testing.assert_array_equal(out.channels[:5], img.channels[:5])
 
+    def test_with_features_copies_once(self):
+        # The constructor's copy stacks the planes; stacking them first in a
+        # buffer of its own held about twice the result's bytes.
+        rng = np.random.default_rng(31)
+        img = util.random_image(rng, 64, 512, density=0.3)
+        feats = rng.normal(size=(32, 64, 512)) * img.valid
+        tracemalloc.start()
+        try:
+            out = img.with_features(feats)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(out.feature_planes, feats)
+        assert peak < 1.5 * out.channels.nbytes
+
 
 class TestFeaturePointCloud:
-    def test_sizes_and_ranges(self):
+    def test_sizes(self):
         cloud = FeaturePointCloud(
             [[3.0, 4.0, 0.0], [0.0, 0.0, 2.0]],
             [0.5, 0.25],
@@ -188,7 +207,6 @@ class TestFeaturePointCloud:
         )
         assert len(cloud) == 2
         assert cloud.feature_dim == 2
-        np.testing.assert_allclose(cloud.ranges, [5.0, 2.0])
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):

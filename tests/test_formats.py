@@ -1,5 +1,6 @@
 """Binary artifact formats: byte layouts, round trips, error contracts."""
 
+import hashlib
 import math
 import re
 import struct
@@ -537,3 +538,14 @@ class TestSha256:
         assert sha256_file(path) == (
             "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
         )
+
+    def test_large_file_is_hashed_in_blocks(self, tmp_path):
+        # A 16 MB file: reading it whole would hold all of it at once.
+        data = np.random.default_rng(3).bytes(16 << 20)
+        path = tmp_path / "big"
+        path.write_bytes(data)
+        expected = hashlib.sha256(data).hexdigest()
+        del data
+        digest, peak = traced_peak(lambda: sha256_file(path))
+        assert digest == expected
+        assert peak < 2 << 20

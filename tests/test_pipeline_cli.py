@@ -424,11 +424,13 @@ class TestPipeline:
         assert ok
         assert digest == expected["gradcheck-6x10"]["checksums"]["reports"]
 
-    def test_multi_block_redeem_matches_recorded(self, tmp_path):
-        # proposals-512 at seed 0 up to the feature cloud: each meta-kernel
-        # branch covers some 20,000 centres, five column blocks.
+    @pytest.mark.parametrize("workload", ["proposals-512", "scan-64x2048"])
+    def test_multi_block_redeem_matches_recorded(self, tmp_path, workload):
+        # A workload at seed 0 up to the feature cloud. On proposals-512 each
+        # meta-kernel branch covers some 20,000 centres, five column blocks;
+        # scan-64x2048 is the one workload with 64x2048 images.
         expected = json.loads((PERFBENCH / "expected.json").read_text(encoding="utf-8"))
-        cfg, points, _ = benchmark_inputs("proposals-512", tmp_path)
+        cfg, points, _ = benchmark_inputs(workload, tmp_path)
         out = tmp_path / "out"
         pipeline.stage_project(cfg, points, out)
         pipeline.stage_redeem(cfg, out / pipeline.RANGE_FILE, out)
@@ -444,7 +446,7 @@ class TestPipeline:
             pipeline.FEATURES_FILE,
             pipeline.CLOUD_FILE,
         ]
-        recorded = expected["proposals-512"]["checksums"]
+        recorded = expected[workload]["checksums"]
         assert written == {name: recorded[name] for name in written}
 
     def test_zero_box_scene_pools_nothing(self, tmp_path):

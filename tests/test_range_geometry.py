@@ -249,7 +249,7 @@ class TestRedeemFeaturePoints:
         pts = rng.uniform(-25, 25, size=(800, 3))
         img = build_range_image(pts, SENSOR)
         feats = rng.normal(size=(planes_extra, SENSOR.height, SENSOR.width))
-        return img.with_features(feats)
+        return img.with_features(feats * img.valid)
 
     def test_count_equals_popcount(self):
         img = self.make_image()
@@ -267,9 +267,8 @@ class TestRedeemFeaturePoints:
 
     def test_singleton_image(self):
         pts = np.array([[5.0, 0.0, 0.0, 0.5]])
-        img = build_range_image(pts, SENSOR).with_features(
-            np.full((2, SENSOR.height, SENSOR.width), 3.0)
-        )
+        img = build_range_image(pts, SENSOR)
+        img = img.with_features(np.full((2, SENSOR.height, SENSOR.width), 3.0) * img.valid)
         cloud = redeem_feature_points(img)
         assert len(cloud) == 1
         np.testing.assert_array_equal(cloud.features, [[3.0, 3.0]])
