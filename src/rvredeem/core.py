@@ -363,6 +363,9 @@ class PipelineConfig:
             if not (math.isfinite(size) and size > 0.0):
                 raise ValueError(f"voxel size_{axis} must be strictly positive")
         for axis, lo, hi in zip("xyz", self.range_min, self.range_max):
+            for bound, value in (("min", lo), ("max", hi)):
+                if not math.isfinite(value):
+                    raise ValueError(f"voxel {bound}_{axis} must be finite")
             if not (hi > lo):
                 raise ValueError(f"spatial range on {axis} must satisfy max > min")
         if self.seed < 0:

@@ -204,13 +204,14 @@ def pointnet_aggregate(
     neighbor_features: np.ndarray,
     mlp: SharedMlp,
 ) -> np.ndarray:
-    """Max-pooled local feature with an emptiness flag channel.
+    """Max-pooled local feature, (mlp.out_dim,); all zero with no neighbors.
 
     Each neighbor is encoded as concat(xyz - center, features), pushed
-    through the shared MLP, then reduced by channel-wise max. The returned
-    vector has out_dim + 1 entries: the pooled feature followed by a flag
-    that is 1.0 when the neighbor list was empty (pooled part all zero) and
-    0.0 otherwise.
+    through the shared MLP, then reduced by channel-wise max. The max starts
+    from +0.0 (`initial=0.0`), which changes no value: every rectified MLP
+    output is >= +0.0, and a -0.0 output would need a -0.0 bias, which
+    `init_dense` never emits. So an empty neighbor list takes the same path
+    and pools to zeros; callers that need emptiness take it from the query.
     """
     center = np.asarray(center, dtype=np.float64).reshape(3)
     xyz = np.asarray(neighbor_xyz, dtype=np.float64).reshape(-1, 3)
@@ -219,17 +220,12 @@ def pointnet_aggregate(
         raise ValueError(
             f"features must be ({xyz.shape[0]}, d), got {feats.shape}"
         )
-    out = np.zeros(mlp.out_dim + 1, dtype=np.float64)
-    if xyz.shape[0] == 0:
-        out[-1] = 1.0
-        return out
     encoded = np.concatenate([xyz - center, feats], axis=1).T
     if encoded.shape[0] != mlp.in_dim:
         raise ValueError(
             f"MLP expects {mlp.in_dim} inputs, encoding has {encoded.shape[0]}"
         )
-    out[:-1] = np.max(mlp.apply(encoded), axis=1)
-    return out
+    return np.max(mlp.apply(encoded), axis=1, initial=0.0)
 
 
 def voxelize(

@@ -131,11 +131,15 @@ def project_points(xyz: np.ndarray, sensor: SensorModel):
 def build_range_image(points, sensor: SensorModel) -> RangeImage:
     """Bin (N, 3..5) point rows (see `points_to_array`) into the range image.
 
-    Each in-view point lands at (floor(u), floor(v)). When several points
-    share a pixel the smallest range wins, ties broken by lowest input index,
-    so the result never depends on traversal order. Out-of-view points are
-    skipped and counted in a log line. Coordinates and ranges must be finite;
-    intensities follow `clamp_intensity`, checked on every row, kept or not.
+    Each in-view point lands at flat pixel id floor(v) * w + floor(u). The
+    points are sorted on the two keys (pixel id, range); `np.lexsort` is
+    stable, so equal keys keep ascending input order, and the first point of
+    each pixel's group is the nearest one with the lowest input index. The
+    result therefore never depends on traversal order. Out-of-view points
+    are skipped and counted in a log line; an empty cloud, or one with
+    nothing in view, gives an image with no valid pixel. Coordinates and
+    ranges must be finite; intensities follow `clamp_intensity`, checked on
+    every row, kept or not.
     """
     arr = points_to_array(points)
     bad = np.flatnonzero(~np.isfinite(np.delete(arr, CH_INTENSITY, axis=1)).all(axis=1))
@@ -143,35 +147,22 @@ def build_range_image(points, sensor: SensorModel) -> RangeImage:
         raise ValueError(f"point x, y, z and range must be finite; row {bad[0]} is not")
     arr[:, CH_INTENSITY] = clamp_intensity(arr[:, CH_INTENSITY], "point intensity")
     h, w = sensor.height, sensor.width
-    planes = np.zeros((BASE_CHANNELS, h, w), dtype=np.float64)
-    valid = np.zeros((h, w), dtype=bool)
-    if arr.shape[0] == 0:
-        return RangeImage(sensor, planes, valid)
-
     u, v, r, in_fov = project_points(arr[:, :3], sensor)
     dropped = int(arr.shape[0] - np.sum(in_fov))
     if dropped:
         logger.info("build_range_image: %d point(s) outside the field of view", dropped)
     keep = np.flatnonzero(in_fov)
-    if keep.size == 0:
-        return RangeImage(sensor, planes, valid)
-
-    cols = np.floor(u[keep]).astype(np.int64)
-    rows = np.floor(v[keep]).astype(np.int64)
-    pixel_id = rows * w + cols
-    # Sort by (pixel, range, input index); the first entry per pixel is the
-    # nearest point with the lowest index among equals.
-    order = np.lexsort((keep, r[keep], pixel_id))
-    pixel_sorted = pixel_id[order]
-    first = np.ones(order.size, dtype=bool)
-    first[1:] = pixel_sorted[1:] != pixel_sorted[:-1]
-    winners = keep[order[first]]
-    win_rows = rows[order[first]]
-    win_cols = cols[order[first]]
-
-    planes[:, win_rows, win_cols] = arr[winners].T
-    valid[win_rows, win_cols] = True
-    return RangeImage(sensor, planes, valid)
+    pixel = np.floor(v[keep]).astype(np.int64) * w + np.floor(u[keep]).astype(np.int64)
+    order = np.lexsort((r[keep], pixel))
+    pixel_sorted = pixel[order]
+    # Pixel ids are nonnegative, so the prepended -1 opens the first group.
+    first = np.flatnonzero(np.diff(pixel_sorted, prepend=-1))
+    won = pixel_sorted[first]
+    planes = np.zeros((BASE_CHANNELS, h * w), dtype=np.float64)
+    planes[:, won] = arr[keep[order[first]]].T
+    valid = np.zeros(h * w, dtype=bool)
+    valid[won] = True
+    return RangeImage(sensor, planes.reshape(BASE_CHANNELS, h, w), valid.reshape(h, w))
 
 
 def redeem_feature_points(
@@ -179,6 +170,7 @@ def redeem_feature_points(
 ) -> FeaturePointCloud:
     """One feature point per valid pixel, in row-major pixel order.
 
+    Every plane is read at the valid pixels' flat ids in one gather.
     Coordinates and intensity come from the stored planes, never re-derived
     from pixel centers, so no quantization error enters the cloud. The
     embedding is the pixel's feature-plane vector. Output count equals the
@@ -189,8 +181,5 @@ def redeem_feature_points(
         raise ValueError(
             f"expected {expected_dim} feature plane(s), image has {d_f}"
         )
-    rows, cols = np.nonzero(img.valid)
-    xyz = img.channels[:3, rows, cols].T
-    intensity = img.channels[CH_INTENSITY, rows, cols]
-    features = img.feature_planes[:, rows, cols].T.reshape(rows.size, d_f)
-    return FeaturePointCloud(xyz, intensity, features)
+    columns = img.channels.reshape(img.plane_count, -1).take(np.flatnonzero(img.valid), axis=1)
+    return FeaturePointCloud(columns[:3].T, columns[CH_INTENSITY], columns[BASE_CHANNELS:].T)

@@ -349,12 +349,17 @@ def basicblock_forward(
 # HD meta kernel
 # ---------------------------------------------------------------------------
 
-def _check_hdmk_input(feat: RangeImage, params: HdMetaKernelParams):
-    d_f = feat.plane_count - BASE_CHANNELS
-    if d_f < 1:
-        raise ValueError("meta kernel input carries no feature planes")
-    if d_f != params.c_in:
-        raise ValueError(f"params expect c_in={params.c_in}, image has {d_f} feature planes")
+def _check_hdmk_input(
+    feats: np.ndarray, coords: np.ndarray, valid: np.ndarray, params: HdMetaKernelParams
+):
+    """Shape checks shared by the meta kernel's forward and backward."""
+    if valid.ndim != 2:
+        raise ValueError(f"valid mask must be (h, w), got shape {valid.shape}")
+    h, w = valid.shape
+    if feats.shape != (params.c_in, h, w):
+        raise ValueError(f"features must be (c_in={params.c_in}, {h}, {w}), got {feats.shape}")
+    if coords.shape != (3, h, w):
+        raise ValueError(f"coords must be (3, {h}, {w}), got {coords.shape}")
 
 
 def _tap_buffers(c_in: int, c_mid: int, n: int) -> tuple[np.ndarray, ...]:
@@ -434,12 +439,9 @@ def hdmk_forward_planes(
     masking turns that into a zero carrying the bias's sign. The support is
     walked in column blocks (`_column_blocks`) through one set of buffers.
     """
+    _check_hdmk_input(feats, coords, valid, params)
     h, w = valid.shape
-    if feats.ndim != 3 or feats.shape[1:] != (h, w):
-        raise ValueError(f"features must be (c_in, {h}, {w}), got {feats.shape}")
-    if coords.shape != (3, h, w):
-        raise ValueError(f"coords must be (3, {h}, {w}), got {coords.shape}")
-    c_in = feats.shape[0]
+    c_in = params.c_in
     c_half = params.c_out // 2
     centres, column, *supports = _stencils(valid, wrap_horizontal)
     feat_cols = _columns(feats, centres)
@@ -485,7 +487,6 @@ def hdmk_forward(
     feature planes for neighbor values; emits c_out feature planes on the
     same validity mask.
     """
-    _check_hdmk_input(feat, params)
     full = hdmk_forward_planes(
         feat.feature_planes, feat.channels[:3], feat.valid, params, wrap_horizontal
     )
@@ -517,7 +518,7 @@ def hdmk_backward(
     Accumulation runs in a fixed order (branch, then offset), so repeated
     calls are bit-identical.
     """
-    _check_hdmk_input(feat, params)
+    _check_hdmk_input(feat.feature_planes, feat.channels[:3], feat.valid, params)
     c_in = params.c_in
     h, w = feat.valid.shape
     n_px = h * w
@@ -629,10 +630,11 @@ def init_params(seed: int, dims: tuple[int, int, int]) -> HdMetaKernelParams:
     return HdMetaKernelParams(branch1, branch2)
 
 
-def init_basicblock(seed: int, c_out: int, c_in: int = BASE_CHANNELS) -> BasicBlockParams:
-    """Deterministic BasicBlock parameters lifting c_in planes to c_out."""
-    if min(c_in, c_out) < 1:
-        raise ValueError("channel counts must be positive")
+def init_basicblock(seed: int, c_out: int) -> BasicBlockParams:
+    """Deterministic BasicBlock parameters lifting the raw planes to c_out."""
+    if c_out < 1:
+        raise ValueError(f"c_out must be positive, got {c_out}")
+    c_in = BASE_CHANNELS
     rng = DetRng(derive_seed(seed, STREAM_BASICBLOCK))
     lim1 = _glorot_limit(9 * c_in, c_out)
     lim2 = _glorot_limit(9 * c_out, c_out)

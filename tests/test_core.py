@@ -363,6 +363,14 @@ class TestLoadConfig:
             with pytest.raises(ConfigError, match=rf"^{key}: expected .*, got ''$"):
                 load_config(self.write(tmp_path, text))
 
+    def test_nonfinite_voxel_bound_named(self, tmp_path):
+        for key, value in (("max_x", "inf"), ("min_y", "-inf"), ("max_z", "nan")):
+            text = CONFIG_TEXT + f"voxel.{key} = {value}\n"
+            with pytest.raises(
+                ConfigError, match=rf"^config: voxel {key} must be finite$"
+            ):
+                load_config(self.write(tmp_path, text))
+
     def test_coarse_grid_other_than_two_rejected(self, tmp_path):
         for size in (1, 3):
             text = CONFIG_TEXT + f"sgrid.coarse_grid = {size}\n"

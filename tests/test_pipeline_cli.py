@@ -159,7 +159,7 @@ class TestWeightsPacking:
 
     def test_rvfe_projection_is_optional(self, tmp_path):
         # Equal in and out widths skip the projection tensor entirely.
-        block = init_basicblock(1, 5, c_in=5)
+        block = init_basicblock(1, 5)
         assert block.proj is None
         hdmk = init_params(1, (5, 4, 6))
         packed = pipeline.pack_rvfe_weights(block, hdmk)

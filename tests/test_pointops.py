@@ -214,13 +214,13 @@ class TestPointnetAggregate:
             [[4.0]],
             tiny_mlp(),
         )
-        np.testing.assert_array_equal(out, [8.5, 0.0, 0.0])
+        np.testing.assert_array_equal(out, [8.5, 0.0])
 
-    def test_empty_neighbors_flagged(self):
+    def test_empty_neighbors_pool_to_zeros(self):
         out = pointnet_aggregate(
             [0.0, 0.0, 0.0], np.zeros((0, 3)), np.zeros((0, 1)), tiny_mlp()
         )
-        np.testing.assert_array_equal(out, [0.0, 0.0, 1.0])
+        np.testing.assert_array_equal(out, [0.0, 0.0])
 
     def test_duplication_idempotent(self):
         rng = np.random.default_rng(9)

@@ -303,6 +303,27 @@ class TestHdmkForward:
         with pytest.raises(ValueError):
             hdmk_forward(img, util.random_hdmk_params(rng, c_in=4))
 
+    def test_rejects_plane_count_other_than_c_in(self):
+        rng = np.random.default_rng(15)
+        img = util.random_image(rng, 6, 8, n_feat=3)
+        params = util.random_hdmk_params(rng, c_in=4)
+        args = (img.feature_planes, img.channels[:3], img.valid, params)
+        message = r"^features must be \(c_in=4, 6, 8\), got \(3, 6, 8\)$"
+        with pytest.raises(ValueError, match=message):
+            hdmk_forward_planes(*args)
+        with pytest.raises(ValueError, match=message):
+            hdmk_forward(img, params)
+        with pytest.raises(ValueError, match=message):
+            hdmk_backward(img, params, np.zeros((params.c_out, 6, 8)))
+
+    def test_rejects_mask_that_is_not_two_dimensional(self):
+        rng = np.random.default_rng(15)
+        img = util.random_image(rng, 6, 8, n_feat=4)
+        params = util.random_hdmk_params(rng, c_in=4)
+        message = r"^valid mask must be \(h, w\), got shape \(1, 6, 8\)$"
+        with pytest.raises(ValueError, match=message):
+            hdmk_forward_planes(img.feature_planes, img.channels[:3], img.valid[None], params)
+
 
 MASKS = ["none", "one", "last", 0.15, 0.85, "all"]
 

@@ -256,21 +256,19 @@ class TestSgridPool:
         for g in range(27):
             d2 = float(np.sum((canon[0] - fine_pos[g]) ** 2))
             if d2 <= SMALL_CFG.fine_radius**2:
-                pooled = pointnet_aggregate(
+                fine[g] = pointnet_aggregate(
                     fine_pos[g], canon, feature, params.mlp_fine
                 )
             else:
-                pooled = pointnet_aggregate(
+                fine[g] = pointnet_aggregate(
                     fine_pos[g], np.zeros((0, 3)), np.zeros((0, 2)), params.mlp_fine
                 )
-            fine[g] = pooled[:-1]
-            fine_empty[g] = pooled[-1] == 1.0
+            fine_empty[g] = d2 > SMALL_CFG.fine_radius**2
         coarse = np.empty((8, 4))
         for g in range(8):
-            pooled = pointnet_aggregate(
+            coarse[g] = pointnet_aggregate(
                 coarse_pos[g], canon, feature, params.mlp_coarse
             )
-            coarse[g] = pooled[:-1]
         upsampled = upsample_grid(coarse, coarse_pos, fine_pos, mode="trilinear")
         expected = np.concatenate([fine, upsampled], axis=1).ravel()
         np.testing.assert_array_equal(roi.vector, expected)
