@@ -112,7 +112,9 @@ def as_stored(img: RangeImage) -> RangeImage:
     """The image `read_rri1` returns for the file `write_rri1` makes of `img`,
     validated alike: a value beyond the f32 range becomes inf and is rejected.
     """
-    return RangeImage(img.sensor, img.channels.astype(np.float32), img.valid)
+    with np.errstate(over="ignore"):
+        channels = img.channels.astype(np.float32)
+    return RangeImage(img.sensor, channels, img.valid)
 
 
 def read_rri1(path, sensor: SensorModel) -> RangeImage:

@@ -22,14 +22,19 @@ bytes), `_stencil_plan`, kept for the last mask, tells every layer where to
 evaluate. Both layers gather (c, n + 1) columns, one per conv-block centre
 and a zero column, through its pixel-to-column map, which sends invalid
 pixels and the outside of the image to the zero column: values stored at
-invalid pixels are never read. The conv block runs on valid-pixel columns;
+invalid pixels are never read. The conv block runs on valid-pixel columns,
+each convolution in blocks of _CONV_BLOCK columns through two buffers and
+the other steps in place;
 each meta-kernel branch on its support (the valid mask dilated by its
 stencil), holding its accumulator bias elsewhere, in blocks of
-_COLUMN_BLOCK centres through buffers allocated once per branch. So time
-scales with support pixels and the working set beyond inputs and output is
-fixed. The conv block's output and the backward's feature gradient are
-gathered back to planes through the same map (`_planes`), not scattered, so
-each layer zeroes its own invalid pixels and `with_features` only stacks.
+_COLUMN_BLOCK centres through buffers allocated once per branch. A block's
+nine taps run together: one gather per input and one stacked product per
+perceptron layer, the gated chunks written straight into the accumulator's
+operand. So time scales with support pixels and the working set beyond
+inputs and output is fixed. The conv block's output and the backward's
+feature gradient are gathered back to planes through the same map
+(`_planes`), not scattered, so each layer zeroes its own invalid pixels and
+`with_features` only stacks.
 
 On images whose invalid pixels hold zeros, results are byte-identical to
 evaluating every pixel, including those zeros: the conv block's are +0,
@@ -217,12 +222,19 @@ def neighbour_index(
     sends to the zero column, as it sends every invalid pixel.
     """
     d = np.array(offsets, dtype=np.int64).reshape(-1, 2)
-    rows = centres // w + d[:, :1]
-    cols = centres % w + d[:, 1:]
+    row, col = np.divmod(centres, w)
+    rows = row + d[:, :1]
+    cols = col + d[:, 1:]
+    # As unsigned, a negative row or column compares above any bound.
+    outside = rows.view(np.uint64) >= h
     if wrap_horizontal:
         cols %= w
-    inside = (rows >= 0) & (rows < h) & (cols >= 0) & (cols < w)
-    return np.where(inside, rows * w + cols, h * w)
+    else:
+        outside |= cols.view(np.uint64) >= w
+    rows *= w
+    rows += cols
+    rows[outside] = h * w
+    return rows
 
 
 # A BLAS product rounds each output column by the kernel that covers it. On
@@ -296,24 +308,41 @@ def _planes(cols: np.ndarray, column: np.ndarray, h: int, w: int) -> np.ndarray:
     return padded.take(column[:-1], axis=1).reshape(cols.shape[0], h, w)
 
 
-def _relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
-
-
 # ---------------------------------------------------------------------------
 # BasicBlock
 # ---------------------------------------------------------------------------
+
+# Columns per conv block product. Every block but the last is this wide
+# and the last holds the rest, from _CONV_BLOCK to twice that, so a
+# product never gets narrow: the product routine a BLAS picks, and with it
+# how a partial tail of n % _GEMM_BLOCK columns rounds, can change with the
+# width (OpenBLAS multiplies small matrices through other kernels), and a
+# narrow last block would round its tail unlike one product over all n.
+_CONV_BLOCK = 4096
+
 
 def _conv3x3(cols: np.ndarray, weight: np.ndarray, index: np.ndarray) -> np.ndarray:
     """3x3 convolution on pixel columns, (c_in, n) to (c_out, n).
 
     Tap k of column i reads column index[k, i]; index n reads an appended
-    zero column. Accumulation order over the 9 taps is fixed.
+    zero column. Accumulation order over the 9 taps is fixed. The columns
+    are walked in blocks of _CONV_BLOCK, the last one holding the rest,
+    through one gather buffer and one product buffer, so beyond the padded
+    input and the output the working set is fixed.
     """
+    n = cols.shape[1]
     padded = np.concatenate([cols, np.zeros((cols.shape[0], 1))], axis=1)
-    acc = np.zeros((weight.shape[0], cols.shape[1]), dtype=np.float64)
-    for k, (dh, dw) in enumerate(UNIT_OFFSETS):
-        acc += weight[:, :, dh + 1, dw + 1] @ np.take(padded, index[k], axis=1)
+    acc = np.zeros((weight.shape[0], n), dtype=np.float64)
+    stops = [*range(_CONV_BLOCK, n - _CONV_BLOCK + 1, _CONV_BLOCK), n]
+    blocks = list(zip([0, *stops[:-1]], stops))
+    width = max(stop - start for start, stop in blocks)
+    tap_buf, product_buf = (np.empty(c * width) for c in (cols.shape[0], weight.shape[0]))
+    for start, stop in blocks:
+        tap = _prefix(tap_buf, cols.shape[0], stop - start)
+        product = _prefix(product_buf, weight.shape[0], stop - start)
+        for k, (dh, dw) in enumerate(UNIT_OFFSETS):
+            padded.take(index[k, start:stop], axis=1, out=tap, mode="clip")
+            acc[:, start:stop] += np.matmul(weight[:, :, dh + 1, dw + 1], tap, out=product)
     return acc
 
 
@@ -338,11 +367,17 @@ def basicblock_forward(
     centres, column = _stencils(img.valid, wrap_horizontal)[:2]
     index = column[neighbour_index(h, w, UNIT_OFFSETS, centres, wrap_horizontal)]
     x = np.take(img.channels.reshape(BASE_CHANNELS, h * w), centres, axis=1)
+    # The affine, residual and ReLU steps run in place on the conv outputs.
     t = _conv3x3(x, params.conv1, index)
-    t = _relu(t * params.scale1[:, None] + params.shift1[:, None])
-    t = _conv3x3(t, params.conv2, index) * params.scale2[:, None] + params.shift2[:, None]
-    res = x if params.proj is None else params.proj @ x
-    return img.with_features(_planes(_relu(t + res), column, h, w))
+    t *= params.scale1[:, None]
+    t += params.shift1[:, None]
+    np.maximum(t, 0.0, out=t)
+    t = _conv3x3(t, params.conv2, index)
+    t *= params.scale2[:, None]
+    t += params.shift2[:, None]
+    t += x if params.proj is None else params.proj @ x
+    np.maximum(t, 0.0, out=t)
+    return img.with_features(_planes(t, column, h, w))
 
 
 # ---------------------------------------------------------------------------
@@ -362,9 +397,15 @@ def _check_hdmk_input(
         raise ValueError(f"coords must be (3, {h}, {w}), got {coords.shape}")
 
 
-def _tap_buffers(c_in: int, c_mid: int, n: int) -> tuple[np.ndarray, ...]:
-    """Uninitialised outputs of one `_tap` call at n centres."""
-    return np.empty((c_in, n)), np.empty((3, n)), np.empty((c_mid, n)), np.empty((c_in, n))
+def _tap_buffers(c_in: int, c_mid: int, taps: int, n: int) -> tuple[np.ndarray, ...]:
+    """Flat uninitialised buffers for `_tap` calls of up to `taps` taps at n
+    centres: neighbour features, coordinate deltas, hidden units and gates."""
+    return tuple(np.empty(c * taps * n) for c in (c_in, 3, c_mid, c_in))
+
+
+def _prefix(buf: np.ndarray, *shape: int) -> np.ndarray:
+    """The leading elements of flat `buf` as a C-contiguous array of `shape`."""
+    return buf[: math.prod(shape)].reshape(shape)
 
 
 def _tap(
@@ -376,34 +417,44 @@ def _tap(
     neigh_valid: np.ndarray,
     bufs: tuple[np.ndarray, ...],
     weighted: np.ndarray,
-) -> None:
-    """One offset of a branch at a set of centres, written in place.
+) -> tuple[np.ndarray, ...]:
+    """t offsets of a branch at m centres, written in place.
 
     `feats` and `coords` are pixel columns from `_columns`, the last one
-    zero; `index` holds the column of each centre's neighbour, the zero
-    column when that neighbour is invalid or outside, `neigh_valid` whether
-    it is not, and `centre_xyz` the centres' (3, m) coordinates. Fills
-    `bufs` (from `_tap_buffers`) with the neighbour features, the coordinate
-    deltas, the perceptron's hidden activations and its gates, and
-    `weighted` with the (c_in, m) chunk, a zero at every invalid neighbour.
+    zero; `index` (t, m) holds the column of each centre's neighbour, the
+    zero column when that neighbour is invalid or outside, `neigh_valid`
+    whether it is not, and `centre_xyz` the centres' (3, m) coordinates.
+    Fills `weighted` with the (t, c_in, m) chunks, a zero at every invalid
+    neighbour, and returns the (c_in, t, m) neighbour features, (3, t, m)
+    coordinate deltas, (t, c_mid, m) hidden activations and (t, c_in, m)
+    gates as contiguous prefixes of `bufs` (from `_tap_buffers`), so each
+    tap's slice of a stacked product rounds as a 2-D product would.
     """
-    neigh_feat, delta, hid, gate = bufs
+    t, m = index.shape
+    c_in, c_mid = branch.w2.shape
+    neigh_feat = _prefix(bufs[0], c_in, t, m)
+    delta = _prefix(bufs[1], 3, t, m)
+    hid = _prefix(bufs[2], t, c_mid, m)
+    gate = _prefix(bufs[3], t, c_in, m)
     # Every index is in range; "clip" keeps `take` from buffering `out`.
     feats.take(index, axis=1, out=neigh_feat, mode="clip")
     coords.take(index, axis=1, out=delta, mode="clip")
-    delta -= centre_xyz
+    delta -= centre_xyz[:, None]
     delta *= neigh_valid
-    np.matmul(branch.w1, delta, out=hid)
+    np.matmul(branch.w1, delta.transpose(1, 0, 2), out=hid)
     hid += branch.b1[:, None]
     np.maximum(hid, 0.0, out=hid)
     np.matmul(branch.w2, hid, out=gate)
     gate += branch.b2[:, None]
-    np.multiply(gate, neigh_feat, out=weighted)
+    np.multiply(gate, neigh_feat.transpose(1, 0, 2), out=weighted)
+    return neigh_feat, delta, hid, gate
 
 
 # Centres per meta-kernel block: a multiple of _GEMM_BLOCK, so that every
-# block but the last holds whole BLAS blocks.
-_COLUMN_BLOCK = 4096
+# block but the last holds whole BLAS blocks. A block stacks its nine taps;
+# at 512 centres and the pipeline's (32, 32, 64) kernel that is about 5 MB,
+# small enough to stay in cache.
+_COLUMN_BLOCK = 512
 
 
 def _column_blocks(n: int) -> list[tuple[int, int]]:
@@ -437,7 +488,9 @@ def hdmk_forward_planes(
     one valid neighbour. Everywhere else all nine weighted chunks are zero,
     so the branch output is exactly its accumulator bias, and the final
     masking turns that into a zero carrying the bias's sign. The support is
-    walked in column blocks (`_column_blocks`) through one set of buffers.
+    walked in column blocks (`_column_blocks`) through one set of buffers;
+    one `_tap` call evaluates all nine taps of a block, writing the gated
+    chunks into the rows of the (9 * c_in, n) accumulator operand.
     """
     _check_hdmk_input(feats, coords, valid, params)
     h, w = valid.shape
@@ -455,25 +508,24 @@ def hdmk_forward_planes(
         half[:] = branch.b_acc[:, None] + 0.0
         blocks = _column_blocks(len(support))
         width = max((stop - start for start, stop in blocks), default=0)
-        bufs = _tap_buffers(c_in, params.c_mid, width)
-        centre_xyz = np.empty((3, width))
-        chunks = np.empty((9 * c_in, width))
-        acc = np.empty((c_half, width))
+        taps = len(offsets)
+        bufs = _tap_buffers(c_in, params.c_mid, taps, width)
+        centre_buf, chunk_buf, acc_buf = (np.empty(c * width) for c in (3, taps * c_in, c_half))
         for start, stop in blocks:
             n = stop - start
             block = support[start:stop]
             index = column[neighbour_index(h, w, offsets, block, wrap_horizontal)]
-            neigh_valid = index != len(centres)
-            coord_cols.take(column[block], axis=1, out=centre_xyz[:, :n], mode="clip")
-            views = tuple(buf[..., :n] for buf in bufs)
-            for k in range(len(offsets)):
-                _tap(
-                    branch, feat_cols, coord_cols, centre_xyz[:, :n], index[k], neigh_valid[k],
-                    views, chunks[k * c_in : (k + 1) * c_in, :n],
-                )
-            np.matmul(branch.w_acc, chunks[:, :n], out=acc[:, :n])
-            acc[:, :n] += branch.b_acc[:, None]
-            half[:, block] = acc[:, :n]
+            centre_xyz = _prefix(centre_buf, 3, n)
+            coord_cols.take(column[block], axis=1, out=centre_xyz, mode="clip")
+            # Tap k's gated chunk lands in rows k * c_in ... of the operand.
+            chunks = _prefix(chunk_buf, taps * c_in, n)
+            _tap(
+                branch, feat_cols, coord_cols, centre_xyz, index, index != len(centres),
+                bufs, chunks.reshape(taps, c_in, n),
+            )
+            acc = np.matmul(branch.w_acc, chunks, out=_prefix(acc_buf, c_half, n))
+            acc += branch.b_acc[:, None]
+            half[:, block] = acc
     full *= valid.astype(bool).reshape(h * w)
     return full.reshape(params.c_out, h, w)
 
@@ -536,7 +588,7 @@ def hdmk_backward(
     c_half = params.c_out // 2
 
     d_cols = np.zeros_like(feat_cols)
-    bufs = neigh_feat, delta, hid, gate = _tap_buffers(c_in, params.c_mid, n_px)
+    bufs = _tap_buffers(c_in, params.c_mid, 1, n_px)
     weighted = np.empty((c_in, n_px))
     branch_grads = []
     for b, (branch, offsets) in enumerate(
@@ -552,9 +604,11 @@ def hdmk_backward(
         d_w2 = np.zeros_like(branch.w2)
         d_b2 = np.zeros_like(branch.b2)
         for k in range(len(offsets)):
-            _tap(
-                branch, feat_cols, coord_cols, centre_xyz, index[k], neigh_valid[k], bufs, weighted
+            views = _tap(
+                branch, feat_cols, coord_cols, centre_xyz, index[k : k + 1],
+                neigh_valid[k : k + 1], bufs, weighted[None],
             )
+            neigh_feat, delta, hid, gate = (v.reshape(-1, n_px) for v in views)
             block = slice(k * c_in, (k + 1) * c_in)
             d_w_acc[:, block] = g_out @ weighted.T
             d_weighted = (branch.w_acc[:, block].T @ g_out) * neigh_valid[k]

@@ -329,6 +329,21 @@ class TestPipeline:
         assert counts["sgrid.boxes"] == boxes
         assert result["checksums"] == toy.result["checksums"]
 
+    def test_benchmark_tracing_reads_the_gradcheck_forward_calls(self, monkeypatch):
+        # The gradient check calls `hdmk_forward_planes` with raw arrays; the
+        # tracer reads the mask and the parameters from its positional
+        # arguments, so a changed signature shows here.
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        import tracing
+
+        tracer = tracing.Tracer()
+        with tracer.installed():
+            ok, _ = pipeline.run_gradcheck()
+        img = pipeline.gradcheck_instance(0, pipeline.GRADCHECK_DIMS)[0]
+        assert ok
+        assert tracer.counts["rvfe.hdmk_forward_calls"] == 1280
+        assert tracer.counts["rvfe.valid_px"] == 1280 * np.count_nonzero(img.valid)
+
     def test_rerun_is_bit_identical(self, toy):
         again = pipeline.run_pipeline(toy.cfg, toy.scene, toy.root / "rerun")
         assert again["checksums"] == toy.result["checksums"]
@@ -427,7 +442,7 @@ class TestPipeline:
     @pytest.mark.parametrize("workload", ["proposals-512", "scan-64x2048"])
     def test_multi_block_redeem_matches_recorded(self, tmp_path, workload):
         # A workload at seed 0 up to the feature cloud. On proposals-512 each
-        # meta-kernel branch covers some 20,000 centres, five column blocks;
+        # meta-kernel branch covers some 20,000 centres, about 40 column blocks;
         # scan-64x2048 is the one workload with 64x2048 images.
         expected = json.loads((PERFBENCH / "expected.json").read_text(encoding="utf-8"))
         cfg, points, _ = benchmark_inputs(workload, tmp_path)

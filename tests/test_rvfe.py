@@ -1,5 +1,6 @@
 """Sampling offsets, BasicBlock, and the dynamic meta kernel."""
 
+import hashlib
 import itertools
 import tracemalloc
 
@@ -187,6 +188,24 @@ class TestBasicBlock:
             for zero in (0.0, -0.0)
         ]
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("c_in", [5, 32])
+    @pytest.mark.parametrize("n", [7, 1041, 8193, 12290])
+    def test_conv_in_column_blocks_matches_one_product_per_tap(self, n, c_in):
+        # The convolution walks its columns in blocks of 4096 through two
+        # buffers, the last block holding 4096 to 8191 columns. Every block
+        # but the last holds whole BLAS blocks and none is narrow, so each
+        # column, a partial tail of 1 or 2 included, rounds as in one
+        # product per tap over all n columns.
+        rng = np.random.default_rng([n, c_in])
+        cols = rng.standard_normal((c_in, n))
+        weight = rng.standard_normal((32, c_in, 3, 3))
+        index = rng.integers(0, n + 1, size=(9, n))
+        padded = np.concatenate([cols, np.zeros((c_in, 1))], axis=1)
+        expected = np.zeros((32, n))
+        for k, (dh, dw) in enumerate(UNIT_OFFSETS):
+            expected += weight[:, :, dh + 1, dw + 1] @ np.take(padded, index[k], axis=1)
+        assert rvfe._conv3x3(cols, weight, index).tobytes() == expected.tobytes()
 
 
 def branch_oracle(img, branch, dilation, wrap):
@@ -424,6 +443,23 @@ class TestDenseByteIdentity:
             == oracles.dense_hdmk_forward_planes(*args).tobytes()
         )
 
+    # No patched width: each branch's support spans three blocks of the
+    # shipped width and ends in a partial BLAS block of 5 columns.
+    @pytest.mark.parametrize("wrap", [True, False])
+    @pytest.mark.parametrize("dims", [(4, 5, 6), (32, 32, 64)])
+    def test_meta_kernel_at_the_shipped_block_width(self, dims, wrap):
+        rng = np.random.default_rng([*dims, wrap])
+        img = masked_image(rng, (37, 41), 0.3, n_feat=dims[0])
+        for support in rvfe._stencils(img.valid, wrap)[2:]:
+            assert len(rvfe._column_blocks(len(support))) >= 3
+            assert len(support) % 8 == 5
+        params = init_params(0, dims)
+        args = (img.feature_planes, img.channels[:3], img.valid, params, wrap)
+        assert (
+            hdmk_forward_planes(*args).tobytes()
+            == oracles.dense_hdmk_forward_planes(*args).tobytes()
+        )
+
     def test_negative_zero_bias(self):
         # Weight files may hold -0.0. Far from valid pixels the dense output
         # is (+0 product) + b_acc, which is +0 for such a bias.
@@ -593,6 +629,25 @@ class TestForwardMemory:
         assert out.channels.nbytes == out_bytes
         assert peak < 2.5 * out_bytes
 
+    def test_conv_working_set_is_fixed(self):
+        # One 3x3 convolution over the scan's 35,863 columns. Beyond the
+        # zero-padded input and the output it holds one gather buffer and
+        # one product buffer of its last, 7,191-column block: about 2.4
+        # times the output's bytes. A gather and a product over all columns
+        # per tap held 4 times.
+        rng = np.random.default_rng(26)
+        n = 35_863
+        cols = rng.standard_normal((32, n))
+        weight = rng.standard_normal((32, 32, 3, 3))
+        index = rng.integers(0, n + 1, size=(9, n))
+        tracemalloc.start()
+        try:
+            out = rvfe._conv3x3(cols, weight, index)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.6 * out.nbytes
+
 
 class TestBackwardMemory:
     def test_peak_is_linear_in_channels_times_pixels(self):
@@ -726,6 +781,28 @@ class TestHdmkBackward:
         img, params, upstream = self.setup_instance()
         with pytest.raises(ValueError):
             hdmk_backward(img, params, upstream[:, :-1])
+
+    # Gradient bytes recorded before the forward's taps were stacked: the
+    # backward shares their helper, one tap at a time.
+    @pytest.mark.parametrize(
+        "shape, dims, wrap, seed, expected",
+        [
+            ((9, 13), (4, 5, 6), False, 31,
+             "6b40fac3199c3937f259933c647e94c59a106c119b968007d45988171e3c1463"),
+            ((16, 60), (32, 32, 64), True, 32,
+             "f5916968860e51bc2039e2944a14e50f49b2f6b29aeaf5178f7208d7253bc7d7"),
+        ],
+    )
+    def test_gradient_bytes_match_recorded(self, shape, dims, wrap, seed, expected):
+        rng = np.random.default_rng(seed)
+        img = util.random_image(rng, *shape, n_feat=dims[0], density=0.4)
+        params = init_params(0, dims)
+        upstream = rng.normal(size=(dims[2], *shape))
+        grads = hdmk_backward(img, params, upstream, wrap)
+        digest = hashlib.sha256(grads.feat.tobytes())
+        for tensor in grads.params.tensors().values():
+            digest.update(tensor.tobytes())
+        assert digest.hexdigest() == expected
 
     def test_backward_is_deterministic(self):
         img, params, upstream = self.setup_instance()
