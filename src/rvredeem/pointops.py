@@ -24,11 +24,6 @@ def _coordinates(xyz) -> np.ndarray:
     return xyz
 
 
-def _squared_distances(xyz: np.ndarray, point: np.ndarray) -> np.ndarray:
-    diff = xyz - point
-    return np.sum(diff * diff, axis=1)
-
-
 def grid_shape(voxel_size, range_min, range_max) -> tuple[int, int, int]:
     """Cells per axis, (nx, ny, nz) = ceil((max - min) / size)."""
     lo = np.asarray(range_min, dtype=np.float64)
@@ -146,18 +141,20 @@ def furthest_point_sampling(xyz, count: int, seed_index: int = 0) -> np.ndarray:
 def ball_query(center, radius: float, xyz, max_k: int) -> np.ndarray:
     """Indices into (N, 3) `xyz` within distance radius, nearest first, capped.
 
-    Comparison is on squared distances. Ordering is (distance, index), so
-    truncation at max_k is deterministic.
+    Comparison is on squared distances, the row sums (dx^2 + dy^2) + dz^2.
+    `nonzero` lists hits by ascending index, and a stable sort by distance
+    keeps that order among ties: the order is (distance, index), so the int64
+    result is truncated at max_k deterministically.
     """
     if radius < 0.0:
         raise ValueError(f"radius must be >= 0, got {radius}")
     if max_k < 1:
         raise ValueError(f"max_k must be >= 1, got {max_k}")
-    center = np.asarray(center, dtype=np.float64).reshape(3)
-    d2 = _squared_distances(_coordinates(xyz), center)
-    hits = np.flatnonzero(d2 <= radius * radius)
-    order = np.lexsort((hits, d2[hits]))
-    return hits[order][:max_k].astype(np.int64)
+    diff = _coordinates(xyz) - np.asarray(center, dtype=np.float64).reshape(3)
+    diff *= diff
+    d2 = np.add.reduce(diff, axis=1)
+    hits = (d2 <= radius * radius).nonzero()[0]
+    return hits[d2[hits].argsort(kind="stable")[:max_k]]
 
 
 @dataclass(frozen=True)
@@ -225,7 +222,7 @@ def pointnet_aggregate(
         raise ValueError(
             f"MLP expects {mlp.in_dim} inputs, encoding has {encoded.shape[0]}"
         )
-    return np.max(mlp.apply(encoded), axis=1, initial=0.0)
+    return mlp.apply(encoded).max(axis=1, initial=0.0)
 
 
 def voxelize(

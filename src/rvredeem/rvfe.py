@@ -36,13 +36,18 @@ feature gradient are gathered back to planes through the same map
 (`_planes`), not scattered, so each layer zeroes its own invalid pixels and
 `with_features` only stacks.
 
-On images whose invalid pixels hold zeros, results are byte-identical to
-evaluating every pixel, including those zeros: the conv block's are +0,
+On images whose invalid pixels hold zeros, results aim to be byte-identical
+to evaluating every pixel, including those zeros: the conv block's are +0,
 the meta kernel's are the dense value times zero, +0 or -0, a sign RRI1
 feature planes keep as part of the byte contract. Hence pixels are
 evaluated in the 8-column blocks a dense BLAS product would round them in
 (`_dense_order`), and a partial tail ends a meta-kernel block behind a
-whole one (`_column_blocks`).
+whole one (`_column_blocks`). This holds on the tier-1 shapes and on the
+64x512 and 64x2048 sensors, whose h * w leaves no tail. Past about 1,000
+pixels, OpenBLAS's small-matrix routine can round a one- or two-pixel tail
+unlike the dense product: the meta kernel differs on fully valid 33x33,
+41x49 and 65x65 images and some sparse ones, the conv block on sparse 33x33
+and 41x49 images with about 1,000 valid pixels or fewer.
 
 The meta kernel has an analytic backward pass (coordinates are constants;
 gradients flow to input features and all parameters). It recomputes its

@@ -63,13 +63,22 @@ def inverse_canonical_transform(p, box: Box3D) -> np.ndarray:
     return out + box.center
 
 
-def grid_cell_centers(dims: np.ndarray, grid: int) -> np.ndarray:
-    """(G^3, 3) canonical cell centers, x-fastest then y then z."""
+def _grid(dims, grid: int):
+    """((3, G) per-axis levels, (G^3, 3) cell centers) of a G-partition."""
     if grid < 1:
         raise ValueError(f"grid size must be >= 1, got {grid}")
-    axes = [((np.arange(grid) + 0.5) / grid - 0.5) * dims[a] for a in range(3)]
-    z, y, x = np.meshgrid(axes[2], axes[1], axes[0], indexing="ij")
-    return np.stack([x.ravel(), y.ravel(), z.ravel()], axis=1)
+    steps = (np.arange(grid) + 0.5) / grid - 0.5
+    levels = np.multiply.outer(np.asarray(dims, dtype=np.float64), steps)
+    centers = np.empty((grid, grid, grid, 3))
+    centers[..., 0] = levels[0]
+    centers[..., 1] = levels[1][:, None]
+    centers[..., 2] = levels[2][:, None, None]
+    return levels, centers.reshape(-1, 3)
+
+
+def grid_cell_centers(dims: np.ndarray, grid: int) -> np.ndarray:
+    """(G^3, 3) canonical cell centers, x-fastest then y then z."""
+    return _grid(dims, grid)[1]
 
 
 def gen_grid_points(box: Box3D, grid: int) -> np.ndarray:
@@ -89,19 +98,19 @@ def auto_radius(box: Box3D, grid: int) -> float:
 # ---------------------------------------------------------------------------
 
 def _corner_layout(coarse_positions: np.ndarray):
-    """Per-axis (lo, hi) values; validates a full 2x2x2 axis-aligned lattice."""
+    """Per-axis (lo, hi) values; each axis must take exactly two values.
+
+    Values and rejections are `np.unique`'s per axis: -0.0 and +0.0 are one
+    value, all NaNs one more, sorted last (so hi is NaN if any is).
+    """
     if coarse_positions.shape != (8, 3):
-        raise ValueError(
-            f"need 8 coarse positions, got {coarse_positions.shape}"
-        )
-    los, his = [], []
-    for a in range(3):
-        levels = np.unique(coarse_positions[:, a])
-        if levels.size != 2:
-            raise ValueError("coarse positions must span 2 levels per axis")
-        los.append(levels[0])
-        his.append(levels[1])
-    return np.array(los), np.array(his)
+        raise ValueError(f"need 8 coarse positions, got {coarse_positions.shape}")
+    lo = np.fmin.reduce(coarse_positions, axis=0)
+    hi = coarse_positions.max(axis=0)
+    on_level = (coarse_positions == lo) | (coarse_positions == hi) | np.isnan(coarse_positions)
+    if not np.all(on_level.all(axis=0) & ~np.isnan(lo) & (lo != hi)):
+        raise ValueError("coarse positions must span 2 levels per axis")
+    return lo, hi
 
 
 def upsample_grid(
@@ -192,19 +201,17 @@ class SGridParams:
             raise ValueError(f"residual branch must be ({RESIDUAL_DIM}, {d_h})")
 
 
-def _resolve_radius(configured: float | None, box: Box3D, grid: int) -> float:
-    return configured if configured is not None else auto_radius(box, grid)
-
-
 def _pool_branch(
     canon_xyz: np.ndarray,
     features: np.ndarray,
-    positions: np.ndarray,
-    radius: float,
+    box: Box3D,
+    grid: int,
+    radius: float | None,
     cap: int,
     mlp: SharedMlp,
 ):
-    """Pool every grid point; returns (features (n, c), empty flags (n,)).
+    """Pool every point of the box's G-grid; returns (grid points (n, 3),
+    features (n, c), empty flags (n,)). A radius of None is `auto_radius`.
 
     A grid point is empty when its ball query finds no keypoint. Its feature
     row stays zero, which is what `pointnet_aggregate` pools from nothing,
@@ -220,20 +227,22 @@ def _pool_branch(
     squared distances, so each neighbor list, its (distance, index) order
     and its truncation at `cap` equal those of a query over all keypoints.
     """
-    n = positions.shape[0]
+    levels, positions = _grid(box.dims, grid)
+    radius = auto_radius(box, grid) if radius is None else radius
     cand = np.arange(canon_xyz.shape[0])
     for a in range(3):
-        offset = canon_xyz[cand, a] - np.unique(positions[:, a])[:, None]
-        cand = cand[np.min(offset * offset, axis=0) <= radius * radius]
+        offset = canon_xyz[cand, a] - levels[a][:, None]
+        cand = cand[(offset * offset).min(axis=0) <= radius * radius]
     cand_xyz = canon_xyz[cand]
-    feats = np.zeros((n, mlp.out_dim), dtype=np.float64)
-    empty = np.empty(n, dtype=bool)
-    for g in range(n):
-        idx = cand[ball_query(positions[g], radius, cand_xyz, cap)]
-        empty[g] = idx.size == 0
-        if not empty[g]:
-            feats[g] = pointnet_aggregate(positions[g], canon_xyz[idx], features[idx], mlp)
-    return feats, empty
+    cand_feats = features[cand]
+    feats = np.zeros((positions.shape[0], mlp.out_dim), dtype=np.float64)
+    empty = np.ones(positions.shape[0], dtype=bool)
+    for g, center in enumerate(positions):
+        idx = ball_query(center, radius, cand_xyz, cap)
+        if idx.size:
+            empty[g] = False
+            feats[g] = pointnet_aggregate(center, cand_xyz[idx], cand_feats[idx], mlp)
+    return positions, feats, empty
 
 
 def sgrid_pool(
@@ -253,30 +262,18 @@ def sgrid_pool(
         raise ValueError("fine MLP output width disagrees with the config")
     if params.mlp_coarse.out_dim != cfg.coarse_channels:
         raise ValueError("coarse MLP output width disagrees with the config")
+    branches = (
+        (cfg.fine_grid, cfg.fine_radius, params.mlp_fine),
+        (cfg.coarse_grid, cfg.coarse_radius, params.mlp_coarse),
+    )
     out = []
     for box in boxes:
         canon_xyz = canonical_transform(keypoints.xyz, box)
-        fine_pos = grid_cell_centers(box.dims, cfg.fine_grid)
-        coarse_pos = grid_cell_centers(box.dims, cfg.coarse_grid)
-        fine_feats, fine_empty = _pool_branch(
-            canon_xyz,
-            keypoints.features,
-            fine_pos,
-            _resolve_radius(cfg.fine_radius, box, cfg.fine_grid),
-            cfg.neighbor_cap,
-            params.mlp_fine,
+        (fine_pos, fine_feats, fine_empty), (coarse_pos, coarse_feats, coarse_empty) = (
+            _pool_branch(canon_xyz, keypoints.features, box, grid, radius, cfg.neighbor_cap, mlp)
+            for grid, radius, mlp in branches
         )
-        coarse_feats, coarse_empty = _pool_branch(
-            canon_xyz,
-            keypoints.features,
-            coarse_pos,
-            _resolve_radius(cfg.coarse_radius, box, cfg.coarse_grid),
-            cfg.neighbor_cap,
-            params.mlp_coarse,
-        )
-        upsampled = upsample_grid(
-            coarse_feats, coarse_pos, fine_pos, cfg.upsample_mode
-        )
+        upsampled = upsample_grid(coarse_feats, coarse_pos, fine_pos, cfg.upsample_mode)
         vector = np.concatenate([fine_feats, upsampled], axis=1).ravel()
         out.append(RoIFeature(vector, fine_empty, coarse_empty))
     return out

@@ -3,9 +3,9 @@
 Everything in this file is written as directly as possible: explicit loops,
 scalar math, dictionary group-bys. None of it imports the package under
 test. Deliberately slow; correctness is the only goal. The exceptions are
-the dense shifted-plane evaluation and the row-sum point ops at the end,
-which keep the package's array expressions so that results can be compared
-byte for byte.
+the dense shifted-plane evaluation, the row-sum point ops and the RoI grid
+formulas at the end, which keep the package's (or its earlier) array
+expressions so that results can be compared byte for byte.
 """
 
 from __future__ import annotations
@@ -415,3 +415,24 @@ def pool_branch_all_keypoints(canon_xyz, features, positions, radius, cap, layer
         feats[g] = np.max(out, axis=1)
         empty[g] = False
     return feats, empty
+
+
+# ---------------------------------------------------------------------------
+# RoI grid formulas as the package first wrote them: cell centers by meshgrid
+# and stack, and the coarse lattice's levels by np.unique on each axis. The
+# package fills the centers directly and checks the lattice with per-axis
+# reductions; both are held to these functions.
+
+def grid_cell_centers_meshgrid(dims, grid):
+    """(G^3, 3) cell centers of a G-partition, x fastest then y then z."""
+    axes = [((np.arange(grid) + 0.5) / grid - 0.5) * dims[a] for a in range(3)]
+    z, y, x = np.meshgrid(axes[2], axes[1], axes[0], indexing="ij")
+    return np.stack([x.ravel(), y.ravel(), z.ravel()], axis=1)
+
+
+def corner_levels_unique(coarse_positions):
+    """Per-axis (lo, hi) of np.unique's levels; None unless each axis has 2."""
+    levels = [np.unique(coarse_positions[:, a]) for a in range(3)]
+    if any(lv.size != 2 for lv in levels):
+        return None
+    return np.array([lv[0] for lv in levels]), np.array([lv[1] for lv in levels])

@@ -185,6 +185,20 @@ class TestBallQuery:
         for c, exp in zip(centers, expected):
             np.testing.assert_array_equal(ball_query(c, radius, cloud.xyz, max_k), exp)
 
+    @pytest.mark.parametrize("center", [(0.0, 0.0, 0.0), (1.0, 0.0, -1.0), (0.5, 0.5, 0.0)])
+    def test_caps_through_equal_distances_on_a_lattice(self, center):
+        # An integer lattice in shuffled order: each squared distance is
+        # shared exactly by up to 24 points, and the caps cut these groups.
+        g = np.arange(-2.0, 3.0)
+        xyz = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
+        xyz = xyz[np.random.default_rng(7).permutation(len(xyz))]
+        for radius in (1.0, 1.5, 2.0, 2.5):
+            for cap in (1, 2, 4, 7, 10, 19, 33, 200):
+                got = ball_query(center, radius, xyz, cap)
+                (want,) = oracles.ball_query([np.array(center)], xyz, radius, cap)
+                assert got.dtype == np.int64
+                assert got.tobytes() == np.array(want, dtype=np.int64).tobytes()
+
     def test_rejects_bad_arguments(self):
         cloud = make_cloud([[0, 0, 0]])
         with pytest.raises(ValueError):

@@ -11,6 +11,7 @@ from rvredeem.pointops import SharedMlp, pointnet_aggregate
 from rvredeem.sgrid import (
     RoIFeature,
     SGridParams,
+    _corner_layout,
     auto_radius,
     canonical_transform,
     gen_grid_points,
@@ -139,6 +140,15 @@ class TestGenGridPoints:
         with pytest.raises(ValueError):
             grid_cell_centers(np.ones(3), 0)
 
+    @pytest.mark.parametrize("grid", [1, 2, 3, 4])
+    @pytest.mark.parametrize("dims", [(4.2, 1.7, 0.9), (0.3, 2.9, 1.55)])
+    def test_bytes_match_meshgrid_stack(self, grid, dims):
+        got = grid_cell_centers(np.array(dims), grid)
+        want = oracles.grid_cell_centers_meshgrid(np.array(dims), grid)
+        assert got.shape == want.shape == (grid**3, 3)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
 
 class TestAutoRadius:
     def test_half_cell_diagonal(self):
@@ -150,6 +160,31 @@ class TestAutoRadius:
 
 def cube_corners():
     return grid_cell_centers(np.array([1.0, 1.0, 1.0]), 2)
+
+
+def corner_variants():
+    """Named 8-point layouts around the unit cube's coarse lattice."""
+    corners = cube_corners()
+    hi = corners > 0.0
+    out = {"lattice": corners}
+    for name, axis, values in (
+        ("one_level", 0, np.full(8, 0.25)),
+        ("three_levels", 1, np.where(np.arange(8) == 0, 0.0, corners[:, 1])),
+        ("signed_zeros", 2, np.where(hi[:, 2], 0.0, -0.0)),
+        ("inf_level", 0, np.where(hi[:, 0], np.inf, corners[:, 0])),
+        ("nan_level", 1, np.where(hi[:, 1], np.nan, corners[:, 1])),
+        ("nan_third_level", 2, np.where(np.arange(8) == 3, np.nan, corners[:, 2])),
+        ("all_nan", 0, np.full(8, np.nan)),
+    ):
+        out[name] = corners.copy()
+        out[name][:, axis] = values
+    out["duplicated_corner"] = corners.copy()
+    out["duplicated_corner"][7] = corners[0]
+    return out
+
+
+# np.unique counts -0.0 and +0.0 as one level, and all NaNs as one more.
+REJECTED_LAYOUTS = {"one_level", "three_levels", "signed_zeros", "nan_third_level", "all_nan"}
 
 
 class TestUpsampleGrid:
@@ -210,6 +245,20 @@ class TestUpsampleGrid:
         flat = np.zeros((8, 3))
         with pytest.raises(ValueError):
             upsample_grid(np.zeros((8, 1)), flat, np.zeros((1, 3)), mode="trilinear")
+
+    @pytest.mark.parametrize("name", sorted(corner_variants()))
+    def test_lattice_check_matches_unique_levels(self, name):
+        positions = corner_variants()[name]
+        levels = oracles.corner_levels_unique(positions)
+        assert (levels is None) == (name in REJECTED_LAYOUTS)
+        if levels is None:
+            with pytest.raises(ValueError, match="2 levels per axis"):
+                upsample_grid(np.ones((8, 1)), positions, np.zeros((1, 3)), "trilinear")
+        else:
+            upsample_grid(np.ones((8, 1)), positions, np.zeros((1, 3)), "trilinear")
+            lo, hi = _corner_layout(positions)
+            np.testing.assert_array_equal(lo, levels[0])
+            np.testing.assert_array_equal(hi, levels[1])
 
 
 class TestRoIFeature:
