@@ -91,6 +91,16 @@ class VoxelGrid:
         return self.means.shape[1]
 
 
+# Furthest point sampling groups clouds of at least _FPS_BUCKETED_MIN points
+# (256 buckets) into buckets of _FPS_BUCKET consecutive points. A bucketed
+# step costs about 20 NumPy calls however few points it touches, so on
+# small clouds the step over every point is faster: on subsampled scan
+# clouds the two break even near 8,000 to 10,000 points, and on the
+# proposals-512 cloud of 10,406 points the plain loop still wins.
+_FPS_BUCKET = 64
+_FPS_BUCKETED_MIN = 256 * _FPS_BUCKET
+
+
 def furthest_point_sampling(xyz, count: int, seed_index: int = 0) -> np.ndarray:
     """Greedy max-min downsampling of (N, 3) coordinates to `count` indices.
 
@@ -99,11 +109,11 @@ def furthest_point_sampling(xyz, count: int, seed_index: int = 0) -> np.ndarray:
     first maximum). Asking for C >= N returns all N indices in selection
     order. The result is an int64 index array into `xyz`.
 
-    The coordinates are copied once into three contiguous columns, and each
-    step writes (dx^2 + dy^2) + dz^2 into two preallocated scratch vectors.
-    Those are the additions, in the same order, of the (N, 3) row sum that
-    `ball_query` uses, so every distance and every pick are bit for bit
-    that formula's, without an allocation per step.
+    Every squared distance is (dx^2 + dy^2) + dz^2, the additions, in the
+    same order, of the (N, 3) row sum that `ball_query` uses, so every
+    distance and every pick are bit for bit that formula's. Clouds of
+    _FPS_BUCKETED_MIN points or more skip far buckets (`_fps_bucketed`);
+    smaller ones update every point at every step.
     """
     xyz = _coordinates(xyz)
     n = xyz.shape[0]
@@ -114,6 +124,16 @@ def furthest_point_sampling(xyz, count: int, seed_index: int = 0) -> np.ndarray:
     if not (0 <= seed_index < n):
         raise ValueError(f"seed_index {seed_index} outside [0, {n})")
     count = min(count, n)
+    if n >= _FPS_BUCKETED_MIN:
+        return _fps_bucketed(xyz, count, seed_index)
+    return _fps_every_point(xyz, count, seed_index)
+
+
+def _fps_every_point(xyz: np.ndarray, count: int, seed_index: int) -> np.ndarray:
+    """The FPS loop over every point: the coordinates are copied once into
+    three contiguous columns, and each step writes the squared distances
+    into two preallocated scratch vectors, without an allocation per step."""
+    n = xyz.shape[0]
     chosen = np.empty(count, dtype=np.int64)
     chosen[0] = seed_index
     x, y, z = (np.ascontiguousarray(xyz[:, a]) for a in range(3))
@@ -134,6 +154,61 @@ def furthest_point_sampling(xyz, count: int, seed_index: int = 0) -> np.ndarray:
         np.minimum(best, d2, out=best)
         best[last] = -1.0  # never reselect
         last = int(np.argmax(best))
+        chosen[step] = last
+    return chosen
+
+
+def _fps_bucketed(xyz: np.ndarray, count: int, seed_index: int) -> np.ndarray:
+    """The FPS loop over buckets of _FPS_BUCKET consecutive points.
+
+    Each bucket keeps the axis-aligned box of its points and the largest of
+    their running minima. A step bounds the squared distance from the new
+    keypoint to each box from below, per axis the gap to the box or zero, in
+    the same (gx^2 + gy^2) + gz^2 order. Rounding is monotone, so the bound
+    is at most every distance computed to the bucket's points; a bucket
+    whose bound is not below its largest minimum cannot change, and only
+    the others are updated. The pick is the first position of the first
+    bucket holding the largest minimum, the lowest index as over all points.
+    """
+    n = xyz.shape[0]
+    buckets = -(-n // _FPS_BUCKET)
+    # The last bucket is padded with copies of the last point, which leave
+    # its box as it is and, held at -1 like chosen points, are never picked.
+    padded = np.concatenate([xyz, np.repeat(xyz[-1:], buckets * _FPS_BUCKET - n, axis=0)])
+    pts = np.ascontiguousarray(padded.T).reshape(3, buckets, _FPS_BUCKET)
+    # lo - p and p - hi as lo + (-p) and (-hi) + p, the same roundings, in
+    # one addition per step.
+    box = np.stack([pts.min(axis=2), -pts.max(axis=2)])
+    signed = np.stack([-xyz, xyz], axis=1)[..., None]
+    gaps = np.empty_like(box)
+    gap = gaps[0]
+    best = np.full((buckets, _FPS_BUCKET), np.inf)
+    flat_best = best.reshape(-1)
+    flat_best[n:] = -1.0
+    top = np.full(buckets, np.inf)
+    chosen = np.empty(count, dtype=np.int64)
+    chosen[0] = last = seed_index
+    for step in range(1, count):
+        np.add(box, signed[last], out=gaps)
+        np.maximum(gap, gaps[1], out=gap)
+        np.maximum(gap, 0.0, out=gap)
+        gap *= gap
+        bound = gap[0] + gap[1]
+        bound += gap[2]
+        near = (bound < top).nonzero()[0]
+        d = pts.take(near, axis=1)
+        d -= signed[last, 1, :, :, None]
+        d *= d
+        d2 = d[0] + d[1]
+        d2 += d[2]
+        np.minimum(d2, best.take(near, axis=0), out=d2)
+        best[near] = d2
+        top[near] = d2.max(axis=1)
+        flat_best[last] = -1.0  # never reselect
+        b = last // _FPS_BUCKET
+        top[b] = best[b].max()
+        b = int(top.argmax())
+        last = b * _FPS_BUCKET + int(best[b].argmax())
         chosen[step] = last
     return chosen
 

@@ -26,8 +26,8 @@ invalid pixels are never read. The conv block runs on valid-pixel columns,
 each convolution in blocks of _CONV_BLOCK columns through two buffers and
 the other steps in place;
 each meta-kernel branch on its support (the valid mask dilated by its
-stencil), holding its accumulator bias elsewhere, in blocks of
-_COLUMN_BLOCK centres through buffers allocated once per branch. A block's
+stencil), holding its accumulator bias times zero elsewhere, in blocks of
+_COLUMN_BLOCK centres through buffers allocated once per call. A block's
 nine taps run together: one gather per input and one stacked product per
 perceptron layer, the gated chunks written straight into the accumulator's
 operand. So time scales with support pixels and the working set beyond
@@ -76,7 +76,11 @@ from .rng import STREAM_BASICBLOCK, STREAM_HDMK, DetRng, derive_seed
 # 3x3 unit stencil in row-major order, and the same stencil doubled.
 UNIT_OFFSETS = tuple((dh, dw) for dh in (-1, 0, 1) for dw in (-1, 0, 1))
 DILATED_OFFSETS = tuple((2 * dh, 2 * dw) for dh, dw in UNIT_OFFSETS)
-_BRANCH_OFFSETS = (UNIT_OFFSETS, DILATED_OFFSETS)
+# The branches' offsets as (9, 2) int64 arrays, which `neighbour_index` takes
+# without a conversion.
+_BRANCH_OFFSETS = tuple(
+    frozen_array("offsets", o, np.int64) for o in (UNIT_OFFSETS, DILATED_OFFSETS)
+)
 
 
 @dataclass(frozen=True)
@@ -226,7 +230,7 @@ def neighbour_index(
     outside the image gets index h * w, which a plan's pixel-to-column map
     sends to the zero column, as it sends every invalid pixel.
     """
-    d = np.array(offsets, dtype=np.int64).reshape(-1, 2)
+    d = np.asarray(offsets, dtype=np.int64).reshape(-1, 2)
     row, col = np.divmod(centres, w)
     rows = row + d[:, :1]
     cols = col + d[:, 1:]
@@ -269,26 +273,38 @@ def _dense_order(pixels: np.ndarray, n_px: int) -> np.ndarray:
     return np.concatenate([body, np.repeat(filler, pad), tail])
 
 
+def _dilate(valid: np.ndarray, offsets: np.ndarray, wrap_horizontal: bool) -> np.ndarray:
+    """The (h, w) pixels p with a valid p + d for some offset d: the mask
+    OR-ed over its shifts by every offset, zero outside the image, rows never
+    wrapping and columns wrapping only when requested."""
+    h, w = valid.shape
+    r = int(np.abs(offsets).max())
+    padded = np.pad(valid, ((r, r), (0, 0)))
+    padded = np.pad(padded, ((0, 0), (r, r)), mode="wrap" if wrap_horizontal else "constant")
+    reach = np.zeros_like(valid)
+    for dh, dw in offsets:
+        reach |= padded[r + dh : r + dh + h, r + dw : r + dw + w]
+    return reach
+
+
 @functools.lru_cache(maxsize=1)
 def _stencil_plan(h: int, w: int, wrap_horizontal: bool, mask_bytes: bytes):
     """Where the layers evaluate on one mask, as read-only arrays: the conv
     block's centres; each pixel's column among them, h * w + 1 entries where
     invalid pixels and the outside index read zero column len(centres); then
-    each branch's support, the centres with a valid neighbour. Centres and
-    supports are in `_dense_order`.
+    each branch's support, the centres with a valid neighbour (`_dilate`).
+    Centres and supports are in `_dense_order`.
     """
     valid = np.frombuffer(mask_bytes, dtype=bool)
-    valid_idx = np.flatnonzero(valid)
-    centres = _dense_order(valid_idx, h * w)
+    centres = _dense_order(np.flatnonzero(valid), h * w)
     kept = np.flatnonzero(valid[centres])
     column = np.full(h * w + 1, len(centres))
     column[centres[kept]] = kept
-    supports = []
-    for offsets in _BRANCH_OFFSETS:
-        # The support is what valid pixels reach under the reflected offsets.
-        reach = np.zeros(h * w + 1, dtype=bool)
-        reach[neighbour_index(h, w, -np.array(offsets), valid_idx, wrap_horizontal)] = True
-        supports.append(_dense_order(np.flatnonzero(reach[:-1]), h * w))
+    grid = valid.reshape(h, w)
+    supports = [
+        _dense_order(np.flatnonzero(_dilate(grid, offsets, wrap_horizontal)), h * w)
+        for offsets in _BRANCH_OFFSETS
+    ]
     return tuple(frozen_array("stencil plan", a, np.int64) for a in (centres, column, *supports))
 
 
@@ -487,41 +503,46 @@ def hdmk_forward_planes(
     """Raw-array meta kernel: (c_in, h, w) features to (c_out, h, w).
 
     Values stored at invalid pixels never reach the output; the result is
-    zero at invalid pixels.
+    zero at invalid pixels: the dense value times zero, +0 or -0.
 
     Each branch is evaluated only on its support, the centres with at least
     one valid neighbour. Everywhere else all nine weighted chunks are zero,
-    so the branch output is exactly its accumulator bias, and the final
-    masking turns that into a zero carrying the bias's sign. The support is
-    walked in column blocks (`_column_blocks`) through one set of buffers;
-    one `_tap` call evaluates all nine taps of a block, writing the gated
-    chunks into the rows of the (9 * c_in, n) accumulator operand.
+    so the branch output is exactly its accumulator bias, and every pixel
+    there is invalid: its half is filled once with that bias times zero. The
+    support is walked in column blocks (`_column_blocks`) through one set of
+    buffers for both branches; one `_tap` call evaluates all nine taps of a
+    block, writing the gated chunks into the rows of the (9 * c_in, n)
+    accumulator operand. A block's invalid centres are zeroed in place, and
+    each output row takes the block with a 1-D scatter, so beyond the fill
+    no pass runs over the whole output.
     """
     _check_hdmk_input(feats, coords, valid, params)
     h, w = valid.shape
     c_in = params.c_in
     c_half = params.c_out // 2
+    taps = len(UNIT_OFFSETS)
     centres, column, *supports = _stencils(valid, wrap_horizontal)
     feat_cols = _columns(feats, centres)
     coord_cols = _columns(coords, centres)
+    blocks = [_column_blocks(len(support)) for support in supports]
+    width = max((stop - start for bs in blocks for start, stop in bs), default=0)
+    bufs = _tap_buffers(c_in, params.c_mid, taps, width)
+    centre_buf, chunk_buf, acc_buf = (np.empty(c * width) for c in (3, taps * c_in, c_half))
     full = np.empty((params.c_out, h * w), dtype=np.float64)
     for b, (branch, offsets, support) in enumerate(
         zip((params.branch1, params.branch2), _BRANCH_OFFSETS, supports)
     ):
         half = full[b * c_half : (b + 1) * c_half]
-        # The product of all-zero chunks is +0, hence the added 0.0.
-        half[:] = branch.b_acc[:, None] + 0.0
-        blocks = _column_blocks(len(support))
-        width = max((stop - start for start, stop in blocks), default=0)
-        taps = len(offsets)
-        bufs = _tap_buffers(c_in, params.c_mid, taps, width)
-        centre_buf, chunk_buf, acc_buf = (np.empty(c * width) for c in (3, taps * c_in, c_half))
-        for start, stop in blocks:
+        # Off the support: the +0 product of all-zero chunks plus the bias,
+        # at an invalid pixel.
+        half[:] = ((branch.b_acc + 0.0) * 0.0)[:, None]
+        for start, stop in blocks[b]:
             n = stop - start
             block = support[start:stop]
+            block_column = column[block]
             index = column[neighbour_index(h, w, offsets, block, wrap_horizontal)]
             centre_xyz = _prefix(centre_buf, 3, n)
-            coord_cols.take(column[block], axis=1, out=centre_xyz, mode="clip")
+            coord_cols.take(block_column, axis=1, out=centre_xyz, mode="clip")
             # Tap k's gated chunk lands in rows k * c_in ... of the operand.
             chunks = _prefix(chunk_buf, taps * c_in, n)
             _tap(
@@ -530,8 +551,10 @@ def hdmk_forward_planes(
             )
             acc = np.matmul(branch.w_acc, chunks, out=_prefix(acc_buf, c_half, n))
             acc += branch.b_acc[:, None]
-            half[:, block] = acc
-    full *= valid.astype(bool).reshape(h * w)
+            acc *= block_column != len(centres)
+            # A padded duplicate keeps the value of its last position.
+            for row, values in zip(half, acc):
+                row[block] = values
     return full.reshape(params.c_out, h, w)
 
 

@@ -302,6 +302,28 @@ def shift_planes(arr, dh, dw, wrap_horizontal):
     return out
 
 
+def support_by_reflected_offsets(valid, offsets, wrap_horizontal):
+    """(h, w) pixels that a valid pixel reaches under the reflected offsets.
+
+    Every valid pixel v marks v - d for each offset d that stays inside the
+    image: rows never wrap, columns wrap modulo w only when requested. This
+    is how the meta kernel's branch supports were first built, one neighbour
+    index per valid pixel and offset scattered into a flag array.
+    """
+    h, w = valid.shape
+    reach = np.zeros(h * w + 1, dtype=bool)
+    rows, cols = np.divmod(np.flatnonzero(valid), w)
+    for dh, dw in offsets:
+        r, c = rows - dh, cols - dw
+        outside = (r < 0) | (r >= h)
+        if wrap_horizontal:
+            c = c % w
+        else:
+            outside |= (c < 0) | (c >= w)
+        reach[np.where(outside, h * w, r * w + c)] = True
+    return reach[:-1].reshape(h, w)
+
+
 def dense_masked_conv3x3(planes, valid, weight, wrap_horizontal):
     c_out = weight.shape[0]
     h, w = planes.shape[-2], planes.shape[-1]

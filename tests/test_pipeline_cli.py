@@ -464,6 +464,20 @@ class TestPipeline:
         recorded = expected[workload]["checksums"]
         assert written == {name: recorded[name] for name in written}
 
+    def test_scan_keypoints_match_recorded(self, tmp_path):
+        # The seed-0 scan cloud of 35,863 points is large enough for the
+        # bucketed furthest point sampling; its 2,048 keypoints must be the
+        # recorded bytes.
+        expected = json.loads((PERFBENCH / "expected.json").read_text(encoding="utf-8"))
+        cfg, points, _ = benchmark_inputs("scan-64x2048", tmp_path)
+        out = tmp_path / "out"
+        pipeline.stage_project(cfg, points, out)
+        pipeline.stage_redeem(cfg, out / pipeline.RANGE_FILE, out)
+        info = pipeline.stage_fps(cfg, out / pipeline.CLOUD_FILE, out)
+        assert info["kept"] == expected["scan-64x2048"]["counts"]["kept"]
+        recorded = expected["scan-64x2048"]["checksums"][pipeline.KEYPOINTS_FILE]
+        assert formats.sha256_file(out / pipeline.KEYPOINTS_FILE) == recorded
+
     def test_zero_box_scene_pools_nothing(self, tmp_path):
         # The proposals-512 benchmark sensor over a scene with no boxes.
         workloads = PERFBENCH / "workloads"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from rvredeem import pointops
 from rvredeem.core import FeaturePointCloud
 from rvredeem.pointops import (
     SharedMlp,
@@ -147,6 +148,72 @@ class TestFurthestPointSampling:
     def test_rejects_non_xyz_rows(self):
         with pytest.raises(ValueError, match=r"must be \(N, 3\)"):
             furthest_point_sampling(np.zeros((4, 2)), 1)
+
+
+class TestBucketedFps:
+    """Clouds of pointops._FPS_BUCKETED_MIN points or more skip far buckets;
+    every pick must still be the row-sum formula's."""
+
+    @pytest.fixture
+    def bucketed_calls(self, monkeypatch):
+        calls = []
+        bucketed = pointops._fps_bucketed
+
+        def counted(*args):
+            calls.append(len(args[0]))
+            return bucketed(*args)
+
+        monkeypatch.setattr(pointops, "_fps_bucketed", counted)
+        return calls
+
+    @pytest.mark.parametrize("n", [16_383, 16_384, 16_384 + 37])
+    def test_size_rule_and_row_sum_picks(self, n, bucketed_calls):
+        # Just below, at and above the size rule; the last size ends in a
+        # partial bucket of 37 points.
+        xyz = np.random.default_rng(n).uniform(-40.0, 40.0, size=(n, 3))
+        idx = furthest_point_sampling(xyz, 200, seed_index=n // 3)
+        np.testing.assert_array_equal(idx, oracles.fps_row_sum(xyz, 200, n // 3))
+        assert bucketed_calls == ([n] if n >= 16_384 else [])
+
+    def test_lattice_ties_across_buckets(self, bucketed_calls):
+        # A 26^3 integer lattice in order: at every step the farthest points
+        # tie across many buckets, so only the lowest-index rule decides.
+        axis = np.arange(26.0)
+        xyz = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+        idx = furthest_point_sampling(xyz, 300, seed_index=9_000)
+        np.testing.assert_array_equal(idx, oracles.fps_row_sum(xyz, 300, 9_000))
+        assert bucketed_calls == [len(xyz)]
+
+    def test_duplicates_and_a_seed_in_the_last_bucket(self, bucketed_calls):
+        # 257 distinct points repeated to 16,448: once they are all chosen
+        # the rest lie at distance zero, and the lowest index goes next.
+        base = np.random.default_rng(3).integers(-9, 10, size=(257, 3)).astype(np.float64)
+        xyz = np.tile(base, (64, 1))
+        idx = furthest_point_sampling(xyz, 400, seed_index=len(xyz) - 1)
+        np.testing.assert_array_equal(idx, oracles.fps_row_sum(xyz, 400, len(xyz) - 1))
+        assert bucketed_calls == [len(xyz)]
+
+    @pytest.mark.parametrize("bucket", [1, 3, 64])
+    def test_small_clouds_through_the_bucketed_loop(self, bucket, monkeypatch):
+        # The size rule and the bucket width patched down, so that small
+        # clouds take the bucketed loop: random, lattice and duplicated
+        # points, partial last buckets, seeds anywhere, budgets up to past
+        # the cloud size.
+        monkeypatch.setattr(pointops, "_FPS_BUCKETED_MIN", 1)
+        monkeypatch.setattr(pointops, "_FPS_BUCKET", bucket)
+        rng = np.random.default_rng(bucket)
+        for case in range(30):
+            n = int(rng.integers(1, 300))
+            if case % 3 == 0:
+                xyz = rng.normal(size=(n, 3))
+            elif case % 3 == 1:
+                xyz = rng.integers(-3, 4, size=(n, 3)).astype(np.float64)
+            else:
+                xyz = rng.normal(size=(n, 3))[rng.integers(0, max(1, n // 4), n)]
+            count = int(rng.integers(1, n + 6))
+            seed_index = int(rng.integers(0, n))
+            idx = furthest_point_sampling(xyz, count, seed_index)
+            np.testing.assert_array_equal(idx, oracles.fps_row_sum(xyz, count, seed_index))
 
 
 class TestBallQuery:

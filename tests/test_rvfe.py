@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -236,8 +237,6 @@ class TestHdmkForward:
         assert out.plane_count - 5 == 64
 
     def test_zero_features_zero_acc_bias(self):
-        from dataclasses import replace
-
         rng = np.random.default_rng(9)
         img = util.random_image(rng, 8, 16, n_feat=3)
         img = img.with_features(np.zeros((3, 8, 16)))
@@ -463,8 +462,6 @@ class TestDenseByteIdentity:
     def test_negative_zero_bias(self):
         # Weight files may hold -0.0. Far from valid pixels the dense output
         # is (+0 product) + b_acc, which is +0 for such a bias.
-        from dataclasses import replace
-
         rng = np.random.default_rng(22)
         img = masked_image(rng, (8, 16), "one", n_feat=4)
         params = util.random_hdmk_params(rng, c_in=4, c_mid=5, c_out=6)
@@ -475,6 +472,29 @@ class TestDenseByteIdentity:
         args = (img.feature_planes, img.channels[:3], img.valid, params, True)
         out = hdmk_forward_planes(*args)
         assert out.tobytes() == oracles.dense_hdmk_forward_planes(*args).tobytes()
+
+    @pytest.mark.parametrize("wrap", [True, False])
+    def test_signed_zeros_of_every_bias_sign(self, wrap):
+        # Accumulator biases of +0, -0, negative and positive sign, on a
+        # sparse mask whose supports hold invalid pixels and a padded block.
+        # Off the support the output is the bias plus +0, times zero; at an
+        # invalid pixel on it, the block's own value times zero.
+        rng = np.random.default_rng([23, wrap])
+        img = masked_image(rng, (8, 16), 0.1, n_feat=4)
+        params = util.random_hdmk_params(rng, c_in=4, c_mid=5, c_out=8)
+        b_acc = np.array([0.0, -0.0, -0.05, 0.07])
+        params = HdMetaKernelParams(
+            *(replace(b, b_acc=b_acc) for b in (params.branch1, params.branch2))
+        )
+        for support in rvfe._stencils(img.valid, wrap)[2:]:
+            assert len(np.unique(support)) < len(support)
+            assert not img.valid.ravel()[support].all()
+            assert len(support) < img.valid.size
+        args = (img.feature_planes, img.channels[:3], img.valid, params, wrap)
+        out = hdmk_forward_planes(*args)
+        assert out.tobytes() == oracles.dense_hdmk_forward_planes(*args).tobytes()
+        signs = np.signbit(out[:, ~img.valid])
+        assert signs.any() and not signs.all()
 
     def test_invalid_pixels_keep_the_dense_sign(self):
         rng = np.random.default_rng(20)
@@ -541,6 +561,21 @@ class TestStencilPlan:
         assert hdmk_forward_planes(*args, mask, params).tobytes() == expected
         rvfe._stencil_plan.cache_clear()
         assert hdmk_forward_planes(*args, mask, params).tobytes() == expected
+
+    # The supports come from dilating the mask; the reflected-offset formula
+    # they were first built with gives the same pixels.
+    @pytest.mark.parametrize("density", [0.0, 0.1, 0.5, 1.0])
+    @pytest.mark.parametrize("wrap", [True, False])
+    @pytest.mark.parametrize("shape", TINY_SHAPES + [(64, 2048)])
+    def test_supports_match_reflected_offsets(self, shape, wrap, density):
+        rng = np.random.default_rng([*shape, wrap, int(10 * density)])
+        valid = rng.random(shape) < density
+        supports = rvfe._stencils(valid, wrap)[2:]
+        for support, offsets in zip(supports, (UNIT_OFFSETS, DILATED_OFFSETS)):
+            reach = oracles.support_by_reflected_offsets(valid, offsets, wrap)
+            np.testing.assert_array_equal(
+                support, rvfe._dense_order(np.flatnonzero(reach), valid.size)
+            )
 
     def test_plan_arrays_are_read_only(self):
         # No mask with an outside entry: the column map alone marks invalid
