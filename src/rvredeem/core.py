@@ -52,7 +52,7 @@ def frozen_array(name: str, value, dtype=np.float64) -> np.ndarray:
         if src.dtype.kind not in "iu":
             raise ValueError(f"{name} must be integers, got dtype {src.dtype}")
     out = np.array(value, dtype=dtype, order="C")
-    if out.dtype.kind == "f" and not np.all(np.isfinite(out)):
+    if out.dtype.kind == "f" and not np.isfinite(out).all():
         raise ValueError(f"{name} must be finite")
     out.setflags(write=False)
     return out
@@ -67,9 +67,9 @@ def clamp_intensity(value, key: str = "intensity"):
     arrays.
     """
     arr = np.asarray(value, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{key} must be finite")
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
+    if (arr < 0.0).any() or (arr > 1.0).any():
         n = int(np.sum((arr < 0.0) | (arr > 1.0)))
         logger.warning("%s: clamped %d value(s) outside [0, 1]", key, n)
         arr = np.clip(arr, 0.0, 1.0)

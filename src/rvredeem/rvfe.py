@@ -20,21 +20,21 @@ vector, so masked pixels can never influence a valid pixel's output.
 Forward passes are sparse. One cached plan per (shape, wrap flag, mask
 bytes), `_stencil_plan`, kept for the last mask, tells every layer where to
 evaluate. Both layers gather (c, n + 1) columns, one per conv-block centre
-and a zero column, through its pixel-to-column map, which sends invalid
+and a zero column, through its padded column map, which sends invalid
 pixels and the outside of the image to the zero column: values stored at
-invalid pixels are never read. The conv block runs on valid-pixel columns,
-each convolution in blocks of _CONV_BLOCK columns through two buffers and
-the other steps in place;
-each meta-kernel branch on its support (the valid mask dilated by its
-stencil), holding its accumulator bias times zero elsewhere, in blocks of
-_COLUMN_BLOCK centres through buffers allocated once per call. A block's
-nine taps run together: one gather per input and one stacked product per
-perceptron layer, the gated chunks written straight into the accumulator's
-operand. So time scales with support pixels and the working set beyond
-inputs and output is fixed. The conv block's output and the backward's
-feature gradient are gathered back to planes through the same map
-(`_planes`), not scattered, so each layer zeroes its own invalid pixels and
-`with_features` only stacks.
+invalid pixels are never read. On the map a tap (dh, dw) is one constant
+step, so a block's tap columns take one add and one gather. The conv block
+runs on valid-pixel columns, each convolution in blocks of _CONV_BLOCK
+columns through two buffers and the other steps in place; each meta-kernel
+branch on its support (the valid mask dilated by its stencil), holding its
+accumulator bias times zero elsewhere, in blocks of _COLUMN_BLOCK centres
+through buffers allocated once per call. A block's nine taps run together:
+one gather per input and one stacked product per perceptron layer, the
+gated chunks written straight into the accumulator's operand. So time
+scales with support pixels and the working set beyond inputs and output is
+fixed. The conv block's output and the backward's feature gradient are
+gathered back to planes through the same map (`_planes`), not scattered, so
+each layer zeroes its own invalid pixels and `with_features` only stacks.
 
 On images whose invalid pixels hold zeros, results aim to be byte-identical
 to evaluating every pixel, including those zeros: the conv block's are +0,
@@ -52,9 +52,10 @@ and 41x49 images with about 1,000 valid pixels or fewer.
 The meta kernel has an analytic backward pass (coordinates are constants;
 gradients flow to input features and all parameters). It recomputes its
 taps at all h * w centres through the same columns, one tap at a time
-through one buffer set, so its memory is linear in c * h * w; it
-accumulates feature gradients in the columns and returns the parameter
-gradients as an `HdMetaKernelParams`. BasicBlock is forward-only.
+through one buffer set, each tap's columns a shifted window of the padded
+map, so its memory is linear in c * h * w; it accumulates feature
+gradients in the columns and returns the parameter gradients as an
+`HdMetaKernelParams`. BasicBlock is forward-only.
 
 All arithmetic is 64-bit. Initializers emit values that are exactly
 representable in single precision, so a 32-bit weight file holds exactly
@@ -76,8 +77,7 @@ from .rng import STREAM_BASICBLOCK, STREAM_HDMK, DetRng, derive_seed
 # 3x3 unit stencil in row-major order, and the same stencil doubled.
 UNIT_OFFSETS = tuple((dh, dw) for dh in (-1, 0, 1) for dw in (-1, 0, 1))
 DILATED_OFFSETS = tuple((2 * dh, 2 * dw) for dh, dw in UNIT_OFFSETS)
-# The branches' offsets as (9, 2) int64 arrays, which `neighbour_index` takes
-# without a conversion.
+# The branches' offsets as (9, 2) int64 arrays.
 _BRANCH_OFFSETS = tuple(
     frozen_array("offsets", o, np.int64) for o in (UNIT_OFFSETS, DILATED_OFFSETS)
 )
@@ -217,33 +217,29 @@ class BasicBlockParams:
 
 
 # ---------------------------------------------------------------------------
-# Neighbour gathering with the boundary policy
+# The stencil plan: where each layer evaluates and reads its taps
 # ---------------------------------------------------------------------------
 
-def neighbour_index(
-    h: int, w: int, offsets, centres: np.ndarray, wrap_horizontal: bool
-) -> np.ndarray:
-    """Flat indices of each centre's neighbours, (len(offsets), len(centres)).
+# The margin of the padded column map: the largest offset of either stencil,
+# so that every tap of every pixel lands on the padded grid.
+_PAD = int(max(np.abs(offsets).max() for offsets in _BRANCH_OFFSETS))
 
-    Entry [k, i] is the flat index of pixel centres[i] + offsets[k]. Rows
-    never wrap; columns wrap modulo w only when requested. A neighbour
-    outside the image gets index h * w, which a plan's pixel-to-column map
-    sends to the zero column, as it sends every invalid pixel.
-    """
-    d = np.asarray(offsets, dtype=np.int64).reshape(-1, 2)
-    row, col = np.divmod(centres, w)
-    rows = row + d[:, :1]
-    cols = col + d[:, 1:]
-    # As unsigned, a negative row or column compares above any bound.
-    outside = rows.view(np.uint64) >= h
-    if wrap_horizontal:
-        cols %= w
-    else:
-        outside |= cols.view(np.uint64) >= w
-    rows *= w
-    rows += cols
-    rows[outside] = h * w
-    return rows
+
+def _window(padded: np.ndarray, h: int, w: int, dh: int = 0, dw: int = 0) -> np.ndarray:
+    """The (h, w) view of a padded (h + 2 * _PAD, w + 2 * _PAD) grid whose
+    pixel (r, c) holds the grid's entry for pixel (r + dh, c + dw)."""
+    grid = padded.reshape(h + 2 * _PAD, w + 2 * _PAD)
+    return grid[_PAD + dh : _PAD + dh + h, _PAD + dw : _PAD + dw + w]
+
+
+@functools.lru_cache(maxsize=1)
+def _tap_steps(w: int) -> tuple[np.ndarray, ...]:
+    """Each branch's taps on the padded grid of an image w pixels wide: the
+    (9, 1) steps dh * (w + 2 * _PAD) + dw of its offsets (dh, dw)."""
+    return tuple(
+        frozen_array("taps", offsets[:, :1] * (w + 2 * _PAD) + offsets[:, 1:], np.int64)
+        for offsets in _BRANCH_OFFSETS
+    )
 
 
 # A BLAS product rounds each output column by the kernel that covers it. On
@@ -273,39 +269,49 @@ def _dense_order(pixels: np.ndarray, n_px: int) -> np.ndarray:
     return np.concatenate([body, np.repeat(filler, pad), tail])
 
 
-def _dilate(valid: np.ndarray, offsets: np.ndarray, wrap_horizontal: bool) -> np.ndarray:
-    """The (h, w) pixels p with a valid p + d for some offset d: the mask
-    OR-ed over its shifts by every offset, zero outside the image, rows never
-    wrapping and columns wrapping only when requested."""
-    h, w = valid.shape
-    r = int(np.abs(offsets).max())
-    padded = np.pad(valid, ((r, r), (0, 0)))
-    padded = np.pad(padded, ((0, 0), (r, r)), mode="wrap" if wrap_horizontal else "constant")
-    reach = np.zeros_like(valid)
+def _dilate(padded_valid: np.ndarray, h: int, w: int, offsets: np.ndarray) -> np.ndarray:
+    """The (h, w) pixels p with a valid p + d for some offset d: the padded
+    mask's windows (`_window`) OR-ed over every offset."""
+    reach = np.zeros((h, w), dtype=bool)
     for dh, dw in offsets:
-        reach |= padded[r + dh : r + dh + h, r + dw : r + dw + w]
+        reach |= _window(padded_valid, h, w, dh, dw)
     return reach
 
 
 @functools.lru_cache(maxsize=1)
 def _stencil_plan(h: int, w: int, wrap_horizontal: bool, mask_bytes: bytes):
-    """Where the layers evaluate on one mask, as read-only arrays: the conv
-    block's centres; each pixel's column among them, h * w + 1 entries where
-    invalid pixels and the outside index read zero column len(centres); then
-    each branch's support, the centres with a valid neighbour (`_dilate`).
-    Centres and supports are in `_dense_order`.
+    """Where the layers evaluate on one mask and how they read their taps,
+    as read-only arrays: (centres, grid, support 1, support 2).
+
+    The conv block's centres and each branch's support, the centres with a
+    valid neighbour (`_dilate`), are flat pixel indices in `_dense_order`.
+    `grid` holds the padded column map, then the centres' and each
+    support's indices on it. The map holds each pixel's column among the
+    centres on the (h + 2 * _PAD, w + 2 * _PAD) grid of `_window`, and the
+    zero column len(centres) at invalid pixels and on the margin rows.
+    Margin columns hold the columns they wrap to when columns wrap, the zero
+    column otherwise. So tap (dh, dw) of every pixel is one constant step on
+    it (`_tap_steps`), and the plan holds no per-tap array.
     """
     valid = np.frombuffer(mask_bytes, dtype=bool)
     centres = _dense_order(np.flatnonzero(valid), h * w)
     kept = np.flatnonzero(valid[centres])
-    column = np.full(h * w + 1, len(centres))
+    column = np.full(h * w, len(centres))
     column[centres[kept]] = kept
-    grid = valid.reshape(h, w)
+    padded = np.pad(column.reshape(h, w), ((_PAD, _PAD), (0, 0)), constant_values=len(centres))
+    if wrap_horizontal:
+        padded = np.pad(padded, ((0, 0), (_PAD, _PAD)), mode="wrap")
+    else:
+        padded = np.pad(padded, ((0, 0), (_PAD, _PAD)), constant_values=len(centres))
     supports = [
-        _dense_order(np.flatnonzero(_dilate(grid, offsets, wrap_horizontal)), h * w)
+        _dense_order(np.flatnonzero(_dilate(padded != len(centres), h, w, offsets)), h * w)
         for offsets in _BRANCH_OFFSETS
     ]
-    return tuple(frozen_array("stencil plan", a, np.int64) for a in (centres, column, *supports))
+    # Each pixel's index on the padded grid.
+    inner = _window(np.arange(padded.size), h, w).ravel()
+    freeze = functools.partial(frozen_array, "stencil plan", dtype=np.int64)
+    grid = (padded.ravel(), *(inner[a] for a in (centres, *supports)))
+    return (freeze(centres), tuple(map(freeze, grid)), *map(freeze, supports))
 
 
 def _stencils(valid: np.ndarray, wrap_horizontal: bool):
@@ -322,11 +328,12 @@ def _columns(planes: np.ndarray, centres: np.ndarray) -> np.ndarray:
     return out
 
 
-def _planes(cols: np.ndarray, column: np.ndarray, h: int, w: int) -> np.ndarray:
+def _planes(cols: np.ndarray, padded: np.ndarray, h: int, w: int) -> np.ndarray:
     """The inverse of `_columns`: (c, n) columns to (c, h, w) planes, where
-    each pixel reads its `column` and invalid pixels an appended zero one."""
-    padded = np.concatenate([cols, np.zeros((cols.shape[0], 1))], axis=1)
-    return padded.take(column[:-1], axis=1).reshape(cols.shape[0], h, w)
+    each pixel reads its column in the padded map and invalid pixels an
+    appended zero one."""
+    cols = np.concatenate([cols, np.zeros((cols.shape[0], 1))], axis=1)
+    return cols.take(_window(padded, h, w), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +380,10 @@ def basicblock_forward(
     """Residual conv unit over the five raw planes.
 
     out = relu(norm2(conv2(relu(norm1(conv1(x))))) + proj(x)), computed on
-    valid-pixel columns and gathered back to planes through the plan's column
-    map, which leaves +0 at invalid pixels; the validity mask passes through.
+    valid-pixel columns and gathered back to planes through the plan's padded
+    column map, which leaves +0 at invalid pixels; the validity mask passes
+    through. Both convolutions read one (9, n) tap index, the map at each
+    centre's padded index plus the unit stencil's steps (`_tap_steps`).
     """
     if img.plane_count != BASE_CHANNELS:
         raise ValueError(
@@ -385,8 +394,8 @@ def basicblock_forward(
             f"params expect {params.c_in} input planes, image has {BASE_CHANNELS}"
         )
     h, w = img.valid.shape
-    centres, column = _stencils(img.valid, wrap_horizontal)[:2]
-    index = column[neighbour_index(h, w, UNIT_OFFSETS, centres, wrap_horizontal)]
+    centres, (padded, ids, _, _) = _stencils(img.valid, wrap_horizontal)[:2]
+    index = padded.take(ids + _tap_steps(w)[0])
     x = np.take(img.channels.reshape(BASE_CHANNELS, h * w), centres, axis=1)
     # The affine, residual and ReLU steps run in place on the conv outputs.
     t = _conv3x3(x, params.conv1, index)
@@ -398,7 +407,7 @@ def basicblock_forward(
     t += params.shift2[:, None]
     t += x if params.proj is None else params.proj @ x
     np.maximum(t, 0.0, out=t)
-    return img.with_features(_planes(t, column, h, w))
+    return img.with_features(_planes(t, padded, h, w))
 
 
 # ---------------------------------------------------------------------------
@@ -510,18 +519,21 @@ def hdmk_forward_planes(
     so the branch output is exactly its accumulator bias, and every pixel
     there is invalid: its half is filled once with that bias times zero. The
     support is walked in column blocks (`_column_blocks`) through one set of
-    buffers for both branches; one `_tap` call evaluates all nine taps of a
-    block, writing the gated chunks into the rows of the (9 * c_in, n)
-    accumulator operand. A block's invalid centres are zeroed in place, and
-    each output row takes the block with a 1-D scatter, so beyond the fill
-    no pass runs over the whole output.
+    buffers for both branches. A block's tap columns are the padded column
+    map at its centres' indices on the padded grid, which the plan holds,
+    plus the branch's nine steps (`_tap_steps`); the middle tap, offset
+    (0, 0), is the centre's own column. One `_tap` call evaluates all nine
+    taps of a block, writing the gated chunks into the rows of the
+    (9 * c_in, n) accumulator operand. A block's invalid centres are zeroed
+    in place, and each output row takes the block with a 1-D scatter, so
+    beyond the fill no pass runs over the whole output.
     """
     _check_hdmk_input(feats, coords, valid, params)
     h, w = valid.shape
     c_in = params.c_in
     c_half = params.c_out // 2
     taps = len(UNIT_OFFSETS)
-    centres, column, *supports = _stencils(valid, wrap_horizontal)
+    centres, (padded, _, *support_ids), *supports = _stencils(valid, wrap_horizontal)
     feat_cols = _columns(feats, centres)
     coord_cols = _columns(coords, centres)
     blocks = [_column_blocks(len(support)) for support in supports]
@@ -529,8 +541,8 @@ def hdmk_forward_planes(
     bufs = _tap_buffers(c_in, params.c_mid, taps, width)
     centre_buf, chunk_buf, acc_buf = (np.empty(c * width) for c in (3, taps * c_in, c_half))
     full = np.empty((params.c_out, h * w), dtype=np.float64)
-    for b, (branch, offsets, support) in enumerate(
-        zip((params.branch1, params.branch2), _BRANCH_OFFSETS, supports)
+    for b, (branch, steps, support, ids) in enumerate(
+        zip((params.branch1, params.branch2), _tap_steps(w), supports, support_ids)
     ):
         half = full[b * c_half : (b + 1) * c_half]
         # Off the support: the +0 product of all-zero chunks plus the bias,
@@ -539,19 +551,20 @@ def hdmk_forward_planes(
         for start, stop in blocks[b]:
             n = stop - start
             block = support[start:stop]
-            block_column = column[block]
-            index = column[neighbour_index(h, w, offsets, block, wrap_horizontal)]
+            index = padded.take(ids[start:stop] + steps)
+            neigh_valid = index != len(centres)
             centre_xyz = _prefix(centre_buf, 3, n)
-            coord_cols.take(block_column, axis=1, out=centre_xyz, mode="clip")
+            # Offset (0, 0), the middle tap, reads the centre's own column.
+            coord_cols.take(index[taps // 2], axis=1, out=centre_xyz, mode="clip")
             # Tap k's gated chunk lands in rows k * c_in ... of the operand.
             chunks = _prefix(chunk_buf, taps * c_in, n)
             _tap(
-                branch, feat_cols, coord_cols, centre_xyz, index, index != len(centres),
-                bufs, chunks.reshape(taps, c_in, n),
+                branch, feat_cols, coord_cols, centre_xyz, index, neigh_valid, bufs,
+                chunks.reshape(taps, c_in, n),
             )
             acc = np.matmul(branch.w_acc, chunks, out=_prefix(acc_buf, c_half, n))
             acc += branch.b_acc[:, None]
-            acc *= block_column != len(centres)
+            acc *= neigh_valid[taps // 2]
             # A padded duplicate keeps the value of its last position.
             for row, values in zip(half, acc):
                 row[block] = values
@@ -594,7 +607,9 @@ def hdmk_backward(
     """Exact gradients of sum(upstream_grad * hdmk_forward(feat)).
 
     Recomputes the taps at all h*w centres one at a time through one buffer
-    set, so memory is linear in c * h * w. Coordinate planes are constants.
+    set, so memory is linear in c * h * w; tap (dh, dw) reads the window of
+    the padded column map shifted by (dh, dw) (`_window`). Coordinate planes
+    are constants.
     Accumulation runs in a fixed order (branch, then offset), so repeated
     calls are bit-identical.
     """
@@ -609,10 +624,10 @@ def hdmk_backward(
         )
     # Invalid output pixels are identically zero, so no gradient flows there.
     grad = (grad * feat.valid).reshape(params.c_out, n_px)
-    centres, column = _stencils(feat.valid, wrap_horizontal)[:2]
+    centres, (padded, *_) = _stencils(feat.valid, wrap_horizontal)[:2]
     feat_cols = _columns(feat.feature_planes, centres)
     coord_cols = _columns(feat.channels[:3], centres)
-    centre_xyz = coord_cols[:, column[:-1]]
+    centre_xyz = coord_cols.take(_window(padded, h, w).ravel(), axis=1)
     c_half = params.c_out // 2
 
     d_cols = np.zeros_like(feat_cols)
@@ -622,8 +637,6 @@ def hdmk_backward(
     for b, (branch, offsets) in enumerate(
         zip((params.branch1, params.branch2), _BRANCH_OFFSETS)
     ):
-        index = column[neighbour_index(h, w, offsets, np.arange(n_px), wrap_horizontal)]
-        neigh_valid = index != len(centres)
         g_out = grad[b * c_half : (b + 1) * c_half]
         d_w_acc = np.empty_like(branch.w_acc)
         d_b_acc = np.sum(g_out, axis=1)
@@ -631,19 +644,21 @@ def hdmk_backward(
         d_b1 = np.zeros_like(branch.b1)
         d_w2 = np.zeros_like(branch.w2)
         d_b2 = np.zeros_like(branch.b2)
-        for k in range(len(offsets)):
+        for k, (dh, dw) in enumerate(offsets):
+            index = _window(padded, h, w, dh, dw).reshape(1, n_px)
+            neigh_valid = index != len(centres)
             views = _tap(
-                branch, feat_cols, coord_cols, centre_xyz, index[k : k + 1],
-                neigh_valid[k : k + 1], bufs, weighted[None],
+                branch, feat_cols, coord_cols, centre_xyz, index, neigh_valid, bufs,
+                weighted[None],
             )
             neigh_feat, delta, hid, gate = (v.reshape(-1, n_px) for v in views)
             block = slice(k * c_in, (k + 1) * c_in)
             d_w_acc[:, block] = g_out @ weighted.T
-            d_weighted = (branch.w_acc[:, block].T @ g_out) * neigh_valid[k]
+            d_weighted = (branch.w_acc[:, block].T @ g_out) * neigh_valid
             # Feature gradient scatters back to the neighbour's column. An
             # offset sends distinct centres to distinct pixels, so only the
             # zero column sees repeated indices.
-            d_cols[:, index[k]] += d_weighted * gate
+            d_cols[:, index[0]] += d_weighted * gate
             # Gate gradient stays at the center pixel.
             d_gate = d_weighted * neigh_feat
             d_w2 += d_gate @ hid.T
@@ -654,7 +669,7 @@ def hdmk_backward(
             d_b1 += np.sum(d_pre, axis=1)
         branch_grads.append(BranchParams(d_w1, d_b1, d_w2, d_b2, d_w_acc, d_b_acc))
     return HdMetaKernelGrads(
-        _planes(d_cols[:, :-1], column, h, w), HdMetaKernelParams(*branch_grads)
+        _planes(d_cols[:, :-1], padded, h, w), HdMetaKernelParams(*branch_grads)
     )
 
 

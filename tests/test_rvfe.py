@@ -24,7 +24,6 @@ from rvredeem.rvfe import (
     hdmk_forward_planes,
     init_basicblock,
     init_params,
-    neighbour_index,
 )
 
 
@@ -65,27 +64,55 @@ class TestShiftPlanes:
 TINY_SHAPES = [(1, 1), (2, 3), (3, 1), (4, 2), (3, 3), (1, 12), (8, 16)]
 
 
+def plan_taps(valid, pixels, wrap):
+    """(plan, columns): the plan of `valid` and the columns that pixels[i]
+    reads at [k, i], for tap k of UNIT_OFFSETS + DILATED_OFFSETS, through the
+    padded column map."""
+    h, w = valid.shape
+    plan = rvfe._stencils(valid, wrap)
+    inner = np.arange((h + 4) * (w + 4)).reshape(h + 4, w + 4)[2:-2, 2:-2].ravel()
+    steps = inner[np.asarray(pixels)] + np.concatenate(rvfe._tap_steps(w))
+    return plan, plan[1][0].take(steps)
+
+
 class TestNeighbourIndex:
     def test_outside_neighbours_get_the_zero_column(self):
-        index = neighbour_index(3, 4, [(1, 0), (0, 1)], np.array([8, 3]), False)
+        valid = np.ones((3, 4), dtype=bool)
+        down, right = UNIT_OFFSETS.index((1, 0)), UNIT_OFFSETS.index((0, 1))
+        _, index = plan_taps(valid, [8, 3], False)
         # Pixel 8 is (2, 0): its lower neighbour is outside; pixel 3 is
-        # (0, 3): its right neighbour is outside unless columns wrap.
-        np.testing.assert_array_equal(index, [[12, 7], [9, 12]])
-        wrapped = neighbour_index(3, 4, [(0, 1)], np.array([3]), True)
-        np.testing.assert_array_equal(wrapped, [[0]])
+        # (0, 3): its right neighbour is outside unless columns wrap. Every
+        # pixel is valid, so each is its own column and 12 is the zero one.
+        np.testing.assert_array_equal(index[[down, right]], [[12, 7], [9, 12]])
+        _, wrapped = plan_taps(valid, [3], True)
+        np.testing.assert_array_equal(wrapped[right], [0])
 
+    # Every tap of both stencils, as the conv block and the forward read it
+    # and as the backward's windows read it, reads the shifted pixel's
+    # column: the zero column exactly where that pixel is invalid or outside.
     @pytest.mark.parametrize("wrap", [True, False])
-    @pytest.mark.parametrize("shape", TINY_SHAPES)
+    @pytest.mark.parametrize("shape", TINY_SHAPES + [(64, 2048)])
     def test_gather_matches_shifted_planes(self, shape, wrap):
         h, w = shape
-        arr = np.random.default_rng(h * w).normal(size=(2, h, w))
-        padded = np.concatenate([arr.reshape(2, h * w), np.zeros((2, 1))], axis=1)
-        offsets = UNIT_OFFSETS + DILATED_OFFSETS
-        index = neighbour_index(h, w, offsets, np.arange(h * w), wrap)
-        for k, (dh, dw) in enumerate(offsets):
-            shifted = oracles.shift_planes(arr, dh, dw, wrap)
-            gathered = padded[:, index[k]].reshape(2, h, w)
-            assert gathered.tobytes() == shifted.tobytes(), (dh, dw)
+        rng = np.random.default_rng([h * w, wrap])
+        pixel_ids = np.arange(h * w).reshape(h, w)
+        for valid in (np.ones(shape, dtype=bool), rng.random(shape) < 0.5):
+            (centres, (padded, *_), *_), index = plan_taps(valid, pixel_ids.ravel(), wrap)
+            arr = rng.normal(size=(2, h, w))
+            cols = rvfe._columns(arr, centres)
+            # Values stored at invalid pixels are never read.
+            kept = np.where(valid, arr, 0.0)
+            for k, (dh, dw) in enumerate(UNIT_OFFSETS + DILATED_OFFSETS):
+                window = rvfe._window(padded, h, w, dh, dw)
+                np.testing.assert_array_equal(window.ravel(), index[k])
+                reach = oracles.shift_planes(valid, dh, dw, wrap)
+                np.testing.assert_array_equal(window == len(centres), ~reach)
+                np.testing.assert_array_equal(
+                    centres[window[reach]], oracles.shift_planes(pixel_ids, dh, dw, wrap)[reach]
+                )
+                shifted = oracles.shift_planes(kept, dh, dw, wrap)
+                gathered = cols[:, index[k]].reshape(2, h, w)
+                assert gathered.tobytes() == shifted.tobytes(), (dh, dw)
 
 
 class TestBasicBlock:
@@ -578,13 +605,43 @@ class TestStencilPlan:
             )
 
     def test_plan_arrays_are_read_only(self):
-        # No mask with an outside entry: the column map alone marks invalid
-        # and outside pixels, by its zero column.
+        # No mask with an outside entry: the padded column map alone marks
+        # invalid and outside pixels, by its zero column, on a margin as wide
+        # as the largest offset.
         valid = np.eye(4, 6, dtype=bool)
-        centres, column, _, _ = arrays = rvfe._stencils(valid, True)
-        assert all(a.dtype == np.int64 and not a.flags.writeable for a in arrays)
-        assert column.shape == (4 * 6 + 1,)
-        np.testing.assert_array_equal(column == len(centres), np.append(~valid.ravel(), True))
+        assert rvfe._PAD == 2
+        for wrap in (True, False):
+            centres, (padded, *ids), *supports = rvfe._stencils(valid, wrap)
+            arrays = [centres, padded, *ids, *supports]
+            assert all(a.dtype == np.int64 and not a.flags.writeable for a in arrays)
+            assert padded.shape == ((4 + 4) * (6 + 4),)
+            # Each centre list's indices on the padded grid.
+            inner = np.arange(8 * 10).reshape(8, 10)[2:-2, 2:-2].ravel()
+            for pixels, at in zip((centres, *supports), ids, strict=True):
+                np.testing.assert_array_equal(at, inner[pixels])
+            grid = padded.reshape(8, 10)
+            zero = len(centres)
+            inside = grid[2:-2, 2:-2]
+            np.testing.assert_array_equal(inside == zero, ~valid)
+            np.testing.assert_array_equal(centres[inside[valid]], np.flatnonzero(valid))
+            assert (grid[:2] == zero).all() and (grid[-2:] == zero).all()
+            if wrap:
+                np.testing.assert_array_equal(grid[2:-2, :2], inside[:, -2:])
+                np.testing.assert_array_equal(grid[2:-2, -2:], inside[:, :2])
+            else:
+                assert (grid[:, :2] == zero).all() and (grid[:, -2:] == zero).all()
+
+    def test_plan_holds_no_per_tap_arrays(self):
+        # The scan workload's count of valid pixels. The plan may hold the
+        # padded map and two arrays per centre list; nine cached tap columns
+        # per support pixel would need several times that.
+        h, w = 64, 2048
+        valid = np.zeros(h * w, dtype=bool)
+        valid[np.random.default_rng(27).choice(h * w, 35_863, replace=False)] = True
+        centres, grid, *supports = rvfe._stencils(valid.reshape(h, w), True)
+        listed = len(centres) + sum(map(len, supports))
+        held = sum(a.nbytes for a in (centres, *grid, *supports))
+        assert held <= 8 * ((h + 4) * (w + 4) + 2 * listed)
 
     def test_gradcheck_builds_one_plan(self, monkeypatch):
         # Three centre lists: the conv block's and one support per branch.
