@@ -19,35 +19,28 @@ vector, so masked pixels can never influence a valid pixel's output.
 
 Forward passes are sparse. One cached plan per (shape, wrap flag, mask
 bytes), `_stencil_plan`, kept for the last mask, tells every layer where to
-evaluate. Both layers gather (c, n + 1) columns, one per conv-block centre
-and a zero column, through its padded column map, which sends invalid
-pixels and the outside of the image to the zero column: values stored at
-invalid pixels are never read. On the map a tap (dh, dw) is one constant
-step, so a block's tap columns take one add and one gather. The conv block
-runs on valid-pixel columns, each convolution in blocks of _CONV_BLOCK
-columns through two buffers and the other steps in place; each meta-kernel
-branch on its support (the valid mask dilated by its stencil), holding its
-accumulator bias times zero elsewhere, in blocks of _COLUMN_BLOCK centres
-through buffers allocated once per call. A block's nine taps run together:
-one gather per input and one stacked product per perceptron layer, the
-gated chunks written straight into the accumulator's operand. So time
-scales with support pixels and the working set beyond inputs and output is
-fixed. The conv block's output and the backward's feature gradient are
-gathered back to planes through the same map (`_planes`), not scattered, so
-each layer zeroes its own invalid pixels and `with_features` only stacks.
-
-On images whose invalid pixels hold zeros, results aim to be byte-identical
-to evaluating every pixel, including those zeros: the conv block's are +0,
-the meta kernel's are the dense value times zero, +0 or -0, a sign RRI1
-feature planes keep as part of the byte contract. Hence pixels are
-evaluated in the 8-column blocks a dense BLAS product would round them in
-(`_dense_order`), and a partial tail ends a meta-kernel block behind a
-whole one (`_column_blocks`). This holds on the tier-1 shapes and on the
-64x512 and 64x2048 sensors, whose h * w leaves no tail. Past about 1,000
-pixels, OpenBLAS's small-matrix routine can round a one- or two-pixel tail
-unlike the dense product: the meta kernel differs on fully valid 33x33,
-41x49 and 65x65 images and some sparse ones, the conv block on sparse 33x33
-and 41x49 images with about 1,000 valid pixels or fewer.
+evaluate: the valid pixels in row-major order, and each meta-kernel
+branch's support, the pixels whose stencil reaches a valid one. Both layers
+gather (c, n + 1) columns, one per valid pixel and a zero column, through
+its padded column map, which sends invalid pixels and the outside of the
+image to the zero column: values stored at invalid pixels are never read.
+On the map a tap (dh, dw) is one constant step, so a block's tap columns
+take one add and one gather, and the plan holds no per-tap array: per call
+only the mask's bytes, the column blocks and the tap columns are computed.
+Both layers walk their columns in fixed-width blocks (`_column_blocks`)
+through buffers allocated once per call. The conv block runs on the
+valid-pixel columns, each convolution in blocks of _CONV_BLOCK columns and
+the other steps in place. Each meta-kernel branch runs on its support in
+blocks of _COLUMN_BLOCK centres and holds its accumulator bias times zero
+elsewhere. A block's nine taps run together: one gather per input and one
+stacked product per perceptron layer, the gated chunks written straight
+into the accumulator's operand. So time scales with support pixels and the
+working set beyond inputs and output is fixed. The conv block's output and
+the backward's feature gradient are gathered back to planes through the
+same map (`_planes`), not scattered, so each layer zeroes its own invalid
+pixels and `with_features` only stacks. What the outputs hold, and how
+closely they match a dense evaluation, is stated in the README ("Sparse
+feature extraction").
 
 The meta kernel has an analytic backward pass (coordinates are constants;
 gradients flow to input features and all parameters). It recomputes its
@@ -242,33 +235,6 @@ def _tap_steps(w: int) -> tuple[np.ndarray, ...]:
     )
 
 
-# A BLAS product rounds each output column by the kernel that covers it. On
-# OpenBLAS the wide kernel covers blocks of 8 columns, while the last 1-4
-# columns of a product go through narrower kernels and a one-column product
-# through a matrix-vector routine, each rounding differently. Operands are
-# gathered with np.take: `a[:, index]` comes out column-major, which BLAS
-# multiplies by yet another path.
-_GEMM_BLOCK = 8
-
-
-def _dense_order(pixels: np.ndarray, n_px: int) -> np.ndarray:
-    """Centres to evaluate so that `pixels` round as in an n_px-column product.
-
-    The dense product ends in a partial block of n_px % _GEMM_BLOCK pixels.
-    Pixels before it are evaluated in whole blocks, padded by repeating a
-    pixel. If any pixel lies in that last partial block, the whole of it
-    follows at the end, behind at least one whole block.
-    """
-    tail_start = n_px - n_px % _GEMM_BLOCK
-    body = pixels[pixels < tail_start]
-    pad = -len(body) % _GEMM_BLOCK
-    tail = np.arange(tail_start, n_px) if len(body) < len(pixels) else pixels[:0]
-    if len(tail) and not len(body) and tail_start:
-        pad = _GEMM_BLOCK
-    filler = body[:1] if len(body) else np.zeros(1, dtype=np.int64)
-    return np.concatenate([body, np.repeat(filler, pad), tail])
-
-
 def _dilate(padded_valid: np.ndarray, h: int, w: int, offsets: np.ndarray) -> np.ndarray:
     """The (h, w) pixels p with a valid p + d for some offset d: the padded
     mask's windows (`_window`) OR-ed over every offset."""
@@ -283,8 +249,9 @@ def _stencil_plan(h: int, w: int, wrap_horizontal: bool, mask_bytes: bytes):
     """Where the layers evaluate on one mask and how they read their taps,
     as read-only arrays: (centres, grid, support 1, support 2).
 
-    The conv block's centres and each branch's support, the centres with a
-    valid neighbour (`_dilate`), are flat pixel indices in `_dense_order`.
+    The conv block's centres, the valid pixels, and each branch's support,
+    the pixels with a valid neighbour (`_dilate`), are increasing flat
+    pixel indices.
     `grid` holds the padded column map, then the centres' and each
     support's indices on it. The map holds each pixel's column among the
     centres on the (h + 2 * _PAD, w + 2 * _PAD) grid of `_window`, and the
@@ -294,17 +261,16 @@ def _stencil_plan(h: int, w: int, wrap_horizontal: bool, mask_bytes: bytes):
     it (`_tap_steps`), and the plan holds no per-tap array.
     """
     valid = np.frombuffer(mask_bytes, dtype=bool)
-    centres = _dense_order(np.flatnonzero(valid), h * w)
-    kept = np.flatnonzero(valid[centres])
+    centres = np.flatnonzero(valid)
     column = np.full(h * w, len(centres))
-    column[centres[kept]] = kept
+    column[centres] = np.arange(len(centres))
     padded = np.pad(column.reshape(h, w), ((_PAD, _PAD), (0, 0)), constant_values=len(centres))
     if wrap_horizontal:
         padded = np.pad(padded, ((0, 0), (_PAD, _PAD)), mode="wrap")
     else:
         padded = np.pad(padded, ((0, 0), (_PAD, _PAD)), constant_values=len(centres))
     supports = [
-        _dense_order(np.flatnonzero(_dilate(padded != len(centres), h, w, offsets)), h * w)
+        np.flatnonzero(_dilate(padded != len(centres), h, w, offsets))
         for offsets in _BRANCH_OFFSETS
     ]
     # Each pixel's index on the padded grid.
@@ -336,16 +302,18 @@ def _planes(cols: np.ndarray, padded: np.ndarray, h: int, w: int) -> np.ndarray:
     return cols.take(_window(padded, h, w), axis=1)
 
 
+def _column_blocks(n: int, width: int) -> list[tuple[int, int]]:
+    """(start, stop) of n columns split into blocks of `width`, the last
+    one holding the rest."""
+    return [(start, min(start + width, n)) for start in range(0, n, width)]
+
+
 # ---------------------------------------------------------------------------
 # BasicBlock
 # ---------------------------------------------------------------------------
 
-# Columns per conv block product. Every block but the last is this wide
-# and the last holds the rest, from _CONV_BLOCK to twice that, so a
-# product never gets narrow: the product routine a BLAS picks, and with it
-# how a partial tail of n % _GEMM_BLOCK columns rounds, can change with the
-# width (OpenBLAS multiplies small matrices through other kernels), and a
-# narrow last block would round its tail unlike one product over all n.
+# Columns per conv block product: the two block buffers stay small beside
+# the full-width input and output.
 _CONV_BLOCK = 4096
 
 
@@ -354,18 +322,16 @@ def _conv3x3(cols: np.ndarray, weight: np.ndarray, index: np.ndarray) -> np.ndar
 
     Tap k of column i reads column index[k, i]; index n reads an appended
     zero column. Accumulation order over the 9 taps is fixed. The columns
-    are walked in blocks of _CONV_BLOCK, the last one holding the rest,
-    through one gather buffer and one product buffer, so beyond the padded
-    input and the output the working set is fixed.
+    are walked in blocks of _CONV_BLOCK (`_column_blocks`) through one
+    gather buffer and one product buffer, so beyond the padded input and
+    the output the working set is fixed.
     """
     n = cols.shape[1]
     padded = np.concatenate([cols, np.zeros((cols.shape[0], 1))], axis=1)
     acc = np.zeros((weight.shape[0], n), dtype=np.float64)
-    stops = [*range(_CONV_BLOCK, n - _CONV_BLOCK + 1, _CONV_BLOCK), n]
-    blocks = list(zip([0, *stops[:-1]], stops))
-    width = max(stop - start for start, stop in blocks)
+    width = min(n, _CONV_BLOCK)
     tap_buf, product_buf = (np.empty(c * width) for c in (cols.shape[0], weight.shape[0]))
-    for start, stop in blocks:
+    for start, stop in _column_blocks(n, _CONV_BLOCK):
         tap = _prefix(tap_buf, cols.shape[0], stop - start)
         product = _prefix(product_buf, weight.shape[0], stop - start)
         for k, (dh, dw) in enumerate(UNIT_OFFSETS):
@@ -480,26 +446,10 @@ def _tap(
     return neigh_feat, delta, hid, gate
 
 
-# Centres per meta-kernel block: a multiple of _GEMM_BLOCK, so that every
-# block but the last holds whole BLAS blocks. A block stacks its nine taps;
-# at 512 centres and the pipeline's (32, 32, 64) kernel that is about 5 MB,
-# small enough to stay in cache.
+# Centres per meta-kernel block. A block stacks its nine taps; at 512
+# centres and the pipeline's (32, 32, 64) kernel that is about 5 MB, small
+# enough to stay in cache.
 _COLUMN_BLOCK = 512
-
-
-def _column_blocks(n: int) -> list[tuple[int, int]]:
-    """(start, stop) of the column blocks an n-column product is split into.
-
-    Blocks hold _COLUMN_BLOCK columns. When the last would hold only a
-    partial tail of n % _GEMM_BLOCK columns, it starts one BLAS block
-    earlier, so that the tail rounds behind a whole block as in
-    `_dense_order`.
-    """
-    starts = list(range(0, n, _COLUMN_BLOCK))
-    if len(starts) > 1 and n - starts[-1] < _GEMM_BLOCK:
-        starts[-1] -= _GEMM_BLOCK
-    blocks = zip(starts, starts[1:] + [n])
-    return [(start, stop) for start, stop in blocks if start < stop]
 
 
 def hdmk_forward_planes(
@@ -536,8 +486,7 @@ def hdmk_forward_planes(
     centres, (padded, _, *support_ids), *supports = _stencils(valid, wrap_horizontal)
     feat_cols = _columns(feats, centres)
     coord_cols = _columns(coords, centres)
-    blocks = [_column_blocks(len(support)) for support in supports]
-    width = max((stop - start for bs in blocks for start, stop in bs), default=0)
+    width = min(max(map(len, supports)), _COLUMN_BLOCK)
     bufs = _tap_buffers(c_in, params.c_mid, taps, width)
     centre_buf, chunk_buf, acc_buf = (np.empty(c * width) for c in (3, taps * c_in, c_half))
     full = np.empty((params.c_out, h * w), dtype=np.float64)
@@ -548,7 +497,7 @@ def hdmk_forward_planes(
         # Off the support: the +0 product of all-zero chunks plus the bias,
         # at an invalid pixel.
         half[:] = ((branch.b_acc + 0.0) * 0.0)[:, None]
-        for start, stop in blocks[b]:
+        for start, stop in _column_blocks(len(support), _COLUMN_BLOCK):
             n = stop - start
             block = support[start:stop]
             index = padded.take(ids[start:stop] + steps)
@@ -565,7 +514,6 @@ def hdmk_forward_planes(
             acc = np.matmul(branch.w_acc, chunks, out=_prefix(acc_buf, c_half, n))
             acc += branch.b_acc[:, None]
             acc *= neigh_valid[taps // 2]
-            # A padded duplicate keeps the value of its last position.
             for row, values in zip(half, acc):
                 row[block] = values
     return full.reshape(params.c_out, h, w)
