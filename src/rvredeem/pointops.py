@@ -321,8 +321,10 @@ def voxelize(
     if dropped:
         logger.info("voxelize: %d point(s) outside the grid range", dropped)
 
-    # Group by flattened voxel id with a stable sort; summation order inside
-    # each group follows ascending point index, so results are reproducible.
+    # Group by flattened voxel id with a stable sort, so each group's rows
+    # follow ascending point index. `np.add.reduceat` adds a group's first
+    # row to NumPy's pairwise sum of the rest, not row by row; a test pins
+    # that order byte for byte.
     flat = np.ravel_multi_index(tuple(idx[in_range].T), shape)
     order = np.argsort(flat, kind="stable")
     flat_sorted = flat[order]

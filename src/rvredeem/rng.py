@@ -74,12 +74,23 @@ class DetRng:
         """n uniform doubles in [low, high), identical to n uniform() calls."""
         if n < 0:
             raise ValueError(f"draw count must be nonnegative, got {n}")
-        counters = np.arange(1, n + 1, dtype=np.uint64)
+        # The passes run in place: the same operations in the same order as
+        # the scalar recurrence, through one scratch array for the shifts.
+        z = np.arange(1, n + 1, dtype=np.uint64)
+        shifted = np.empty_like(z)
         with np.errstate(over="ignore"):
-            z = np.uint64(self._state) + counters * np.uint64(_GOLDEN)
-            z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-            z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-            z = z ^ (z >> np.uint64(31))
+            z *= np.uint64(_GOLDEN)
+            z += np.uint64(self._state)
+            for shift, mix in ((30, _MIX1), (27, _MIX2)):
+                np.right_shift(z, np.uint64(shift), out=shifted)
+                z ^= shifted
+                z *= np.uint64(mix)
+            np.right_shift(z, np.uint64(31), out=shifted)
+            z ^= shifted
         self._state = (self._state + n * _GOLDEN) & _MASK
-        u = (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        return low + (high - low) * u
+        z >>= np.uint64(11)
+        u = z.astype(np.float64)
+        u *= 2.0**-53
+        u *= high - low
+        u += low
+        return u

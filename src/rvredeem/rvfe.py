@@ -31,16 +31,18 @@ Both layers walk their columns in fixed-width blocks (`_column_blocks`)
 through buffers allocated once per call. The conv block runs on the
 valid-pixel columns, each convolution in blocks of _CONV_BLOCK columns and
 the other steps in place. Each meta-kernel branch runs on its support in
-blocks of _COLUMN_BLOCK centres and holds its accumulator bias times zero
-elsewhere. A block's nine taps run together: one gather per input and one
-stacked product per perceptron layer, the gated chunks written straight
-into the accumulator's operand. So time scales with support pixels and the
-working set beyond inputs and output is fixed. The conv block's output and
-the backward's feature gradient are gathered back to planes through the
-same map (`_planes`), not scattered, so each layer zeroes its own invalid
-pixels and `with_features` only stacks. What the outputs hold, and how
-closely they match a dense evaluation, is stated in the README ("Sparse
-feature extraction").
+blocks of _COLUMN_BLOCK centres, through buffers shaped once per block
+width, and holds its accumulator bias times zero elsewhere, a fill that
+runs only when the support misses a pixel. A block's nine taps run
+together: one gather per input and one stacked product per perceptron
+layer, the gated chunks written straight into the accumulator's operand; a
+block of consecutive pixels reaches the output as one slice. So time
+scales with support pixels and the working set beyond inputs and output is
+fixed. The conv block's output and the backward's feature gradient are
+gathered back to planes through the same map (`_planes`), not scattered,
+so each layer zeroes its own invalid pixels and `with_features` only
+stacks. What the outputs hold, and how closely they match a dense
+evaluation, is stated in the README ("Sparse feature extraction").
 
 The meta kernel has an analytic backward pass (coordinates are constants;
 gradients flow to input features and all parameters). It recomputes its
@@ -59,7 +61,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -93,8 +95,8 @@ class BranchParams:
     b_acc: np.ndarray  # (c_half,)
 
     def __post_init__(self):
-        for f in fields(self):
-            object.__setattr__(self, f.name, frozen_array(f.name, getattr(self, f.name)))
+        for name in _BRANCH_TENSORS:
+            object.__setattr__(self, name, frozen_array(name, getattr(self, name)))
         c_mid = self.w1.shape[0]
         c_in = self.w2.shape[0]
         if self.w1.shape != (c_mid, 3) or self.b1.shape != (c_mid,):
@@ -107,6 +109,10 @@ class BranchParams:
             )
         if self.b_acc.shape != (self.w_acc.shape[0],):
             raise ValueError("accumulator bias shape mismatch")
+
+
+# A branch's tensor names, in field order.
+_BRANCH_TENSORS = tuple(f.name for f in fields(BranchParams))
 
 
 @dataclass(frozen=True)
@@ -130,23 +136,24 @@ class HdMetaKernelParams:
     def tensors(self) -> dict[str, np.ndarray]:
         """Every tensor by name, branch by branch in field order."""
         return {
-            f"{b.name}.{t.name}": getattr(getattr(self, b.name), t.name)
-            for b in fields(self)
-            for t in fields(BranchParams)
+            f"{b}.{t}": getattr(getattr(self, b), t) for b in _BRANCHES for t in _BRANCH_TENSORS
         }
 
     @classmethod
     def from_tensors(cls, get) -> HdMetaKernelParams:
         """Parameters from `get(name)` for every name that `tensors()` uses."""
         return cls(*(
-            BranchParams(*(get(f"{b.name}.{t.name}") for t in fields(BranchParams)))
-            for b in fields(cls)
+            BranchParams(*(get(f"{b}.{t}") for t in _BRANCH_TENSORS)) for b in _BRANCHES
         ))
 
     def with_tensor(self, name: str, value) -> HdMetaKernelParams:
         """A copy with tensor `name` replaced; only its branch is rebuilt."""
         branch, tensor = name.split(".")
-        return replace(self, **{branch: replace(getattr(self, branch), **{tensor: value})})
+        if branch not in _BRANCHES or tensor not in _BRANCH_TENSORS:
+            raise KeyError(f"no meta-kernel tensor {name!r}")
+        old = getattr(self, branch)
+        new = BranchParams(*(value if t == tensor else getattr(old, t) for t in _BRANCH_TENSORS))
+        return HdMetaKernelParams(*(new if b == branch else getattr(self, b) for b in _BRANCHES))
 
     @property
     def c_in(self) -> int:
@@ -159,6 +166,9 @@ class HdMetaKernelParams:
     @property
     def c_out(self) -> int:
         return 2 * self.branch1.w_acc.shape[0]
+
+
+_BRANCHES = tuple(f.name for f in fields(HdMetaKernelParams))
 
 
 @dataclass(frozen=True)
@@ -393,15 +403,15 @@ def _check_hdmk_input(
         raise ValueError(f"coords must be (3, {h}, {w}), got {coords.shape}")
 
 
-def _tap_buffers(c_in: int, c_mid: int, taps: int, n: int) -> tuple[np.ndarray, ...]:
-    """Flat uninitialised buffers for `_tap` calls of up to `taps` taps at n
-    centres: neighbour features, coordinate deltas, hidden units and gates."""
-    return tuple(np.empty(c * taps * n) for c in (c_in, 3, c_mid, c_in))
+def _tap_shapes(c_in: int, c_mid: int, t: int, m: int) -> tuple[tuple[int, ...], ...]:
+    """Shapes of the buffers that `_tap` fills for t taps at m centres:
+    neighbour features, coordinate deltas, hidden units and gates."""
+    return (c_in, t, m), (3, t, m), (t, c_mid, m), (t, c_in, m)
 
 
 def _prefix(buf: np.ndarray, *shape: int) -> np.ndarray:
-    """The leading elements of flat `buf` as a C-contiguous array of `shape`."""
-    return buf[: math.prod(shape)].reshape(shape)
+    """The leading elements of C-contiguous `buf` as an array of `shape`."""
+    return buf.reshape(-1)[: math.prod(shape)].reshape(shape)
 
 
 def _tap(
@@ -413,25 +423,21 @@ def _tap(
     neigh_valid: np.ndarray,
     bufs: tuple[np.ndarray, ...],
     weighted: np.ndarray,
-) -> tuple[np.ndarray, ...]:
+) -> None:
     """t offsets of a branch at m centres, written in place.
 
     `feats` and `coords` are pixel columns from `_columns`, the last one
     zero; `index` (t, m) holds the column of each centre's neighbour, the
     zero column when that neighbour is invalid or outside, `neigh_valid`
     whether it is not, and `centre_xyz` the centres' (3, m) coordinates.
-    Fills `weighted` with the (t, c_in, m) chunks, a zero at every invalid
-    neighbour, and returns the (c_in, t, m) neighbour features, (3, t, m)
+    `bufs` are C-contiguous arrays of `_tap_shapes`, shaped by the caller:
+    the tap fills them with the (c_in, t, m) neighbour features, (3, t, m)
     coordinate deltas, (t, c_mid, m) hidden activations and (t, c_in, m)
-    gates as contiguous prefixes of `bufs` (from `_tap_buffers`), so each
-    tap's slice of a stacked product rounds as a 2-D product would.
+    gates, so each tap's slice of a stacked product rounds as a 2-D product
+    would, and fills `weighted` with the (t, c_in, m) chunks, a zero at
+    every invalid neighbour.
     """
-    t, m = index.shape
-    c_in, c_mid = branch.w2.shape
-    neigh_feat = _prefix(bufs[0], c_in, t, m)
-    delta = _prefix(bufs[1], 3, t, m)
-    hid = _prefix(bufs[2], t, c_mid, m)
-    gate = _prefix(bufs[3], t, c_in, m)
+    neigh_feat, delta, hid, gate = bufs
     # Every index is in range; "clip" keeps `take` from buffering `out`.
     feats.take(index, axis=1, out=neigh_feat, mode="clip")
     coords.take(index, axis=1, out=delta, mode="clip")
@@ -443,7 +449,6 @@ def _tap(
     np.matmul(branch.w2, hid, out=gate)
     gate += branch.b2[:, None]
     np.multiply(gate, neigh_feat.transpose(1, 0, 2), out=weighted)
-    return neigh_feat, delta, hid, gate
 
 
 # Centres per meta-kernel block. A block stacks its nine taps; at 512
@@ -467,16 +472,20 @@ def hdmk_forward_planes(
     Each branch is evaluated only on its support, the centres with at least
     one valid neighbour. Everywhere else all nine weighted chunks are zero,
     so the branch output is exactly its accumulator bias, and every pixel
-    there is invalid: its half is filled once with that bias times zero. The
-    support is walked in column blocks (`_column_blocks`) through one set of
-    buffers for both branches. A block's tap columns are the padded column
-    map at its centres' indices on the padded grid, which the plan holds,
-    plus the branch's nine steps (`_tap_steps`); the middle tap, offset
-    (0, 0), is the centre's own column. One `_tap` call evaluates all nine
-    taps of a block, writing the gated chunks into the rows of the
-    (9 * c_in, n) accumulator operand. A block's invalid centres are zeroed
-    in place, and each output row takes the block with a 1-D scatter, so
-    beyond the fill no pass runs over the whole output.
+    there is invalid: its half is filled once with that bias times zero,
+    only when the support misses a pixel. The support is walked in column
+    blocks (`_column_blocks`) through one set of buffers for both branches,
+    allocated in the shape of the widest block; a block of another width,
+    a last one, uses their contiguous prefixes (`_prefix`), shaped once per
+    width. A block's tap columns are the padded column map at its centres'
+    indices on the padded grid, which the plan holds, plus the branch's
+    nine steps (`_tap_steps`); the middle tap, offset (0, 0), is the
+    centre's own column. One `_tap` call evaluates all nine taps of a block,
+    writing the gated chunks into the rows of the (9 * c_in, n) accumulator
+    operand. A block's invalid centres are zeroed in place; a block of
+    consecutive pixels is written as one slice of the output, any other
+    block row by row with a 1-D scatter, so beyond the fill no pass runs
+    over the whole output.
     """
     _check_hdmk_input(feats, coords, valid, params)
     h, w = valid.shape
@@ -486,36 +495,43 @@ def hdmk_forward_planes(
     centres, (padded, _, *support_ids), *supports = _stencils(valid, wrap_horizontal)
     feat_cols = _columns(feats, centres)
     coord_cols = _columns(coords, centres)
+
+    def shapes(n):
+        """Tap buffers, centre coordinates, chunks and accumulator at n centres."""
+        return (*_tap_shapes(c_in, params.c_mid, taps, n), (3, n), (taps, c_in, n), (c_half, n))
+
     width = min(max(map(len, supports)), _COLUMN_BLOCK)
-    bufs = _tap_buffers(c_in, params.c_mid, taps, width)
-    centre_buf, chunk_buf, acc_buf = (np.empty(c * width) for c in (3, taps * c_in, c_half))
+    shaped = {width: [np.empty(shape) for shape in shapes(width)]}
     full = np.empty((params.c_out, h * w), dtype=np.float64)
     for b, (branch, steps, support, ids) in enumerate(
         zip((params.branch1, params.branch2), _tap_steps(w), supports, support_ids)
     ):
         half = full[b * c_half : (b + 1) * c_half]
-        # Off the support: the +0 product of all-zero chunks plus the bias,
-        # at an invalid pixel.
-        half[:] = ((branch.b_acc + 0.0) * 0.0)[:, None]
+        if len(support) < h * w:
+            # Off the support: the +0 product of all-zero chunks plus the
+            # bias, at an invalid pixel.
+            half[:] = ((branch.b_acc + 0.0) * 0.0)[:, None]
         for start, stop in _column_blocks(len(support), _COLUMN_BLOCK):
             n = stop - start
-            block = support[start:stop]
+            if n not in shaped:
+                shaped[n] = [_prefix(buf, *shape) for buf, shape in zip(shaped[width], shapes(n))]
+            *bufs, centre_xyz, chunks, acc = shaped[n]
             index = padded.take(ids[start:stop] + steps)
             neigh_valid = index != len(centres)
-            centre_xyz = _prefix(centre_buf, 3, n)
             # Offset (0, 0), the middle tap, reads the centre's own column.
             coord_cols.take(index[taps // 2], axis=1, out=centre_xyz, mode="clip")
-            # Tap k's gated chunk lands in rows k * c_in ... of the operand.
-            chunks = _prefix(chunk_buf, taps * c_in, n)
-            _tap(
-                branch, feat_cols, coord_cols, centre_xyz, index, neigh_valid, bufs,
-                chunks.reshape(taps, c_in, n),
-            )
-            acc = np.matmul(branch.w_acc, chunks, out=_prefix(acc_buf, c_half, n))
+            _tap(branch, feat_cols, coord_cols, centre_xyz, index, neigh_valid, bufs, chunks)
+            # Tap k's gated chunk is rows k * c_in ... of the operand.
+            np.matmul(branch.w_acc, chunks.reshape(taps * c_in, n), out=acc)
             acc += branch.b_acc[:, None]
             acc *= neigh_valid[taps // 2]
-            for row, values in zip(half, acc):
-                row[block] = values
+            first, last = support[start], support[stop - 1]
+            if last - first == n - 1:
+                half[:, first : last + 1] = acc
+            else:
+                block = support[start:stop]
+                for row, values in zip(half, acc):
+                    row[block] = values
     return full.reshape(params.c_out, h, w)
 
 
@@ -579,7 +595,8 @@ def hdmk_backward(
     c_half = params.c_out // 2
 
     d_cols = np.zeros_like(feat_cols)
-    bufs = _tap_buffers(c_in, params.c_mid, 1, n_px)
+    bufs = [np.empty(shape) for shape in _tap_shapes(c_in, params.c_mid, 1, n_px)]
+    neigh_feat, delta, hid, gate = (buf.reshape(-1, n_px) for buf in bufs)
     weighted = np.empty((c_in, n_px))
     branch_grads = []
     for b, (branch, offsets) in enumerate(
@@ -595,11 +612,10 @@ def hdmk_backward(
         for k, (dh, dw) in enumerate(offsets):
             index = _window(padded, h, w, dh, dw).reshape(1, n_px)
             neigh_valid = index != len(centres)
-            views = _tap(
+            _tap(
                 branch, feat_cols, coord_cols, centre_xyz, index, neigh_valid, bufs,
                 weighted[None],
             )
-            neigh_feat, delta, hid, gate = (v.reshape(-1, n_px) for v in views)
             block = slice(k * c_in, (k + 1) * c_in)
             d_w_acc[:, block] = g_out @ weighted.T
             d_weighted = (branch.w_acc[:, block].T @ g_out) * neigh_valid

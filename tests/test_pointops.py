@@ -1,5 +1,7 @@
 """Sampling, neighborhoods, aggregation, voxel grids, BEV maps."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -417,6 +419,25 @@ class TestVoxelize:
             exp_count, exp_mean = expected[tuple(key)]
             assert count == exp_count
             np.testing.assert_allclose(mean, exp_mean, atol=1e-12)
+
+    def test_sums_keep_the_reduceat_order(self):
+        # Twelve points in one voxel, more than NumPy's 8-element pairwise
+        # block, three in another and one alone, shuffled, with features of
+        # mixed magnitude: another summation order shows in the bytes.
+        rng = np.random.default_rng(29)
+        centres = [[0.5, 0.5, 0.25], [2.5, 1.5, 0.75], [3.5, 0.5, 0.25]]
+        xyz = rng.permutation(np.repeat(centres, [12, 3, 1], axis=0))
+        feats = rng.normal(size=(16, 3)) * 10.0 ** rng.integers(-8, 9, size=(16, 3))
+        grid = voxelize(make_cloud(xyz, feats), **GRID)
+        cells = np.floor(xyz / GRID["voxel_size"]).astype(np.int64)
+        order = np.argsort(np.ravel_multi_index(tuple(cells.T), grid.shape), kind="stable")
+        starts = np.array([0, 12, 15])
+        sums = np.add.reduceat(feats[order], starts, axis=0)
+        assert grid.counts.tolist() == [12, 3, 1]
+        assert grid.means.tobytes() == (sums / grid.counts[:, None]).tobytes()
+        # Row-by-row sums in ascending point order round differently here.
+        rows = np.split(feats[order], starts[1:])
+        assert np.array([functools.reduce(np.add, r) for r in rows]).tobytes() != sums.tobytes()
 
     def test_empty_cloud(self):
         grid = voxelize(make_cloud(np.zeros((0, 3))), **GRID)

@@ -12,7 +12,7 @@ import oracles
 import util
 from rvredeem import rvfe
 from rvredeem.core import RangeImage
-from rvredeem.pipeline import run_gradcheck
+from rvredeem.pipeline import GRADCHECK_DIMS, gradcheck_instance, run_gradcheck
 from rvredeem.rvfe import (
     DILATED_OFFSETS,
     UNIT_OFFSETS,
@@ -499,6 +499,29 @@ class TestDenseByteIdentity:
         params = init_params(0, dims)
         assert_hdmk_matches_dense(img.feature_planes, img.channels[:3], img.valid, params, wrap)
 
+    # Buffers are shaped once per block width, not per block and branch:
+    # both supports span three or more blocks of 8 and end in a partial one.
+    @pytest.mark.parametrize("mask", [0.15, "all"])
+    def test_forward_shapes_buffers_once_per_width(self, mask, monkeypatch):
+        monkeypatch.setattr(rvfe, "_COLUMN_BLOCK", 8)
+        rng = np.random.default_rng(MASKS.index(mask))
+        img = masked_image(rng, (9, 13), mask, n_feat=4)
+        supports = rvfe._stencils(img.valid, True)[2:]
+        widths = {8} | {len(support) % 8 for support in supports}
+        assert all(len(support) > 16 for support in supports) and 0 not in widths
+        shaped = []
+        prefix = rvfe._prefix
+
+        def counted(buf, *shape):
+            shaped.append(shape)
+            return prefix(buf, *shape)
+
+        monkeypatch.setattr(rvfe, "_prefix", counted)
+        params = util.random_hdmk_params(rng, c_in=4, c_mid=5, c_out=6)
+        assert_hdmk_matches_dense(img.feature_planes, img.channels[:3], img.valid, params, True)
+        assert {shape[-1] for shape in shaped} <= widths
+        assert len(shaped) <= 8 * len(widths)
+
     def test_negative_zero_bias(self):
         # Weight files may hold -0.0. Far from valid pixels the dense output
         # is (+0 product) + b_acc, which is +0 for such a bias.
@@ -514,24 +537,27 @@ class TestDenseByteIdentity:
     @pytest.mark.parametrize("wrap", [True, False])
     def test_signed_zeros_of_every_bias_sign(self, wrap):
         # Accumulator biases of +0, -0, negative and positive sign, on a
-        # sparse mask whose supports hold invalid pixels.
+        # sparse mask whose supports hold invalid pixels, and on the gradient
+        # check's mask, whose supports cover every pixel, invalid ones too.
         # Off the support the output is the bias plus +0, times zero; at an
         # invalid pixel on it, the block's own value times zero.
         rng = np.random.default_rng([23, wrap])
-        img = masked_image(rng, (8, 16), 0.1, n_feat=4)
+        sparse = masked_image(rng, (8, 16), 0.1, n_feat=4)
         params = util.random_hdmk_params(rng, c_in=4, c_mid=5, c_out=8)
         b_acc = np.array([0.0, -0.0, -0.05, 0.07])
         params = HdMetaKernelParams(
             *(replace(b, b_acc=b_acc) for b in (params.branch1, params.branch2))
         )
-        for support in rvfe._stencils(img.valid, wrap)[2:]:
-            assert not img.valid.ravel()[support].all()
-            assert len(support) < img.valid.size
-        out = assert_hdmk_matches_dense(
-            img.feature_planes, img.channels[:3], img.valid, params, wrap
-        )
-        signs = np.signbit(out[:, ~img.valid])
-        assert signs.any() and not signs.all()
+        gradcheck = gradcheck_instance(0, GRADCHECK_DIMS)[0]
+        for img, covered in ((sparse, False), (gradcheck, True)):
+            for support in rvfe._stencils(img.valid, wrap)[2:]:
+                assert not img.valid.ravel()[support].all()
+                assert (len(support) == img.valid.size) == covered
+            out = assert_hdmk_matches_dense(
+                img.feature_planes, img.channels[:3], img.valid, params, wrap
+            )
+            signs = np.signbit(out[:, ~img.valid])
+            assert signs.any() and not signs.all()
 
     def test_invalid_pixels_keep_the_dense_sign(self):
         rng = np.random.default_rng(20)
@@ -939,6 +965,21 @@ class TestInitParams:
             np.testing.assert_array_equal(
                 tensor, tensor.astype(np.float32).astype(np.float64)
             )
+
+    def test_with_tensor_replaces_one_frozen_copy(self):
+        params = init_params(3, (4, 5, 6))
+        value = np.full((5, 3), 0.5)
+        changed = params.with_tensor("branch2.w1", value)
+        value[0, 0] = 9.0
+        assert changed.branch1 is params.branch1
+        for name, tensor in changed.tensors().items():
+            expected = 0.5 if name == "branch2.w1" else params.tensors()[name]
+            np.testing.assert_array_equal(tensor, expected)
+            assert not tensor.flags.writeable
+        with pytest.raises(KeyError, match="branch2.w3"):
+            params.with_tensor("branch2.w3", value)
+        with pytest.raises(ValueError, match="first layer"):
+            params.with_tensor("branch1.w1", np.zeros((5, 4)))
 
     def test_basicblock_init(self):
         a = init_basicblock(3, 8)
