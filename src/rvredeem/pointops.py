@@ -25,10 +25,22 @@ def _coordinates(xyz) -> np.ndarray:
 
 
 def grid_shape(voxel_size, range_min, range_max) -> tuple[int, int, int]:
-    """Cells per axis, (nx, ny, nz) = ceil((max - min) / size)."""
+    """Cells per axis, (nx, ny, nz) = ceil((max - min) / size).
+
+    Raises ValueError naming the field when a voxel size is not finite and
+    positive or a bound is not finite, and when max <= min on an axis.
+    """
+    size = np.asarray(voxel_size, dtype=np.float64)
     lo = np.asarray(range_min, dtype=np.float64)
     hi = np.asarray(range_max, dtype=np.float64)
-    return tuple(int(n) for n in np.ceil((hi - lo) / np.asarray(voxel_size)))
+    if not (np.isfinite(size) & (size > 0.0)).all():
+        raise ValueError(f"voxel_size must be finite and positive, got {size.tolist()}")
+    for name, bound in (("range_min", lo), ("range_max", hi)):
+        if not np.isfinite(bound).all():
+            raise ValueError(f"{name} must be finite, got {bound.tolist()}")
+    if not (hi > lo).all():
+        raise ValueError("grid range must satisfy max > min")
+    return tuple(int(n) for n in np.ceil((hi - lo) / size))
 
 
 @dataclass(frozen=True)
@@ -52,11 +64,7 @@ class VoxelGrid:
     means: np.ndarray  # (V, d_f) float64
 
     def __post_init__(self):
-        for axis in range(3):
-            if self.voxel_size[axis] <= 0.0:
-                raise ValueError("voxel sizes must be positive")
-            if self.range_max[axis] <= self.range_min[axis]:
-                raise ValueError("grid range must satisfy max > min")
+        shape = self.shape  # grid_shape checks the sizes and bounds
         for name, dtype in (("voxels", np.int64), ("counts", np.int64), ("means", np.float64)):
             object.__setattr__(self, name, frozen_array(name, getattr(self, name), dtype))
         idx, counts, means = self.voxels, self.counts, self.means
@@ -67,7 +75,6 @@ class VoxelGrid:
             raise ValueError(f"voxel counts must be ({v},), got {counts.shape}")
         if means.ndim != 2 or means.shape[0] != v:
             raise ValueError(f"voxel means must be ({v}, d), got {means.shape}")
-        shape = self.shape
         if min(shape) < 1:
             raise ValueError("grid shape must be positive")
         if np.any((idx < 0) | (idx >= np.asarray(shape))):
@@ -91,14 +98,12 @@ class VoxelGrid:
         return self.means.shape[1]
 
 
-# Furthest point sampling groups clouds of at least _FPS_BUCKETED_MIN points
-# (256 buckets) into buckets of _FPS_BUCKET consecutive points. A bucketed
-# step costs about 20 NumPy calls however few points it touches, so on
-# small clouds the step over every point is faster: on subsampled scan
-# clouds the two break even near 8,000 to 10,000 points, and on the
-# proposals-512 cloud of 10,406 points the plain loop still wins.
+# Furthest point sampling cuts every cloud into buckets of _FPS_BUCKET
+# consecutive points. Skipping far buckets costs about 20 NumPy calls a
+# step, updating every point 7, so clouds below _FPS_SKIP_MIN buckets
+# (13,312 points) update every point; README "Point ops" has the timings.
 _FPS_BUCKET = 64
-_FPS_BUCKETED_MIN = 256 * _FPS_BUCKET
+_FPS_SKIP_MIN = 208
 
 
 def furthest_point_sampling(xyz, count: int, seed_index: int = 0) -> np.ndarray:
@@ -111,9 +116,17 @@ def furthest_point_sampling(xyz, count: int, seed_index: int = 0) -> np.ndarray:
 
     Every squared distance is (dx^2 + dy^2) + dz^2, the additions, in the
     same order, of the (N, 3) row sum that `ball_query` uses, so every
-    distance and every pick are bit for bit that formula's. Clouds of
-    _FPS_BUCKETED_MIN points or more skip far buckets (`_fps_bucketed`);
-    smaller ones update every point at every step.
+    distance and every pick are bit for bit that formula's.
+
+    The points are held as (3, buckets, _FPS_BUCKET) and their running
+    minima as (buckets, _FPS_BUCKET). Copies of the last point pad the last
+    bucket; they leave its box as it is and, held at -1 like chosen points,
+    are never picked. Below _FPS_SKIP_MIN buckets a step updates every
+    point. From there on a step bounds the squared distance to each
+    bucket's axis-aligned box from below, per axis the gap or zero, in the
+    same order; rounding is monotone, so a bucket whose bound is not below
+    its largest minimum cannot change and is skipped. Either way the pick
+    is the lowest index holding the largest minimum.
     """
     xyz = _coordinates(xyz)
     n = xyz.shape[0]
@@ -123,72 +136,38 @@ def furthest_point_sampling(xyz, count: int, seed_index: int = 0) -> np.ndarray:
         raise ValueError(f"count must be >= 1, got {count}")
     if not (0 <= seed_index < n):
         raise ValueError(f"seed_index {seed_index} outside [0, {n})")
-    count = min(count, n)
-    if n >= _FPS_BUCKETED_MIN:
-        return _fps_bucketed(xyz, count, seed_index)
-    return _fps_every_point(xyz, count, seed_index)
-
-
-def _fps_every_point(xyz: np.ndarray, count: int, seed_index: int) -> np.ndarray:
-    """The FPS loop over every point: the coordinates are copied once into
-    three contiguous columns, and each step writes the squared distances
-    into two preallocated scratch vectors, without an allocation per step."""
-    n = xyz.shape[0]
-    chosen = np.empty(count, dtype=np.int64)
-    chosen[0] = seed_index
-    x, y, z = (np.ascontiguousarray(xyz[:, a]) for a in range(3))
-    best = np.full(n, np.inf, dtype=np.float64)
-    d2 = np.empty(n, dtype=np.float64)
-    term = np.empty(n, dtype=np.float64)
-    last = seed_index
-    for step in range(1, count):
-        px, py, pz = xyz[last]
-        np.subtract(x, px, out=d2)
-        np.multiply(d2, d2, out=d2)
-        np.subtract(y, py, out=term)
-        np.multiply(term, term, out=term)
-        np.add(d2, term, out=d2)
-        np.subtract(z, pz, out=term)
-        np.multiply(term, term, out=term)
-        np.add(d2, term, out=d2)
-        np.minimum(best, d2, out=best)
-        best[last] = -1.0  # never reselect
-        last = int(np.argmax(best))
-        chosen[step] = last
-    return chosen
-
-
-def _fps_bucketed(xyz: np.ndarray, count: int, seed_index: int) -> np.ndarray:
-    """The FPS loop over buckets of _FPS_BUCKET consecutive points.
-
-    Each bucket keeps the axis-aligned box of its points and the largest of
-    their running minima. A step bounds the squared distance from the new
-    keypoint to each box from below, per axis the gap to the box or zero, in
-    the same (gx^2 + gy^2) + gz^2 order. Rounding is monotone, so the bound
-    is at most every distance computed to the bucket's points; a bucket
-    whose bound is not below its largest minimum cannot change, and only
-    the others are updated. The pick is the first position of the first
-    bucket holding the largest minimum, the lowest index as over all points.
-    """
-    n = xyz.shape[0]
     buckets = -(-n // _FPS_BUCKET)
-    # The last bucket is padded with copies of the last point, which leave
-    # its box as it is and, held at -1 like chosen points, are never picked.
     padded = np.concatenate([xyz, np.repeat(xyz[-1:], buckets * _FPS_BUCKET - n, axis=0)])
     pts = np.ascontiguousarray(padded.T).reshape(3, buckets, _FPS_BUCKET)
-    # lo - p and p - hi as lo + (-p) and (-hi) + p, the same roundings, in
-    # one addition per step.
-    box = np.stack([pts.min(axis=2), -pts.max(axis=2)])
-    signed = np.stack([-xyz, xyz], axis=1)[..., None]
-    gaps = np.empty_like(box)
-    gap = gaps[0]
+    every_point = buckets < _FPS_SKIP_MIN
+    if not every_point:
+        # lo - p and p - hi as lo + (-p) and (-hi) + p, the same roundings,
+        # in one addition per step.
+        box = np.stack([pts.min(axis=2), -pts.max(axis=2)])
+        signed = np.stack([-xyz, xyz], axis=1)[..., None]
+        gaps = np.empty_like(box)
+        gap = gaps[0]
+    # Keep this allocation order: on the scan workload, `top` ahead of the
+    # box arrays or `best` after them raised peak RSS by 2-6 MB.
     best = np.full((buckets, _FPS_BUCKET), np.inf)
     flat_best = best.reshape(-1)
     flat_best[n:] = -1.0
     top = np.full(buckets, np.inf)
-    chosen = np.empty(count, dtype=np.int64)
+    chosen = np.empty(min(count, n), dtype=np.int64)
     chosen[0] = last = seed_index
-    for step in range(1, count):
+    if every_point:
+        d = np.empty_like(pts)
+        dx, dy, dz = d
+        for step in range(1, chosen.size):
+            np.subtract(pts, xyz[last, :, None, None], out=d)
+            d *= d
+            np.add(dx, dy, out=dx)
+            dx += dz
+            np.minimum(best, dx, out=best)
+            flat_best[last] = -1.0  # never reselect
+            chosen[step] = last = int(flat_best.argmax())
+        return chosen
+    for step in range(1, chosen.size):
         np.add(box, signed[last], out=gaps)
         np.maximum(gap, gaps[1], out=gap)
         np.maximum(gap, 0.0, out=gap)
@@ -221,7 +200,7 @@ def ball_query(center, radius: float, xyz, max_k: int) -> np.ndarray:
     keeps that order among ties: the order is (distance, index), so the int64
     result is truncated at max_k deterministically.
     """
-    if radius < 0.0:
+    if not radius >= 0.0:  # also rejects NaN
         raise ValueError(f"radius must be >= 0, got {radius}")
     if max_k < 1:
         raise ValueError(f"max_k must be >= 1, got {max_k}")

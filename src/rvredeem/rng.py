@@ -47,8 +47,13 @@ def mix64(x: int) -> int:
 
 
 def derive_seed(seed: int, tag: int) -> int:
-    """Child seed for a named stream: mix64(seed xor ((tag + 1) * golden))."""
-    return mix64((seed & _MASK) ^ (((tag + 1) * _GOLDEN) & _MASK))
+    """Child seed for a named stream: mix64(seed xor ((tag + 1) * golden)).
+
+    Seeds outside [0, 2^64) raise rather than alias another seed's streams.
+    """
+    if not 0 <= seed <= _MASK:
+        raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
+    return mix64(seed ^ (((tag + 1) * _GOLDEN) & _MASK))
 
 
 class DetRng:

@@ -607,6 +607,28 @@ class TestCli:
         assert code == 1
         assert captured.err.startswith("error:")
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_gradcheck_seed_outside_64_bits_is_an_error(self, seed, capsys):
+        code = cli_main(["gradcheck", "--seed", seed])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: seed must lie in [0, 2^64)")
+        assert "gradcheck" not in captured.out
+
+    def test_pipeline_negative_seed_keeps_the_config_message(self, toy, capsys):
+        code = cli_main(
+            [
+                "pipeline",
+                "--config", str(toy.config),
+                "--input", str(toy.scene),
+                "--out", str(toy.root / "negative_seed"),
+                "--seed", "-1",
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "error: seed must be a nonnegative integer\n"
+
     def test_gradcheck_passes(self, capsys):
         assert cli_main(["gradcheck"]) == 0
         captured = capsys.readouterr()

@@ -153,55 +153,55 @@ class TestFurthestPointSampling:
 
 
 class TestBucketedFps:
-    """Clouds of pointops._FPS_BUCKETED_MIN points or more skip far buckets;
-    every pick must still be the row-sum formula's."""
+    """Every cloud is held in buckets of pointops._FPS_BUCKET points. Clouds
+    of fewer than pointops._FPS_SKIP_MIN buckets update every point at each
+    step, larger ones skip far buckets; every pick must be the row-sum
+    formula's either way."""
 
-    @pytest.fixture
-    def bucketed_calls(self, monkeypatch):
-        calls = []
-        bucketed = pointops._fps_bucketed
-
-        def counted(*args):
-            calls.append(len(args[0]))
-            return bucketed(*args)
-
-        monkeypatch.setattr(pointops, "_fps_bucketed", counted)
-        return calls
-
-    @pytest.mark.parametrize("n", [16_383, 16_384, 16_384 + 37])
-    def test_size_rule_and_row_sum_picks(self, n, bucketed_calls):
-        # Just below, at and above the size rule; the last size ends in a
-        # partial bucket of 37 points.
+    @pytest.mark.parametrize("n", [13_311, 13_312, 13_312 + 37, 16_383, 16_384, 16_384 + 37])
+    def test_size_rule_and_row_sum_picks(self, n):
+        # Just below, at and above the size rule, and around 16,384 points;
+        # the sizes ending in 37 end in a partial bucket.
+        assert pointops._FPS_SKIP_MIN * pointops._FPS_BUCKET == 13_312
         xyz = np.random.default_rng(n).uniform(-40.0, 40.0, size=(n, 3))
         idx = furthest_point_sampling(xyz, 200, seed_index=n // 3)
         np.testing.assert_array_equal(idx, oracles.fps_row_sum(xyz, 200, n // 3))
-        assert bucketed_calls == ([n] if n >= 16_384 else [])
 
-    def test_lattice_ties_across_buckets(self, bucketed_calls):
+    def test_lattice_ties_across_buckets(self):
         # A 26^3 integer lattice in order: at every step the farthest points
         # tie across many buckets, so only the lowest-index rule decides.
         axis = np.arange(26.0)
         xyz = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
         idx = furthest_point_sampling(xyz, 300, seed_index=9_000)
         np.testing.assert_array_equal(idx, oracles.fps_row_sum(xyz, 300, 9_000))
-        assert bucketed_calls == [len(xyz)]
 
-    def test_duplicates_and_a_seed_in_the_last_bucket(self, bucketed_calls):
+    def test_duplicates_and_a_seed_in_the_last_bucket(self):
         # 257 distinct points repeated to 16,448: once they are all chosen
         # the rest lie at distance zero, and the lowest index goes next.
         base = np.random.default_rng(3).integers(-9, 10, size=(257, 3)).astype(np.float64)
         xyz = np.tile(base, (64, 1))
         idx = furthest_point_sampling(xyz, 400, seed_index=len(xyz) - 1)
         np.testing.assert_array_equal(idx, oracles.fps_row_sum(xyz, 400, len(xyz) - 1))
-        assert bucketed_calls == [len(xyz)]
+
+    def test_sky_shaped_cloud_updates_every_point(self):
+        # 494 points as on the sky workload: 8 buckets, the last holding 46,
+        # a budget above the cloud size, and 60 rows repeated.
+        assert -(-494 // pointops._FPS_BUCKET) < pointops._FPS_SKIP_MIN
+        rng = np.random.default_rng(494)
+        xyz = rng.uniform(-30.0, 30.0, size=(434, 3))
+        xyz = np.vstack([xyz, xyz[rng.integers(0, 434, 60)]])[rng.permutation(494)]
+        idx = furthest_point_sampling(xyz, 2048)
+        np.testing.assert_array_equal(np.sort(idx), np.arange(494))
+        np.testing.assert_array_equal(idx, oracles.fps_row_sum(xyz, 2048, 0))
 
     @pytest.mark.parametrize("bucket", [1, 3, 64])
     def test_small_clouds_through_the_bucketed_loop(self, bucket, monkeypatch):
-        # The size rule and the bucket width patched down, so that small
-        # clouds take the bucketed loop: random, lattice and duplicated
-        # points, partial last buckets, seeds anywhere, budgets up to past
-        # the cloud size.
-        monkeypatch.setattr(pointops, "_FPS_BUCKETED_MIN", 1)
+        # The bucket width patched, and the size rule patched to 1 bucket
+        # and to more than any cloud has, so that the same clouds take both
+        # kinds of step: random, lattice and duplicated points, partial last
+        # buckets, seeds anywhere, budgets up to past the cloud size. The
+        # lattice is scaled by 0.1, so its ties survive only if every
+        # distance rounds as the row sum does.
         monkeypatch.setattr(pointops, "_FPS_BUCKET", bucket)
         rng = np.random.default_rng(bucket)
         for case in range(30):
@@ -209,13 +209,16 @@ class TestBucketedFps:
             if case % 3 == 0:
                 xyz = rng.normal(size=(n, 3))
             elif case % 3 == 1:
-                xyz = rng.integers(-3, 4, size=(n, 3)).astype(np.float64)
+                xyz = rng.integers(-3, 4, size=(n, 3)) * 0.1
             else:
                 xyz = rng.normal(size=(n, 3))[rng.integers(0, max(1, n // 4), n)]
             count = int(rng.integers(1, n + 6))
             seed_index = int(rng.integers(0, n))
-            idx = furthest_point_sampling(xyz, count, seed_index)
-            np.testing.assert_array_equal(idx, oracles.fps_row_sum(xyz, count, seed_index))
+            expected = oracles.fps_row_sum(xyz, count, seed_index)
+            for skip_min in (1, 10**9):
+                monkeypatch.setattr(pointops, "_FPS_SKIP_MIN", skip_min)
+                idx = furthest_point_sampling(xyz, count, seed_index)
+                np.testing.assert_array_equal(idx, expected)
 
 
 class TestBallQuery:
@@ -276,6 +279,12 @@ class TestBallQuery:
             ball_query([0, 0, 0], 1.0, cloud.xyz, max_k=0)
         with pytest.raises(ValueError, match=r"must be \(N, 3\)"):
             ball_query([0, 0, 0], 1.0, np.zeros(3), max_k=1)
+
+    def test_rejects_nan_radius(self):
+        # NaN < 0 is false, so a sign test alone let NaN through to an
+        # empty result.
+        with pytest.raises(ValueError, match="radius must be >= 0, got nan"):
+            ball_query([0, 0, 0], float("nan"), np.zeros((1, 3)), max_k=1)
 
 
 def tiny_mlp():
@@ -444,6 +453,28 @@ class TestVoxelize:
         assert grid.total_count == 0
         assert grid.voxels.shape == (0, 3)
         assert grid.means.shape == (0, 2)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("range_max", (np.inf, 1.0, 1.0), r"range_max must be finite, got \[inf, 1.0, 1.0\]"),
+            ("range_min", (0.0, -np.inf, 0.0), r"range_min must be finite"),
+            ("voxel_size", (1.0, np.nan, 1.0), r"voxel_size must be finite and positive"),
+            ("voxel_size", (1.0, 1.0, np.inf), r"voxel_size must be finite and positive"),
+            ("voxel_size", (1.0, 0.0, 1.0), r"voxel_size must be finite and positive"),
+            ("range_max", (2.0, 0.0, 2.0), r"grid range must satisfy max > min"),
+        ],
+        ids=["inf-max", "inf-min", "nan-size", "inf-size", "zero-size", "empty-y"],
+    )
+    def test_bad_geometry_is_a_value_error(self, field, value, message):
+        # An infinite bound would overflow the int conversion of the cell
+        # count and a NaN size fail it; both must be a ValueError instead.
+        geometry = {"voxel_size": (1.0, 1.0, 1.0), "range_min": (0.0, 0.0, 0.0),
+                    "range_max": (2.0, 2.0, 2.0), field: value}
+        with pytest.raises(ValueError, match=message):
+            VoxelGrid(**geometry, voxels=np.zeros((0, 3)), counts=[], means=np.zeros((0, 1)))
+        with pytest.raises(ValueError, match=message):
+            voxelize(make_cloud([[0.5, 0.5, 0.5]]), **geometry)
 
     def test_shape_follows_geometry_and_bounds_indices(self):
         # A 2x2x2 geometry has a 2x2x2 grid; no index may lie past it.

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rvredeem.rng import DetRng
+from rvredeem.rng import STREAM_SCENE, DetRng, derive_seed
 
 
 def test_seed_zero_matches_published_splitmix64_outputs():
@@ -37,3 +37,14 @@ def test_zero_uniforms_are_empty_and_draw_nothing():
 def test_negative_count_rejected():
     with pytest.raises(ValueError, match="nonnegative"):
         DetRng(7).uniforms(-1)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, -(2**64)])
+def test_derive_seed_rejects_seeds_outside_64_bits(seed):
+    # Masking would fold -1 onto 2^64 - 1 and 2^64 onto 0.
+    with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\^64\)"):
+        derive_seed(seed, STREAM_SCENE)
+
+
+def test_derive_seed_accepts_both_ends_of_the_range():
+    assert derive_seed(0, STREAM_SCENE) != derive_seed(2**64 - 1, STREAM_SCENE)

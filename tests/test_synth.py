@@ -212,6 +212,11 @@ class TestSpecValidation:
         with pytest.raises(ConfigError, match="ground_z"):
             SynthSpec(1, 1.0, 1.0, 5.0, 0, ground_z=math.nan)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_generates_nothing(self, seed):
+        with pytest.raises(ValueError, match="seed must lie in"):
+            gen_synthetic_scene(SynthSpec(1, 1.0, 1.0, 5.0, seed))
+
 
 class TestSpecParsing:
     def write(self, tmp_path, text):
