@@ -281,6 +281,9 @@ class Box3D:
         # Plain floats, so repr-based box files never see numpy scalars.
         for name in ("cx", "cy", "cz", "length", "width", "height"):
             object.__setattr__(self, name, float(getattr(self, name)))
+        # Pooling radii come from the squared diagonal, so it must be finite.
+        if not math.isfinite(sum(x * x for x in (self.length, self.width, self.height))):
+            raise ValueError("box length^2 + width^2 + height^2 must be finite")
         object.__setattr__(self, "yaw", normalize_yaw(float(self.yaw)))
 
     @property
@@ -335,6 +338,31 @@ class SGridConfig:
         return self.fine_grid**3 * (self.fine_channels + self.coarse_channels)
 
 
+def grid_shape(voxel_size, range_min, range_max) -> tuple[int, int, int]:
+    """Cells per axis, (nx, ny, nz) = ceil((max - min) / size).
+
+    Raises ValueError naming the field when a voxel size is not finite and
+    positive or a bound is not finite, when max <= min on an axis, and when
+    the cells are out of reach: an extent or quotient that overflows, an
+    axis of no cell, or more cells than an int64 flat index counts.
+    """
+    size = np.asarray(voxel_size, dtype=np.float64)
+    lo = np.asarray(range_min, dtype=np.float64)
+    hi = np.asarray(range_max, dtype=np.float64)
+    if not (np.isfinite(size) & (size > 0.0)).all():
+        raise ValueError(f"voxel_size must be finite and positive, got {size.tolist()}")
+    for name, bound in (("range_min", lo), ("range_max", hi)):
+        if not np.isfinite(bound).all():
+            raise ValueError(f"{name} must be finite, got {bound.tolist()}")
+    if not (hi > lo).all():
+        raise ValueError("grid range must satisfy max > min")
+    with np.errstate(over="ignore"):
+        cells = np.ceil((hi - lo) / size)
+    if not (np.isfinite(cells).all() and cells.min() >= 1 and math.prod(map(int, cells)) < 2**63):
+        raise ValueError(f"voxel_size splits the range into {cells.tolist()} cells, not 1 to 2**63 - 1")
+    return tuple(int(n) for n in cells)
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Fully validated pipeline configuration."""
@@ -359,17 +387,13 @@ class PipelineConfig:
             raise ValueError(
                 f"feature_dim must be even (two equal half-width branches), got {self.feature_dim}"
             )
-        for axis, size in zip("xyz", self.voxel_size):
-            if not (math.isfinite(size) and size > 0.0):
-                raise ValueError(f"voxel size_{axis} must be strictly positive")
         for axis, lo, hi in zip("xyz", self.range_min, self.range_max):
             for bound, value in (("min", lo), ("max", hi)):
                 if not math.isfinite(value):
                     raise ValueError(f"voxel {bound}_{axis} must be finite")
-            if not (hi > lo):
-                raise ValueError(f"spatial range on {axis} must satisfy max > min")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
+        grid_shape(self.voxel_size, self.range_min, self.range_max)  # the rest of the geometry
 
 
 # ---------------------------------------------------------------------------

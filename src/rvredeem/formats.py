@@ -23,11 +23,11 @@ bytes and C-ordered arrays each as its own buffer, never a joined copy.
 
 Values are stored in single precision; readers widen to float64. Code that
 needs bit-stable composition across process boundaries therefore goes on
-with values rounded as their file stores them, never with the wider ones:
-`as_stored` gives, in memory, the image that `read_rri1` would return. Values
-already on the f32 grid, as generated parameters are, need no rounding.
-Writers refuse, before opening the file, a value that single precision holds
-only as inf, so no artifact is written that its reader would reject.
+with values rounded as their file stores them, never with the wider ones.
+`as_stored` is that one rounding, for stage outputs and generated
+parameters alike. Writers refuse, before opening the file, a value that
+single precision holds only as inf, so no artifact is written that its
+reader would reject.
 """
 
 from __future__ import annotations
@@ -108,13 +108,14 @@ def write_rri1(path, img: RangeImage) -> None:
     _write(path, b"RRI1", struct.pack("<III", h, w, img.plane_count), planes, img.valid)
 
 
-def as_stored(img: RangeImage) -> RangeImage:
-    """The image `read_rri1` returns for the file `write_rri1` makes of `img`,
-    validated alike: a value beyond the f32 range becomes inf and is rejected.
+def as_stored(values) -> np.ndarray:
+    """`values` rounded to single precision as every artifact stores them,
+    then widened to float64: the values a reader returns, zero signs kept.
+    A value beyond the f32 range becomes inf without a warning, and every
+    array-backed type rejects it as not finite, as its reader would.
     """
     with np.errstate(over="ignore"):
-        channels = img.channels.astype(np.float32)
-    return RangeImage(img.sensor, channels, img.valid)
+        return np.asarray(values, dtype=np.float32).astype(np.float64)
 
 
 def read_rri1(path, sensor: SensorModel) -> RangeImage:

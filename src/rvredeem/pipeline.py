@@ -8,9 +8,9 @@ single-shot `run_pipeline` and the per-stage CLI subcommands call the same
 functions, so composing subcommands reproduces the one-shot run bit for bit.
 
 Artifacts store values in single precision. Inside a stage, data that feeds
-later arithmetic is first rounded in memory exactly as its artifact stores
-it (`formats.as_stored` for range images), so that the rounding is part of
-the stage's defined output rather than an accident of process boundaries.
+later arithmetic (conv-block planes, RoI vectors) is first rounded in memory
+by `formats.as_stored` exactly as its artifact stores it, so the rounding is
+part of the stage's defined output, not an accident of process boundaries.
 Data that only goes on to a writer, directly or through a gather, is rounded
 by that writer. Stages read only their inputs, never a file they wrote.
 
@@ -210,10 +210,12 @@ def stage_redeem(cfg: PipelineConfig, range_path, out_dir) -> dict:
     hdmk = init_params(cfg.seed, (cfg.conv_channels, cfg.mlp_hidden, cfg.feature_dim))
     formats.write_rwt1(out_dir / WEIGHTS_FILE, pack_rvfe_weights(block, hdmk))
 
-    block_img = formats.as_stored(basicblock_forward(img, block, cfg.wrap_horizontal))
+    # One image per RRI1 file; the base planes, read from range.rri1, are f32 already.
+    wrap = cfg.wrap_horizontal
+    block_img = img.with_features(formats.as_stored(basicblock_forward(img, block, wrap)))
     formats.write_rri1(out_dir / BLOCK_FILE, block_img)
 
-    feat_img = hdmk_forward(block_img, hdmk, cfg.wrap_horizontal)
+    feat_img = hdmk_forward(block_img, hdmk, wrap)
     formats.write_rri1(out_dir / FEATURES_FILE, feat_img)
 
     cloud = redeem_feature_points(feat_img, cfg.feature_dim)
@@ -295,8 +297,7 @@ def stage_pool(cfg: PipelineConfig, keypoints_path, boxes_path, out_dir) -> dict
 
     rois = sgrid_pool(kp_cloud, boxes, cfg.sgrid, params)
     roi_len = cfg.sgrid.roi_feature_length
-    vectors = np.array([roi.vector for roi in rois], dtype=np.float32).reshape(-1, roi_len)
-    vectors = vectors.astype(np.float64)  # rounded as RRF1 stores them
+    vectors = formats.as_stored([roi.vector for roi in rois]).reshape(-1, roi_len)
     formats.write_rrf1(out_dir / ROI_FILE, vectors)
 
     lines = ["# confidence dcx dcy dcz dlength dwidth dheight dyaw"]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FeaturePointCloud, frozen_array
+from .core import FeaturePointCloud, frozen_array, grid_shape
 
 logger = logging.getLogger(__name__)
 
@@ -22,25 +22,6 @@ def _coordinates(xyz) -> np.ndarray:
     if xyz.ndim != 2 or xyz.shape[1] != 3:
         raise ValueError(f"coordinates must be (N, 3), got {xyz.shape}")
     return xyz
-
-
-def grid_shape(voxel_size, range_min, range_max) -> tuple[int, int, int]:
-    """Cells per axis, (nx, ny, nz) = ceil((max - min) / size).
-
-    Raises ValueError naming the field when a voxel size is not finite and
-    positive or a bound is not finite, and when max <= min on an axis.
-    """
-    size = np.asarray(voxel_size, dtype=np.float64)
-    lo = np.asarray(range_min, dtype=np.float64)
-    hi = np.asarray(range_max, dtype=np.float64)
-    if not (np.isfinite(size) & (size > 0.0)).all():
-        raise ValueError(f"voxel_size must be finite and positive, got {size.tolist()}")
-    for name, bound in (("range_min", lo), ("range_max", hi)):
-        if not np.isfinite(bound).all():
-            raise ValueError(f"{name} must be finite, got {bound.tolist()}")
-    if not (hi > lo).all():
-        raise ValueError("grid range must satisfy max > min")
-    return tuple(int(n) for n in np.ceil((hi - lo) / size))
 
 
 @dataclass(frozen=True)
@@ -64,7 +45,7 @@ class VoxelGrid:
     means: np.ndarray  # (V, d_f) float64
 
     def __post_init__(self):
-        shape = self.shape  # grid_shape checks the sizes and bounds
+        shape = self.shape  # grid_shape checks the geometry and the cell count
         for name, dtype in (("voxels", np.int64), ("counts", np.int64), ("means", np.float64)):
             object.__setattr__(self, name, frozen_array(name, getattr(self, name), dtype))
         idx, counts, means = self.voxels, self.counts, self.means
@@ -75,8 +56,6 @@ class VoxelGrid:
             raise ValueError(f"voxel counts must be ({v},), got {counts.shape}")
         if means.ndim != 2 or means.shape[0] != v:
             raise ValueError(f"voxel means must be ({v}, d), got {means.shape}")
-        if min(shape) < 1:
-            raise ValueError("grid shape must be positive")
         if np.any((idx < 0) | (idx >= np.asarray(shape))):
             raise ValueError(f"occupied voxel outside grid shape {shape}")
         if np.any(counts < 1):

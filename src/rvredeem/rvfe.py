@@ -52,9 +52,9 @@ map, so its memory is linear in c * h * w; it accumulates feature
 gradients in the columns and returns the parameter gradients as an
 `HdMetaKernelParams`. BasicBlock is forward-only.
 
-All arithmetic is 64-bit. Initializers emit values that are exactly
-representable in single precision, so a 32-bit weight file holds exactly
-the parameters in use and no stage needs to read it back.
+All arithmetic is 64-bit. Initializers round their values to single
+precision through `formats.as_stored`, so a 32-bit weight file holds
+exactly the parameters in use and no stage needs to read it back.
 """
 
 from __future__ import annotations
@@ -66,6 +66,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .core import BASE_CHANNELS, RangeImage, frozen_array
+from .formats import as_stored
 from .rng import STREAM_BASICBLOCK, STREAM_HDMK, DetRng, derive_seed
 
 # Ordered (d_h, d_w) sampling offsets of the two meta-kernel branches: the
@@ -352,13 +353,14 @@ def _conv3x3(cols: np.ndarray, weight: np.ndarray, index: np.ndarray) -> np.ndar
 
 def basicblock_forward(
     img: RangeImage, params: BasicBlockParams, wrap_horizontal: bool = True
-) -> RangeImage:
-    """Residual conv unit over the five raw planes.
+) -> np.ndarray:
+    """Residual conv unit over the five raw planes, to (c_out, h, w) planes.
 
     out = relu(norm2(conv2(relu(norm1(conv1(x))))) + proj(x)), computed on
     valid-pixel columns and gathered back to planes through the plan's padded
-    column map, which leaves +0 at invalid pixels; the validity mask passes
-    through. Both convolutions read one (9, n) tap index, the map at each
+    column map, which leaves +0 at invalid pixels. The caller builds the
+    image, so the redeem stage rounds the planes first and builds just one.
+    Both convolutions read one (9, n) tap index, the map at each
     centre's padded index plus the unit stencil's steps (`_tap_steps`).
     """
     if img.plane_count != BASE_CHANNELS:
@@ -383,7 +385,7 @@ def basicblock_forward(
     t += params.shift2[:, None]
     t += x if params.proj is None else params.proj @ x
     np.maximum(t, 0.0, out=t)
-    return img.with_features(_planes(t, padded, h, w))
+    return _planes(t, padded, h, w)
 
 
 # ---------------------------------------------------------------------------
@@ -641,16 +643,8 @@ def hdmk_backward(
 # Deterministic initialization
 # ---------------------------------------------------------------------------
 
-def _f32_grid(arr: np.ndarray) -> np.ndarray:
-    """Round to the nearest single-precision value (stays float64).
-
-    Keeps a 32-bit serialization round trip bit-exact.
-    """
-    return np.asarray(arr, dtype=np.float32).astype(np.float64)
-
-
 def _uniform_tensor(rng: DetRng, shape, limit: float) -> np.ndarray:
-    return _f32_grid(rng.uniforms(int(np.prod(shape)), -limit, limit).reshape(shape))
+    return as_stored(rng.uniforms(int(np.prod(shape)), -limit, limit).reshape(shape))
 
 
 def _glorot_limit(fan_in: int, fan_out: int) -> float:
@@ -700,10 +694,10 @@ def init_basicblock(seed: int, c_out: int) -> BasicBlockParams:
     lim1 = _glorot_limit(9 * c_in, c_out)
     lim2 = _glorot_limit(9 * c_out, c_out)
     conv1 = _uniform_tensor(rng, (c_out, c_in, 3, 3), lim1)
-    scale1 = _f32_grid(rng.uniforms(c_out, 0.9, 1.1))
+    scale1 = as_stored(rng.uniforms(c_out, 0.9, 1.1))
     shift1 = _uniform_tensor(rng, (c_out,), BIAS_LIMIT)
     conv2 = _uniform_tensor(rng, (c_out, c_out, 3, 3), lim2)
-    scale2 = _f32_grid(rng.uniforms(c_out, 0.9, 1.1))
+    scale2 = as_stored(rng.uniforms(c_out, 0.9, 1.1))
     shift2 = _uniform_tensor(rng, (c_out,), BIAS_LIMIT)
     proj = (
         None

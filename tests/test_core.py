@@ -30,7 +30,7 @@ from rvredeem.core import (
 )
 from rvredeem.pointops import SharedMlp, VoxelGrid
 from rvredeem.rvfe import BasicBlockParams, BranchParams
-from rvredeem.sgrid import RoIFeature, SGridParams
+from rvredeem.sgrid import RoIFeature, SGridParams, auto_radius
 from rvredeem.synth import SyntheticScene, parse_synth_spec
 
 
@@ -229,6 +229,22 @@ class TestBox3D:
         with pytest.raises(ValueError):
             Box3D(0, 0, 0, 1, 0.0, 1, 0)
 
+    # Pooling radii need the squared diagonal. The first case's length
+    # squared overflows; in the other two every square is finite and only
+    # their sum overflows.
+    @pytest.mark.parametrize(
+        "sizes", [(1e300, 1.0, 1.0), (1.0, 1.3e154, 1.3e154), (1e154, 1e154, 1e154)]
+    )
+    def test_rejects_sizes_whose_squared_diagonal_overflows(self, sizes):
+        with pytest.raises(
+            ValueError, match=r"^box length\^2 \+ width\^2 \+ height\^2 must be finite$"
+        ):
+            Box3D(0, 0, 0, *sizes, 0)
+
+    def test_largest_boxes_keep_a_finite_auto_radius(self):
+        box = Box3D(0, 0, 0, 1e154, 1e153, 1.0, 0)
+        assert math.isfinite(auto_radius(box, 1))
+
 
 class TestPipelineConfig:
     def test_defaults_valid(self):
@@ -239,6 +255,22 @@ class TestPipelineConfig:
     def test_rejects_odd_feature_dim(self):
         with pytest.raises(ValueError, match="feature_dim"):
             PipelineConfig(sensor=make_sensor(), feature_dim=63)
+
+    @pytest.mark.parametrize(
+        "geometry, message",
+        [
+            ({"range_min": (-1e308, 0, 0), "range_max": (1e308, 1, 1)},
+             r"^voxel_size splits the range into \[inf, 3.0, 4.0\] cells"),
+            ({"voxel_size": (1e-300, 0.4, 0.25)}, r"^voxel_size splits the range into \[9.6e\+301"),
+            ({"voxel_size": (0.4, 0.0, 0.25)},
+             r"^voxel_size must be finite and positive, got \[0.4, 0.0, 0.25\]$"),
+            ({"range_max": (48.0, -48.0, 3.0)}, r"^grid range must satisfy max > min$"),
+        ],
+        ids=["extent", "cells", "zero-size", "empty-y"],
+    )
+    def test_grid_shape_checks_the_geometry(self, geometry, message):
+        with pytest.raises(ValueError, match=message):
+            PipelineConfig(sensor=make_sensor(), **geometry)
 
     def test_rejects_inverted_range(self):
         with pytest.raises(ValueError):
@@ -370,6 +402,19 @@ class TestLoadConfig:
                 ConfigError, match=rf"^config: voxel {key} must be finite$"
             ):
                 load_config(self.write(tmp_path, text))
+
+    @pytest.mark.parametrize(
+        "keys, cells",
+        [
+            ("voxel.min_x = -1e308\nvoxel.max_x = 1e308\n", "[inf, 240.0, 12.0]"),
+            ("voxel.size_x = 1e-300\n", "[9.6e+301, 240.0, 12.0]"),
+        ],
+        ids=["extent", "cells"],
+    )
+    def test_voxel_geometry_out_of_reach_rejected_at_load(self, tmp_path, keys, cells):
+        message = f"config: voxel_size splits the range into {cells} cells, not 1 to 2**63 - 1"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            load_config(self.write(tmp_path, CONFIG_TEXT + keys))
 
     def test_coarse_grid_other_than_two_rejected(self, tmp_path):
         for size in (1, 3):

@@ -5,11 +5,13 @@ import math
 import re
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import util
+from rvredeem import formats
 from rvredeem.core import Box3D, FeaturePointCloud, RangeImage, SensorModel
 from rvredeem.formats import (
     FormatError,
@@ -134,15 +136,15 @@ class TestAsStored:
         path = tmp_path / "x.rri1"
         write_rri1(path, img)
         loaded = read_rri1(path, img.sensor)
-        stored = as_stored(img)
-        assert stored.channels.tobytes() == loaded.channels.tobytes()
-        assert stored.valid.tobytes() == loaded.valid.tobytes()
-        assert stored.sensor == loaded.sensor
+        stored = as_stored(img.channels)
+        assert stored.dtype == np.float64 and stored.shape == img.channels.shape
+        assert stored.tobytes() == loaded.channels.tobytes()
         # The cases above do round, and both zero signs survive.
-        assert stored.channels.tobytes() != img.channels.tobytes()
-        assert np.signbit(stored.channels[6, 0, 2]) and np.signbit(stored.channels[5, 1, 0])
+        assert stored.tobytes() != img.channels.tobytes()
+        assert np.signbit(stored[6, 0, 2]) and np.signbit(stored[5, 1, 0])
+        assert stored[3, 0, 0] == 0.0 and not np.signbit(stored[3, 0, 0])
         # Rounding twice changes nothing.
-        assert as_stored(stored).channels.tobytes() == stored.channels.tobytes()
+        assert as_stored(stored).tobytes() == stored.tobytes()
 
     def test_value_beyond_single_precision_raises_as_the_reader_does(self, tmp_path):
         img = rounding_image(1e39)
@@ -155,15 +157,29 @@ class TestAsStored:
         )
         with pytest.raises(ValueError) as from_file:
             read_rri1(path, img.sensor)
-        # No overflow warning comes first, even where warnings are errors.
+        # No overflow warning comes first, even where warnings are errors:
+        # the value rounds to inf, which the image rejects as the reader does.
+        feats = as_stored(img.feature_planes)
+        assert feats[0, 0, 0] == math.inf
+        base = RangeImage(img.sensor, img.channels[:5], img.valid)
         with pytest.raises(ValueError) as in_memory:
-            as_stored(img)
+            base.with_features(feats)
         assert str(in_memory.value) == str(from_file.value) == "channels must be finite"
         # The writer refuses that file before opening it.
         refused = tmp_path / "y.rri1"
         with pytest.raises(FormatError, match=f"{refused.name}: channels must be finite"):
             write_rri1(refused, img)
         assert not refused.exists()
+
+    def test_only_formats_names_single_precision(self):
+        # One module rounds to and from f32; the others call `as_stored`.
+        home = Path(formats.__file__)
+        found = {
+            path.name
+            for path in sorted(home.parent.rglob("*.py"))
+            if re.search(r"float32|[\"']<f4[\"']", path.read_text(encoding="utf-8"))
+        }
+        assert found == {home.name}
 
 
 class TestRfp1:
@@ -530,6 +546,13 @@ class TestBoxFile:
         path.write_text("0 0 0 -1 1 1 0\n")
         with pytest.raises(FormatError, match="positive"):
             read_boxes(path)
+
+    def test_box_whose_squared_diagonal_overflows_names_line(self, tmp_path):
+        path = tmp_path / "b.txt"
+        path.write_text("0 0 0 1 1 1 0\n0 0 0 1e300 1 1 0\n")
+        with pytest.raises(FormatError) as raised:
+            read_boxes(path)
+        assert str(raised.value) == f"{path}:2: box length^2 + width^2 + height^2 must be finite"
 
 
 class TestSha256:

@@ -327,6 +327,9 @@ class TestPipeline:
         assert counts["pointops.ball_query_calls"] == boxes * grids
         assert counts["pointops.fps_steps"] == result["stages"]["fps"]["kept"] - 1
         assert counts["sgrid.boxes"] == boxes
+        # One range image per RRI1 file written or read: the projection,
+        # the redeem stage's input, the conv block's and the meta kernel's.
+        assert counts["core.rangeimage_count"] == 4
         assert result["checksums"] == toy.result["checksums"]
 
     def test_benchmark_tracing_reads_the_gradcheck_forward_calls(self, monkeypatch):
@@ -628,6 +631,51 @@ class TestCli:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err == "error: seed must be a nonnegative integer\n"
+
+    def test_pool_box_whose_size_overflows_is_an_error(self, toy, tmp_path, capsys):
+        boxes = tmp_path / "big.txt"
+        boxes.write_text("0 0 0 1e300 1 1 0\n")
+        code = cli_main(
+            [
+                "pool",
+                "--config", str(toy.config),
+                "--input", str(toy.out / pipeline.KEYPOINTS_FILE),
+                "--boxes", str(boxes),
+                "--out", str(tmp_path),
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == (
+            f"error: {boxes}:1: box length^2 + width^2 + height^2 must be finite\n"
+        )
+
+    @pytest.mark.parametrize(
+        "keys, cells",
+        [
+            ({"voxel.min_x": "-1e308", "voxel.max_x": "1e308"}, "[inf, 32.0, 12.0]"),
+            ({"voxel.size_x": "1e-300"}, "[3.1999999999999997e+301, 32.0, 12.0]"),
+        ],
+        ids=["extent", "cells"],
+    )
+    def test_voxelize_geometry_out_of_reach_is_an_error(self, toy, tmp_path, capsys, keys, cells):
+        config = tmp_path / "geometry.cfg"
+        lines = toy.config.read_text(encoding="utf-8").splitlines()
+        kept = [line for line in lines if line.split("=")[0].strip() not in keys]
+        config.write_text("\n".join([*kept, *(f"{k} = {v}" for k, v in keys.items())]) + "\n")
+        code = cli_main(
+            [
+                "voxelize",
+                "--config", str(config),
+                "--input", str(toy.out / pipeline.CLOUD_FILE),
+                "--out", str(tmp_path),
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == (
+            f"error: config: voxel_size splits the range into {cells} cells, not 1 to 2**63 - 1\n"
+        )
 
     def test_gradcheck_passes(self, capsys):
         assert cli_main(["gradcheck"]) == 0

@@ -1,13 +1,14 @@
 """Sampling, neighborhoods, aggregation, voxel grids, BEV maps."""
 
 import functools
+import re
 
 import numpy as np
 import pytest
 
 import oracles
 from rvredeem import pointops
-from rvredeem.core import FeaturePointCloud
+from rvredeem.core import FeaturePointCloud, grid_shape
 from rvredeem.pointops import (
     SharedMlp,
     VoxelGrid,
@@ -475,6 +476,39 @@ class TestVoxelize:
             VoxelGrid(**geometry, voxels=np.zeros((0, 3)), counts=[], means=np.zeros((0, 1)))
         with pytest.raises(ValueError, match=message):
             voxelize(make_cloud([[0.5, 0.5, 0.5]]), **geometry)
+
+    # Finite geometry out of reach: an extent that overflows, an axis of
+    # about 10^300 cells or of inf cells, three axes of 2^21 cells, whose
+    # 2^63 cells no int64 flat index reaches, and an axis whose extent over
+    # the size rounds to no cell.
+    @pytest.mark.parametrize(
+        "geometry, cells",
+        [
+            (((1.0, 1.0, 1.0), (-1e308, 0.0, 0.0), (1e308, 2.0, 2.0)), "inf, 2.0, 2.0"),
+            (((1e-300, 1.0, 1.0), (0.0, 0.0, 0.0), (2.0, 2.0, 2.0)),
+             "1.9999999999999998e+300, 2.0, 2.0"),
+            (((1e-10, 1.0, 1.0), (-1e300, 0.0, 0.0), (1e300, 2.0, 2.0)), "inf, 2.0, 2.0"),
+            (((1.0, 1.0, 1.0), (0.0, 0.0, 0.0), (2.0**21,) * 3),
+             "2097152.0, 2097152.0, 2097152.0"),
+            (((1.0, 4.0, 1.0), (0.0, 0.0, 0.0), (2.0, 5e-324, 2.0)), "2.0, 0.0, 2.0"),
+        ],
+        ids=["extent", "axis", "inf-axis", "product", "no-cell"],
+    )
+    def test_geometry_out_of_reach_is_a_value_error(self, geometry, cells):
+        text = f"voxel_size splits the range into [{cells}] cells, not 1 to 2**63 - 1"
+        message = f"^{re.escape(text)}$"
+        with pytest.raises(ValueError, match=message):
+            grid_shape(*geometry)
+        with pytest.raises(ValueError, match=message):
+            VoxelGrid(*geometry, np.zeros((0, 3), dtype=np.int64), [], np.zeros((0, 1)))
+        with pytest.raises(ValueError, match=message):
+            voxelize(make_cloud([[0.5, 0.5, 0.5]]), *geometry)
+
+    def test_largest_grid_an_int64_index_reaches(self):
+        geometry = ((1.0, 1.0, 1.0), (0.0, 0.0, 0.0), (2.0**21, 2.0**21, 2.0**21 - 1))
+        assert grid_shape(*geometry) == (2**21, 2**21, 2**21 - 1)
+        grid = voxelize(make_cloud([[0.5, 0.5, 2.0**21 - 1.5]]), *geometry)
+        assert grid.voxels.tolist() == [[0, 0, 2**21 - 2]]
 
     def test_shape_follows_geometry_and_bounds_indices(self):
         # A 2x2x2 geometry has a 2x2x2 grid; no index may lie past it.
