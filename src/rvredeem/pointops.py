@@ -269,12 +269,16 @@ def voxelize(
     A point belongs to voxel floor((p - min) / size); a point exactly on a
     cell boundary therefore lands in the higher-index cell. Points whose
     index falls outside the grid are counted in a log line and excluded.
+    The range test is on the quotient q itself (0 <= q < n is 0 <= floor(q)
+    < n for a whole n), so only in-range quotients are cast to int64, and a
+    point however far out cannot overflow the cast.
     """
     size = np.asarray(voxel_size, dtype=np.float64)
     vmin = np.asarray(range_min, dtype=np.float64)
     shape = grid_shape(voxel_size, range_min, range_max)
-    idx = np.floor((cloud.xyz - vmin) / size).astype(np.int64)
-    in_range = np.all((idx >= 0) & (idx < np.asarray(shape)), axis=1)
+    cells = (cloud.xyz - vmin) / size
+    in_range = np.all((cells >= 0.0) & (cells < np.asarray(shape)), axis=1)
+    idx = np.floor(cells[in_range]).astype(np.int64)
     dropped = int(len(cloud) - np.sum(in_range))
     if dropped:
         logger.info("voxelize: %d point(s) outside the grid range", dropped)
@@ -283,7 +287,7 @@ def voxelize(
     # follow ascending point index. `np.add.reduceat` adds a group's first
     # row to NumPy's pairwise sum of the rest, not row by row; a test pins
     # that order byte for byte.
-    flat = np.ravel_multi_index(tuple(idx[in_range].T), shape)
+    flat = np.ravel_multi_index(tuple(idx.T), shape)
     order = np.argsort(flat, kind="stable")
     flat_sorted = flat[order]
     # Flat ids are nonnegative, so the prepended -1 opens the first group

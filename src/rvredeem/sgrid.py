@@ -1,13 +1,24 @@
 """Dual-resolution RoI grid pooling over rotated boxes, plus the refine head.
 
 Each proposal box is partitioned twice in its canonical frame: a fine
-3x3x3 grid and a coarse 2x2x2 grid. Every grid point gathers nearby
-keypoints with a ball query and pools them through a shared PointNet-style
-MLP. The coarse branch is then upsampled to the 27 fine positions and each
-fine grid point concatenates its own feature with the upsampled coarse one
-(fine first). All geometry inside the pooling runs in the box's canonical
-frame, so rigidly moving scene and boxes together cannot change the result
-beyond floating-point noise.
+3x3x3 grid and a coarse 2x2x2 grid. Every grid point gathers the keypoints
+in its ball, nearest first and at most `neighbor_cap`, and pools them
+through a shared PointNet-style MLP. The coarse branch is then upsampled to
+the 27 fine positions and each fine grid point concatenates its own feature
+with the upsampled coarse one (fine first). All geometry inside the pooling
+runs in the box's canonical frame, so rigidly moving scene and boxes
+together cannot change the result beyond floating-point noise.
+
+The balls of all boxes come from one query over the scene, as in PV-RCNN's
+RoI-grid pooling. A world-frame prefilter keeps the (box, keypoint) pairs
+within reach of the box center: half the diagonal plus the larger radius,
+widened by `_REACH_SLACK` and `_REACH_FLOOR`. It drops no hit: a hit is
+within the radius of a grid point inside the box, and offset, rotation and
+squared sums round by a few ulps relative to the reach, far below the
+slack; the floor covers squares that underflow. Each grid point index then
+serves all boxes at once. The kept pairs' canonical coordinates, squared
+distances, (distance, keypoint index) order and cut at `neighbor_cap` are
+those of a `ball_query` over all keypoints.
 
 Per-branch sampling radii default to half the cell diagonal of that
 branch's grid, which makes neighboring grid-point balls touch without
@@ -23,7 +34,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Box3D, FeaturePointCloud, SGridConfig, frozen_array
-from .pointops import SharedMlp, ball_query, pointnet_aggregate
+from .pointops import (
+    SharedMlp,
+    ball_query,  # noqa: F401 (unused here; the benchmark's tracer wraps this name)
+    pointnet_aggregate,
+)
 from .rng import (
     STREAM_HEAD,
     STREAM_POOL_COARSE,
@@ -40,11 +55,9 @@ RESIDUAL_DIM = 7  # (cx, cy, cz, l, w, h, yaw) deltas
 # Canonical box frame
 # ---------------------------------------------------------------------------
 
-def canonical_transform(p, box: Box3D) -> np.ndarray:
-    """World point(s) into the box frame: translate -center, rotate -yaw."""
-    p = np.asarray(p, dtype=np.float64)
-    shifted = p - box.center
-    c, s = math.cos(box.yaw), math.sin(box.yaw)
+def _rotate(shifted: np.ndarray, c, s) -> np.ndarray:
+    """(..., 3) offsets rotated about z by -a, given c = cos(a) and
+    s = sin(a) as floats or as arrays broadcast against shifted[..., 0]."""
     out = np.empty_like(shifted)
     out[..., 0] = c * shifted[..., 0] + s * shifted[..., 1]
     out[..., 1] = -s * shifted[..., 0] + c * shifted[..., 1]
@@ -52,28 +65,31 @@ def canonical_transform(p, box: Box3D) -> np.ndarray:
     return out
 
 
+def canonical_transform(p, box: Box3D) -> np.ndarray:
+    """World point(s) into the box frame: translate -center, rotate -yaw."""
+    p = np.asarray(p, dtype=np.float64)
+    return _rotate(p - box.center, math.cos(box.yaw), math.sin(box.yaw))
+
+
 def inverse_canonical_transform(p, box: Box3D) -> np.ndarray:
     """Box-frame point(s) back to world: rotate +yaw, translate +center."""
     p = np.asarray(p, dtype=np.float64)
-    c, s = math.cos(box.yaw), math.sin(box.yaw)
-    out = np.empty_like(p)
-    out[..., 0] = c * p[..., 0] - s * p[..., 1]
-    out[..., 1] = s * p[..., 0] + c * p[..., 1]
-    out[..., 2] = p[..., 2]
-    return out + box.center
+    return _rotate(p, math.cos(box.yaw), -math.sin(box.yaw)) + box.center
 
 
 def _grid(dims, grid: int):
-    """((3, G) per-axis levels, (G^3, 3) cell centers) of a G-partition."""
+    """((..., 3, G) per-axis levels, (..., G^3, 3) cell centers) of the
+    G-partitions of (..., 3) box dims."""
     if grid < 1:
         raise ValueError(f"grid size must be >= 1, got {grid}")
     steps = (np.arange(grid) + 0.5) / grid - 0.5
     levels = np.multiply.outer(np.asarray(dims, dtype=np.float64), steps)
-    centers = np.empty((grid, grid, grid, 3))
-    centers[..., 0] = levels[0]
-    centers[..., 1] = levels[1][:, None]
-    centers[..., 2] = levels[2][:, None, None]
-    return levels, centers.reshape(-1, 3)
+    lead = levels.shape[:-2]
+    centers = np.empty(lead + (grid, grid, grid, 3))
+    centers[..., 0] = levels[..., 0, None, None, :]
+    centers[..., 1] = levels[..., 1, None, :, None]
+    centers[..., 2] = levels[..., 2, :, None, None]
+    return levels, centers.reshape(lead + (-1, 3))
 
 
 def grid_cell_centers(dims: np.ndarray, grid: int) -> np.ndarray:
@@ -201,47 +217,76 @@ class SGridParams:
             raise ValueError(f"residual branch must be ({RESIDUAL_DIM}, {d_h})")
 
 
-def _pool_branch(
-    canon_xyz: np.ndarray,
-    features: np.ndarray,
-    box: Box3D,
-    grid: int,
-    radius: float | None,
-    cap: int,
-    mlp: SharedMlp,
-):
-    """Pool every point of the box's G-grid; returns (grid points (n, 3),
-    features (n, c), empty flags (n,)). A radius of None is `auto_radius`.
+# Widening of the pair prefilter's reach, relative then absolute (module docstring).
+_REACH_SLACK = 1e-9
+_REACH_FLOOR = 1e-150
 
-    A grid point is empty when its ball query finds no keypoint. Its feature
-    row stays zero, which is what `pointnet_aggregate` pools from nothing,
-    so the MLP runs only for grid points with neighbors: on proposals-512
-    more than half of all grid points are empty.
 
-    Each grid point queries only the candidates: keypoints whose squared
-    offset on every axis, to the nearest grid level on that axis, is at most
-    r*r. The cull is exact. A squared distance is (s0 + s1) + s2 of
-    nonnegative terms, and rounding is monotone, so the computed sum is no
-    smaller than any s_a; a keypoint in a ball therefore passes on every
-    axis. Candidates keep ascending index order and the same per-point
-    squared distances, so each neighbor list, its (distance, index) order
-    and its truncation at `cap` equal those of a query over all keypoints.
+def _near_pairs(xyz: np.ndarray, boxes: list[Box3D], reach: np.ndarray):
+    """(box, keypoint, canonical coordinates) of each pair within reach.
+
+    Each box takes a window of the keypoints sorted on x, its edges one ulp
+    beyond their rounded values, and keeps the offsets p - center whose
+    squared length is at most reach^2. Only those are rotated. The windows
+    are tested a run of boxes at a time, each run's windows holding at most
+    about twice as many pairs as there are keypoints, so besides the kept
+    pairs no more than that is held at once, however wide the windows are.
     """
-    levels, positions = _grid(box.dims, grid)
-    radius = auto_radius(box, grid) if radius is None else radius
-    cand = np.arange(canon_xyz.shape[0])
-    for a in range(3):
-        offset = canon_xyz[cand, a] - levels[a][:, None]
-        cand = cand[(offset * offset).min(axis=0) <= radius * radius]
-    cand_xyz = canon_xyz[cand]
-    cand_feats = features[cand]
-    feats = np.zeros((positions.shape[0], mlp.out_dim), dtype=np.float64)
-    empty = np.ones(positions.shape[0], dtype=bool)
-    for g, center in enumerate(positions):
-        idx = ball_query(center, radius, cand_xyz, cap)
-        if idx.size:
-            empty[g] = False
-            feats[g] = pointnet_aggregate(center, cand_xyz[idx], cand_feats[idx], mlp)
+    centers = np.array([box.center for box in boxes])
+    order = np.argsort(xyz[:, 0], kind="stable")
+    values = xyz[order, 0]
+    lo = np.searchsorted(values, np.nextafter(centers[:, 0] - reach, -np.inf))
+    hi = np.searchsorted(values, np.nextafter(centers[:, 0] + reach, np.inf), "right")
+    counts = hi - lo
+    start = np.cumsum(counts) - counts
+    # A run starts at each box whose window starts a new block of len(xyz) pairs.
+    runs = np.flatnonzero(np.diff(start // max(len(xyz), 1), prepend=-1))
+    owner, kp, shifted = [], [], []
+    for a, e in zip(runs.tolist(), runs[1:].tolist() + [len(boxes)]):
+        n = counts[a:e]
+        run_owner = np.repeat(np.arange(a, e), n)
+        # Pair j of the window of box b is keypoint order[lo[b] + j - start[b]].
+        run_kp = order[start[a] + np.arange(run_owner.size) + np.repeat(lo[a:e] - start[a:e], n)]
+        run_shifted = xyz[run_kp] - centers[run_owner]
+        sq = run_shifted * run_shifted
+        near = (sq[:, 0] + sq[:, 1]) + sq[:, 2] <= (reach * reach)[run_owner]
+        owner.append(run_owner[near])
+        kp.append(run_kp[near])
+        shifted.append(run_shifted[near])
+    owner, kp = np.concatenate(owner), np.concatenate(kp)
+    cos = np.array([math.cos(box.yaw) for box in boxes])
+    sin = np.array([math.sin(box.yaw) for box in boxes])
+    return owner, kp, _rotate(np.concatenate(shifted), cos[owner], sin[owner])
+
+
+def _pool_grids(owner, kp, canon, features, dims, grid: int, radii, cap: int, mlp):
+    """(grid points (B, G^3, 3), features (B, G^3, c), empty flags (B, G^3))
+    of one branch over all B boxes, from the pairs `_near_pairs` keeps.
+
+    Grid point g of every box at once: each pair's squared distance to it is
+    (dx^2 + dy^2) + dz^2 of the offsets to its box's grid levels,
+    `ball_query`'s sum. One lexsort orders the hits by (box, distance,
+    keypoint index), and each box pools its first `cap` with its own
+    `pointnet_aggregate` call. A box with no hit keeps a zero row, what
+    `pointnet_aggregate` pools from nothing, and its empty flag. Working
+    memory grows with the pairs, not with the pairs times G^3.
+    """
+    levels, positions = _grid(dims, grid)
+    off = canon[:, :, None] - levels[owner]
+    off *= off
+    r2 = (radii * radii)[owner]
+    feats = np.zeros(positions.shape[:2] + (mlp.out_dim,))
+    empty = np.ones(positions.shape[:2], dtype=bool)
+    for g, (iz, iy, ix) in enumerate(np.ndindex(grid, grid, grid)):
+        d2 = (off[:, 0, ix] + off[:, 1, iy]) + off[:, 2, iz]
+        hit = np.flatnonzero(d2 <= r2)
+        hit = hit[np.lexsort((kp[hit], d2[hit], owner[hit]))]
+        box, xyz, idx = owner[hit], canon[hit], kp[hit]
+        first = np.flatnonzero(np.diff(box, prepend=-1))
+        last = np.minimum(np.append(first[1:], hit.size), first + cap)
+        for b, a, e in zip(box[first].tolist(), first.tolist(), last.tolist()):
+            feats[b, g] = pointnet_aggregate(positions[b, g], xyz[a:e], features[idx[a:e]], mlp)
+        empty[box[first], g] = False
     return positions, feats, empty
 
 
@@ -254,28 +299,36 @@ def sgrid_pool(
     """Dual-grid RoI pooling; one RoIFeature per box.
 
     All neighbor geometry is evaluated in each box's canonical frame: the
-    keypoint coordinates are transformed once per box, queried around the
+    keypoints near a box are transformed into it, queried around the
     canonical grid positions, and encoded relative to those positions.
-    Keypoint intensities are not used.
+    Keypoint intensities are not used. One neighbour query serves all boxes
+    (module docstring).
     """
     if params.mlp_fine.out_dim != cfg.fine_channels:
         raise ValueError("fine MLP output width disagrees with the config")
     if params.mlp_coarse.out_dim != cfg.coarse_channels:
         raise ValueError("coarse MLP output width disagrees with the config")
-    branches = (
-        (cfg.fine_grid, cfg.fine_radius, params.mlp_fine),
-        (cfg.coarse_grid, cfg.coarse_radius, params.mlp_coarse),
+    boxes = list(boxes)
+    if not boxes:
+        return []
+    grids = (cfg.fine_grid, cfg.coarse_grid)
+    radii = [
+        np.array([auto_radius(box, grid) if radius is None else radius for box in boxes])
+        for grid, radius in zip(grids, (cfg.fine_radius, cfg.coarse_radius))
+    ]
+    # auto_radius of a 1-grid is half the box diagonal.
+    reach = np.array([auto_radius(box, 1) for box in boxes]) + np.maximum(*radii)
+    pairs = _near_pairs(keypoints.xyz, boxes, reach * (1.0 + _REACH_SLACK) + _REACH_FLOOR)
+    dims = np.array([box.dims for box in boxes])
+    (fine_pos, fine, fine_empty), (coarse_pos, coarse, coarse_empty) = (
+        _pool_grids(*pairs, keypoints.features, dims, grid, r, cfg.neighbor_cap, mlp)
+        for grid, r, mlp in zip(grids, radii, (params.mlp_fine, params.mlp_coarse))
     )
     out = []
-    for box in boxes:
-        canon_xyz = canonical_transform(keypoints.xyz, box)
-        (fine_pos, fine_feats, fine_empty), (coarse_pos, coarse_feats, coarse_empty) = (
-            _pool_branch(canon_xyz, keypoints.features, box, grid, radius, cfg.neighbor_cap, mlp)
-            for grid, radius, mlp in branches
-        )
-        upsampled = upsample_grid(coarse_feats, coarse_pos, fine_pos, cfg.upsample_mode)
-        vector = np.concatenate([fine_feats, upsampled], axis=1).ravel()
-        out.append(RoIFeature(vector, fine_empty, coarse_empty))
+    for i in range(len(boxes)):
+        upsampled = upsample_grid(coarse[i], coarse_pos[i], fine_pos[i], cfg.upsample_mode)
+        vector = np.concatenate([fine[i], upsampled], axis=1).ravel()
+        out.append(RoIFeature(vector, fine_empty[i], coarse_empty[i]))
     return out
 
 

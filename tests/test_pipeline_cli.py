@@ -320,11 +320,12 @@ class TestPipeline:
         assert counts["rvfe.hdmk_forward_calls"] == 1
         assert counts["pointops.bev_mb"] == 0
         # Sampling and pooling are seen too: FPS through the index array it
-        # returns, each grid point's ball query, each pooled box.
+        # returns, each pooled box. Pooling queries every box at once, so
+        # the `sgrid.ball_query` name the tracer wraps is never called; it
+        # must still resolve, or installing the tracer above fails.
         boxes = result["stages"]["pool"]["boxes"]
-        grids = toy.cfg.sgrid.fine_grid**3 + toy.cfg.sgrid.coarse_grid**3
         assert boxes > 0
-        assert counts["pointops.ball_query_calls"] == boxes * grids
+        assert counts["pointops.ball_query_calls"] == 0
         assert counts["pointops.fps_steps"] == result["stages"]["fps"]["kept"] - 1
         assert counts["sgrid.boxes"] == boxes
         # One range image per RRI1 file written or read: the projection,

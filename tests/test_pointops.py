@@ -412,6 +412,19 @@ class TestVoxelize:
         assert grid.means.shape == (0, 2)
         assert "outside the grid range" in caplog.text
 
+    @pytest.mark.parametrize("far", [1e20, -1e20, 1e300, -1e300])
+    @pytest.mark.parametrize("axis", range(3))
+    def test_far_points_are_dropped_without_an_overflowing_cast(self, far, axis):
+        # Their quotients do not fit in int64; casting them warns (an error
+        # under this suite's warning filter) and drops them only by the
+        # accident of a negative result.
+        xyz = np.array([[1.5, 0.5, 0.25], [0.5, 1.5, 0.75]])
+        xyz[1, axis] = far
+        grid = voxelize(make_cloud(xyz, features=[[2.0, 3.0], [5.0, 7.0]]), **GRID)
+        assert grid.voxels.tolist() == [[1, 0, 0]]
+        assert grid.counts.tolist() == [1]
+        np.testing.assert_array_equal(grid.means, [[2.0, 3.0]])
+
     @pytest.mark.parametrize("seed", range(4))
     def test_means_match_group_by_oracle(self, seed):
         rng = np.random.default_rng(300 + seed)

@@ -1,6 +1,8 @@
 """Canonical frames, grid generation, dual-grid pooling, refinement head."""
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from rvredeem.sgrid import (
     sgrid_pool,
     upsample_grid,
 )
+from rvredeem.synth import SynthSpec, gen_synthetic_scene
 
 
 def pool_all_keypoints(kps, box, cfg, params):
@@ -427,6 +430,119 @@ class TestSgridPool:
         box = Box3D(40.0, -40.0, 0.0, 2.0, 2.0, 2.0, 0.6)
         (roi,) = assert_pool_matches_all_keypoints(kps, [box], SMALL_CFG, params)
         assert roi.fine_empty.all() and roi.coarse_empty.all()
+
+    def test_no_boxes_pool_nothing(self):
+        rng = np.random.default_rng(36)
+        params = init_sgrid_params(9, SMALL_CFG, 4)
+        assert sgrid_pool(random_keypoints(rng, 30), [], SMALL_CFG, params) == []
+
+    def test_no_keypoints_flag_every_box(self):
+        rng = np.random.default_rng(37)
+        kps = FeaturePointCloud(np.zeros((0, 3)), np.zeros(0), np.zeros((0, 4)))
+        params = init_sgrid_params(10, SMALL_CFG, 4)
+        boxes = [
+            Box3D(*rng.uniform(-3, 3, 3), *rng.uniform(0.5, 3, 3), float(rng.uniform(-3, 3)))
+            for _ in range(40)
+        ]
+        rois = sgrid_pool(kps, boxes, SMALL_CFG, params)
+        assert len(rois) == 40
+        for roi in rois:
+            assert roi.vector.shape == (27 * 9,) and not roi.vector.any()
+            assert roi.fine_empty.all() and roi.coarse_empty.all()
+
+    def test_subnormal_length_collapses_the_coarse_lattice(self):
+        # 1e-323 / 4 rounds to zero, so both coarse x levels are 0.0. The
+        # box after a regular one, with keypoints around both, still fails
+        # on its lattice, not later on a non-finite RoI vector.
+        rng = np.random.default_rng(38)
+        kps = random_keypoints(rng, 50, scale=1.0)
+        params = init_sgrid_params(11, SMALL_CFG, 4)
+        boxes = [Box3D(0.5, 0.0, 0.0, 2.0, 1.0, 1.0, 0.3), Box3D(0, 0, 0, 1e-323, 1, 1, 0)]
+        with pytest.raises(ValueError, match="^coarse positions must span 2 levels per axis$"):
+            sgrid_pool(kps, boxes, SMALL_CFG, params)
+
+    @pytest.mark.parametrize("auto", [False, True])
+    def test_overlapping_boxes_with_ties_across_the_cap(self, auto):
+        # 64 rotated boxes over one small patch, and every keypoint three
+        # times, 60 indices apart: equal distances come in threes, so a cap
+        # of 8 cuts inside a tie and the keypoint index decides the cut.
+        rng = np.random.default_rng(420 + auto)
+        base = rng.uniform(-1.5, 1.5, size=(60, 3))
+        xyz = np.tile(base, (3, 1))
+        kps = FeaturePointCloud(xyz, np.zeros(180), rng.normal(size=(180, 4)))
+        cfg = SMALL_CFG
+        if auto:
+            cfg = SGridConfig(
+                neighbor_cap=8, pool_hidden=6, fine_channels=5,
+                coarse_channels=4, head_hidden=8,
+            )
+        params = init_sgrid_params(12, cfg, 4)
+        boxes = [
+            Box3D(*rng.uniform(-1, 1, 3), *rng.uniform(1.5, 3.5, 3),
+                  float(rng.uniform(-math.pi, math.pi)))
+            for _ in range(64)
+        ]
+        assert_pool_matches_all_keypoints(kps, boxes, cfg, params)
+        cut_ties = 0
+        for box in boxes:
+            canon = canonical_transform(kps.xyz, box)
+            for grid, radius in ((3, cfg.fine_radius), (2, cfg.coarse_radius)):
+                radius = auto_radius(box, grid) if radius is None else radius
+                for pos in grid_cell_centers(box.dims, grid):
+                    d2 = np.sort(np.sum((canon - pos) ** 2, axis=1))
+                    d2 = d2[d2 <= radius * radius]
+                    cut_ties += d2.size > 8 and d2[7] == d2[8]
+        assert cut_ties > 0
+
+    def test_keypoint_on_a_rotated_corner_ball(self):
+        # The fine corner grid point is the grid point farthest from the
+        # centre, and the fine radius is the larger one: a keypoint on the
+        # far side of its ball, at squared distance exactly r*r, is the hit
+        # farthest from the centre. With a radius five times the box's
+        # half-diagonal it lies at 95% of the prefilter's reach. One ulp
+        # further out it misses.
+        cfg = SGridConfig(
+            fine_radius=1.0, coarse_radius=0.5, neighbor_cap=8, pool_hidden=6,
+            fine_channels=5, coarse_channels=4, head_hidden=8,
+        )
+        box = Box3D(12.3, -4.1, 0.6, 0.3, 0.2, 0.1, 0.7)
+        corner = grid_cell_centers(box.dims, 3)[26]
+        p0 = inverse_canonical_transform(corner * (1.0 + 1.0 / np.linalg.norm(corner)), box)
+        steps = np.array(list(itertools.product(range(-6, 7), repeat=3)))
+        trial = p0 + steps * np.spacing(p0)
+        diff = canonical_transform(trial, box) - corner
+        diff *= diff
+        d2 = (diff[:, 0] + diff[:, 1]) + diff[:, 2]
+        (on_ball,) = np.flatnonzero(d2 == 1.0)[:1]
+        outward = trial[on_ball] + np.sign(p0 - box.center) * np.spacing(p0)
+        xyz = np.stack([trial[on_ball], outward])
+        rng = np.random.default_rng(39)
+        kps = FeaturePointCloud(xyz, np.zeros(2), rng.normal(size=(2, 4)))
+        params = init_sgrid_params(13, cfg, 4)
+        (roi,) = assert_pool_matches_all_keypoints(kps, [box], cfg, params)
+        assert not roi.fine_empty[26]
+        (alone,) = sgrid_pool(FeaturePointCloud(xyz[1:], np.zeros(1), kps.features[1:]),
+                              [box], cfg, params)
+        assert alone.fine_empty.all()
+
+    def test_memory_stays_near_the_output(self):
+        # The proposals-512 scene's 512 boxes with 2,048 of its points as
+        # keypoints. The query's arrays must not outgrow the RoI vectors.
+        rng = np.random.default_rng(40)
+        synth = gen_synthetic_scene(SynthSpec(512, 2.5, 2.65, 40.0, seed=0))
+        xyz = synth.cloud.xyz[rng.choice(len(synth.cloud), 2048, replace=False)]
+        boxes = synth.boxes
+        kps = FeaturePointCloud(xyz, np.zeros(2048), rng.normal(size=(2048, 64)))
+        cfg = SGridConfig()
+        params = init_sgrid_params(14, cfg, 64)
+        tracemalloc.start()
+        try:
+            rois = sgrid_pool(kps, boxes, cfg, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rois) == 512
+        assert peak <= 2.5 * sum(roi.vector.nbytes for roi in rois)
 
     def test_width_mismatch_rejected(self):
         rng = np.random.default_rng(29)
