@@ -152,7 +152,8 @@ def points_to_array(points) -> np.ndarray:
         raise ValueError(f"point array must be (N, 3..5), got {arr.shape}")
     if arr.shape[1] == 3:
         arr = np.column_stack([arr, np.zeros(arr.shape[0])])
-    r = np.sqrt(np.sum(arr[:, :3] * arr[:, :3], axis=1))
+    x, y, z = arr[:, 0], arr[:, 1], arr[:, 2]
+    r = np.sqrt((x * x + y * y) + z * z)
     if arr.shape[1] == 4:
         return np.column_stack([arr, r])
     off = np.isfinite(arr[:, 4]) & (np.abs(arr[:, 4] - r) > 1e-9 * np.maximum(r, 1e-300))

@@ -16,6 +16,9 @@ from .core import FeaturePointCloud, frozen_array, grid_shape
 
 logger = logging.getLogger(__name__)
 
+# Largest group NumPy's pairwise sum adds one term at a time (its 8-term block).
+_SEQUENTIAL_SUM_MAX = 8
+
 
 def _coordinates(xyz) -> np.ndarray:
     xyz = np.asarray(xyz, dtype=np.float64)
@@ -221,10 +224,15 @@ class SharedMlp:
         return self.layers[-1][0].shape[0]
 
     def apply(self, columns: np.ndarray) -> np.ndarray:
-        """Run the stack on (in_dim, n) column data."""
+        """Run the stack on (in_dim, n) column data; `columns` is not written.
+
+        Each layer adds its bias and rectifies in place on the fresh product.
+        """
         out = columns
         for weight, bias in self.layers:
-            out = np.maximum(weight @ out + bias[:, None], 0.0)
+            out = weight @ out
+            out += bias[:, None]
+            np.maximum(out, 0.0, out=out)
         return out
 
 
@@ -284,9 +292,12 @@ def voxelize(
         logger.info("voxelize: %d point(s) outside the grid range", dropped)
 
     # Group by flattened voxel id with a stable sort, so each group's rows
-    # follow ascending point index. `np.add.reduceat` adds a group's first
-    # row to NumPy's pairwise sum of the rest, not row by row; a test pins
-    # that order byte for byte.
+    # follow ascending point index. The sums keep `np.add.reduceat`'s bytes,
+    # which a test pins: it adds a group's first row to NumPy's pairwise sum
+    # of the rest, and below 8 terms that sum runs in order from -0.0. So a
+    # voxel of at most 8 points adds its rows of rank 1..7 into -0.0, then
+    # its first row; -0.0 + x is x for every x, signed zeros included, where
+    # +0.0 would turn two -0.0 rows into +0.0. Larger voxels keep reduceat.
     flat = np.ravel_multi_index(tuple(idx.T), shape)
     order = np.argsort(flat, kind="stable")
     flat_sorted = flat[order]
@@ -294,14 +305,24 @@ def voxelize(
     # without inventing one when nothing is in range.
     starts = np.flatnonzero(np.diff(flat_sorted, prepend=-1))
     counts = np.diff(starts, append=flat_sorted.size)
-    sums = np.add.reduceat(cloud.features[in_range][order], starts, axis=0)
+    feats = cloud.features[np.flatnonzero(in_range)[order]]
+    sums = np.full((starts.size, feats.shape[1]), -0.0)
+    for k in range(1, _SEQUENTIAL_SUM_MAX):
+        at = np.flatnonzero((counts > k) & (counts <= _SEQUENTIAL_SUM_MAX))
+        sums[at] += feats[starts[at] + k]
+    sums += feats[starts]
+    big = counts > _SEQUENTIAL_SUM_MAX
+    if big.any():
+        firsts = np.cumsum(counts[big]) - counts[big]
+        sums[big] = np.add.reduceat(feats[np.repeat(big, counts)], firsts, axis=0)
+    sums /= counts[:, None]
     return VoxelGrid(
         voxel_size=tuple(float(s) for s in size),
         range_min=tuple(float(v) for v in vmin),
         range_max=tuple(float(v) for v in range_max),
         voxels=np.stack(np.unravel_index(flat_sorted[starts], shape), axis=1),
         counts=counts,
-        means=sums / counts[:, None],
+        means=sums,
     )
 
 

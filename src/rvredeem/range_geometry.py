@@ -117,10 +117,11 @@ def project_points(xyz: np.ndarray, sensor: SensorModel):
     `in_fov` is False are unspecified.
     """
     xyz = np.asarray(xyz, dtype=np.float64)
-    r = np.sqrt(np.sum(xyz * xyz, axis=1))
+    x, y, z = xyz[:, 0], xyz[:, 1], xyz[:, 2]
+    r = np.sqrt((x * x + y * y) + z * z)
     safe_r = np.where(r > 0.0, r, 1.0)
-    theta = np.arctan2(xyz[:, 1], xyz[:, 0])
-    phi = np.arcsin(np.clip(xyz[:, 2] / safe_r, -1.0, 1.0))
+    theta = np.arctan2(y, x)
+    phi = np.arcsin(np.clip(z / safe_r, -1.0, 1.0))
     u = sensor.width * (1.0 - theta / math.pi) / 2.0
     v = sensor.height * (1.0 - (phi + sensor.fov_up) / sensor.fov_total)
     in_fov = (r > 0.0) & (v >= 0.0) & (v < sensor.height)
@@ -131,19 +132,22 @@ def project_points(xyz: np.ndarray, sensor: SensorModel):
 def build_range_image(points, sensor: SensorModel) -> RangeImage:
     """Bin (N, 3..5) point rows (see `points_to_array`) into the range image.
 
-    Each in-view point lands at flat pixel id floor(v) * w + floor(u). The
-    points are sorted on the two keys (pixel id, range); `np.lexsort` is
-    stable, so equal keys keep ascending input order, and the first point of
-    each pixel's group is the nearest one with the lowest input index. The
-    result therefore never depends on traversal order. Out-of-view points
-    are skipped and counted in a log line; an empty cloud, or one with
-    nothing in view, gives an image with no valid pixel. Coordinates and
-    ranges must be finite; intensities follow `clamp_intensity`, checked on
-    every row, kept or not.
+    Each in-view point lands at flat pixel id floor(v) * w + floor(u), and
+    each pixel keeps its nearest point, the lowest input index among equal
+    ranges, so the result never depends on traversal order. The ranking key
+    is the range `project_points` derives from x, y, z, not the stored range
+    column. Two scatter-mins pick the winners: the least range per pixel,
+    then the least input position among the points at that range. Both are
+    exact: in-view ranges are finite and positive, so no NaN or signed zero
+    enters a minimum. Out-of-view points and in-view points that lose their
+    pixel are counted in log lines; an empty cloud, or one with nothing in
+    view, gives an image with no valid pixel. Coordinates and ranges must be
+    finite; intensities follow `clamp_intensity`, checked on every row, kept
+    or not.
     """
     arr = points_to_array(points)
-    bad = np.flatnonzero(~np.isfinite(np.delete(arr, CH_INTENSITY, axis=1)).all(axis=1))
-    if bad.size:
+    if not (np.isfinite(arr[:, :3]).all() and np.isfinite(arr[:, CH_RANGE]).all()):
+        bad = np.flatnonzero(~np.isfinite(np.delete(arr, CH_INTENSITY, axis=1)).all(axis=1))
         raise ValueError(f"point x, y, z and range must be finite; row {bad[0]} is not")
     arr[:, CH_INTENSITY] = clamp_intensity(arr[:, CH_INTENSITY], "point intensity")
     h, w = sensor.height, sensor.width
@@ -153,13 +157,18 @@ def build_range_image(points, sensor: SensorModel) -> RangeImage:
         logger.info("build_range_image: %d point(s) outside the field of view", dropped)
     keep = np.flatnonzero(in_fov)
     pixel = np.floor(v[keep]).astype(np.int64) * w + np.floor(u[keep]).astype(np.int64)
-    order = np.lexsort((r[keep], pixel))
-    pixel_sorted = pixel[order]
-    # Pixel ids are nonnegative, so the prepended -1 opens the first group.
-    first = np.flatnonzero(np.diff(pixel_sorted, prepend=-1))
-    won = pixel_sorted[first]
+    r = r[keep]
+    best = np.full(h * w, np.inf)
+    np.minimum.at(best, pixel, r)
+    nearest = np.flatnonzero(r == best[pixel])
+    win = np.full(h * w, keep.size)
+    np.minimum.at(win, pixel[nearest], nearest)
+    won = np.flatnonzero(win < keep.size)
+    collided = keep.size - won.size
+    if collided:
+        logger.info("build_range_image: %d in-view point(s) lost their pixel", collided)
     planes = np.zeros((BASE_CHANNELS, h * w), dtype=np.float64)
-    planes[:, won] = arr[keep[order[first]]].T
+    planes[:, won] = arr[keep[win[won]]].T
     valid = np.zeros(h * w, dtype=bool)
     valid[won] = True
     return RangeImage(sensor, planes.reshape(BASE_CHANNELS, h, w), valid.reshape(h, w))

@@ -3,9 +3,10 @@
 Everything in this file is written as directly as possible: explicit loops,
 scalar math, dictionary group-bys. None of it imports the package under
 test. Deliberately slow; correctness is the only goal. The exceptions are
-the dense shifted-plane evaluation, the row-sum point ops and the RoI grid
-formulas at the end, which keep the package's (or its earlier) array
-expressions so that results can be compared byte for byte.
+the dense shifted-plane evaluation, the row-sum point ops, the RoI grid
+formulas and the range-image binning at the end, which keep the package's
+(or its earlier) array expressions so that results can be compared byte for
+byte.
 """
 
 from __future__ import annotations
@@ -458,3 +459,29 @@ def corner_levels_unique(coarse_positions):
     if any(lv.size != 2 for lv in levels):
         return None
     return np.array([lv[0] for lv in levels]), np.array([lv[1] for lv in levels])
+
+
+# ---------------------------------------------------------------------------
+# Range-image binning by sort, as the package first wrote it: in-view rows
+# sorted on (flat pixel id, range) with the stable np.lexsort, the first of
+# each pixel's group kept. The package picks the same rows with two
+# scatter-mins and is held to this function byte for byte.
+
+def range_image_lexsort(rows, u, v, r, in_fov, h, w):
+    """(planes (k, h, w), valid (h, w)) of the nearest row per pixel.
+
+    `u`, `v` and `in_fov` place each row; `r` is the ranking key. Equal
+    keys keep ascending input order, so a tie goes to the lowest index.
+    """
+    keep = np.flatnonzero(in_fov)
+    pixel = np.floor(v[keep]).astype(np.int64) * w + np.floor(u[keep]).astype(np.int64)
+    order = np.lexsort((r[keep], pixel))
+    pixel_sorted = pixel[order]
+    # Pixel ids are nonnegative, so the prepended -1 opens the first group.
+    first = np.flatnonzero(np.diff(pixel_sorted, prepend=-1))
+    won = pixel_sorted[first]
+    planes = np.zeros((rows.shape[1], h * w), dtype=np.float64)
+    planes[:, won] = rows[keep[order[first]]].T
+    valid = np.zeros(h * w, dtype=bool)
+    valid[won] = True
+    return planes.reshape(-1, h, w), valid.reshape(h, w)

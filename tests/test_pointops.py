@@ -350,6 +350,31 @@ class TestPointnetAggregate:
                 [0.0, 0.0, 0.0], [[1.0, 0.0, 0.0]], [[1.0, 2.0]], tiny_mlp()
             )
 
+    def test_apply_keeps_the_two_temporary_bytes(self):
+        # Rows of negative, zero (+0.0 and -0.0 biases on zero weights) and
+        # positive pre-activation; the read-only input cannot be written.
+        rng = np.random.default_rng(12)
+        w1 = rng.normal(size=(7, 5))
+        w1[4:6] = 0.0
+        b1 = np.concatenate([rng.normal(size=4), [0.0, -0.0], [-50.0]])
+        w1[6] = -np.abs(w1[6])
+        w2 = rng.normal(size=(4, 7))
+        w2[0] = np.abs(w2[0])
+        w2[2:] = 0.0
+        layers = ((w1, b1), (w2, np.array([2.0, -50.0, 0.0, -0.0])))
+        columns = np.abs(rng.normal(size=(5, 40)))
+        columns[:, 0] = 0.0
+        columns.setflags(write=False)
+        expected = columns
+        for weight, bias in layers:
+            pre = weight @ expected + bias[:, None]
+            expected = np.maximum(pre, 0.0)
+            assert (pre < 0).any() and (pre == 0).any() and (pre > 0).any()
+        before = columns.tobytes()
+        out = SharedMlp(layers=layers).apply(columns)
+        assert out.tobytes() == expected.tobytes()
+        assert columns.tobytes() == before
+
     def test_mlp_validation(self):
         with pytest.raises(ValueError):
             SharedMlp(layers=())
@@ -461,6 +486,32 @@ class TestVoxelize:
         # Row-by-row sums in ascending point order round differently here.
         rows = np.split(feats[order], starts[1:])
         assert np.array([functools.reduce(np.add, r) for r in rows]).tobytes() != sums.tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sums_match_reduceat_on_every_voxel_size(self, seed):
+        # Voxels of 1 to 20 points, shuffled, with features of mixed
+        # magnitude and a third of them +0.0 or -0.0. Besides, two one-point
+        # voxels hold -0.0 and a two-point voxel holds -0.0 twice: summed
+        # from +0.0, that one would come out +0.0.
+        rng = np.random.default_rng(500 + seed)
+        geometry = ((1.0, 1.0, 1.0), (0.0, 0.0, 0.0), (5.0, 5.0, 1.0))
+        sizes = [*range(1, 21), 1, 1, 2]
+        centres = [[c // 5 + 0.5, c % 5 + 0.5, 0.5] for c in range(len(sizes))]
+        xyz = np.repeat(centres, sizes, axis=0)
+        feats = rng.normal(size=(xyz.shape[0], 6)) * 10.0 ** rng.integers(-8, 9, size=(xyz.shape[0], 6))
+        zeros = rng.random(feats.shape) < 1 / 3
+        feats[zeros] = np.where(rng.random(zeros.sum()) < 0.5, -0.0, 0.0)
+        feats[-4:] = -0.0
+        perm = rng.permutation(xyz.shape[0])
+        xyz, feats = xyz[perm], feats[perm]
+        grid = voxelize(make_cloud(xyz, feats), *geometry)
+        flat = np.ravel_multi_index(tuple(np.floor(xyz).astype(np.int64).T), grid.shape)
+        order = np.argsort(flat, kind="stable")
+        starts = np.flatnonzero(np.diff(flat[order], prepend=-1))
+        sums = np.add.reduceat(feats[order], starts, axis=0)
+        assert grid.counts.tolist() == sizes
+        assert grid.means.tobytes() == (sums / grid.counts[:, None]).tobytes()
+        assert np.signbit(grid.means[-3:]).all()
 
     def test_empty_cloud(self):
         grid = voxelize(make_cloud(np.zeros((0, 3))), **GRID)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from rvredeem.core import Point, SensorModel
+from rvredeem.core import Point, SensorModel, points_to_array
 from rvredeem.range_geometry import (
     PixelCoord,
     build_range_image,
@@ -241,6 +241,121 @@ class TestBuildRangeImage:
             stored = img.channels[:3, row, col]
             err = np.linalg.norm(stored - [center.x, center.y, center.z])
             assert err <= r * bound_scale
+
+
+def lexsort_image(pts, rank_by_stored_range=False):
+    """The oracle's image of `pts` (intensities in [0, 1]), ranked by |xyz|."""
+    rows = points_to_array(pts)
+    u, v, r, in_fov = project_points(rows[:, :3], SENSOR)
+    if rank_by_stored_range:
+        r = rows[:, 4]
+    return oracles.range_image_lexsort(rows, u, v, r, in_fov, SENSOR.height, SENSOR.width)
+
+
+def assert_matches_lexsort(pts):
+    img = build_range_image(pts, SENSOR)
+    planes, valid = lexsort_image(pts)
+    assert img.channels.tobytes() == planes.tobytes()
+    assert img.valid.tobytes() == valid.tobytes()
+    return img
+
+
+def pixel_of(pts):
+    u, v, _, in_fov = project_points(np.asarray(pts)[:, :3], SENSOR)
+    assert in_fov.all()
+    return np.floor(v).astype(np.int64), np.floor(u).astype(np.int64)
+
+
+class TestBinningMatchesLexsortOracle:
+    def test_exact_range_ties_at_one_pixel(self):
+        # 1000^2 + 1^2 + 2^2 = 1000^2 + 2^2 + 1^2: equal ranges in one
+        # pixel, repeated, behind a farther point of lower index.
+        pts = np.array([
+            [1001.0, 1.0, 2.0, 0.9],
+            [1000.0, 2.0, 1.0, 0.1],
+            [1000.0, 1.0, 2.0, 0.2],
+            [1000.0, 2.0, 1.0, 0.3],
+            [1000.0, 1.0, 2.0, 0.4],
+        ])
+        rows, cols = pixel_of(pts)
+        assert len(set(zip(rows, cols))) == 1
+        r = project_points(pts[:, :3], SENSOR)[2]
+        assert np.all(r[1:] == r[1]) and r[0] > r[1]
+        rng = np.random.default_rng(41)
+        for perm in [np.arange(5)] + [rng.permutation(5) for _ in range(20)]:
+            img = assert_matches_lexsort(pts[perm])
+            first_tie = perm[np.flatnonzero(perm != 0)[0]]
+            assert img.channels[3, rows[0], cols[0]] == pts[first_tie, 3]
+
+    @pytest.mark.parametrize("direction", [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0]])
+    def test_ranges_one_ulp_apart(self, direction):
+        # Along an axis |xyz| is the coordinate, so the ranges are one ulp
+        # apart; the nearer point wins in either input order.
+        near = np.array([[*direction, 0.25]], dtype=np.float64)
+        near[0, :3] *= 5.0
+        far = near.copy()
+        far[0, :3] = np.nextafter(near[0, :3], 2.0 * near[0, :3])
+        far[0, 3] = 0.75
+        r = project_points(np.vstack([near, far])[:, :3], SENSOR)[2]
+        assert r[1] == np.nextafter(r[0], np.inf)
+        row, col = pixel_of(near)
+        for pts in (np.vstack([near, far]), np.vstack([far, near])):
+            img = assert_matches_lexsort(pts)
+            assert img.valid.sum() == 1
+            assert img.channels[3, row[0], col[0]] == 0.25
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_shuffled_input_order(self, seed):
+        # A narrow cone packs 600 rows into few pixels; every tenth row is
+        # repeated with another intensity, so exact ties are common too.
+        rng = np.random.default_rng(60 + seed)
+        n = 600
+        theta = rng.uniform(-0.05, 0.05, n)
+        phi = rng.uniform(-0.05, 0.05, n)
+        r = rng.uniform(4.0, 6.0, n)
+        pts = np.column_stack([
+            r * np.cos(phi) * np.cos(theta), r * np.cos(phi) * np.sin(theta),
+            r * np.sin(phi), rng.uniform(0.0, 1.0, n),
+        ])
+        twins = pts[::10].copy()
+        twins[:, 3] = rng.uniform(0.0, 1.0, twins.shape[0])
+        pts = np.vstack([pts, twins])
+        for _ in range(5):
+            pts = pts[rng.permutation(pts.shape[0])]
+            img = assert_matches_lexsort(pts)
+            assert img.valid.sum() < pts.shape[0]
+
+    def test_ranks_by_derived_range_not_the_stored_column(self):
+        # Both stored ranges agree with |xyz| to 1e-9 but rank the other
+        # way round: |xyz| makes the first row's point the nearer.
+        near = [5.0, 0.0, 0.0, 0.25, 5.0 * (1.0 + 4e-10)]
+        far = [5.0 * (1.0 + 1e-10), 0.0, 0.0, 0.75, 5.0]
+        pts = np.array([far, near])
+        img = assert_matches_lexsort(pts)
+        assert img.channels[3, 32, 256] == 0.25
+        assert img.channels[4, 32, 256] == near[4]
+        planes, _ = lexsort_image(pts, rank_by_stored_range=True)
+        assert planes[3, 32, 256] == 0.75
+
+    def test_all_out_of_view(self):
+        pts = np.array([[0.0, 0.0, 5.0, 0.5], [1.0, 0.0, -10.0, 0.5], [0.1, 0.2, 3.0, 0.5]])
+        img = assert_matches_lexsort(pts)
+        assert not img.valid.any()
+
+    def test_pixel_collisions_logged(self, caplog):
+        pts = np.array([[7.0, 0.0, 0.0], [5.0, 0.0, 0.0], [6.0, 0.0, 0.0], [0.0, 5.0, 0.0]])
+        with caplog.at_level("INFO"):
+            img = build_range_image(pts, SENSOR)
+        assert int(img.valid.sum()) == 2
+        assert "build_range_image: 2 in-view point(s) lost their pixel" in caplog.text
+        caplog.clear()
+        with caplog.at_level("INFO"):
+            build_range_image(pts[1:], SENSOR)
+        assert "1 in-view point(s) lost their pixel" in caplog.text
+        caplog.clear()
+        with caplog.at_level("INFO"):
+            build_range_image(pts[[0, 3]], SENSOR)
+        assert "lost their pixel" not in caplog.text
 
 
 class TestRedeemFeaturePoints:
