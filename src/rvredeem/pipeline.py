@@ -301,9 +301,8 @@ def stage_pool(cfg: PipelineConfig, keypoints_path, boxes_path, out_dir) -> dict
     formats.write_rrf1(out_dir / ROI_FILE, vectors)
 
     lines = ["# confidence dcx dcy dcz dlength dwidth dheight dyaw"]
-    for vector in vectors:
-        conf, residuals = refine_head_forward(vector, params)
-        lines.append(" ".join(repr(float(v)) for v in (conf, *residuals)))
+    conf, residuals = refine_head_forward(vectors, params)
+    lines += (" ".join(map(repr, row)) for row in np.column_stack([conf, residuals]).tolist())
     (out_dir / REFINED_FILE).write_text("\n".join(lines) + "\n", encoding="utf-8")
     return {"boxes": len(boxes), "roi_length": roi_len}
 

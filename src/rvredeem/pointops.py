@@ -224,7 +224,7 @@ class SharedMlp:
         return self.layers[-1][0].shape[0]
 
     def apply(self, columns: np.ndarray) -> np.ndarray:
-        """Run the stack on (in_dim, n) column data; `columns` is not written.
+        """Run the stack on (..., in_dim, n) column data; `columns` is not written.
 
         Each layer adds its bias and rectifies in place on the fresh product.
         """

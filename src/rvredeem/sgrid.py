@@ -24,6 +24,11 @@ Per-branch sampling radii default to half the cell diagonal of that
 branch's grid, which makes neighboring grid-point balls touch without
 gaps. The refinement head is a two-layer rectified trunk with separate
 linear outputs: a sigmoid-squashed confidence and 7 box residuals.
+
+The upsample and the head take boxes on leading axes and give each box the
+bytes of its own call: their weights and the sigmoid are elementwise, and a
+stacked `np.matmul` makes, per box, the BLAS call that one box makes. One
+(B, L) matrix product would round by the kernel's blocks instead.
 """
 
 from __future__ import annotations
@@ -114,17 +119,18 @@ def auto_radius(box: Box3D, grid: int) -> float:
 # ---------------------------------------------------------------------------
 
 def _corner_layout(coarse_positions: np.ndarray):
-    """Per-axis (lo, hi) values; each axis must take exactly two values.
+    """(lo, hi), (..., 3) each, of (..., 8, 3) corners; each axis takes two values.
 
     Values and rejections are `np.unique`'s per axis: -0.0 and +0.0 are one
     value, all NaNs one more, sorted last (so hi is NaN if any is).
     """
-    if coarse_positions.shape != (8, 3):
+    if coarse_positions.shape[-2:] != (8, 3):
         raise ValueError(f"need 8 coarse positions, got {coarse_positions.shape}")
-    lo = np.fmin.reduce(coarse_positions, axis=0)
-    hi = coarse_positions.max(axis=0)
-    on_level = (coarse_positions == lo) | (coarse_positions == hi) | np.isnan(coarse_positions)
-    if not np.all(on_level.all(axis=0) & ~np.isnan(lo) & (lo != hi)):
+    lo = np.fmin.reduce(coarse_positions, axis=-2)
+    hi = coarse_positions.max(axis=-2)
+    on_level = np.isnan(coarse_positions) | (coarse_positions == lo[..., None, :])
+    on_level |= coarse_positions == hi[..., None, :]
+    if not np.all(on_level.all(axis=-2) & ~np.isnan(lo) & (lo != hi)):
         raise ValueError("coarse positions must span 2 levels per axis")
     return lo, hi
 
@@ -137,30 +143,30 @@ def upsample_grid(
 ) -> np.ndarray:
     """Interpolate 8 coarse per-point features at the fine positions.
 
-    Trilinear interpolation in canonical coordinates with the coarse points
-    as cell corners; positions outside the coarse hull are clamped onto it,
-    so extrapolation never happens. "nearest" replicates the closest corner
-    (lowest index on ties).
+    Leading axes are boxes, each with its own call's bytes (module
+    docstring): (..., 8, c) features at (..., 8, 3) corners give (..., n, c)
+    at (..., n, 3) positions. Trilinear interpolation in canonical
+    coordinates with the coarse points as cell corners; positions outside
+    the coarse hull are clamped onto it, so extrapolation never happens.
+    "nearest" replicates the closest corner (lowest index on ties).
     """
     coarse = np.asarray(coarse, dtype=np.float64)
     coarse_positions = np.asarray(coarse_positions, dtype=np.float64)
     fine_positions = np.asarray(fine_positions, dtype=np.float64)
-    if coarse.ndim != 2 or coarse.shape[0] != 8:
-        raise ValueError(f"coarse features must be (8, c), got {coarse.shape}")
-    lo, hi = _corner_layout(coarse_positions)
+    if coarse.ndim < 2 or coarse.shape[-2] != 8:
+        raise ValueError(f"coarse features must be (..., 8, c), got {coarse.shape}")
+    lo, hi = (v[..., None, :] for v in _corner_layout(coarse_positions))
     clamped = np.clip(fine_positions, lo, hi)
     if mode == "nearest":
-        diff = clamped[:, None, :] - coarse_positions[None, :, :]
-        d2 = np.sum(diff * diff, axis=2)
-        return coarse[np.argmin(d2, axis=1)]
+        diff = clamped[..., :, None, :] - coarse_positions[..., None, :, :]
+        d2 = np.sum(diff * diff, axis=-1)
+        return np.take_along_axis(coarse, np.argmin(d2, axis=-1)[..., None], axis=-2)
     if mode != "trilinear":
         raise ValueError(f"unknown upsample mode: {mode!r}")
-    t = (clamped - lo) / (hi - lo)  # (n, 3) in [0, 1]
-    side = coarse_positions > (lo + hi) / 2.0  # (8, 3) True at the hi level
-    weights = np.ones((fine_positions.shape[0], 8), dtype=np.float64)
-    for a in range(3):
-        weights *= np.where(side[:, a][None, :], t[:, a][:, None], 1.0 - t[:, a][:, None])
-    return weights @ coarse
+    t = ((clamped - lo) / (hi - lo))[..., None, :]  # (..., n, 1, 3) in [0, 1]
+    side = (coarse_positions > (lo + hi) / 2.0)[..., None, :, :]  # True at the hi level
+    w = np.where(side, t, 1.0 - t)  # (..., n, 8, 3)
+    return ((w[..., 0] * w[..., 1]) * w[..., 2]) @ coarse
 
 
 # ---------------------------------------------------------------------------
@@ -296,18 +302,14 @@ def sgrid_pool(
     cfg: SGridConfig,
     params: SGridParams,
 ) -> list[RoIFeature]:
-    """Dual-grid RoI pooling; one RoIFeature per box.
-
-    All neighbor geometry is evaluated in each box's canonical frame: the
-    keypoints near a box are transformed into it, queried around the
-    canonical grid positions, and encoded relative to those positions.
-    Keypoint intensities are not used. One neighbour query serves all boxes
-    (module docstring).
+    """Dual-grid RoI pooling, one RoIFeature per box (module docstring);
+    keypoint intensities are not used.
     """
-    if params.mlp_fine.out_dim != cfg.fine_channels:
-        raise ValueError("fine MLP output width disagrees with the config")
-    if params.mlp_coarse.out_dim != cfg.coarse_channels:
-        raise ValueError("coarse MLP output width disagrees with the config")
+    mlps, enc = (params.mlp_fine, params.mlp_coarse), 3 + keypoints.feature_dim
+    for name, mlp, out in zip(("fine", "coarse"), mlps, (cfg.fine_channels, cfg.coarse_channels)):
+        if (mlp.in_dim, mlp.out_dim) != (enc, out):
+            raise ValueError(f"{name} MLP maps {mlp.in_dim} -> {mlp.out_dim} channels, but the "
+                             f"keypoints and the config need {enc} -> {out}")
     boxes = list(boxes)
     if not boxes:
         return []
@@ -322,14 +324,13 @@ def sgrid_pool(
     dims = np.array([box.dims for box in boxes])
     (fine_pos, fine, fine_empty), (coarse_pos, coarse, coarse_empty) = (
         _pool_grids(*pairs, keypoints.features, dims, grid, r, cfg.neighbor_cap, mlp)
-        for grid, r, mlp in zip(grids, radii, (params.mlp_fine, params.mlp_coarse))
+        for grid, r, mlp in zip(grids, radii, mlps)
     )
-    out = []
-    for i in range(len(boxes)):
-        upsampled = upsample_grid(coarse[i], coarse_pos[i], fine_pos[i], cfg.upsample_mode)
-        vector = np.concatenate([fine[i], upsampled], axis=1).ravel()
-        out.append(RoIFeature(vector, fine_empty[i], coarse_empty[i]))
-    return out
+    upsampled = upsample_grid(coarse, coarse_pos, fine_pos, cfg.upsample_mode)
+    return [
+        RoIFeature(np.concatenate([f, u], axis=1).ravel(), fe, ce)
+        for f, u, fe, ce in zip(fine, upsampled, fine_empty, coarse_empty)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -343,16 +344,16 @@ def _sigmoid(x: float) -> float:
     return e / (1.0 + e)
 
 
-def refine_head_forward(vector: np.ndarray, params: SGridParams):
-    """(confidence in [0, 1], 7 box residuals) from one pooled RoI vector."""
-    vector = np.asarray(vector, dtype=np.float64)
-    if vector.shape != (params.trunk.in_dim,):
-        raise ValueError(
-            f"head expects {params.trunk.in_dim} inputs, RoI vector has shape {vector.shape}"
-        )
-    hidden = params.trunk.apply(vector[:, None])[:, 0]
-    conf = _sigmoid(float(params.w_conf[0] @ hidden + params.b_conf[0]))
-    residuals = params.w_res @ hidden + params.b_res
+def refine_head_forward(vectors: np.ndarray, params: SGridParams):
+    """(confidences in [0, 1], 7 box residuals each) of (..., L) RoI vectors, shaped (...)
+    and (..., 7); leading axes are boxes, each with its own call's bytes (module docstring)."""
+    vectors = np.asarray(vectors, dtype=np.float64)
+    if vectors.shape[-1:] != (params.trunk.in_dim,):
+        raise ValueError(f"head expects {params.trunk.in_dim} inputs, got shape {vectors.shape}")
+    hidden = params.trunk.apply(vectors[..., None])
+    logits = np.matmul(params.w_conf[0], hidden)[..., 0] + params.b_conf[0]
+    conf = np.array([_sigmoid(z) for z in logits.ravel().tolist()]).reshape(logits.shape)
+    residuals = np.matmul(params.w_res, hidden)[..., 0] + params.b_res
     return conf, residuals
 
 

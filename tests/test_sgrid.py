@@ -2,12 +2,18 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
+import rvredeem
 from rvredeem.core import Box3D, FeaturePointCloud, SGridConfig
 from rvredeem.pointops import SharedMlp, pointnet_aggregate
 from rvredeem.sgrid import (
@@ -641,3 +647,123 @@ class TestInitSgridParams:
         assert p.mlp_fine.out_dim == SMALL_CFG.fine_channels
         assert p.trunk.in_dim == 27 * (5 + 4)
         assert p.w_res.shape == (7, SMALL_CFG.head_hidden)
+
+
+def random_lattices(rng, n):
+    """n boxes' (coarse features, coarse corners, fine positions), stacked."""
+    dims = rng.uniform(0.2, 5.0, size=(n, 3))
+    coarse = rng.normal(size=(n, 8, 4))
+    corners = np.array([grid_cell_centers(d, 2) for d in dims]).reshape(n, 8, 3)
+    # The 27 fine centres plus 5 positions on and beyond the hull.
+    extra = rng.uniform(-1.5, 1.5, size=(n, 5, 3)) * dims[:, None, :]
+    fine = np.concatenate(
+        [np.array([grid_cell_centers(d, 3) for d in dims]).reshape(n, 27, 3), extra], axis=1
+    )
+    return coarse, corners, fine
+
+
+class TestBatchedUpsample:
+    @pytest.mark.parametrize("mode", ["trilinear", "nearest"])
+    @pytest.mark.parametrize("n", [0, 1, 64])
+    def test_stack_matches_one_box_calls(self, mode, n):
+        coarse, corners, fine = random_lattices(np.random.default_rng(50 + n), n)
+        out = upsample_grid(coarse, corners, fine, mode)
+        assert out.shape == (n, 32, 4)
+        for i in range(n):
+            assert out[i].tobytes() == upsample_grid(coarse[i], corners[i], fine[i], mode).tobytes()
+
+    @pytest.mark.parametrize("mode", ["trilinear", "nearest"])
+    def test_accepted_layouts_stacked_match_one_box_calls(self, mode):
+        accepted = [v for k, v in sorted(corner_variants().items()) if k not in REJECTED_LAYOUTS]
+        corners = np.stack(accepted)
+        rng = np.random.default_rng(51)
+        coarse = rng.normal(size=(len(accepted), 8, 3))
+        fine = rng.uniform(-0.4, 0.4, size=(len(accepted), 20, 3))
+        out = upsample_grid(coarse, corners, fine, mode)
+        for i in range(len(accepted)):
+            one = upsample_grid(coarse[i], corners[i], fine[i], mode)
+            assert out[i].tobytes() == one.tobytes()
+
+    @pytest.mark.parametrize("where", [0, -1])
+    @pytest.mark.parametrize("name", sorted(REJECTED_LAYOUTS))
+    def test_one_collapsed_lattice_in_a_stack_raises(self, name, where):
+        coarse, corners, fine = random_lattices(np.random.default_rng(52), 6)
+        corners[where] = corner_variants()[name]
+        for mode in ("trilinear", "nearest"):
+            with pytest.raises(ValueError, match="^coarse positions must span 2 levels per axis$"):
+                upsample_grid(coarse, corners, fine, mode)
+
+    def test_subnormal_box_last_in_a_stack_raises(self):
+        coarse, corners, fine = random_lattices(np.random.default_rng(53), 3)
+        corners[-1] = grid_cell_centers(np.array([1e-323, 1.0, 1.0]), 2)
+        with pytest.raises(ValueError, match="^coarse positions must span 2 levels per axis$"):
+            upsample_grid(coarse, corners, fine, "trilinear")
+
+
+class TestBatchedHead:
+    @pytest.mark.parametrize("n", [0, 1, 512])
+    def test_stack_matches_one_vector_calls(self, n):
+        cfg = SGridConfig()
+        params = init_sgrid_params(15, cfg, 64)
+        vectors = np.random.default_rng(54).normal(size=(n, cfg.roi_feature_length))
+        conf, residuals = refine_head_forward(vectors, params)
+        assert conf.shape == (n,) and residuals.shape == (n, 7)
+        for i in range(n):
+            one_conf, one_res = refine_head_forward(vectors[i], params)
+            assert np.float64(one_conf).tobytes() == conf[i].tobytes()
+            assert one_res.tobytes() == residuals[i].tobytes()
+
+    def test_stack_matches_one_vector_calls_under_another_kernel(self):
+        # OpenBLAS picks its kernel per CPU; OPENBLAS_CORETYPE forces one in
+        # a child process, and Prescott runs on any x86-64.
+        try:
+            config = str(np.show_config(mode="dicts"))
+        except TypeError:  # NumPy before 1.26 has no dict form
+            config = ""
+        if "DYNAMIC_ARCH" not in config:
+            pytest.skip("NumPy's BLAS is not an OpenBLAS DYNAMIC_ARCH build")
+        code = (
+            "import numpy as np\n"
+            "from rvredeem.core import SGridConfig\n"
+            "from rvredeem.sgrid import init_sgrid_params, refine_head_forward\n"
+            "cfg = SGridConfig()\n"
+            "params = init_sgrid_params(16, cfg, 64)\n"
+            "vectors = np.random.default_rng(55).normal(size=(512, cfg.roi_feature_length))\n"
+            "conf, res = refine_head_forward(vectors, params)\n"
+            "ones = [refine_head_forward(v, params) for v in vectors]\n"
+            "assert conf.tobytes() == np.array([c for c, _ in ones]).tobytes()\n"
+            "assert res.tobytes() == np.array([r for _, r in ones]).tobytes()\n"
+            "print('equal')\n"
+        )
+        # The child imports the package the tests import, installed or not.
+        paths = [str(Path(rvredeem.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott",
+               "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "equal"
+
+
+class TestBatchedPool:
+    def test_nearest_mode_matches_all_keypoints(self):
+        rng = np.random.default_rng(56)
+        kps = random_keypoints(rng, 120, scale=3.0)
+        cfg = replace(SMALL_CFG, upsample_mode="nearest")
+        params = init_sgrid_params(17, cfg, 4)
+        boxes = [
+            Box3D(*rng.uniform(-2, 2, 3), *rng.uniform(0.5, 3, 3), float(rng.uniform(-3, 3)))
+            for _ in range(24)
+        ]
+        rois = assert_pool_matches_all_keypoints(kps, boxes, cfg, params)
+        assert any(not roi.coarse_empty.all() for roi in rois)
+
+    @pytest.mark.parametrize("where", ["far", "centre"])
+    def test_input_width_mismatch_rejected_wherever_the_keypoints_are(self, where):
+        # 6-feature MLPs encode 9 inputs; 4-feature keypoints give 7. Far
+        # from the box no ball holds a keypoint, so no MLP would ever run.
+        params = init_sgrid_params(0, SMALL_CFG, 6)
+        box = Box3D(0, 0, 0, 2, 2, 2, 0.3)
+        xyz = np.array([[50.0, 50.0, 50.0] if where == "far" else [0.0, 0.0, 0.0]])
+        kps = FeaturePointCloud(xyz, np.zeros(1), np.ones((1, 4)))
+        with pytest.raises(ValueError, match="fine MLP maps 9 -> 5 channels, .* need 7 -> 5$"):
+            sgrid_pool(kps, [box], SMALL_CFG, params)
