@@ -392,8 +392,9 @@ class PipelineConfig:
             for bound, value in (("min", lo), ("max", hi)):
                 if not math.isfinite(value):
                     raise ValueError(f"voxel {bound}_{axis} must be finite")
-        if self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError("seed must be a nonnegative integer" if self.seed < 0
+                             else f"seed must lie in [0, 2^64), got {self.seed}")
         grid_shape(self.voxel_size, self.range_min, self.range_max)  # the rest of the geometry
 
 

@@ -242,28 +242,32 @@ def pointnet_aggregate(
     neighbor_features: np.ndarray,
     mlp: SharedMlp,
 ) -> np.ndarray:
-    """Max-pooled local feature, (mlp.out_dim,); all zero with no neighbors.
+    """Max-pooled local feature, (..., mlp.out_dim); all zero with no neighbors.
 
-    Each neighbor is encoded as concat(xyz - center, features), pushed
-    through the shared MLP, then reduced by channel-wise max. The max starts
-    from +0.0 (`initial=0.0`), which changes no value: every rectified MLP
-    output is >= +0.0, and a -0.0 output would need a -0.0 bias, which
-    `init_dense` never emits. So an empty neighbor list takes the same path
-    and pools to zeros; callers that need emptiness take it from the query.
+    Leading axes are neighborhoods of one size k: (..., 3) centers,
+    (..., k, 3) neighbors and (..., k, d) features. Each neighbor is encoded
+    as concat(xyz - center, features), pushed through the shared MLP, then
+    reduced by channel-wise max. A neighborhood's (3 + d, k) encoding is laid
+    out as in its own call, so the stacked matmul of `SharedMlp.apply` makes
+    the BLAS call that one call makes, and the bytes are that call's. The
+    max starts from +0.0 (`initial=0.0`), which changes no value: every
+    rectified MLP output is >= +0.0, and a -0.0 output would need a -0.0
+    bias, which `init_dense` never emits. So an empty neighbor list takes
+    the same path and pools to zeros; callers that need emptiness take it
+    from the query.
     """
-    center = np.asarray(center, dtype=np.float64).reshape(3)
-    xyz = np.asarray(neighbor_xyz, dtype=np.float64).reshape(-1, 3)
+    center = np.asarray(center, dtype=np.float64)
+    xyz = np.asarray(neighbor_xyz, dtype=np.float64)
     feats = np.asarray(neighbor_features, dtype=np.float64)
-    if feats.ndim != 2 or feats.shape[0] != xyz.shape[0]:
-        raise ValueError(
-            f"features must be ({xyz.shape[0]}, d), got {feats.shape}"
-        )
-    encoded = np.concatenate([xyz - center, feats], axis=1).T
-    if encoded.shape[0] != mlp.in_dim:
-        raise ValueError(
-            f"MLP expects {mlp.in_dim} inputs, encoding has {encoded.shape[0]}"
-        )
-    return mlp.apply(encoded).max(axis=1, initial=0.0)
+    if center.shape[-1:] != (3,) or xyz.ndim < 2 or xyz.shape[:-2] + xyz.shape[-1:] != center.shape:
+        raise ValueError(f"need (..., 3) centers and (..., k, 3) neighbors, got {center.shape} "
+                         f"and {xyz.shape}")
+    if feats.shape[:-1] != xyz.shape[:-1]:
+        raise ValueError(f"features must be {xyz.shape[:-1]} + (d,), got {feats.shape}")
+    encoded = np.concatenate([xyz - center[..., None, :], feats], axis=-1)
+    if encoded.shape[-1] != mlp.in_dim:
+        raise ValueError(f"MLP expects {mlp.in_dim} inputs, encoding has {encoded.shape[-1]}")
+    return mlp.apply(np.swapaxes(encoded, -1, -2)).max(axis=-1, initial=0.0)
 
 
 def voxelize(

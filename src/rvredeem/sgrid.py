@@ -25,10 +25,11 @@ branch's grid, which makes neighboring grid-point balls touch without
 gaps. The refinement head is a two-layer rectified trunk with separate
 linear outputs: a sigmoid-squashed confidence and 7 box residuals.
 
-The upsample and the head take boxes on leading axes and give each box the
-bytes of its own call: their weights and the sigmoid are elementwise, and a
-stacked `np.matmul` makes, per box, the BLAS call that one box makes. One
-(B, L) matrix product would round by the kernel's blocks instead.
+The pooling MLP, the upsample and the head take stacks on leading axes
+and give each item the bytes of its own call: their weights and the sigmoid
+are elementwise, and a stacked `np.matmul` makes, per neighborhood or box,
+the BLAS call that one makes. One matrix product over all columns or boxes
+would round by the kernel's blocks instead.
 """
 
 from __future__ import annotations
@@ -272,8 +273,10 @@ def _pool_grids(owner, kp, canon, features, dims, grid: int, radii, cap: int, ml
     Grid point g of every box at once: each pair's squared distance to it is
     (dx^2 + dy^2) + dz^2 of the offsets to its box's grid levels,
     `ball_query`'s sum. One lexsort orders the hits by (box, distance,
-    keypoint index), and each box pools its first `cap` with its own
-    `pointnet_aggregate` call. A box with no hit keeps a zero row, what
+    keypoint index), and each box keeps its first `cap`. The boxes whose
+    lists have the same size k are pooled by one `pointnet_aggregate` call
+    on their gathered (m, k) rows, each with its own call's bytes (module
+    docstring). A box with no hit keeps a zero row, what
     `pointnet_aggregate` pools from nothing, and its empty flag. Working
     memory grows with the pairs, not with the pairs times G^3.
     """
@@ -287,12 +290,13 @@ def _pool_grids(owner, kp, canon, features, dims, grid: int, radii, cap: int, ml
         d2 = (off[:, 0, ix] + off[:, 1, iy]) + off[:, 2, iz]
         hit = np.flatnonzero(d2 <= r2)
         hit = hit[np.lexsort((kp[hit], d2[hit], owner[hit]))]
-        box, xyz, idx = owner[hit], canon[hit], kp[hit]
-        first = np.flatnonzero(np.diff(box, prepend=-1))
-        last = np.minimum(np.append(first[1:], hit.size), first + cap)
-        for b, a, e in zip(box[first].tolist(), first.tolist(), last.tolist()):
-            feats[b, g] = pointnet_aggregate(positions[b, g], xyz[a:e], features[idx[a:e]], mlp)
-        empty[box[first], g] = False
+        first = np.flatnonzero(np.diff(owner[hit], prepend=-1))
+        size = np.minimum(np.diff(first, append=hit.size), cap)
+        for k in np.flatnonzero(np.bincount(size)).tolist():
+            at = hit[first[size == k][:, None] + np.arange(k)]  # (m, k) pairs
+            box = owner[at[:, 0]]
+            feats[box, g] = pointnet_aggregate(positions[box, g], canon[at], features[kp[at]], mlp)
+        empty[owner[hit[first]], g] = False
     return positions, feats, empty
 
 

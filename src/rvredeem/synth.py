@@ -59,6 +59,8 @@ class SynthSpec:
             raise ConfigError(f"extent must be positive, got {self.extent}")
         if not math.isfinite(self.ground_z):
             raise ConfigError("ground_z must be finite")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed must lie in [0, 2^64), got {self.seed}")
 
 
 # File key -> SynthSpec field: the field's own name, but `boxes` sets `box_count`.

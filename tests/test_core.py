@@ -384,6 +384,17 @@ class TestLoadConfig:
             sensor=SensorModel(8, 16, 0.1, 0.3)
         )
 
+    @pytest.mark.parametrize("seed", [2**64, 2**64 + 7])
+    def test_seed_beyond_64_bits_rejected_at_load(self, tmp_path, seed):
+        text = CONFIG_TEXT.replace("seed = 7", f"seed = {seed}")
+        message = f"config: seed must lie in [0, 2^64), got {seed}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            load_config(self.write(tmp_path, text))
+
+    def test_largest_seed_loads(self, tmp_path):
+        text = CONFIG_TEXT.replace("seed = 7", f"seed = {2**64 - 1}")
+        assert load_config(self.write(tmp_path, text)).seed == 2**64 - 1
+
     def test_invariant_violation_reported(self, tmp_path):
         text = CONFIG_TEXT.replace("rvfe.feature_dim = 32", "rvfe.feature_dim = 33")
         with pytest.raises(ConfigError, match="feature_dim"):

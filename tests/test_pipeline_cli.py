@@ -328,6 +328,11 @@ class TestPipeline:
         assert counts["pointops.ball_query_calls"] == 0
         assert counts["pointops.fps_steps"] == result["stages"]["fps"]["kept"] - 1
         assert counts["sgrid.boxes"] == boxes
+        # Each grid point index pools all boxes in one aggregate call per
+        # neighborhood size, so the traced aggregate stays a live layer.
+        sg = toy.cfg.sgrid
+        aggregates = sum(span[0] == "pointops.aggregate" for span in tracer.spans)
+        assert 0 < aggregates <= (sg.fine_grid**3 + sg.coarse_grid**3) * sg.neighbor_cap
         # One range image per RRI1 file written or read: the projection,
         # the redeem stage's input, the conv block's and the meta kernel's.
         assert counts["core.rangeimage_count"] == 4
@@ -632,6 +637,22 @@ class TestCli:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err == "error: seed must be a nonnegative integer\n"
+
+    def test_pipeline_seed_beyond_64_bits_writes_nothing(self, toy, capsys):
+        out = toy.root / "big_seed"
+        code = cli_main(
+            [
+                "pipeline",
+                "--config", str(toy.config),
+                "--input", str(toy.scene),
+                "--out", str(out),
+                "--seed", str(2**64),
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == f"error: seed must lie in [0, 2^64), got {2**64}\n"
+        assert not out.exists()
 
     def test_pool_box_whose_size_overflows_is_an_error(self, toy, tmp_path, capsys):
         boxes = tmp_path / "big.txt"

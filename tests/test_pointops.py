@@ -8,7 +8,7 @@ import pytest
 
 import oracles
 from rvredeem import pointops
-from rvredeem.core import FeaturePointCloud, grid_shape
+from rvredeem.core import FeaturePointCloud, SGridConfig, grid_shape
 from rvredeem.pointops import (
     SharedMlp,
     VoxelGrid,
@@ -18,6 +18,7 @@ from rvredeem.pointops import (
     pointnet_aggregate,
     voxelize,
 )
+from rvredeem.sgrid import init_sgrid_params
 
 
 def make_cloud(xyz, features=None):
@@ -349,6 +350,35 @@ class TestPointnetAggregate:
             pointnet_aggregate(
                 [0.0, 0.0, 0.0], [[1.0, 0.0, 0.0]], [[1.0, 2.0]], tiny_mlp()
             )
+
+    @pytest.mark.parametrize("branch", ["mlp_fine", "mlp_coarse"])
+    @pytest.mark.parametrize("k", [0, 1, 5, 16])
+    def test_stack_matches_one_neighborhood_calls(self, branch, k):
+        # The pipeline's widths: 64-feature keypoints and the default config.
+        # Each neighborhood of a stack keeps the bytes of its own call.
+        mlp = getattr(init_sgrid_params(18, SGridConfig(), 64), branch)
+        rng = np.random.default_rng(60 + k)
+        for lead in [(1,), (7,), (512,), (4, 3)]:
+            center = rng.normal(size=lead + (3,))
+            xyz = rng.normal(size=lead + (k, 3))
+            feats = rng.normal(size=lead + (k, 64))
+            pooled = pointnet_aggregate(center, xyz, feats, mlp)
+            assert pooled.shape == lead + (mlp.out_dim,)
+            for i in np.ndindex(lead):
+                one = pointnet_aggregate(center[i], xyz[i], feats[i], mlp)
+                assert one.tobytes() == pooled[i].tobytes()
+
+    def test_stack_shape_mismatch_rejected(self):
+        mlp = tiny_mlp()
+        xyz, feats = np.zeros((2, 5, 3)), np.zeros((2, 5, 1))
+        for center in [np.zeros(3), np.zeros((3, 3)), np.zeros((2, 4))]:
+            with pytest.raises(ValueError, match=r"need \(\.\.\., 3\) centers"):
+                pointnet_aggregate(center, xyz, feats, mlp)
+        with pytest.raises(ValueError, match=r"need \(\.\.\., 3\) centers"):
+            pointnet_aggregate(np.zeros(3), np.zeros(3), np.zeros((1, 1)), mlp)
+        for bad in [np.zeros((2, 4, 1)), np.zeros((5, 1)), np.zeros((2, 5))]:
+            with pytest.raises(ValueError, match=r"features must be \(2, 5\) \+ \(d,\)"):
+                pointnet_aggregate(np.zeros((2, 3)), xyz, bad, mlp)
 
     def test_apply_keeps_the_two_temporary_bytes(self):
         # Rows of negative, zero (+0.0 and -0.0 biases on zero weights) and

@@ -715,7 +715,9 @@ class TestBatchedHead:
 
     def test_stack_matches_one_vector_calls_under_another_kernel(self):
         # OpenBLAS picks its kernel per CPU; OPENBLAS_CORETYPE forces one in
-        # a child process, and Prescott runs on any x86-64.
+        # a child process, and Prescott runs on any x86-64. The child checks
+        # each stacked call the RoI stage makes: the head's and the pooling
+        # MLPs' at every neighborhood size up to the default cap.
         try:
             config = str(np.show_config(mode="dicts"))
         except TypeError:  # NumPy before 1.26 has no dict form
@@ -725,14 +727,21 @@ class TestBatchedHead:
         code = (
             "import numpy as np\n"
             "from rvredeem.core import SGridConfig\n"
-            "from rvredeem.sgrid import init_sgrid_params, refine_head_forward\n"
+            "from rvredeem.sgrid import init_sgrid_params, pointnet_aggregate, refine_head_forward\n"
             "cfg = SGridConfig()\n"
             "params = init_sgrid_params(16, cfg, 64)\n"
-            "vectors = np.random.default_rng(55).normal(size=(512, cfg.roi_feature_length))\n"
+            "rng = np.random.default_rng(55)\n"
+            "vectors = rng.normal(size=(512, cfg.roi_feature_length))\n"
             "conf, res = refine_head_forward(vectors, params)\n"
             "ones = [refine_head_forward(v, params) for v in vectors]\n"
             "assert conf.tobytes() == np.array([c for c, _ in ones]).tobytes()\n"
             "assert res.tobytes() == np.array([r for _, r in ones]).tobytes()\n"
+            "for k in range(cfg.neighbor_cap + 1):\n"
+            "    args = (rng.normal(size=(512, 3)), rng.normal(size=(512, k, 3)),\n"
+            "            rng.normal(size=(512, k, 64)))\n"
+            "    for mlp in (params.mlp_fine, params.mlp_coarse):\n"
+            "        ones = [pointnet_aggregate(*one, mlp) for one in zip(*args)]\n"
+            "        assert pointnet_aggregate(*args, mlp).tobytes() == np.array(ones).tobytes()\n"
             "print('equal')\n"
         )
         # The child imports the package the tests import, installed or not.

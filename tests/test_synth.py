@@ -266,6 +266,16 @@ class TestSpecParsing:
         with pytest.raises(ConfigError, match="extent"):
             parse_synth_spec(path)
 
+    @pytest.mark.parametrize("seed", [-3, 2**64])
+    def test_seed_outside_64_bits_rejected_at_parse(self, tmp_path, seed):
+        path = self.write(
+            tmp_path,
+            "boxes = 1\nbox_density = 1.0\nground_density = 1.0\n"
+            f"extent = 5.0\nseed = {seed}\n",
+        )
+        with pytest.raises(ConfigError, match=rf"^seed must lie in \[0, 2\^64\), got {seed}$"):
+            parse_synth_spec(path)
+
     def test_non_numeric_value_rejected(self, tmp_path):
         path = self.write(
             tmp_path,
