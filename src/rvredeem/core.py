@@ -8,7 +8,9 @@ live in `range_geometry`.
 
 All types here are immutable after construction and safe to share across
 workers. Every array field of an artifact or parameter type, here and in the
-stage modules, is a read-only, finite, C-ordered copy made by `frozen_array`.
+stage modules, is a read-only, finite, C-ordered copy made by `frozen_array`,
+except a fresh buffer handed over (`_Handover`) by the layer that filled it,
+which `frozen_array` freezes in place.
 
 Config defaults live only on the dataclass fields: loaders pass just the keys
 a file sets. Empty values are rejected, and `sgrid.coarse_grid` must be 2.
@@ -38,6 +40,18 @@ class ConfigError(ValueError):
     """Raised on a missing, unparsable, or invariant-violating config key."""
 
 
+@dataclass(frozen=True)
+class _Handover:
+    """An array its filler gives up, which `frozen_array` keeps uncopied.
+
+    Package-private: only a layer that allocated and filled the array and
+    keeps no other reference wraps it (`rvfe.hdmk_forward`), so no caller's
+    array is ever captured.
+    """
+
+    array: np.ndarray
+
+
 def frozen_array(name: str, value, dtype=np.float64) -> np.ndarray:
     """A read-only C-ordered copy of `value` as `dtype`: how types keep arrays.
 
@@ -46,12 +60,23 @@ def frozen_array(name: str, value, dtype=np.float64) -> np.ndarray:
     reads the data the object keeps. A float copy must be finite; an integer
     dtype takes only integer input, never truncated floats. Errors name the
     field: "{name} must be finite".
+
+    A `_Handover` is frozen in place instead: it must be a writeable,
+    C-ordered ndarray of `dtype` that owns its data, never a view, and it is
+    checked like a copy.
     """
-    if np.dtype(dtype).kind in "iu":
-        src = np.asarray(value)
-        if src.dtype.kind not in "iu":
-            raise ValueError(f"{name} must be integers, got dtype {src.dtype}")
-    out = np.array(value, dtype=dtype, order="C")
+    if isinstance(value, _Handover):
+        out = value.array
+        flags = out.flags
+        if not (type(out) is np.ndarray and out.dtype == dtype and flags.c_contiguous
+                and flags.owndata and flags.writeable):
+            raise ValueError(f"{name} handed over must be a fresh C-ordered {np.dtype(dtype)} array")
+    else:
+        if np.dtype(dtype).kind in "iu":
+            src = np.asarray(value)
+            if src.dtype.kind not in "iu":
+                raise ValueError(f"{name} must be integers, got dtype {src.dtype}")
+        out = np.array(value, dtype=dtype, order="C")
     if out.dtype.kind == "f" and not np.isfinite(out).all():
         raise ValueError(f"{name} must be finite")
     out.setflags(write=False)
@@ -393,8 +418,7 @@ class PipelineConfig:
                 if not math.isfinite(value):
                     raise ValueError(f"voxel {bound}_{axis} must be finite")
         if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must be a nonnegative integer" if self.seed < 0
-                             else f"seed must lie in [0, 2^64), got {self.seed}")
+            raise ValueError(f"seed must lie in [0, 2^64), got {self.seed}")
         grid_shape(self.voxel_size, self.range_min, self.range_max)  # the rest of the geometry
 
 

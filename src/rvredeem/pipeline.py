@@ -213,9 +213,11 @@ def stage_redeem(cfg: PipelineConfig, range_path, out_dir) -> dict:
     # One image per RRI1 file; the base planes, read from range.rri1, are f32 already.
     wrap = cfg.wrap_horizontal
     block_img = img.with_features(formats.as_stored(basicblock_forward(img, block, wrap)))
+    del img  # block_img holds its planes; each image is dropped once the next holds it
     formats.write_rri1(out_dir / BLOCK_FILE, block_img)
 
     feat_img = hdmk_forward(block_img, hdmk, wrap)
+    del block_img
     formats.write_rri1(out_dir / FEATURES_FILE, feat_img)
 
     cloud = redeem_feature_points(feat_img, cfg.feature_dim)

@@ -41,7 +41,8 @@ scales with support pixels and the working set beyond inputs and output is
 fixed. The conv block's output and the backward's feature gradient are
 gathered back to planes through the same map (`_planes`), not scattered,
 so each layer zeroes its own invalid pixels and `with_features` only
-stacks. What the outputs hold, and how closely they match a dense
+stacks; the meta kernel writes its planes straight into the image that
+`hdmk_forward` returns. What the outputs hold, and how closely they match a dense
 evaluation, is stated in the README ("Sparse feature extraction").
 
 The meta kernel has an analytic backward pass (coordinates are constants;
@@ -65,7 +66,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import BASE_CHANNELS, RangeImage, frozen_array
+from .core import BASE_CHANNELS, RangeImage, _Handover, frozen_array
 from .formats import as_stored
 from .rng import STREAM_BASICBLOCK, STREAM_HDMK, DetRng, derive_seed
 
@@ -469,7 +470,24 @@ def hdmk_forward_planes(
     """Raw-array meta kernel: (c_in, h, w) features to (c_out, h, w).
 
     Values stored at invalid pixels never reach the output; the result is
-    zero at invalid pixels: the dense value times zero, +0 or -0.
+    zero at invalid pixels: the dense value times zero, +0 or -0. How it is
+    evaluated is `_hdmk_fill`'s, which `hdmk_forward` shares.
+    """
+    out = np.empty((params.c_out, np.size(valid)))
+    _hdmk_fill(feats, coords, valid, params, wrap_horizontal, out)
+    return out.reshape(params.c_out, *valid.shape)
+
+
+def _hdmk_fill(
+    feats: np.ndarray,
+    coords: np.ndarray,
+    valid: np.ndarray,
+    params: HdMetaKernelParams,
+    wrap_horizontal: bool,
+    full: np.ndarray,
+) -> None:
+    """The meta kernel evaluated into `full`, a given (c_out, h * w) array,
+    every entry written.
 
     Each branch is evaluated only on its support, the centres with at least
     one valid neighbour. Everywhere else all nine weighted chunks are zero,
@@ -504,7 +522,6 @@ def hdmk_forward_planes(
 
     width = min(max(map(len, supports)), _COLUMN_BLOCK)
     shaped = {width: [np.empty(shape) for shape in shapes(width)]}
-    full = np.empty((params.c_out, h * w), dtype=np.float64)
     for b, (branch, steps, support, ids) in enumerate(
         zip((params.branch1, params.branch2), _tap_steps(w), supports, support_ids)
     ):
@@ -534,7 +551,6 @@ def hdmk_forward_planes(
                 block = support[start:stop]
                 for row, values in zip(half, acc):
                     row[block] = values
-    return full.reshape(params.c_out, h, w)
 
 
 def hdmk_forward(
@@ -545,11 +561,18 @@ def hdmk_forward(
     Consumes the stored (x, y, z) planes for coordinate deltas and the
     feature planes for neighbor values; emits c_out feature planes on the
     same validity mask.
+
+    It fills the image it returns: the base planes are copied into its
+    channels and the feature planes evaluated straight into the rest, the
+    bytes of `hdmk_forward_planes`; the image keeps the buffer uncopied
+    (`core._Handover`), so no scratch planes and no stacked copy are held.
     """
-    full = hdmk_forward_planes(
-        feat.feature_planes, feat.channels[:3], feat.valid, params, wrap_horizontal
-    )
-    return feat.with_features(full)
+    channels = np.empty((BASE_CHANNELS + params.c_out, *feat.valid.shape))
+    channels[:BASE_CHANNELS] = feat.channels[:BASE_CHANNELS]
+    # A slice along the leading axis, so the reshape is a view of `channels`.
+    planes = channels[BASE_CHANNELS:].reshape(params.c_out, -1)
+    _hdmk_fill(feat.feature_planes, feat.channels[:3], feat.valid, params, wrap_horizontal, planes)
+    return RangeImage(feat.sensor, _Handover(channels), feat.valid)
 
 
 @dataclass(frozen=True)

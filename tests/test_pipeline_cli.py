@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -487,6 +488,23 @@ class TestPipeline:
         recorded = expected["scan-64x2048"]["checksums"][pipeline.KEYPOINTS_FILE]
         assert formats.sha256_file(out / pipeline.KEYPOINTS_FILE) == recorded
 
+    def test_redeem_stage_peak_is_near_the_features_image(self, tmp_path):
+        # sky-64x512 at seed 0. The meta kernel fills the features image it
+        # returns, and the stage drops each image once the next holds its
+        # planes; a 64-plane scratch array, a stacked copy of it and the
+        # range and block images held alongside read about 2.7 times.
+        cfg, points, _ = benchmark_inputs("sky-64x512", tmp_path)
+        out = tmp_path / "out"
+        pipeline.stage_project(cfg, points, out)
+        tracemalloc.start()
+        try:
+            pipeline.stage_redeem(cfg, out / pipeline.RANGE_FILE, out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        features = formats.read_rri1(out / pipeline.FEATURES_FILE, cfg.sensor)
+        assert peak < 2.2 * features.channels.nbytes
+
     def test_zero_box_scene_pools_nothing(self, tmp_path):
         # The proposals-512 benchmark sensor over a scene with no boxes.
         workloads = PERFBENCH / "workloads"
@@ -636,7 +654,7 @@ class TestCli:
         )
         captured = capsys.readouterr()
         assert code == 1
-        assert captured.err == "error: seed must be a nonnegative integer\n"
+        assert captured.err == "error: seed must lie in [0, 2^64), got -1\n"
 
     def test_pipeline_seed_beyond_64_bits_writes_nothing(self, toy, capsys):
         out = toy.root / "big_seed"

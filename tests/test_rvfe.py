@@ -727,6 +727,26 @@ class TestForwardMemory:
         peak, out_bytes = hdmk_peak_on_a_scan(25, 35_863)
         assert peak < 3 * out_bytes
 
+    def test_hdmk_forward_holds_one_image(self):
+        # The call fills the image it returns: about 1.43 times the image's
+        # bytes with the plan cached, as the conv block leaves it in the
+        # redeem stage. Evaluating into a 64-plane array of its own and then
+        # stacking a 69-plane copy from it held about 2.05 times.
+        rng = np.random.default_rng(33)
+        img = util.random_image(rng, 64, 512, density=0.3, n_feat=32)
+        params = init_params(0, (32, 32, 64))
+        planes = hdmk_forward_planes(img.feature_planes, img.channels[:3], img.valid, params)
+        tracemalloc.start()
+        try:
+            out = hdmk_forward(img, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6 * out.channels.nbytes
+        assert not out.channels.flags.writeable
+        assert out.channels[:5].tobytes() == img.channels[:5].tobytes()
+        assert out.feature_planes.tobytes() == planes.tobytes()
+
     def test_basic_block_peak_scales_with_valid_pixels(self):
         # The same scan through the conv block. Every step runs on the 500
         # valid columns; what remains is the 32 planes gathered back through
