@@ -298,15 +298,14 @@ def stage_pool(cfg: PipelineConfig, keypoints_path, boxes_path, out_dir) -> dict
     formats.write_rwt1(out_dir / SGRID_WEIGHTS_FILE, pack_sgrid_weights(params))
 
     rois = sgrid_pool(kp_cloud, boxes, cfg.sgrid, params)
-    roi_len = cfg.sgrid.roi_feature_length
-    vectors = formats.as_stored([roi.vector for roi in rois]).reshape(-1, roi_len)
+    vectors = formats.as_stored(rois.vector)
     formats.write_rrf1(out_dir / ROI_FILE, vectors)
 
     lines = ["# confidence dcx dcy dcz dlength dwidth dheight dyaw"]
     conf, residuals = refine_head_forward(vectors, params)
     lines += (" ".join(map(repr, row)) for row in np.column_stack([conf, residuals]).tolist())
     (out_dir / REFINED_FILE).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return {"boxes": len(boxes), "roi_length": roi_len}
+    return {"boxes": len(boxes), "roi_length": cfg.sgrid.roi_feature_length}
 
 
 # ---------------------------------------------------------------------------

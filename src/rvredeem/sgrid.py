@@ -8,6 +8,8 @@ the 27 fine positions and each fine grid point concatenates its own feature
 with the upsampled coarse one (fine first). All geometry inside the pooling
 runs in the box's canonical frame, so rigidly moving scene and boxes
 together cannot change the result beyond floating-point noise.
+The result is one (B,) record array, so `rois.vector` is the (B, L)
+array of all vectors and `rois[i].vector` is box i's.
 
 The balls of all boxes come from one query over the scene, as in PV-RCNN's
 RoI-grid pooling. A world-frame prefilter keeps the (box, keypoint) pairs
@@ -175,30 +177,6 @@ def upsample_grid(
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class RoIFeature:
-    """Flattened per-box pooled feature plus per-grid-point emptiness flags.
-
-    The vector is grid-point major: for each of the fine grid points, the
-    fine-branch channels followed by the upsampled coarse channels.
-    """
-
-    vector: np.ndarray  # (G1^3 * (c_fine + c_coarse),)
-    fine_empty: np.ndarray  # (G1^3,) bool
-    coarse_empty: np.ndarray  # (G2^3,) bool
-
-    def __post_init__(self):
-        for name, dtype in (("vector", np.float64), ("fine_empty", bool), ("coarse_empty", bool)):
-            object.__setattr__(self, name, frozen_array(name, getattr(self, name), dtype))
-        vec, fine, coarse = self.vector, self.fine_empty, self.coarse_empty
-        if vec.ndim != 1 or fine.ndim != 1 or coarse.ndim != 1:
-            raise ValueError("RoI feature arrays must be one-dimensional")
-        if fine.size == 0 or vec.size % fine.size != 0:
-            raise ValueError(
-                f"vector length {vec.size} not divisible by {fine.size} grid points"
-            )
-
-
-@dataclass(frozen=True)
 class SGridParams:
     """Learnable tensors for pooling and refinement.
 
@@ -305,18 +283,27 @@ def sgrid_pool(
     boxes,
     cfg: SGridConfig,
     params: SGridParams,
-) -> list[RoIFeature]:
-    """Dual-grid RoI pooling, one RoIFeature per box (module docstring);
+) -> np.recarray:
+    """Dual-grid RoI pooling (module docstring), one record per box;
     keypoint intensities are not used.
+
+    Record i holds box i's `vector` (L,) float64, grid-point major: for
+    each fine grid point its fine channels, then the upsampled coarse
+    ones; and its `fine_empty` (G1^3,) and `coarse_empty` (G2^3,) flags.
+    The records are a fresh writable array; `formats.write_rrf1` refuses
+    vectors that are not finite.
     """
     mlps, enc = (params.mlp_fine, params.mlp_coarse), 3 + keypoints.feature_dim
     for name, mlp, out in zip(("fine", "coarse"), mlps, (cfg.fine_channels, cfg.coarse_channels)):
         if (mlp.in_dim, mlp.out_dim) != (enc, out):
             raise ValueError(f"{name} MLP maps {mlp.in_dim} -> {mlp.out_dim} channels, but the "
                              f"keypoints and the config need {enc} -> {out}")
+    dtype = np.dtype([("vector", np.float64, (cfg.roi_feature_length,)),
+                      ("fine_empty", bool, (cfg.fine_grid**3,)),
+                      ("coarse_empty", bool, (cfg.coarse_grid**3,))], align=True)
     boxes = list(boxes)
     if not boxes:
-        return []
+        return np.recarray(0, dtype)
     grids = (cfg.fine_grid, cfg.coarse_grid)
     radii = [
         np.array([auto_radius(box, grid) if radius is None else radius for box in boxes])
@@ -331,10 +318,13 @@ def sgrid_pool(
         for grid, r, mlp in zip(grids, radii, mlps)
     )
     upsampled = upsample_grid(coarse, coarse_pos, fine_pos, cfg.upsample_mode)
-    return [
-        RoIFeature(np.concatenate([f, u], axis=1).ravel(), fe, ce)
-        for f, u, fe, ce in zip(fine, upsampled, fine_empty, coarse_empty)
-    ]
+    rois = np.recarray(len(boxes), dtype)
+    # Each record's vector is contiguous, so this reshape is a view of it.
+    cells = rois.vector.reshape(fine.shape[:2] + (-1,))
+    cells[..., :cfg.fine_channels] = fine
+    cells[..., cfg.fine_channels:] = upsampled
+    rois.fine_empty, rois.coarse_empty = fine_empty, coarse_empty
+    return rois
 
 
 # ---------------------------------------------------------------------------

@@ -88,7 +88,6 @@ class SyntheticScene:
     boxes: tuple[Box3D, ...]
     cloud: FeaturePointCloud
     labels: np.ndarray
-    seed: int
 
     def __post_init__(self):
         labels = frozen_array("labels", self.labels, np.int64)
@@ -190,9 +189,7 @@ def gen_synthetic_scene(spec: SynthSpec) -> SyntheticScene:
     xyz = np.concatenate([c[0] for c in chunks], axis=0)
     intensity = np.concatenate([c[1] for c in chunks])
     cloud = FeaturePointCloud(xyz, intensity, np.empty((xyz.shape[0], 0)))
-    scene = SyntheticScene(
-        tuple(boxes), cloud, np.concatenate(labels), spec.seed
-    )
+    scene = SyntheticScene(tuple(boxes), cloud, np.concatenate(labels))
     log.info(
         "synthesized scene: %d boxes, %d foreground + %d background points",
         len(boxes),

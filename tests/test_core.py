@@ -30,7 +30,7 @@ from rvredeem.core import (
 )
 from rvredeem.pointops import SharedMlp, VoxelGrid
 from rvredeem.rvfe import BasicBlockParams, BranchParams
-from rvredeem.sgrid import RoIFeature, SGridParams, auto_radius
+from rvredeem.sgrid import SGridParams, auto_radius
 from rvredeem.synth import SyntheticScene, parse_synth_spec
 
 
@@ -500,7 +500,7 @@ def _sgrid_params(a):
 def _scene(a):
     box = Box3D(0.0, 0.0, 0.0, 2.0, 2.0, 2.0, 0.0)
     cloud = FeaturePointCloud([[1.0, 0.2, -0.3]], [0.5], np.empty((1, 0)))
-    return SyntheticScene((box,), cloud, seed=0, **a)
+    return SyntheticScene((box,), cloud, **a)
 
 
 # Type -> (fresh writable input arrays by field name, constructor from them).
@@ -542,14 +542,6 @@ KEPT_ARRAYS = {
         lambda a: VoxelGrid((1.0, 1.0, 1.0), (0.0, 0.0, 0.0), (2.0, 2.0, 2.0), **a),
     ),
     "SharedMlp": (_mlp_arrays, _mlp),
-    "RoIFeature": (
-        lambda: {
-            "vector": np.ones(4),
-            "fine_empty": np.zeros(2, dtype=bool),
-            "coarse_empty": np.ones(1, dtype=bool),
-        },
-        lambda a: RoIFeature(**a),
-    ),
     "SGridParams": (
         lambda: {
             "w_conf": np.ones((1, 2)),

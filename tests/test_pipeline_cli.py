@@ -23,6 +23,7 @@ from rvredeem.sgrid import SGridConfig, init_sgrid_params
 from rvredeem.synth import gen_synthetic_scene, parse_synth_spec
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def benchmark_inputs(name, tmp_path):
@@ -633,6 +634,35 @@ class TestCli:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.err.startswith("error:")
+
+    @pytest.mark.parametrize("stage, given, outputs", [
+        ("redeem", pipeline.RANGE_FILE, (pipeline.WEIGHTS_FILE, pipeline.BLOCK_FILE,
+                                         pipeline.FEATURES_FILE, pipeline.CLOUD_FILE)),
+        ("pool", pipeline.KEYPOINTS_FILE, (pipeline.SGRID_WEIGHTS_FILE, pipeline.ROI_FILE,
+                                           pipeline.REFINED_FILE)),
+    ], ids=["redeem", "pool"])
+    def test_truncated_artifact_mid_chain_writes_nothing(self, tmp_path, capsys, stage, given,
+                                                         outputs):
+        out, cfg = tmp_path / "chain", ["--config", str(CONFIGS / "default.cfg")]
+        chain = [
+            ("synth", "--input", str(CONFIGS / "scene_small.synth")),
+            ("project", *cfg, "--input", str(out / pipeline.POINTS_FILE)),
+            ("redeem", *cfg, "--input", str(out / pipeline.RANGE_FILE)),
+            ("fps", *cfg, "--input", str(out / pipeline.CLOUD_FILE)),
+        ]
+        for argv in chain:
+            assert cli_main([*argv, "--out", str(out)]) == 0
+        for name in outputs:
+            (out / name).unlink(missing_ok=True)
+        path = out / given
+        path.write_bytes(path.read_bytes()[:-3])
+        before = read_artifacts(out)
+        boxes = ["--boxes", str(out / pipeline.GT_BOXES_FILE)] if stage == "pool" else []
+        capsys.readouterr()
+        code = cli_main([stage, *cfg, "--input", str(path), *boxes, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {path}: truncated file\n"
+        assert read_artifacts(out) == before
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     def test_gradcheck_seed_outside_64_bits_is_an_error(self, seed, capsys):

@@ -17,7 +17,6 @@ import rvredeem
 from rvredeem.core import Box3D, FeaturePointCloud, SGridConfig
 from rvredeem.pointops import SharedMlp, pointnet_aggregate
 from rvredeem.sgrid import (
-    RoIFeature,
     SGridParams,
     _corner_layout,
     auto_radius,
@@ -270,14 +269,6 @@ class TestUpsampleGrid:
             np.testing.assert_array_equal(hi, levels[1])
 
 
-class TestRoIFeature:
-    def test_rejects_nan_vector(self):
-        vector = np.ones(4)
-        vector[3] = np.nan
-        with pytest.raises(ValueError, match="vector must be finite"):
-            RoIFeature(vector, np.zeros(2, dtype=bool), np.zeros(1, dtype=bool))
-
-
 class TestSgridPool:
     def test_grid_counts_and_vector_length(self):
         rng = np.random.default_rng(27)
@@ -403,6 +394,11 @@ class TestSgridPool:
         ]
         rois = assert_pool_matches_all_keypoints(kps, boxes, cfg, params)
         assert not all(roi.fine_empty.all() for roi in rois)
+        # The field is the (B, L) stack of the records' vectors, and the
+        # (B, G1^3, c) cells it is filled through are a view of it.
+        assert rois.vector.shape == (4, cfg.roi_feature_length)
+        assert all(row.tobytes() == roi.vector.tobytes() for row, roi in zip(rois.vector, rois))
+        assert np.shares_memory(rois.vector.reshape(4, 27, -1), rois)
 
     def test_cull_keeps_keypoints_on_a_ball_boundary(self):
         # Fine levels are exactly -1, 0, 1 on every axis and r*r = 0.25, so a
@@ -440,7 +436,8 @@ class TestSgridPool:
     def test_no_boxes_pool_nothing(self):
         rng = np.random.default_rng(36)
         params = init_sgrid_params(9, SMALL_CFG, 4)
-        assert sgrid_pool(random_keypoints(rng, 30), [], SMALL_CFG, params) == []
+        rois = sgrid_pool(random_keypoints(rng, 30), [], SMALL_CFG, params)
+        assert len(rois) == 0 and rois.vector.shape == (0, SMALL_CFG.roi_feature_length)
 
     def test_no_keypoints_flag_every_box(self):
         rng = np.random.default_rng(37)
@@ -765,6 +762,20 @@ class TestBatchedPool:
         ]
         rois = assert_pool_matches_all_keypoints(kps, boxes, cfg, params)
         assert any(not roi.coarse_empty.all() for roi in rois)
+
+    def test_radii_covering_the_scene_match_all_keypoints(self):
+        # Every ball holds every keypoint, so the cut at neighbor_cap in
+        # (distance, keypoint index) order decides every list.
+        rng = np.random.default_rng(58)
+        kps = random_keypoints(rng, 200)
+        cfg = replace(SMALL_CFG, fine_radius=50.0, coarse_radius=50.0)
+        params = init_sgrid_params(18, cfg, 4)
+        boxes = [
+            Box3D(*rng.uniform(-3, 3, 3), *rng.uniform(0.5, 3, 3), float(rng.uniform(-3, 3)))
+            for _ in range(12)
+        ]
+        rois = assert_pool_matches_all_keypoints(kps, boxes, cfg, params)
+        assert not rois.fine_empty.any() and not rois.coarse_empty.any()
 
     @pytest.mark.parametrize("where", ["far", "centre"])
     def test_input_width_mismatch_rejected_wherever_the_keypoints_are(self, where):

@@ -152,19 +152,19 @@ class TestGenerator:
 class TestSceneValidation:
     def test_on_face_point_accepted(self):
         box, cloud = single_point_scene_parts([1.0, 0.2, -0.3])
-        scene = SyntheticScene((box,), cloud, np.array([0]), seed=0)
+        scene = SyntheticScene((box,), cloud, np.array([0]))
         assert scene.foreground_count == 1
         assert scene.background_count == 0
 
     def test_interior_point_rejected(self):
         box, cloud = single_point_scene_parts([0.5, 0.2, -0.3])
         with pytest.raises(ValueError, match="off the surface"):
-            SyntheticScene((box,), cloud, np.array([0]), seed=0)
+            SyntheticScene((box,), cloud, np.array([0]))
 
     def test_outside_point_rejected(self):
         box, cloud = single_point_scene_parts([1.5, 0.0, 0.0])
         with pytest.raises(ValueError, match="off the surface"):
-            SyntheticScene((box,), cloud, np.array([0]), seed=0)
+            SyntheticScene((box,), cloud, np.array([0]))
 
     def test_rotation_respected_by_the_check(self):
         # The +x face of a box yawed by 90 degrees faces +y in world space.
@@ -172,25 +172,25 @@ class TestSceneValidation:
         cloud = FeaturePointCloud(
             np.array([[0.0, 1.0, 0.0]]), np.array([0.5]), np.empty((1, 0))
         )
-        scene = SyntheticScene((box,), cloud, np.array([0]), seed=0)
+        scene = SyntheticScene((box,), cloud, np.array([0]))
         assert scene.foreground_count == 1
 
     def test_label_shape_checked(self):
         box, cloud = single_point_scene_parts([1.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="labels"):
-            SyntheticScene((box,), cloud, np.array([0, 0]), seed=0)
+            SyntheticScene((box,), cloud, np.array([0, 0]))
 
     def test_label_range_checked(self):
         box, cloud = single_point_scene_parts([1.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="box index"):
-            SyntheticScene((box,), cloud, np.array([1]), seed=0)
+            SyntheticScene((box,), cloud, np.array([1]))
         with pytest.raises(ValueError, match="box index"):
-            SyntheticScene((box,), cloud, np.array([-2]), seed=0)
+            SyntheticScene((box,), cloud, np.array([-2]))
 
     def test_fractional_labels_rejected(self):
         box, cloud = single_point_scene_parts([1.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="labels must be integers"):
-            SyntheticScene((box,), cloud, np.array([0.5]), seed=0)
+            SyntheticScene((box,), cloud, np.array([0.5]))
 
 
 class TestSpecValidation:
