@@ -94,7 +94,8 @@ def furthest_point_sampling(xyz, count: int, seed_index: int = 0) -> np.ndarray:
     Starts at seed_index; each step picks the point whose squared distance
     to the selected set is largest, lowest index on ties (argmax returns the
     first maximum). Asking for C >= N returns all N indices in selection
-    order. The result is an int64 index array into `xyz`.
+    order, and an empty cloud an empty index. The result is an int64 index
+    array into `xyz`.
 
     Every squared distance is (dx^2 + dy^2) + dz^2, the additions, in the
     same order, of the (N, 3) row sum that `ball_query` uses, so every
@@ -112,10 +113,10 @@ def furthest_point_sampling(xyz, count: int, seed_index: int = 0) -> np.ndarray:
     """
     xyz = _coordinates(xyz)
     n = xyz.shape[0]
-    if n == 0:
-        raise ValueError("cannot sample from an empty cloud")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
+    if n == 0:
+        return np.empty(0, dtype=np.int64)
     if not (0 <= seed_index < n):
         raise ValueError(f"seed_index {seed_index} outside [0, {n})")
     buckets = -(-n // _FPS_BUCKET)

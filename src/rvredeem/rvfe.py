@@ -27,31 +27,28 @@ image to the zero column: values stored at invalid pixels are never read.
 On the map a tap (dh, dw) is one constant step, so a block's tap columns
 take one add and one gather, and the plan holds no per-tap array: per call
 only the mask's bytes, the column blocks and the tap columns are computed.
-Both layers walk their columns in fixed-width blocks (`_column_blocks`)
-through buffers allocated once per call. The conv block runs on the
-valid-pixel columns, each convolution in blocks of _CONV_BLOCK columns and
-the other steps in place. Each meta-kernel branch runs on its support in
-blocks of _COLUMN_BLOCK centres, through buffers shaped once per block
-width, and holds its accumulator bias times zero elsewhere, a fill that
-runs only when the support misses a pixel. A block's nine taps run
-together: one gather per input and one stacked product per perceptron
-layer, the gated chunks written straight into the accumulator's operand; a
-block of consecutive pixels reaches the output as one slice. So time
-scales with support pixels and the working set beyond inputs and output is
-fixed. The conv block's output and the backward's feature gradient are
-gathered back to planes through the same map (`_planes`), not scattered,
-so each layer zeroes its own invalid pixels and `with_features` only
-stacks; the meta kernel writes its planes straight into the image that
-`hdmk_forward` returns. What the outputs hold, and how closely they match a dense
+
+Both layers walk their columns in fixed-width blocks (`_column_blocks`):
+each convolution of the conv block its valid-pixel columns in blocks of
+_CONV_BLOCK, each meta-kernel branch its support in blocks of _COLUMN_BLOCK
+centres. Every array a block needs is the fresh result of the call that
+computes it, dropped before the next block starts, so time scales with the
+evaluated pixels and the working set beyond inputs and output is fixed.
+The widths set the shape of every BLAS call, and so the output bytes. The
+conv block's output and the backward's feature gradient are gathered back
+to planes through the same map (`_planes`), not scattered, so each layer
+zeroes its own invalid pixels and `with_features` only stacks; the meta
+kernel writes its planes straight into the image that `hdmk_forward`
+returns. What the outputs hold, and how closely they match a dense
 evaluation, is stated in the README ("Sparse feature extraction").
 
 The meta kernel has an analytic backward pass (coordinates are constants;
 gradients flow to input features and all parameters). It recomputes its
-taps at all h * w centres through the same columns, one tap at a time
-through one buffer set, each tap's columns a shifted window of the padded
-map, so its memory is linear in c * h * w; it accumulates feature
-gradients in the columns and returns the parameter gradients as an
-`HdMetaKernelParams`. BasicBlock is forward-only.
+taps at all h * w centres through the same columns, one tap at a time,
+each tap's columns a shifted window of the padded map, so its memory is
+linear in c * h * w; it accumulates feature gradients in the columns and
+returns the parameter gradients as an `HdMetaKernelParams`. BasicBlock is
+forward-only.
 
 All arithmetic is 64-bit. Initializers round their values to single
 precision through `formats.as_stored`, so a 32-bit weight file holds
@@ -324,8 +321,8 @@ def _column_blocks(n: int, width: int) -> list[tuple[int, int]]:
 # BasicBlock
 # ---------------------------------------------------------------------------
 
-# Columns per conv block product: the two block buffers stay small beside
-# the full-width input and output.
+# Columns per conv block product: a block's gather and product stay small
+# beside the full-width input and output.
 _CONV_BLOCK = 4096
 
 
@@ -333,22 +330,18 @@ def _conv3x3(cols: np.ndarray, weight: np.ndarray, index: np.ndarray) -> np.ndar
     """3x3 convolution on pixel columns, (c_in, n) to (c_out, n).
 
     Tap k of column i reads column index[k, i]; index n reads an appended
-    zero column. Accumulation order over the 9 taps is fixed. The columns
-    are walked in blocks of _CONV_BLOCK (`_column_blocks`) through one
-    gather buffer and one product buffer, so beyond the padded input and
-    the output the working set is fixed.
+    zero column. Each block of _CONV_BLOCK columns adds its 9 taps in a
+    fixed order.
     """
     n = cols.shape[1]
     padded = np.concatenate([cols, np.zeros((cols.shape[0], 1))], axis=1)
     acc = np.zeros((weight.shape[0], n), dtype=np.float64)
-    width = min(n, _CONV_BLOCK)
-    tap_buf, product_buf = (np.empty(c * width) for c in (cols.shape[0], weight.shape[0]))
     for start, stop in _column_blocks(n, _CONV_BLOCK):
-        tap = _prefix(tap_buf, cols.shape[0], stop - start)
-        product = _prefix(product_buf, weight.shape[0], stop - start)
         for k, (dh, dw) in enumerate(UNIT_OFFSETS):
-            padded.take(index[k, start:stop], axis=1, out=tap, mode="clip")
-            acc[:, start:stop] += np.matmul(weight[:, :, dh + 1, dw + 1], tap, out=product)
+            # One expression, so that a tap's gather is freed with its product.
+            acc[:, start:stop] += weight[:, :, dh + 1, dw + 1] @ padded.take(
+                index[k, start:stop], axis=1, mode="clip"
+            )
     return acc
 
 
@@ -406,17 +399,6 @@ def _check_hdmk_input(
         raise ValueError(f"coords must be (3, {h}, {w}), got {coords.shape}")
 
 
-def _tap_shapes(c_in: int, c_mid: int, t: int, m: int) -> tuple[tuple[int, ...], ...]:
-    """Shapes of the buffers that `_tap` fills for t taps at m centres:
-    neighbour features, coordinate deltas, hidden units and gates."""
-    return (c_in, t, m), (3, t, m), (t, c_mid, m), (t, c_in, m)
-
-
-def _prefix(buf: np.ndarray, *shape: int) -> np.ndarray:
-    """The leading elements of C-contiguous `buf` as an array of `shape`."""
-    return buf.reshape(-1)[: math.prod(shape)].reshape(shape)
-
-
 def _tap(
     branch: BranchParams,
     feats: np.ndarray,
@@ -424,34 +406,28 @@ def _tap(
     centre_xyz: np.ndarray,
     index: np.ndarray,
     neigh_valid: np.ndarray,
-    bufs: tuple[np.ndarray, ...],
-    weighted: np.ndarray,
-) -> None:
-    """t offsets of a branch at m centres, written in place.
+) -> tuple[np.ndarray, ...]:
+    """t offsets of a branch at m centres.
 
     `feats` and `coords` are pixel columns from `_columns`, the last one
     zero; `index` (t, m) holds the column of each centre's neighbour, the
     zero column when that neighbour is invalid or outside, `neigh_valid`
     whether it is not, and `centre_xyz` the centres' (3, m) coordinates.
-    `bufs` are C-contiguous arrays of `_tap_shapes`, shaped by the caller:
-    the tap fills them with the (c_in, t, m) neighbour features, (3, t, m)
-    coordinate deltas, (t, c_mid, m) hidden activations and (t, c_in, m)
-    gates, so each tap's slice of a stacked product rounds as a 2-D product
-    would, and fills `weighted` with the (t, c_in, m) chunks, a zero at
-    every invalid neighbour.
+    Returns the C-contiguous (c_in, t, m) neighbour features, (3, t, m)
+    coordinate deltas, (t, c_mid, m) hidden activations, (t, c_in, m) gates
+    and (t, c_in, m) gated chunks, a zero at every invalid neighbour. Each
+    tap's slice of a stacked product rounds as a 2-D product would.
     """
-    neigh_feat, delta, hid, gate = bufs
-    # Every index is in range; "clip" keeps `take` from buffering `out`.
-    feats.take(index, axis=1, out=neigh_feat, mode="clip")
-    coords.take(index, axis=1, out=delta, mode="clip")
+    neigh_feat = feats.take(index, axis=1, mode="clip")
+    delta = coords.take(index, axis=1, mode="clip")
     delta -= centre_xyz[:, None]
     delta *= neigh_valid
-    np.matmul(branch.w1, delta.transpose(1, 0, 2), out=hid)
+    hid = branch.w1 @ delta.transpose(1, 0, 2)
     hid += branch.b1[:, None]
     np.maximum(hid, 0.0, out=hid)
-    np.matmul(branch.w2, hid, out=gate)
+    gate = branch.w2 @ hid
     gate += branch.b2[:, None]
-    np.multiply(gate, neigh_feat.transpose(1, 0, 2), out=weighted)
+    return neigh_feat, delta, hid, gate, gate * neigh_feat.transpose(1, 0, 2)
 
 
 # Centres per meta-kernel block. A block stacks its nine taps; at 512
@@ -493,19 +469,15 @@ def _hdmk_fill(
     one valid neighbour. Everywhere else all nine weighted chunks are zero,
     so the branch output is exactly its accumulator bias, and every pixel
     there is invalid: its half is filled once with that bias times zero,
-    only when the support misses a pixel. The support is walked in column
-    blocks (`_column_blocks`) through one set of buffers for both branches,
-    allocated in the shape of the widest block; a block of another width,
-    a last one, uses their contiguous prefixes (`_prefix`), shaped once per
-    width. A block's tap columns are the padded column map at its centres'
-    indices on the padded grid, which the plan holds, plus the branch's
-    nine steps (`_tap_steps`); the middle tap, offset (0, 0), is the
-    centre's own column. One `_tap` call evaluates all nine taps of a block,
-    writing the gated chunks into the rows of the (9 * c_in, n) accumulator
-    operand. A block's invalid centres are zeroed in place; a block of
-    consecutive pixels is written as one slice of the output, any other
-    block row by row with a 1-D scatter, so beyond the fill no pass runs
-    over the whole output.
+    only when the support misses a pixel. A block's tap columns are the
+    padded column map at its centres' indices on the padded grid, which the
+    plan holds, plus the branch's nine steps (`_tap_steps`); the middle
+    tap, offset (0, 0), is the centre's own column. One `_tap` call
+    evaluates all nine taps of a block, and its gated chunks are the rows of
+    the (9 * c_in, n) accumulator operand. A block's invalid centres are
+    zeroed in place; a block of consecutive pixels is written as one slice
+    of the output, any other row by row with a 1-D scatter, so beyond the
+    fill no pass runs over the whole output.
     """
     _check_hdmk_input(feats, coords, valid, params)
     h, w = valid.shape
@@ -515,13 +487,6 @@ def _hdmk_fill(
     centres, (padded, _, *support_ids), *supports = _stencils(valid, wrap_horizontal)
     feat_cols = _columns(feats, centres)
     coord_cols = _columns(coords, centres)
-
-    def shapes(n):
-        """Tap buffers, centre coordinates, chunks and accumulator at n centres."""
-        return (*_tap_shapes(c_in, params.c_mid, taps, n), (3, n), (taps, c_in, n), (c_half, n))
-
-    width = min(max(map(len, supports)), _COLUMN_BLOCK)
-    shaped = {width: [np.empty(shape) for shape in shapes(width)]}
     for b, (branch, steps, support, ids) in enumerate(
         zip((params.branch1, params.branch2), _tap_steps(w), supports, support_ids)
     ):
@@ -532,16 +497,13 @@ def _hdmk_fill(
             half[:] = ((branch.b_acc + 0.0) * 0.0)[:, None]
         for start, stop in _column_blocks(len(support), _COLUMN_BLOCK):
             n = stop - start
-            if n not in shaped:
-                shaped[n] = [_prefix(buf, *shape) for buf, shape in zip(shaped[width], shapes(n))]
-            *bufs, centre_xyz, chunks, acc = shaped[n]
             index = padded.take(ids[start:stop] + steps)
             neigh_valid = index != len(centres)
             # Offset (0, 0), the middle tap, reads the centre's own column.
-            coord_cols.take(index[taps // 2], axis=1, out=centre_xyz, mode="clip")
-            _tap(branch, feat_cols, coord_cols, centre_xyz, index, neigh_valid, bufs, chunks)
+            centre_xyz = coord_cols.take(index[taps // 2], axis=1, mode="clip")
+            chunks = _tap(branch, feat_cols, coord_cols, centre_xyz, index, neigh_valid)[-1]
             # Tap k's gated chunk is rows k * c_in ... of the operand.
-            np.matmul(branch.w_acc, chunks.reshape(taps * c_in, n), out=acc)
+            acc = branch.w_acc @ chunks.reshape(taps * c_in, n)
             acc += branch.b_acc[:, None]
             acc *= neigh_valid[taps // 2]
             first, last = support[start], support[stop - 1]
@@ -551,6 +513,8 @@ def _hdmk_fill(
                 block = support[start:stop]
                 for row, values in zip(half, acc):
                     row[block] = values
+            # Freed before the next block allocates its own.
+            del chunks, acc
 
 
 def hdmk_forward(
@@ -595,10 +559,9 @@ def hdmk_backward(
 ) -> HdMetaKernelGrads:
     """Exact gradients of sum(upstream_grad * hdmk_forward(feat)).
 
-    Recomputes the taps at all h*w centres one at a time through one buffer
-    set, so memory is linear in c * h * w; tap (dh, dw) reads the window of
-    the padded column map shifted by (dh, dw) (`_window`). Coordinate planes
-    are constants.
+    Recomputes the taps at all h*w centres one at a time, so memory is
+    linear in c * h * w; tap (dh, dw) reads the window of the padded column
+    map shifted by (dh, dw) (`_window`). Coordinate planes are constants.
     Accumulation runs in a fixed order (branch, then offset), so repeated
     calls are bit-identical.
     """
@@ -620,9 +583,6 @@ def hdmk_backward(
     c_half = params.c_out // 2
 
     d_cols = np.zeros_like(feat_cols)
-    bufs = [np.empty(shape) for shape in _tap_shapes(c_in, params.c_mid, 1, n_px)]
-    neigh_feat, delta, hid, gate = (buf.reshape(-1, n_px) for buf in bufs)
-    weighted = np.empty((c_in, n_px))
     branch_grads = []
     for b, (branch, offsets) in enumerate(
         zip((params.branch1, params.branch2), _BRANCH_OFFSETS)
@@ -637,9 +597,9 @@ def hdmk_backward(
         for k, (dh, dw) in enumerate(offsets):
             index = _window(padded, h, w, dh, dw).reshape(1, n_px)
             neigh_valid = index != len(centres)
-            _tap(
-                branch, feat_cols, coord_cols, centre_xyz, index, neigh_valid, bufs,
-                weighted[None],
+            neigh_feat, delta, hid, gate, weighted = (
+                a.reshape(-1, n_px)
+                for a in _tap(branch, feat_cols, coord_cols, centre_xyz, index, neigh_valid)
             )
             block = slice(k * c_in, (k + 1) * c_in)
             d_w_acc[:, block] = g_out @ weighted.T
@@ -656,6 +616,8 @@ def hdmk_backward(
             d_pre = (branch.w2.T @ d_gate) * (hid > 0.0)
             d_w1 += d_pre @ delta.T
             d_b1 += np.sum(d_pre, axis=1)
+            # Freed before the next tap allocates its own.
+            del neigh_feat, delta, hid, gate, weighted, d_weighted, d_gate, d_pre
         branch_grads.append(BranchParams(d_w1, d_b1, d_w2, d_b2, d_w_acc, d_b_acc))
     return HdMetaKernelGrads(
         _planes(d_cols[:, :-1], padded, h, w), HdMetaKernelParams(*branch_grads)

@@ -546,20 +546,27 @@ class TestPipeline:
         assert "failed at stage project" in summary
         assert "partial output" in summary
 
-    def test_cloud_entirely_out_of_view_stops_at_fps(self, toy, tmp_path):
+    def test_cloud_entirely_out_of_view_runs_to_the_end(self, toy, tmp_path):
         # Straight below the sensor: outside the field of view in every row.
         points = np.array([[1.0, 0.0, -10.0, 0.5], [0.0, -2.0, -30.0, 0.2]])
-        bin_path = tmp_path / "below.bin"
+        bin_path, boxes_path = tmp_path / "below.bin", tmp_path / "boxes.txt"
         formats.write_kitti_bin(bin_path, points)
+        boxes_path.write_text("5.0 0.0 0.0 4.0 2.0 1.5 0.0\n", encoding="utf-8")
         out = tmp_path / "out"
-        with pytest.raises(pipeline.PipelineError) as err:
-            pipeline.run_pipeline(toy.cfg, bin_path, out)
-        assert str(err.value) == "stage fps failed: cannot sample from an empty cloud"
+        result = pipeline.run_pipeline(toy.cfg, bin_path, out, boxes_path)
+        assert result["status"] == "ok"
+        assert result["stages"]["fps"] == {"requested": toy.cfg.keypoint_count, "kept": 0}
+        assert result["stages"]["pool"]["boxes"] == 1
         summary = (out / pipeline.SUMMARY_FILE).read_text()
         assert "stage project: points=2 valid_pixels=0 " in summary
         # The meta kernel runs with an empty support and redeems nothing.
         assert "stage redeem: redeemed_points=0 " in summary
         assert "stage voxelize: in_range_points=0 " in summary
+        keypoints = formats.read_rfp1(out / pipeline.KEYPOINTS_FILE)
+        assert len(keypoints) == 0 and keypoints.feature_dim == toy.cfg.feature_dim
+        # With no keypoint the box pools from empty grid points: one row.
+        refined = (out / pipeline.REFINED_FILE).read_text().splitlines()
+        assert len(refined) == 2 and refined[0].startswith("#")
 
     def test_unrecognized_input_rejected(self, toy, tmp_path):
         stray = tmp_path / "scene.xyz"

@@ -139,10 +139,12 @@ class TestFurthestPointSampling:
         idx = furthest_point_sampling(cloud.xyz, 4)
         assert sorted(idx.tolist()) == [0, 1, 2, 3]
 
-    def test_empty_cloud_rejected(self):
+    def test_empty_cloud_gives_empty_index(self):
         cloud = make_cloud(np.zeros((0, 3)))
-        with pytest.raises(ValueError):
-            furthest_point_sampling(cloud.xyz, 1)
+        idx = furthest_point_sampling(cloud.xyz, 1)
+        assert idx.dtype == np.int64 and idx.shape == (0,)
+        with pytest.raises(ValueError, match="count must be >= 1"):
+            furthest_point_sampling(cloud.xyz, 0)
 
     def test_bad_seed_rejected(self):
         cloud = make_cloud([[0, 0, 0]])

@@ -220,11 +220,10 @@ class TestBasicBlock:
     @pytest.mark.parametrize("c_in", [5, 32])
     @pytest.mark.parametrize("n", [7, 1041, 8193, 12290])
     def test_conv_in_column_blocks_matches_one_product_per_tap(self, n, c_in):
-        # The convolution walks its columns in blocks of 4096 through two
-        # buffers: 7 and 1,041 columns fit one block, 8,193 and 12,290 take
-        # two or three whole blocks and a last one of 1 or 2 columns. Every
-        # column matches one product per tap over all n columns within
-        # criterion 3's 1e-12.
+        # The convolution walks its columns in blocks of 4096: 7 and 1,041
+        # columns fit one block, 8,193 and 12,290 take two or three whole
+        # blocks and a last one of 1 or 2 columns. Every column matches one
+        # product per tap over all n columns within criterion 3's 1e-12.
         rng = np.random.default_rng([n, c_in])
         cols = rng.standard_normal((c_in, n))
         weight = rng.standard_normal((32, c_in, 3, 3))
@@ -501,29 +500,6 @@ class TestDenseByteIdentity:
         params = init_params(0, dims)
         assert_hdmk_matches_dense(img.feature_planes, img.channels[:3], img.valid, params, wrap)
 
-    # Buffers are shaped once per block width, not per block and branch:
-    # both supports span three or more blocks of 8 and end in a partial one.
-    @pytest.mark.parametrize("mask", [0.15, "all"])
-    def test_forward_shapes_buffers_once_per_width(self, mask, monkeypatch):
-        monkeypatch.setattr(rvfe, "_COLUMN_BLOCK", 8)
-        rng = np.random.default_rng(MASKS.index(mask))
-        img = masked_image(rng, (9, 13), mask, n_feat=4)
-        supports = rvfe._stencils(img.valid, True)[2:]
-        widths = {8} | {len(support) % 8 for support in supports}
-        assert all(len(support) > 16 for support in supports) and 0 not in widths
-        shaped = []
-        prefix = rvfe._prefix
-
-        def counted(buf, *shape):
-            shaped.append(shape)
-            return prefix(buf, *shape)
-
-        monkeypatch.setattr(rvfe, "_prefix", counted)
-        params = util.random_hdmk_params(rng, c_in=4, c_mid=5, c_out=6)
-        assert_hdmk_matches_dense(img.feature_planes, img.channels[:3], img.valid, params, True)
-        assert {shape[-1] for shape in shaped} <= widths
-        assert len(shaped) <= 8 * len(widths)
-
     def test_negative_zero_bias(self):
         # Weight files may hold -0.0. Far from valid pixels the dense output
         # is (+0 product) + b_acc, which is +0 for such a bias.
@@ -727,6 +703,30 @@ class TestForwardMemory:
         peak, out_bytes = hdmk_peak_on_a_scan(25, 35_863)
         assert peak < 3 * out_bytes
 
+    def test_a_block_frees_its_arrays_before_the_next(self):
+        # A 64x128 image, 30% valid, whose supports span 16 blocks. Beyond
+        # the output and the gathered feature and coordinate columns, the
+        # call holds one block's tap arrays: neighbour features, deltas,
+        # hidden units, gates and gated chunks, about 1.05 times their
+        # bytes. Keeping a block's chunks and accumulator alive into the
+        # next block held about 1.30 times.
+        rng = np.random.default_rng(34)
+        img = util.random_image(rng, 64, 128, density=0.3, n_feat=32)
+        params = init_params(0, (32, 32, 64))
+        feats, coords = img.feature_planes, img.channels[:3]
+        # The plan is built, and cached, outside the trace.
+        for support in rvfe._stencils(img.valid, True)[2:]:
+            assert len(support) > 8 * rvfe._COLUMN_BLOCK
+        tracemalloc.start()
+        try:
+            out = hdmk_forward_planes(feats, coords, img.valid, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        held = out.nbytes + 8 * (params.c_in + 3) * (img.valid.sum() + 1)
+        block = 8 * 9 * rvfe._COLUMN_BLOCK * (3 * params.c_in + 3 + params.c_mid)
+        assert peak - held < 1.15 * block
+
     def test_hdmk_forward_holds_one_image(self):
         # The call fills the image it returns: about 1.43 times the image's
         # bytes with the plan cached, as the conv block leaves it in the
@@ -777,11 +777,11 @@ class TestForwardMemory:
 
     def test_conv_working_set_is_fixed(self):
         # One 3x3 convolution over the scan's 35,863 columns. Beyond the
-        # zero-padded input and the output it holds one gather buffer and
-        # one product buffer of 4,096 columns: about 2.23 times the output's
-        # bytes. Growing both buffers to a last block of up to 8,191
-        # columns held 2.4 times; a gather and a product over all columns
-        # per tap held 4 times.
+        # zero-padded input and the output it holds one tap's gather and
+        # product of 4,096 columns: about 2.23 times the output's bytes.
+        # Merging the last block into one of up to 8,191 columns held 2.4
+        # times; a gather and a product over all columns per tap held 4
+        # times.
         rng = np.random.default_rng(26)
         n = 35_863
         cols = rng.standard_normal((32, n))
@@ -798,9 +798,9 @@ class TestForwardMemory:
 
 class TestBackwardMemory:
     def test_peak_is_linear_in_channels_times_pixels(self):
-        # A 64x512 image with 27% of its pixels valid. One buffer set walks
-        # the nine taps of both branches, about 10.5 times the image's
-        # bytes; keeping every tap's buffers and the (9 * c_in, h * w) chunk
+        # A 64x512 image with 27% of its pixels valid. The nine taps of both
+        # branches run one at a time, about 8.6 times the image's bytes;
+        # keeping every tap's arrays and the (9 * c_in, h * w) chunk
         # matrices of a branch alive at once held about 69 times.
         rng = np.random.default_rng(29)
         img = util.random_image(rng, 64, 512, n_feat=32, density=0.27)
@@ -814,6 +814,31 @@ class TestBackwardMemory:
             tracemalloc.stop()
         assert grads.feat.shape == (32, 64, 512)
         assert peak < 16 * img.channels.nbytes
+
+    def test_a_tap_frees_its_arrays_before_the_next(self):
+        # A 64x128 image, 30% valid. Beyond the masked upstream gradient, the
+        # feature, coordinate and feature-gradient columns and the centres'
+        # coordinates, the call holds one tap's arrays at every pixel:
+        # neighbour features, deltas, hidden units, gates, gated chunks and
+        # the chunk, gate and pre-activation gradients, about 1.04 times
+        # their bytes. Keeping a tap's arrays alive into the next tap held
+        # about 1.59 times, and keeping only its gradients about 1.30.
+        rng = np.random.default_rng(34)
+        img = util.random_image(rng, 64, 128, density=0.3, n_feat=32)
+        params = init_params(0, (32, 32, 64))
+        upstream = rng.normal(size=(params.c_out, 64, 128))
+        # The plan is built, and cached, outside the trace.
+        rvfe._stencils(img.valid, True)
+        tracemalloc.start()
+        try:
+            hdmk_backward(img, params, upstream)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        c_in, c_mid, n_px = params.c_in, params.c_mid, img.valid.size
+        held = 8 * ((params.c_out + 3) * n_px + (2 * c_in + 3) * (img.valid.sum() + 1))
+        tap = 8 * n_px * (5 * c_in + 3 + 2 * c_mid)
+        assert peak - held < 1.2 * tap
 
 
 class TestColumnBlocks:

@@ -67,3 +67,10 @@ class TestSrcLines:
         assert tool.count_tree(tmp_path) == (33 + 3, 14 + 1)
         assert tool.main([str(tmp_path)]) == 0
         assert capsys.readouterr().out == "wc -l 36\ncode 15\n"
+
+    def test_file_path_counts_that_file(self, tmp_path, capsys):
+        tool = load_tool("src_lines")
+        (tmp_path / "a.py").write_text(FIXTURE, encoding="utf-8")
+        assert tool.count_tree(tmp_path / "a.py") == (33, 14)
+        assert tool.main([str(tmp_path / "a.py")]) == 0
+        assert capsys.readouterr().out == "wc -l 33\ncode 14\n"

@@ -5,9 +5,10 @@ or ENDMARKER, outside every module, class and function docstring. A token
 that spans lines, such as a multi-line string, makes each of its lines a
 code line. Blank lines, comment lines and docstring lines are not.
 
-    python3 tools/src_lines.py [DIR]    # DIR defaults to src/rvredeem
+    python3 tools/src_lines.py [PATH]    # PATH defaults to src/rvredeem
 
-prints `wc -l <total>` and `code <count>` for the `.py` files under DIR.
+prints `wc -l <total>` and `code <count>` for the `.py` files under PATH,
+or for PATH itself when it is a file.
 """
 
 from __future__ import annotations
@@ -56,8 +57,11 @@ def count_source(source: str) -> tuple[int, int]:
 
 
 def count_tree(root) -> tuple[int, int]:
-    """Summed `count_source` over the `.py` files under `root`."""
-    totals = [count_source(path.read_text(encoding="utf-8")) for path in Path(root).rglob("*.py")]
+    """Summed `count_source` over the `.py` files under `root`, or of the
+    file `root`."""
+    root = Path(root)
+    paths = [root] if root.is_file() else root.rglob("*.py")
+    totals = [count_source(path.read_text(encoding="utf-8")) for path in paths]
     return sum(t[0] for t in totals), sum(t[1] for t in totals)
 
 
