@@ -46,6 +46,7 @@ from .pointops import (
 from .range_geometry import build_range_image, redeem_feature_points, unproject_pixels
 from .rng import STREAM_SCENE, DetRng, derive_seed
 from .rvfe import (
+    _COLUMN_BLOCK,
     BasicBlockParams,
     HdMetaKernelParams,
     basicblock_forward,
@@ -455,15 +456,8 @@ def gradcheck_instance(seed: int, dims: tuple[int, int, int]):
     xyz = unproject_pixels(
         cols.ravel() + 0.5, rows.ravel() + 0.5, ranges, sensor
     )
-    channels = np.concatenate(
-        [
-            xyz.T.reshape(3, height, width),
-            intensity.reshape(1, height, width),
-            ranges.reshape(1, height, width),
-            feats,
-        ]
-    )
-    channels *= valid.reshape(height, width)
+    channels = np.concatenate([xyz.T, [intensity, ranges], feats.reshape(c_in, n)])
+    channels = channels.reshape(-1, height, width) * valid.reshape(height, width)
     img = RangeImage(sensor, channels, valid.reshape(height, width))
     params = init_params(seed, dims)
     upstream = rng.uniforms(params.c_out * n, -1.0, 1.0).reshape(
@@ -472,63 +466,62 @@ def gradcheck_instance(seed: int, dims: tuple[int, int, int]):
     return img, params, upstream
 
 
+def gradcheck_losses(
+    img: RangeImage, params: HdMetaKernelParams, upstream: np.ndarray, name: str, elements
+) -> np.ndarray:
+    """The (2, len(elements)) central-difference losses: sum(upstream *
+    hdmk_forward_planes(...)) with +GRADCHECK_STEP, then -GRADCHECK_STEP,
+    added to each of `elements`, a sequence of flat indices into tensor
+    `name` ("feat" or a `params.tensors()` name), one element at a time.
+
+    The perturbed copies stack on a leading axis, in groups of
+    _COLUMN_BLOCK // (h * w) per forward call, so that a call's columns
+    stay within one meta-kernel block. Each loss is one sum over its own
+    (c_out, h, w) output, the bytes of a forward call per element.
+    """
+    feat, coords, valid = img.feature_planes, img.channels[:3], img.valid
+    tensor = feat if name == "feat" else params.tensors()[name]
+    group = max(1, _COLUMN_BLOCK // valid.size)
+    losses = []
+    for step in (GRADCHECK_STEP, -GRADCHECK_STEP):
+        for start in range(0, len(elements), group):
+            picked = elements[start : start + group]
+            stack = np.repeat(tensor[None], len(picked), axis=0)
+            stack.reshape(len(picked), -1)[np.arange(len(picked)), picked] += step
+            active = params if name == "feat" else params.with_tensor(name, stack)
+            out = hdmk_forward_planes(stack if name == "feat" else feat, coords, valid, active)
+            losses.extend(float(np.sum(upstream * one)) for one in out)
+    return np.array(losses).reshape(2, -1)
+
+
 def run_gradcheck(
     seed: int = 0, params: HdMetaKernelParams | None = None
 ) -> tuple[bool, list[dict]]:
     """Central finite differences against the analytic meta-kernel backward.
 
     Checks every element of the input feature planes and of every parameter
-    tensor in both branches, with columns wrapping. An element passes when
-    |analytic - fd| <= max(1e-4 * max(|analytic|, |fd|), 1e-7). Returns
-    (all passed, per-slice reports).
+    tensor in both branches, with columns wrapping (`gradcheck_losses`). An
+    element passes when |analytic - fd| <= max(1e-4 * max(|analytic|,
+    |fd|), 1e-7). Returns (all passed, per-slice reports).
     """
     dims = GRADCHECK_DIMS if params is None else (params.c_in, params.c_mid, params.c_out)
     img, init, upstream = gradcheck_instance(seed, dims)
-    if params is None:
-        params = init
-
-    coords = img.channels[:3]
-    valid = img.valid
-    feat = img.feature_planes.copy()
-    tensors = {"feat": feat}
-    tensors.update({name: value.copy() for name, value in params.tensors().items()})
-
-    def loss(name: str) -> float:
-        """The loss with `tensors[name]` in place of its unperturbed value."""
-        active = params if name == "feat" else params.with_tensor(name, tensors[name])
-        out = hdmk_forward_planes(feat, coords, valid, active)
-        return float(np.sum(upstream * out))
-
+    params = init if params is None else params
     grads = hdmk_backward(img, params, upstream)
-    analytic = {"feat": grads.feat, **grads.params.tensors()}
-
     reports = []
-    all_ok = True
-    for name, tensor in tensors.items():
-        worst_abs = 0.0
-        worst_margin = 0.0
-        for index in np.ndindex(tensor.shape):
-            saved = tensor[index]
-            tensor[index] = saved + GRADCHECK_STEP
-            high = loss(name)
-            tensor[index] = saved - GRADCHECK_STEP
-            low = loss(name)
-            tensor[index] = saved
-            fd = (high - low) / (2.0 * GRADCHECK_STEP)
-            a = float(analytic[name][index])
-            diff = abs(a - fd)
-            allowed = max(1e-4 * max(abs(a), abs(fd)), 1e-7)
-            worst_abs = max(worst_abs, diff)
-            worst_margin = max(worst_margin, diff / allowed)
-        ok = worst_margin <= 1.0
-        all_ok = all_ok and ok
+    for name, analytic in {"feat": grads.feat, **grads.params.tensors()}.items():
+        a = analytic.ravel()
+        high, low = gradcheck_losses(img, params, upstream, name, range(a.size))
+        fd = (high - low) / (2.0 * GRADCHECK_STEP)
+        diff = np.abs(a - fd)
+        margin = float(np.max(diff / np.maximum(1e-4 * np.maximum(np.abs(a), np.abs(fd)), 1e-7)))
         reports.append(
             {
                 "slice": name,
-                "elements": int(np.prod(tensor.shape)),
-                "max_abs_diff": worst_abs,
-                "worst_margin": worst_margin,
-                "ok": ok,
+                "elements": a.size,
+                "max_abs_diff": float(np.max(diff)),
+                "worst_margin": margin,
+                "ok": margin <= 1.0,
             }
         )
-    return all_ok, reports
+    return all(report["ok"] for report in reports), reports

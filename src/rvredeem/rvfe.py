@@ -42,6 +42,16 @@ kernel writes its planes straight into the image that `hdmk_forward`
 returns. What the outputs hold, and how closely they match a dense
 evaluation, is stated in the README ("Sparse feature extraction").
 
+The meta kernel's forward takes leading axes, as `sgrid.pointnet_aggregate`
+takes neighbourhoods: (..., c_in, h, w) features, or branch tensors with
+leading axes (`HdMetaKernelParams.lead`), give (..., c_out, h, w), one
+kernel per index. The gradient check evaluates a group of perturbations of
+one tensor this way. The axes lead every stacked product, so each index's
+slice is the BLAS call of its own 2-D product and holds the bytes of its
+own call; what does not depend on them (the coordinate deltas, the other
+branch) is evaluated once. Blocks stay _COLUMN_BLOCK centres per index, so
+the caller bounds the stack.
+
 The meta kernel has an analytic backward pass (coordinates are constants;
 gradients flow to input features and all parameters). It recomputes its
 taps at all h * w centres through the same columns, one tap at a time,
@@ -96,17 +106,18 @@ class BranchParams:
     def __post_init__(self):
         for name in _BRANCH_TENSORS:
             object.__setattr__(self, name, frozen_array(name, getattr(self, name)))
-        c_mid = self.w1.shape[0]
-        c_in = self.w2.shape[0]
-        if self.w1.shape != (c_mid, 3) or self.b1.shape != (c_mid,):
+        # Shapes are checked on trailing axes; leading ones stack kernels.
+        w1, w2 = self.w1.shape, self.w2.shape
+        if len(w1) < 2 or w1[-1] != 3 or self.b1.shape[-1:] != w1[-2:-1]:
             raise ValueError("weight perceptron first layer must be (c_mid, 3)")
-        if self.w2.shape != (c_in, c_mid) or self.b2.shape != (c_in,):
+        if len(w2) < 2 or w2[-1] != w1[-2] or self.b2.shape[-1:] != w2[-2:-1]:
             raise ValueError("weight perceptron second layer must be (c_in, c_mid)")
-        if self.w_acc.ndim != 2 or self.w_acc.shape[1] != 9 * c_in:
+        c_in = w2[-2]
+        if self.w_acc.ndim < 2 or self.w_acc.shape[-1] != 9 * c_in:
             raise ValueError(
                 f"accumulator must take 9*c_in = {9 * c_in} inputs, got {self.w_acc.shape}"
             )
-        if self.b_acc.shape != (self.w_acc.shape[0],):
+        if self.b_acc.shape[-1:] != self.w_acc.shape[-2:-1]:
             raise ValueError("accumulator bias shape mismatch")
 
 
@@ -120,17 +131,20 @@ class HdMetaKernelParams:
 
     `tensors()`, `from_tensors` and `with_tensor` are the one map between
     these parameters and tensor names ("branch1.w1" ... "branch2.b_acc"),
-    shared by weight files, gradients and the gradient check.
+    shared by weight files, gradients and the gradient check. A tensor may
+    carry leading axes (`lead`), one kernel per index: the gradient check
+    stacks perturbed copies of one tensor this way.
     """
 
     branch1: BranchParams
     branch2: BranchParams
 
     def __post_init__(self):
-        if self.branch1.w2.shape[0] != self.branch2.w2.shape[0]:
+        if self.branch1.w2.shape[-2] != self.branch2.w2.shape[-2]:
             raise ValueError("branches must share c_in")
-        if self.branch1.w_acc.shape[0] != self.branch2.w_acc.shape[0]:
+        if self.branch1.w_acc.shape[-2] != self.branch2.w_acc.shape[-2]:
             raise ValueError("branches must produce equal half-widths")
+        self.lead  # raises unless the leading axes broadcast together
 
     def tensors(self) -> dict[str, np.ndarray]:
         """Every tensor by name, branch by branch in field order."""
@@ -146,7 +160,8 @@ class HdMetaKernelParams:
         ))
 
     def with_tensor(self, name: str, value) -> HdMetaKernelParams:
-        """A copy with tensor `name` replaced; only its branch is rebuilt."""
+        """A copy with tensor `name` replaced; only its branch is rebuilt.
+        `value` may stack several values on leading axes."""
         branch, tensor = name.split(".")
         if branch not in _BRANCHES or tensor not in _BRANCH_TENSORS:
             raise KeyError(f"no meta-kernel tensor {name!r}")
@@ -154,17 +169,26 @@ class HdMetaKernelParams:
         new = BranchParams(*(value if t == tensor else getattr(old, t) for t in _BRANCH_TENSORS))
         return HdMetaKernelParams(*(new if b == branch else getattr(self, b) for b in _BRANCHES))
 
+    @functools.cached_property
+    def lead(self) -> tuple[int, ...]:
+        """Every tensor's leading axes broadcast together, () for one kernel:
+        what precedes the last two axes of a weight (w*), the last of a bias."""
+        return np.broadcast_shapes(*(
+            getattr(branch, t).shape[: -2 if t[0] == "w" else -1]
+            for branch in (self.branch1, self.branch2) for t in _BRANCH_TENSORS
+        ))
+
     @property
     def c_in(self) -> int:
-        return self.branch1.w2.shape[0]
+        return self.branch1.w2.shape[-2]
 
     @property
     def c_mid(self) -> int:
-        return self.branch1.w1.shape[0]
+        return self.branch1.w1.shape[-2]
 
     @property
     def c_out(self) -> int:
-        return 2 * self.branch1.w_acc.shape[0]
+        return 2 * self.branch1.w_acc.shape[-2]
 
 
 _BRANCHES = tuple(f.name for f in fields(HdMetaKernelParams))
@@ -296,10 +320,11 @@ def _stencils(valid: np.ndarray, wrap_horizontal: bool):
 
 
 def _columns(planes: np.ndarray, centres: np.ndarray) -> np.ndarray:
-    """(c, h, w) planes at flat `centres`, then a zero column: (c, len + 1)."""
-    flat = planes.reshape(planes.shape[0], -1)
-    out = np.zeros((flat.shape[0], len(centres) + 1))
-    flat.take(centres, axis=1, out=out[:, :-1], mode="clip")
+    """(..., c, h, w) planes at flat `centres`, then a zero column:
+    (..., c, len + 1)."""
+    flat = planes.reshape(*planes.shape[:-2], -1)
+    out = np.zeros((*flat.shape[:-1], len(centres) + 1))
+    flat.take(centres, axis=-1, out=out[..., :-1], mode="clip")
     return out
 
 
@@ -393,10 +418,15 @@ def _check_hdmk_input(
     if valid.ndim != 2:
         raise ValueError(f"valid mask must be (h, w), got shape {valid.shape}")
     h, w = valid.shape
-    if feats.shape != (params.c_in, h, w):
+    if feats.shape[-3:] != (params.c_in, h, w):
         raise ValueError(f"features must be (c_in={params.c_in}, {h}, {w}), got {feats.shape}")
     if coords.shape != (3, h, w):
         raise ValueError(f"coords must be (3, {h}, {w}), got {coords.shape}")
+
+
+def _plus(x: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """x + bias, in place unless the bias brings leading axes x lacks."""
+    return x + bias if bias.ndim > x.ndim else np.add(x, bias, out=x)
 
 
 def _tap(
@@ -413,21 +443,23 @@ def _tap(
     zero; `index` (t, m) holds the column of each centre's neighbour, the
     zero column when that neighbour is invalid or outside, `neigh_valid`
     whether it is not, and `centre_xyz` the centres' (3, m) coordinates.
-    Returns the C-contiguous (c_in, t, m) neighbour features, (3, t, m)
-    coordinate deltas, (t, c_mid, m) hidden activations, (t, c_in, m) gates
-    and (t, c_in, m) gated chunks, a zero at every invalid neighbour. Each
-    tap's slice of a stacked product rounds as a 2-D product would.
+    Returns the C-contiguous (..., c_in, t, m) neighbour features, (3, t, m)
+    coordinate deltas, (..., t, c_mid, m) hidden activations, (..., t, c_in,
+    m) gates and (..., t, c_in, m) gated chunks, a zero at every invalid
+    neighbour; "..." are the leading axes of `feats` or of the branch
+    tensors that each result depends on. Each tap's slice of a stacked
+    product rounds as a 2-D product would.
     """
-    neigh_feat = feats.take(index, axis=1, mode="clip")
+    neigh_feat = feats.take(index, axis=-1, mode="clip")
     delta = coords.take(index, axis=1, mode="clip")
     delta -= centre_xyz[:, None]
     delta *= neigh_valid
-    hid = branch.w1 @ delta.transpose(1, 0, 2)
-    hid += branch.b1[:, None]
+    # Parameters gain an axis for the taps, in front of their own.
+    hid = branch.w1[..., None, :, :] @ delta.transpose(1, 0, 2)
+    hid = _plus(hid, branch.b1[..., None, :, None])
     np.maximum(hid, 0.0, out=hid)
-    gate = branch.w2 @ hid
-    gate += branch.b2[:, None]
-    return neigh_feat, delta, hid, gate, gate * neigh_feat.transpose(1, 0, 2)
+    gate = _plus(branch.w2[..., None, :, :] @ hid, branch.b2[..., None, :, None])
+    return neigh_feat, delta, hid, gate, gate * neigh_feat.swapaxes(-3, -2)
 
 
 # Centres per meta-kernel block. A block stacks its nine taps; at 512
@@ -443,15 +475,18 @@ def hdmk_forward_planes(
     params: HdMetaKernelParams,
     wrap_horizontal: bool = True,
 ) -> np.ndarray:
-    """Raw-array meta kernel: (c_in, h, w) features to (c_out, h, w).
+    """Raw-array meta kernel: (..., c_in, h, w) features to (..., c_out, h, w).
 
     Values stored at invalid pixels never reach the output; the result is
     zero at invalid pixels: the dense value times zero, +0 or -0. How it is
-    evaluated is `_hdmk_fill`'s, which `hdmk_forward` shares.
+    evaluated is `_hdmk_fill`'s, which `hdmk_forward` shares. The leading
+    axes "..." are those of `feats` and `params.lead` broadcast together,
+    one kernel evaluation per index; each is the bytes of its own call.
     """
-    out = np.empty((params.c_out, np.size(valid)))
+    lead = np.broadcast_shapes(np.shape(feats)[:-3], params.lead)
+    out = np.empty((*lead, params.c_out, np.size(valid)))
     _hdmk_fill(feats, coords, valid, params, wrap_horizontal, out)
-    return out.reshape(params.c_out, *valid.shape)
+    return out.reshape(*lead, params.c_out, *valid.shape)
 
 
 def _hdmk_fill(
@@ -462,8 +497,8 @@ def _hdmk_fill(
     wrap_horizontal: bool,
     full: np.ndarray,
 ) -> None:
-    """The meta kernel evaluated into `full`, a given (c_out, h * w) array,
-    every entry written.
+    """The meta kernel evaluated into `full`, a given (..., c_out, h * w)
+    array, every entry written.
 
     Each branch is evaluated only on its support, the centres with at least
     one valid neighbour. Everywhere else all nine weighted chunks are zero,
@@ -476,8 +511,10 @@ def _hdmk_fill(
     evaluates all nine taps of a block, and its gated chunks are the rows of
     the (9 * c_in, n) accumulator operand. A block's invalid centres are
     zeroed in place; a block of consecutive pixels is written as one slice
-    of the output, any other row by row with a 1-D scatter, so beyond the
-    fill no pass runs over the whole output.
+    of the output, any other row by row with a 1-D scatter (with leading
+    axes, one scatter), so beyond the fill no pass runs over the whole
+    output. A branch whose tensors and input lack the leading axes is
+    evaluated once and broadcast to every index.
     """
     _check_hdmk_input(feats, coords, valid, params)
     h, w = valid.shape
@@ -490,11 +527,11 @@ def _hdmk_fill(
     for b, (branch, steps, support, ids) in enumerate(
         zip((params.branch1, params.branch2), _tap_steps(w), supports, support_ids)
     ):
-        half = full[b * c_half : (b + 1) * c_half]
+        half = full[..., b * c_half : (b + 1) * c_half, :]
         if len(support) < h * w:
             # Off the support: the +0 product of all-zero chunks plus the
             # bias, at an invalid pixel.
-            half[:] = ((branch.b_acc + 0.0) * 0.0)[:, None]
+            half[...] = ((branch.b_acc + 0.0) * 0.0)[..., None]
         for start, stop in _column_blocks(len(support), _COLUMN_BLOCK):
             n = stop - start
             index = padded.take(ids[start:stop] + steps)
@@ -503,14 +540,16 @@ def _hdmk_fill(
             centre_xyz = coord_cols.take(index[taps // 2], axis=1, mode="clip")
             chunks = _tap(branch, feat_cols, coord_cols, centre_xyz, index, neigh_valid)[-1]
             # Tap k's gated chunk is rows k * c_in ... of the operand.
-            acc = branch.w_acc @ chunks.reshape(taps * c_in, n)
-            acc += branch.b_acc[:, None]
+            acc = branch.w_acc @ chunks.reshape(*chunks.shape[:-3], taps * c_in, n)
+            acc = _plus(acc, branch.b_acc[..., None])
             acc *= neigh_valid[taps // 2]
             first, last = support[start], support[stop - 1]
+            block = support[start:stop]
             if last - first == n - 1:
-                half[:, first : last + 1] = acc
+                half[..., first : last + 1] = acc
+            elif half.ndim > 2:
+                half[..., block] = acc
             else:
-                block = support[start:stop]
                 for row, values in zip(half, acc):
                     row[block] = values
             # Freed before the next block allocates its own.
@@ -566,6 +605,8 @@ def hdmk_backward(
     calls are bit-identical.
     """
     _check_hdmk_input(feat.feature_planes, feat.channels[:3], feat.valid, params)
+    if params.lead:
+        raise ValueError(f"the backward takes one kernel, got leading axes {params.lead}")
     c_in = params.c_in
     h, w = feat.valid.shape
     n_px = h * w

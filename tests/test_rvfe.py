@@ -10,7 +10,7 @@ import pytest
 
 import oracles
 import util
-from rvredeem import rvfe
+from rvredeem import pipeline, rvfe
 from rvredeem.core import RangeImage
 from rvredeem.pipeline import GRADCHECK_DIMS, gradcheck_instance, run_gradcheck
 from rvredeem.rvfe import (
@@ -660,7 +660,8 @@ class TestStencilPlan:
         assert held <= 8 * ((h + 4) * (w + 4) + 2 * listed)
 
     def test_gradcheck_builds_one_plan(self):
-        # 1,280 forward calls and a backward on one mask.
+        # 168 forward calls, each over a stack of perturbations, and a
+        # backward on one mask.
         rvfe._stencil_plan.cache_clear()
         run_gradcheck()
         assert rvfe._stencil_plan.cache_info().misses == 1
@@ -975,6 +976,68 @@ class TestHdmkBackward:
             np.testing.assert_array_equal(ga, gb)
 
 
+GRADCHECK_SLICES = ["feat", *init_params(0, GRADCHECK_DIMS).tensors()]
+
+
+class TestBatchedGradcheck:
+    def test_losses_match_one_call_per_element(self):
+        # Every element of every tensor of the seed-0 instance, both signs.
+        assert util.gradcheck_loss_mismatches(0, GRADCHECK_DIMS) == []
+
+    def test_pipeline_dims_on_sampled_elements(self):
+        # The `gradcheck --input` path on the pipeline's weights: 20
+        # elements of each tensor, in three groups of at most 8.
+        assert util.gradcheck_loss_mismatches(0, (32, 32, 64), 20) == []
+
+    def test_losses_match_under_another_kernel(self):
+        # OpenBLAS picks its kernel per CPU; Prescott runs on any x86-64.
+        code = (
+            "import util\n"
+            "print(util.gradcheck_loss_mismatches(0, (4, 6, 8))\n"
+            "      + util.gradcheck_loss_mismatches(0, (32, 32, 64), 20))\n"
+        )
+        assert util.run_under_kernel(code, "Prescott").strip() == "[]"
+
+    @pytest.mark.parametrize("target", GRADCHECK_SLICES)
+    def test_one_scaled_gradient_entry_fails_its_slice_only(self, target, monkeypatch):
+        # The largest entry of one analytic slice scaled by 1.01: only that
+        # slice's finite differences may disagree.
+        def scaled(*args):
+            grads = hdmk_backward(*args)
+            value = {"feat": grads.feat, **grads.params.tensors()}[target].copy()
+            value.flat[np.argmax(np.abs(value))] *= 1.01
+            if target == "feat":
+                return replace(grads, feat=value)
+            return replace(grads, params=grads.params.with_tensor(target, value))
+
+        monkeypatch.setattr(pipeline, "hdmk_backward", scaled)
+        ok, reports = run_gradcheck()
+        assert not ok
+        assert [report["slice"] for report in reports if not report["ok"]] == [target]
+
+    @pytest.mark.parametrize("name", ["feat", "branch1.w1", "branch1.b1", "branch2.b_acc"])
+    def test_stacked_forward_matches_one_call_per_index(self, name):
+        # A 30% valid 40x30 image: each branch's support spans several
+        # blocks, not all of consecutive pixels.
+        rng = np.random.default_rng(71)
+        img = util.random_image(rng, 40, 30, n_feat=4, density=0.3)
+        params = util.random_hdmk_params(rng, c_in=4, c_mid=5, c_out=6)
+        feats, coords = img.feature_planes, img.channels[:3]
+        base = feats if name == "feat" else params.tensors()[name]
+        stack = base + rng.normal(scale=0.1, size=(3, *base.shape))
+        if name == "feat":
+            out = hdmk_forward_planes(stack, coords, img.valid, params)
+            ones = [hdmk_forward_planes(one, coords, img.valid, params) for one in stack]
+        else:
+            out = hdmk_forward_planes(feats, coords, img.valid, params.with_tensor(name, stack))
+            ones = [
+                hdmk_forward_planes(feats, coords, img.valid, params.with_tensor(name, one))
+                for one in stack
+            ]
+        assert out.shape == (3, 6, 40, 30)
+        assert out.tobytes() == np.array(ones).tobytes()
+
+
 class TestInitParams:
     def test_same_seed_bit_identical(self):
         a = init_params(42, (4, 5, 6))
@@ -1029,6 +1092,24 @@ class TestInitParams:
             params.with_tensor("branch2.w3", value)
         with pytest.raises(ValueError, match="first layer"):
             params.with_tensor("branch1.w1", np.zeros((5, 4)))
+
+    def test_with_tensor_stacks_values_on_leading_axes(self):
+        # The dims come off the trailing axes; the other tensors stay.
+        params = init_params(3, (4, 5, 6))
+        stacked = params.with_tensor("branch2.b_acc", np.full((7, 3), 0.5))
+        assert stacked.lead == (7,) and params.lead == ()
+        assert (stacked.c_in, stacked.c_mid, stacked.c_out) == (4, 5, 6)
+        assert stacked.branch1 is params.branch1
+        np.testing.assert_array_equal(stacked.branch2.w_acc, params.branch2.w_acc)
+        np.testing.assert_array_equal(stacked.branch2.b_acc, np.full((7, 3), 0.5))
+        for bad in (np.zeros((7, 5, 4)), np.zeros(3)):
+            with pytest.raises(ValueError, match="first layer"):
+                params.with_tensor("branch1.w1", bad)
+        with pytest.raises(ValueError, match="broadcast"):
+            stacked.with_tensor("branch2.b2", np.zeros((2, 4)))
+        img, _, upstream = gradcheck_instance(3, (4, 5, 6))
+        with pytest.raises(ValueError, match="one kernel"):
+            hdmk_backward(img, stacked, upstream)
 
     def test_basicblock_init(self):
         a = init_basicblock(3, 8)

@@ -2,18 +2,14 @@
 
 import itertools
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
-import rvredeem
+import util
 from rvredeem.core import Box3D, FeaturePointCloud, SGridConfig
 from rvredeem.pointops import SharedMlp, pointnet_aggregate
 from rvredeem.sgrid import (
@@ -715,12 +711,6 @@ class TestBatchedHead:
         # a child process, and Prescott runs on any x86-64. The child checks
         # each stacked call the RoI stage makes: the head's and the pooling
         # MLPs' at every neighborhood size up to the default cap.
-        try:
-            config = str(np.show_config(mode="dicts"))
-        except TypeError:  # NumPy before 1.26 has no dict form
-            config = ""
-        if "DYNAMIC_ARCH" not in config:
-            pytest.skip("NumPy's BLAS is not an OpenBLAS DYNAMIC_ARCH build")
         code = (
             "import numpy as np\n"
             "from rvredeem.core import SGridConfig\n"
@@ -741,13 +731,7 @@ class TestBatchedHead:
             "        assert pointnet_aggregate(*args, mlp).tobytes() == np.array(ones).tobytes()\n"
             "print('equal')\n"
         )
-        # The child imports the package the tests import, installed or not.
-        paths = [str(Path(rvredeem.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-        env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott",
-               "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "equal"
+        assert util.run_under_kernel(code, "Prescott").strip() == "equal"
 
 
 class TestBatchedPool:
