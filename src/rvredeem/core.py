@@ -8,9 +8,7 @@ live in `range_geometry`.
 
 All types here are immutable after construction and safe to share across
 workers. Every array field of an artifact or parameter type, here and in the
-stage modules, is a read-only, finite, C-ordered copy made by `frozen_array`,
-except a fresh buffer handed over (`_Handover`) by the layer that filled it,
-which `frozen_array` freezes in place.
+stage modules, is a read-only, finite, C-ordered copy made by `frozen_array`.
 
 Config defaults live only on the dataclass fields: loaders pass just the keys
 a file sets. Empty values are rejected, and `sgrid.coarse_grid` must be 2.
@@ -40,18 +38,6 @@ class ConfigError(ValueError):
     """Raised on a missing, unparsable, or invariant-violating config key."""
 
 
-@dataclass(frozen=True)
-class _Handover:
-    """An array its filler gives up, which `frozen_array` keeps uncopied.
-
-    Package-private: only a layer that allocated and filled the array and
-    keeps no other reference wraps it (`rvfe.hdmk_forward`), so no caller's
-    array is ever captured.
-    """
-
-    array: np.ndarray
-
-
 def frozen_array(name: str, value, dtype=np.float64) -> np.ndarray:
     """A read-only C-ordered copy of `value` as `dtype`: how types keep arrays.
 
@@ -60,23 +46,12 @@ def frozen_array(name: str, value, dtype=np.float64) -> np.ndarray:
     reads the data the object keeps. A float copy must be finite; an integer
     dtype takes only integer input, never truncated floats. Errors name the
     field: "{name} must be finite".
-
-    A `_Handover` is frozen in place instead: it must be a writeable,
-    C-ordered ndarray of `dtype` that owns its data, never a view, and it is
-    checked like a copy.
     """
-    if isinstance(value, _Handover):
-        out = value.array
-        flags = out.flags
-        if not (type(out) is np.ndarray and out.dtype == dtype and flags.c_contiguous
-                and flags.owndata and flags.writeable):
-            raise ValueError(f"{name} handed over must be a fresh C-ordered {np.dtype(dtype)} array")
-    else:
-        if np.dtype(dtype).kind in "iu":
-            src = np.asarray(value)
-            if src.dtype.kind not in "iu":
-                raise ValueError(f"{name} must be integers, got dtype {src.dtype}")
-        out = np.array(value, dtype=dtype, order="C")
+    if np.dtype(dtype).kind in "iu":
+        src = np.asarray(value)
+        if src.dtype.kind not in "iu":
+            raise ValueError(f"{name} must be integers, got dtype {src.dtype}")
+    out = np.array(value, dtype=dtype, order="C")
     if out.dtype.kind == "f" and not np.isfinite(out).all():
         raise ValueError(f"{name} must be finite")
     out.setflags(write=False)

@@ -25,9 +25,10 @@ Values are stored in single precision; readers widen to float64. Code that
 needs bit-stable composition across process boundaries therefore goes on
 with values rounded as their file stores them, never with the wider ones.
 `as_stored` is that one rounding, for stage outputs and generated
-parameters alike. Writers refuse, before opening the file, a value that
-single precision holds only as inf, so no artifact is written that its
-reader would reject.
+parameters alike. A stage may instead build a file's planes in stored
+precision (`stored_planes`), which `write_rri1` then sends out unconverted.
+Writers refuse, before opening the file, a value that single precision
+holds only as inf, so no artifact is written that its reader would reject.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Box3D, FeaturePointCloud, RangeImage, SensorModel
+from .core import BASE_CHANNELS, Box3D, FeaturePointCloud, RangeImage, SensorModel
 
 _POINT_RECORD = 16  # four little-endian f32 per KITTI point
 
@@ -102,10 +103,22 @@ def _finite_f32(path, values, what: str) -> np.ndarray:
 # RRI1 range images
 # ---------------------------------------------------------------------------
 
-def write_rri1(path, img: RangeImage) -> None:
+def write_rri1(path, img: RangeImage, planes=None) -> None:
+    """`img` as RRI1, or with `planes` those (P, h, w) planes, zero at img's
+    invalid pixels, in place of img's own: a `stored_planes` buffer goes out
+    as it is, with no conversion."""
     h, w = img.sensor.height, img.sensor.width
-    planes = _finite_f32(path, img.channels, "channels")
-    _write(path, b"RRI1", struct.pack("<III", h, w, img.plane_count), planes, img.valid)
+    planes = _finite_f32(path, img.channels if planes is None else planes, "channels")
+    _write(path, b"RRI1", struct.pack("<III", h, w, len(planes)), planes, img.valid)
+
+
+def stored_planes(img: RangeImage, features: int) -> np.ndarray:
+    """(5 + features, h, w) planes in the precision RRI1 stores: img's base
+    planes, then `features` zero planes for a layer to fill, so that the
+    writer sends them out with no conversion."""
+    planes = np.zeros((BASE_CHANNELS + features, *img.valid.shape), dtype="<f4")
+    planes[:BASE_CHANNELS] = img.channels[:BASE_CHANNELS]
+    return planes
 
 
 def as_stored(values) -> np.ndarray:

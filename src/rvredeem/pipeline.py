@@ -8,11 +8,14 @@ single-shot `run_pipeline` and the per-stage CLI subcommands call the same
 functions, so composing subcommands reproduces the one-shot run bit for bit.
 
 Artifacts store values in single precision. Inside a stage, data that feeds
-later arithmetic (conv-block planes, RoI vectors) is first rounded in memory
-by `formats.as_stored` exactly as its artifact stores it, so the rounding is
-part of the stage's defined output, not an accident of process boundaries.
-Data that only goes on to a writer, directly or through a gather, is rounded
-by that writer. Stages read only their inputs, never a file they wrote.
+later arithmetic (conv-block columns, RoI vectors) is first rounded in
+memory by `formats.as_stored` exactly as its artifact stores it, so the
+rounding is part of the stage's defined output, not an accident of process
+boundaries. Data that only goes on to a writer is rounded once, as the
+writer rounds: the meta kernel rounds its features into the stored-precision
+planes of `features.rri1` (`formats.stored_planes`), which the cloud is
+gathered from; other data is rounded by its writer. Stages read only their
+inputs, never a file they wrote.
 
 Weight files are outputs only. Parameters are generated from the config
 seed on the single-precision grid, so the RWT1 file a stage writes holds
@@ -31,6 +34,7 @@ import numpy as np
 
 from . import formats
 from .core import (
+    BASE_CHANNELS,
     FeaturePointCloud,
     PipelineConfig,
     RangeImage,
@@ -51,7 +55,7 @@ from .rvfe import (
     HdMetaKernelParams,
     basicblock_forward,
     hdmk_backward,
-    hdmk_forward,
+    hdmk_forward,  # noqa: F401 (unused here; the benchmark's tracer wraps this name)
     hdmk_forward_planes,
     init_basicblock,
     init_params,
@@ -211,17 +215,23 @@ def stage_redeem(cfg: PipelineConfig, range_path, out_dir) -> dict:
     hdmk = init_params(cfg.seed, (cfg.conv_channels, cfg.mlp_hidden, cfg.feature_dim))
     formats.write_rwt1(out_dir / WEIGHTS_FILE, pack_rvfe_weights(block, hdmk))
 
-    # One image per RRI1 file; the base planes, read from range.rri1, are f32 already.
+    # The conv block's output stays on the valid pixels' columns, rounded as
+    # block.rri1 stores them; each file's planes are built in the precision
+    # RRI1 stores, and the features are evaluated straight into theirs.
     wrap = cfg.wrap_horizontal
-    block_img = img.with_features(formats.as_stored(basicblock_forward(img, block, wrap)))
-    del img  # block_img holds its planes; each image is dropped once the next holds it
-    formats.write_rri1(out_dir / BLOCK_FILE, block_img)
+    cols = formats.as_stored(basicblock_forward(img, block, wrap, columns=True))
+    planes = formats.stored_planes(img, block.c_out)
+    planes[BASE_CHANNELS:, img.valid] = cols
+    formats.write_rri1(out_dir / BLOCK_FILE, img, planes)
+    del planes  # freed before the features' planes are allocated
 
-    feat_img = hdmk_forward(block_img, hdmk, wrap)
-    del block_img
-    formats.write_rri1(out_dir / FEATURES_FILE, feat_img)
+    planes = formats.stored_planes(img, hdmk.c_out)
+    with np.errstate(over="ignore"):  # inf beyond single precision, which the writer refuses
+        hdmk_forward_planes(cols, img.channels[:3], img.valid, hdmk, wrap, out=planes[BASE_CHANNELS:])
+    del cols
+    formats.write_rri1(out_dir / FEATURES_FILE, img, planes)
 
-    cloud = redeem_feature_points(feat_img, cfg.feature_dim)
+    cloud = redeem_feature_points(img, cfg.feature_dim, planes)
     formats.write_rfp1(out_dir / CLOUD_FILE, cloud)
     return {"redeemed_points": len(cloud), "feature_dim": cloud.feature_dim}
 

@@ -175,20 +175,22 @@ def build_range_image(points, sensor: SensorModel) -> RangeImage:
 
 
 def redeem_feature_points(
-    img: RangeImage, expected_dim: int | None = None
+    img: RangeImage, expected_dim: int | None = None, planes=None
 ) -> FeaturePointCloud:
     """One feature point per valid pixel, in row-major pixel order.
 
-    Every plane is read at the valid pixels' flat ids in one gather.
-    Coordinates and intensity come from the stored planes, never re-derived
-    from pixel centers, so no quantization error enters the cloud. The
-    embedding is the pixel's feature-plane vector. Output count equals the
-    valid-mask popcount.
+    Every plane is read at the valid pixels' flat ids in one gather; given
+    `planes`, (P, h, w) planes on img's mask of any float dtype, those in
+    place of img's own. Coordinates and intensity come from the stored
+    planes, never re-derived from pixel centers, so no quantization error
+    enters the cloud. The embedding is the pixel's feature-plane vector.
+    Output count equals the valid-mask popcount.
     """
-    d_f = img.plane_count - BASE_CHANNELS
+    planes = img.channels if planes is None else planes
+    d_f = len(planes) - BASE_CHANNELS
     if expected_dim is not None and d_f != expected_dim:
         raise ValueError(
             f"expected {expected_dim} feature plane(s), image has {d_f}"
         )
-    columns = img.channels.reshape(img.plane_count, -1).take(np.flatnonzero(img.valid), axis=1)
+    columns = planes.reshape(len(planes), -1).take(np.flatnonzero(img.valid), axis=1)
     return FeaturePointCloud(columns[:3].T, columns[CH_INTENSITY], columns[BASE_CHANNELS:].T)

@@ -35,12 +35,13 @@ centres. Every array a block needs is the fresh result of the call that
 computes it, dropped before the next block starts, so time scales with the
 evaluated pixels and the working set beyond inputs and output is fixed.
 The widths set the shape of every BLAS call, and so the output bytes. The
-conv block's output and the backward's feature gradient are gathered back
-to planes through the same map (`_planes`), not scattered, so each layer
-zeroes its own invalid pixels and `with_features` only stacks; the meta
-kernel writes its planes straight into the image that `hdmk_forward`
-returns. What the outputs hold, and how closely they match a dense
-evaluation, is stated in the README ("Sparse feature extraction").
+conv block can return its valid-pixel columns, which the meta kernel takes
+in place of planes, so the redeem stage never holds the block as planes.
+Otherwise the conv block's output, like the backward's feature gradient, is
+gathered back to planes through the same map (`_planes`), not scattered, so
+each layer zeroes its own invalid pixels and `with_features` only stacks.
+What the outputs hold, and how closely they match a dense evaluation, is
+stated in the README ("Sparse feature extraction").
 
 The meta kernel's forward takes leading axes, as `sgrid.pointnet_aggregate`
 takes neighbourhoods: (..., c_in, h, w) features, or branch tensors with
@@ -62,7 +63,9 @@ forward-only.
 
 All arithmetic is 64-bit. Initializers round their values to single
 precision through `formats.as_stored`, so a 32-bit weight file holds
-exactly the parameters in use and no stage needs to read it back.
+exactly the parameters in use and no stage needs to read it back. The meta
+kernel rounds its output as it writes it into planes of another dtype that
+the caller passes (`hdmk_forward_planes`'s `out`).
 """
 
 from __future__ import annotations
@@ -73,7 +76,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import BASE_CHANNELS, RangeImage, _Handover, frozen_array
+from .core import BASE_CHANNELS, RangeImage, frozen_array
 from .formats import as_stored
 from .rng import STREAM_BASICBLOCK, STREAM_HDMK, DetRng, derive_seed
 
@@ -321,7 +324,10 @@ def _stencils(valid: np.ndarray, wrap_horizontal: bool):
 
 def _columns(planes: np.ndarray, centres: np.ndarray) -> np.ndarray:
     """(..., c, h, w) planes at flat `centres`, then a zero column:
-    (..., c, len + 1)."""
+    (..., c, len + 1). (c, len) columns, already at the centres, just gain
+    the zero column."""
+    if planes.ndim == 2:
+        return np.concatenate([planes, np.zeros((len(planes), 1))], axis=1)
     flat = planes.reshape(*planes.shape[:-2], -1)
     out = np.zeros((*flat.shape[:-1], len(centres) + 1))
     flat.take(centres, axis=-1, out=out[..., :-1], mode="clip")
@@ -371,16 +377,17 @@ def _conv3x3(cols: np.ndarray, weight: np.ndarray, index: np.ndarray) -> np.ndar
 
 
 def basicblock_forward(
-    img: RangeImage, params: BasicBlockParams, wrap_horizontal: bool = True
+    img: RangeImage, params: BasicBlockParams, wrap_horizontal: bool = True, columns: bool = False
 ) -> np.ndarray:
-    """Residual conv unit over the five raw planes, to (c_out, h, w) planes.
+    """Residual conv unit over the five raw planes, to (c_out, h, w) planes,
+    or with `columns` to the (c_out, n) columns of the n valid pixels in
+    row-major order, which the meta kernel reads as they are.
 
     out = relu(norm2(conv2(relu(norm1(conv1(x))))) + proj(x)), computed on
-    valid-pixel columns and gathered back to planes through the plan's padded
-    column map, which leaves +0 at invalid pixels. The caller builds the
-    image, so the redeem stage rounds the planes first and builds just one.
-    Both convolutions read one (9, n) tap index, the map at each
-    centre's padded index plus the unit stencil's steps (`_tap_steps`).
+    valid-pixel columns; planes are gathered back from them through the
+    plan's padded column map, which leaves +0 at invalid pixels. Both
+    convolutions read one (9, n) tap index, the map at each centre's padded
+    index plus the unit stencil's steps (`_tap_steps`).
     """
     if img.plane_count != BASE_CHANNELS:
         raise ValueError(
@@ -404,7 +411,7 @@ def basicblock_forward(
     t += params.shift2[:, None]
     t += x if params.proj is None else params.proj @ x
     np.maximum(t, 0.0, out=t)
-    return _planes(t, padded, h, w)
+    return t if columns else _planes(t, padded, h, w)
 
 
 # ---------------------------------------------------------------------------
@@ -418,8 +425,10 @@ def _check_hdmk_input(
     if valid.ndim != 2:
         raise ValueError(f"valid mask must be (h, w), got shape {valid.shape}")
     h, w = valid.shape
-    if feats.shape[-3:] != (params.c_in, h, w):
-        raise ValueError(f"features must be (c_in={params.c_in}, {h}, {w}), got {feats.shape}")
+    # (c_in, h, w) planes, or (c_in, n) columns at the n valid pixels.
+    dims = (params.c_in, h, w) if feats.ndim > 2 else (params.c_in, int(np.count_nonzero(valid)))
+    if feats.shape[-len(dims) :] != dims:
+        raise ValueError(f"features must be (c_in={', '.join(map(str, dims))}), got {feats.shape}")
     if coords.shape != (3, h, w):
         raise ValueError(f"coords must be (3, {h}, {w}), got {coords.shape}")
 
@@ -469,24 +478,30 @@ _COLUMN_BLOCK = 512
 
 
 def hdmk_forward_planes(
-    feats: np.ndarray,
-    coords: np.ndarray,
-    valid: np.ndarray,
-    params: HdMetaKernelParams,
-    wrap_horizontal: bool = True,
+    feats: np.ndarray, coords: np.ndarray, valid: np.ndarray, params: HdMetaKernelParams,
+    wrap_horizontal: bool = True, out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Raw-array meta kernel: (..., c_in, h, w) features to (..., c_out, h, w).
 
-    Values stored at invalid pixels never reach the output; the result is
-    zero at invalid pixels: the dense value times zero, +0 or -0. How it is
-    evaluated is `_hdmk_fill`'s, which `hdmk_forward` shares. The leading
-    axes "..." are those of `feats` and `params.lead` broadcast together,
-    one kernel evaluation per index; each is the bytes of its own call.
+    `feats` may instead be the (c_in, n) columns of the n valid pixels in
+    row-major order (`basicblock_forward`'s `columns`). Values stored at
+    invalid pixels never reach the output; the result is zero at invalid
+    pixels: the dense value times zero, +0 or -0. How it is evaluated is
+    `_hdmk_fill`'s. The leading axes "..." are those of `feats` and
+    `params.lead` broadcast together, one kernel evaluation per index; each
+    is the bytes of its own call. Given `out`, a C-ordered array of the
+    output's shape, it fills and returns that, each value cast to its dtype
+    as `np.asarray` casts, signed zeros kept, and beyond the dtype's range
+    to inf (with NumPy's overflow warning, unless the caller's `np.errstate`
+    ignores it).
     """
-    lead = np.broadcast_shapes(np.shape(feats)[:-3], params.lead)
-    out = np.empty((*lead, params.c_out, np.size(valid)))
-    _hdmk_fill(feats, coords, valid, params, wrap_horizontal, out)
-    return out.reshape(*lead, params.c_out, *valid.shape)
+    shape = (*np.broadcast_shapes(np.shape(feats)[:-3], params.lead), params.c_out, *valid.shape)
+    out = np.empty(shape) if out is None else out
+    if out.shape != shape or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-ordered {shape} array, got {out.shape}")
+    # A C-ordered reshape is a view, so the kernel writes into `out`.
+    _hdmk_fill(feats, coords, valid, params, wrap_horizontal, out.reshape(*shape[:-2], -1))
+    return out
 
 
 def _hdmk_fill(
@@ -563,19 +578,12 @@ def hdmk_forward(
 
     Consumes the stored (x, y, z) planes for coordinate deltas and the
     feature planes for neighbor values; emits c_out feature planes on the
-    same validity mask.
-
-    It fills the image it returns: the base planes are copied into its
-    channels and the feature planes evaluated straight into the rest, the
-    bytes of `hdmk_forward_planes`; the image keeps the buffer uncopied
-    (`core._Handover`), so no scratch planes and no stacked copy are held.
+    same validity mask: the planes of `hdmk_forward_planes`, stacked after
+    the base planes in one copy (`RangeImage.with_features`).
     """
-    channels = np.empty((BASE_CHANNELS + params.c_out, *feat.valid.shape))
-    channels[:BASE_CHANNELS] = feat.channels[:BASE_CHANNELS]
-    # A slice along the leading axis, so the reshape is a view of `channels`.
-    planes = channels[BASE_CHANNELS:].reshape(params.c_out, -1)
-    _hdmk_fill(feat.feature_planes, feat.channels[:3], feat.valid, params, wrap_horizontal, planes)
-    return RangeImage(feat.sensor, _Handover(channels), feat.valid)
+    return feat.with_features(
+        hdmk_forward_planes(feat.feature_planes, feat.channels[:3], feat.valid, params, wrap_horizontal)
+    )
 
 
 @dataclass(frozen=True)

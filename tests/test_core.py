@@ -595,48 +595,6 @@ class TestFrozenArray:
         first = frozen_array("a", np.arange(3.0))
         assert not np.shares_memory(first, frozen_array("a", first))
 
-    def test_handover_is_frozen_in_place(self):
-        buf = np.zeros((2, 3))
-        kept = frozen_array("a", core._Handover(buf))
-        assert kept is buf and not buf.flags.writeable
-
-    def test_handover_is_checked_like_a_copy(self):
-        buf = np.ones(4)
-        buf[2] = np.inf
-        with pytest.raises(ValueError, match="^a must be finite$"):
-            frozen_array("a", core._Handover(buf))
-        with pytest.raises(ValueError, match="^counts handed over must be a fresh C-ordered int64"):
-            frozen_array("counts", core._Handover(np.zeros(3)), np.int64)
-
-    @pytest.mark.parametrize(
-        "make",
-        [
-            lambda: np.zeros((4, 6))[1:],  # a view of another array
-            lambda: np.zeros(24).reshape(4, 6),  # a reshape is a view too
-            lambda: np.zeros((4, 6), dtype=np.float32),
-            lambda: np.zeros((4, 6), order="F"),
-            lambda: frozen_array("a", np.zeros((4, 6))),  # read-only: already kept
-            lambda: np.zeros((4, 6)).view(np.matrix),
-        ],
-        ids=["slice", "reshape", "float32", "fortran", "read-only", "subclass"],
-    )
-    def test_handover_refuses_anything_but_a_fresh_array(self, make):
-        arr = make()
-        flags = arr.flags.writeable
-        with pytest.raises(ValueError, match="^channels handed over must be a fresh C-ordered float64"):
-            frozen_array("channels", core._Handover(arr))
-        assert arr.flags.writeable == flags
-
-    def test_handed_over_image_runs_every_check(self):
-        img = util.random_image(np.random.default_rng(8), 4, 8, density=0.5)
-        planes = np.array(img.channels)
-        planes[4, ~img.valid] = 1.0
-        with pytest.raises(ValueError, match="invalid pixels must hold 0"):
-            RangeImage(img.sensor, core._Handover(planes), img.valid)
-        planes = np.array(img.channels)
-        kept = RangeImage(img.sensor, core._Handover(planes), img.valid)
-        assert kept.channels is planes and not planes.flags.writeable
-
     def test_setflags_appears_only_in_frozen_array(self):
         lines, start = inspect.getsourcelines(frozen_array)
         home = Path(core.__file__)

@@ -309,6 +309,44 @@ class TestHdmkForward:
             poisoned = hdmk_forward_planes(feats_junk, coords_junk, valid, params)
             assert base.tobytes() == poisoned.tobytes(), (seed, junk)
 
+    def test_valid_pixel_columns_give_the_bytes_of_planes(self):
+        # The conv block's columns, read without a gather back to planes,
+        # and its planes give the meta kernel the same bytes.
+        rng = np.random.default_rng(37)
+        raw = util.random_image(rng, 8, 16, density=0.5)
+        block = util.random_basicblock_params(rng, c_out=4)
+        planes = basicblock_forward(raw, block)
+        cols = basicblock_forward(raw, block, columns=True)
+        assert cols.tobytes() == planes[:, raw.valid].tobytes()
+        args = (raw.channels[:3], raw.valid, util.random_hdmk_params(rng, c_in=4))
+        assert hdmk_forward_planes(cols, *args).tobytes() == hdmk_forward_planes(planes, *args).tobytes()
+        n = int(raw.valid.sum())
+        with pytest.raises(ValueError, match=rf"^features must be \(c_in=4, {n}\), got \(4, {n - 1}\)$"):
+            hdmk_forward_planes(cols[:, 1:], *args)
+
+    @pytest.mark.parametrize("bias", [0.0, 1e39], ids=["in-range", "beyond-f32"])
+    def test_fills_single_precision_planes_as_the_writer_rounds(self, bias):
+        # Cast as each value is written: the bytes of rounding the f64
+        # output in one pass, signed zeros kept, and inf where single
+        # precision cannot hold the value.
+        rng = np.random.default_rng(38)
+        img = util.random_image(rng, 8, 16, density=0.5, n_feat=4)
+        params = util.random_hdmk_params(rng, c_in=4)
+        big = params.branch2.b_acc + bias
+        params = params.with_tensor("branch2.b_acc", big)
+        args = (img.feature_planes, img.channels[:3], img.valid, params)
+        full = hdmk_forward_planes(*args)
+        out = np.ones(full.shape, dtype=np.float32)
+        with np.errstate(over="ignore"):
+            assert hdmk_forward_planes(*args, out=out) is out
+            assert out.tobytes() == full.astype(np.float32).tobytes()
+        assert np.signbit(out[:, ~img.valid]).any()
+        assert np.isinf(out).any() == (bias > 0)
+        # A reshape of a strided array would copy, and leave it unfilled.
+        strided = np.ones((6, 16, 8), dtype=np.float32).transpose(0, 2, 1)
+        with pytest.raises(ValueError, match=r"^out must be a C-ordered \(6, 8, 16\) array"):
+            hdmk_forward_planes(*args, out=strided)
+
     def test_caller_arrays_stay_unmodified(self):
         # The kernel gathers its own pixel columns; the arrays the caller
         # passed are never written.
@@ -727,26 +765,6 @@ class TestForwardMemory:
         held = out.nbytes + 8 * (params.c_in + 3) * (img.valid.sum() + 1)
         block = 8 * 9 * rvfe._COLUMN_BLOCK * (3 * params.c_in + 3 + params.c_mid)
         assert peak - held < 1.15 * block
-
-    def test_hdmk_forward_holds_one_image(self):
-        # The call fills the image it returns: about 1.43 times the image's
-        # bytes with the plan cached, as the conv block leaves it in the
-        # redeem stage. Evaluating into a 64-plane array of its own and then
-        # stacking a 69-plane copy from it held about 2.05 times.
-        rng = np.random.default_rng(33)
-        img = util.random_image(rng, 64, 512, density=0.3, n_feat=32)
-        params = init_params(0, (32, 32, 64))
-        planes = hdmk_forward_planes(img.feature_planes, img.channels[:3], img.valid, params)
-        tracemalloc.start()
-        try:
-            out = hdmk_forward(img, params)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.6 * out.channels.nbytes
-        assert not out.channels.flags.writeable
-        assert out.channels[:5].tobytes() == img.channels[:5].tobytes()
-        assert out.feature_planes.tobytes() == planes.tobytes()
 
     def test_basic_block_peak_scales_with_valid_pixels(self):
         # The same scan through the conv block. Every step runs on the 500
