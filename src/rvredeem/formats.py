@@ -104,11 +104,15 @@ def _finite_f32(path, values, what: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def write_rri1(path, img: RangeImage, planes=None) -> None:
-    """`img` as RRI1, or with `planes` those (P, h, w) planes, zero at img's
-    invalid pixels, in place of img's own: a `stored_planes` buffer goes out
-    as it is, with no conversion."""
+    """`img` as RRI1, or with `planes` those (P >= 5, h, w) planes, zero at
+    img's invalid pixels, in place of img's own: a `stored_planes` buffer
+    goes out as it is, with no conversion."""
     h, w = img.sensor.height, img.sensor.width
-    planes = _finite_f32(path, img.channels if planes is None else planes, "channels")
+    planes = img.channels if planes is None else planes
+    shape = np.shape(planes)
+    if len(shape) != 3 or shape[0] < BASE_CHANNELS or shape[1:] != (h, w):
+        raise FormatError(f"{path}: planes must be (P >= {BASE_CHANNELS}, {h}, {w}), got {shape}")
+    planes = _finite_f32(path, planes, "channels")
     _write(path, b"RRI1", struct.pack("<III", h, w, len(planes)), planes, img.valid)
 
 

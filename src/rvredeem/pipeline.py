@@ -219,7 +219,7 @@ def stage_redeem(cfg: PipelineConfig, range_path, out_dir) -> dict:
     # block.rri1 stores them; each file's planes are built in the precision
     # RRI1 stores, and the features are evaluated straight into theirs.
     wrap = cfg.wrap_horizontal
-    cols = formats.as_stored(basicblock_forward(img, block, wrap, columns=True))
+    cols = formats.as_stored(basicblock_forward(img, block, wrap))
     planes = formats.stored_planes(img, block.c_out)
     planes[BASE_CHANNELS:, img.valid] = cols
     formats.write_rri1(out_dir / BLOCK_FILE, img, planes)
@@ -227,11 +227,13 @@ def stage_redeem(cfg: PipelineConfig, range_path, out_dir) -> dict:
 
     planes = formats.stored_planes(img, hdmk.c_out)
     with np.errstate(over="ignore"):  # inf beyond single precision, which the writer refuses
-        hdmk_forward_planes(cols, img.channels[:3], img.valid, hdmk, wrap, out=planes[BASE_CHANNELS:])
+        hdmk_forward_planes(
+            cols, img.channels[:3, img.valid], img.valid, hdmk, wrap, out=planes[BASE_CHANNELS:]
+        )
     del cols
     formats.write_rri1(out_dir / FEATURES_FILE, img, planes)
 
-    cloud = redeem_feature_points(img, cfg.feature_dim, planes)
+    cloud = redeem_feature_points(img, planes)
     formats.write_rfp1(out_dir / CLOUD_FILE, cloud)
     return {"redeemed_points": len(cloud), "feature_dim": cloud.feature_dim}
 
@@ -487,9 +489,12 @@ def gradcheck_losses(
     The perturbed copies stack on a leading axis, in groups of
     _COLUMN_BLOCK // (h * w) per forward call, so that a call's columns
     stay within one meta-kernel block. Each loss is one sum over its own
-    (c_out, h, w) output, the bytes of a forward call per element.
+    (c_out, h, w) output, the bytes of a forward call per element. Each
+    stack of perturbed feature planes is gathered at the valid pixels, so a
+    perturbation at an invalid pixel leaves its loss unchanged.
     """
-    feat, coords, valid = img.feature_planes, img.channels[:3], img.valid
+    feat, valid = img.feature_planes, img.valid
+    cols, coords = feat[:, valid], img.channels[:3, valid]
     tensor = feat if name == "feat" else params.tensors()[name]
     group = max(1, _COLUMN_BLOCK // valid.size)
     losses = []
@@ -499,7 +504,8 @@ def gradcheck_losses(
             stack = np.repeat(tensor[None], len(picked), axis=0)
             stack.reshape(len(picked), -1)[np.arange(len(picked)), picked] += step
             active = params if name == "feat" else params.with_tensor(name, stack)
-            out = hdmk_forward_planes(stack if name == "feat" else feat, coords, valid, active)
+            feats = stack[..., valid] if name == "feat" else cols
+            out = hdmk_forward_planes(feats, coords, valid, active)
             losses.extend(float(np.sum(upstream * one)) for one in out)
     return np.array(losses).reshape(2, -1)
 

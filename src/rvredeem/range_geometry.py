@@ -174,9 +174,7 @@ def build_range_image(points, sensor: SensorModel) -> RangeImage:
     return RangeImage(sensor, planes.reshape(BASE_CHANNELS, h, w), valid.reshape(h, w))
 
 
-def redeem_feature_points(
-    img: RangeImage, expected_dim: int | None = None, planes=None
-) -> FeaturePointCloud:
+def redeem_feature_points(img: RangeImage, planes=None) -> FeaturePointCloud:
     """One feature point per valid pixel, in row-major pixel order.
 
     Every plane is read at the valid pixels' flat ids in one gather; given
@@ -187,10 +185,5 @@ def redeem_feature_points(
     Output count equals the valid-mask popcount.
     """
     planes = img.channels if planes is None else planes
-    d_f = len(planes) - BASE_CHANNELS
-    if expected_dim is not None and d_f != expected_dim:
-        raise ValueError(
-            f"expected {expected_dim} feature plane(s), image has {d_f}"
-        )
     columns = planes.reshape(len(planes), -1).take(np.flatnonzero(img.valid), axis=1)
     return FeaturePointCloud(columns[:3].T, columns[CH_INTENSITY], columns[BASE_CHANNELS:].T)

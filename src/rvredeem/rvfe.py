@@ -17,13 +17,17 @@ columns wrap when `wrap_horizontal` is set, matching a full-circle scan.
 A neighbor that is missing or masked invalid contributes an exact zero
 vector, so masked pixels can never influence a valid pixel's output.
 
-Forward passes are sparse. One cached plan per (shape, wrap flag, mask
-bytes), `_stencil_plan`, kept for the last mask, tells every layer where to
-evaluate: the valid pixels in row-major order, and each meta-kernel
-branch's support, the pixels whose stencil reaches a valid one. Both layers
-gather (c, n + 1) columns, one per valid pixel and a zero column, through
-its padded column map, which sends invalid pixels and the outside of the
-image to the zero column: values stored at invalid pixels are never read.
+Forward passes are sparse, on valid-pixel columns, the layers' one feature
+form: the conv block returns the (c_out, n) columns of the n valid pixels
+in row-major order, and the meta kernel takes (..., c_in, n) feature and
+(3, n) coordinate columns in that order and fills (..., c_out, h, w)
+planes. A caller that holds planes gathers them once at the valid pixels,
+so values stored at invalid pixels never reach a layer. One cached plan per
+(shape, wrap flag, mask bytes), `_stencil_plan`, kept for the last mask,
+tells every layer where to evaluate: the valid pixels, and each meta-kernel
+branch's support, the pixels whose stencil reaches a valid one. Each layer
+appends a zero column to its columns (`_with_zero_column`), and the plan's
+padded column map sends invalid pixels and the outside of the image to it.
 On the map a tap (dh, dw) is one constant step, so a block's tap columns
 take one add and one gather, and the plan holds no per-tap array: per call
 only the mask's bytes, the column blocks and the tap columns are computed.
@@ -34,17 +38,12 @@ _CONV_BLOCK, each meta-kernel branch its support in blocks of _COLUMN_BLOCK
 centres. Every array a block needs is the fresh result of the call that
 computes it, dropped before the next block starts, so time scales with the
 evaluated pixels and the working set beyond inputs and output is fixed.
-The widths set the shape of every BLAS call, and so the output bytes. The
-conv block can return its valid-pixel columns, which the meta kernel takes
-in place of planes, so the redeem stage never holds the block as planes.
-Otherwise the conv block's output, like the backward's feature gradient, is
-gathered back to planes through the same map (`_planes`), not scattered, so
-each layer zeroes its own invalid pixels and `with_features` only stacks.
-What the outputs hold, and how closely they match a dense evaluation, is
-stated in the README ("Sparse feature extraction").
+The widths set the shape of every BLAS call, and so the output bytes. What
+the outputs hold, and how closely they match a dense evaluation, is stated
+in the README ("Sparse feature extraction").
 
 The meta kernel's forward takes leading axes, as `sgrid.pointnet_aggregate`
-takes neighbourhoods: (..., c_in, h, w) features, or branch tensors with
+takes neighbourhoods: (..., c_in, n) features, or branch tensors with
 leading axes (`HdMetaKernelParams.lead`), give (..., c_out, h, w), one
 kernel per index. The gradient check evaluates a group of perturbations of
 one tensor this way. The axes lead every stacked product, so each index's
@@ -57,9 +56,9 @@ The meta kernel has an analytic backward pass (coordinates are constants;
 gradients flow to input features and all parameters). It recomputes its
 taps at all h * w centres through the same columns, one tap at a time,
 each tap's columns a shifted window of the padded map, so its memory is
-linear in c * h * w; it accumulates feature gradients in the columns and
-returns the parameter gradients as an `HdMetaKernelParams`. BasicBlock is
-forward-only.
+linear in c * h * w; it accumulates feature gradients in the columns,
+scatters them to planes, and returns the parameter gradients as an
+`HdMetaKernelParams`. BasicBlock is forward-only.
 
 All arithmetic is 64-bit. Initializers round their values to single
 precision through `formats.as_stored`, so a 32-bit weight file holds
@@ -322,24 +321,14 @@ def _stencils(valid: np.ndarray, wrap_horizontal: bool):
     return _stencil_plan(*mask.shape, bool(wrap_horizontal), mask.tobytes())
 
 
-def _columns(planes: np.ndarray, centres: np.ndarray) -> np.ndarray:
-    """(..., c, h, w) planes at flat `centres`, then a zero column:
-    (..., c, len + 1). (c, len) columns, already at the centres, just gain
-    the zero column."""
-    if planes.ndim == 2:
-        return np.concatenate([planes, np.zeros((len(planes), 1))], axis=1)
-    flat = planes.reshape(*planes.shape[:-2], -1)
-    out = np.zeros((*flat.shape[:-1], len(centres) + 1))
-    flat.take(centres, axis=-1, out=out[..., :-1], mode="clip")
+def _with_zero_column(cols: np.ndarray) -> np.ndarray:
+    """(..., c, n) columns, then the zero column that the padded column map
+    sends invalid and outside pixels to: a C-ordered (..., c, n + 1) array.
+    A masked gather such as `planes[:, valid]` is not C-ordered, and every
+    tap's `take` along the last axis would copy such an array whole."""
+    out = np.zeros((*cols.shape[:-1], cols.shape[-1] + 1))
+    out[..., :-1] = cols
     return out
-
-
-def _planes(cols: np.ndarray, padded: np.ndarray, h: int, w: int) -> np.ndarray:
-    """The inverse of `_columns`: (c, n) columns to (c, h, w) planes, where
-    each pixel reads its column in the padded map and invalid pixels an
-    appended zero one."""
-    cols = np.concatenate([cols, np.zeros((cols.shape[0], 1))], axis=1)
-    return cols.take(_window(padded, h, w), axis=1)
 
 
 def _column_blocks(n: int, width: int) -> list[tuple[int, int]]:
@@ -365,7 +354,7 @@ def _conv3x3(cols: np.ndarray, weight: np.ndarray, index: np.ndarray) -> np.ndar
     fixed order.
     """
     n = cols.shape[1]
-    padded = np.concatenate([cols, np.zeros((cols.shape[0], 1))], axis=1)
+    padded = _with_zero_column(cols)
     acc = np.zeros((weight.shape[0], n), dtype=np.float64)
     for start, stop in _column_blocks(n, _CONV_BLOCK):
         for k, (dh, dw) in enumerate(UNIT_OFFSETS):
@@ -377,17 +366,16 @@ def _conv3x3(cols: np.ndarray, weight: np.ndarray, index: np.ndarray) -> np.ndar
 
 
 def basicblock_forward(
-    img: RangeImage, params: BasicBlockParams, wrap_horizontal: bool = True, columns: bool = False
+    img: RangeImage, params: BasicBlockParams, wrap_horizontal: bool = True
 ) -> np.ndarray:
-    """Residual conv unit over the five raw planes, to (c_out, h, w) planes,
-    or with `columns` to the (c_out, n) columns of the n valid pixels in
-    row-major order, which the meta kernel reads as they are.
+    """Residual conv unit over the five raw planes, to the (c_out, n)
+    columns of the n valid pixels in row-major order, which the meta kernel
+    reads as they are.
 
     out = relu(norm2(conv2(relu(norm1(conv1(x))))) + proj(x)), computed on
-    valid-pixel columns; planes are gathered back from them through the
-    plan's padded column map, which leaves +0 at invalid pixels. Both
-    convolutions read one (9, n) tap index, the map at each centre's padded
-    index plus the unit stencil's steps (`_tap_steps`).
+    valid-pixel columns. Both convolutions read one (9, n) tap index, the
+    padded column map at each centre's padded index plus the unit stencil's
+    steps (`_tap_steps`).
     """
     if img.plane_count != BASE_CHANNELS:
         raise ValueError(
@@ -397,10 +385,9 @@ def basicblock_forward(
         raise ValueError(
             f"params expect {params.c_in} input planes, image has {BASE_CHANNELS}"
         )
-    h, w = img.valid.shape
     centres, (padded, ids, _, _) = _stencils(img.valid, wrap_horizontal)[:2]
-    index = padded.take(ids + _tap_steps(w)[0])
-    x = np.take(img.channels.reshape(BASE_CHANNELS, h * w), centres, axis=1)
+    index = padded.take(ids + _tap_steps(img.valid.shape[1])[0])
+    x = np.take(img.channels.reshape(BASE_CHANNELS, -1), centres, axis=1)
     # The affine, residual and ReLU steps run in place on the conv outputs.
     t = _conv3x3(x, params.conv1, index)
     t *= params.scale1[:, None]
@@ -411,7 +398,7 @@ def basicblock_forward(
     t += params.shift2[:, None]
     t += x if params.proj is None else params.proj @ x
     np.maximum(t, 0.0, out=t)
-    return t if columns else _planes(t, padded, h, w)
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -424,13 +411,11 @@ def _check_hdmk_input(
     """Shape checks shared by the meta kernel's forward and backward."""
     if valid.ndim != 2:
         raise ValueError(f"valid mask must be (h, w), got shape {valid.shape}")
-    h, w = valid.shape
-    # (c_in, h, w) planes, or (c_in, n) columns at the n valid pixels.
-    dims = (params.c_in, h, w) if feats.ndim > 2 else (params.c_in, int(np.count_nonzero(valid)))
-    if feats.shape[-len(dims) :] != dims:
-        raise ValueError(f"features must be (c_in={', '.join(map(str, dims))}), got {feats.shape}")
-    if coords.shape != (3, h, w):
-        raise ValueError(f"coords must be (3, {h}, {w}), got {coords.shape}")
+    n = int(np.count_nonzero(valid))
+    if feats.shape[-2:] != (params.c_in, n):
+        raise ValueError(f"features must be (c_in={params.c_in}, {n}), got {feats.shape}")
+    if coords.shape != (3, n):
+        raise ValueError(f"coords must be (3, {n}), got {coords.shape}")
 
 
 def _plus(x: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -448,10 +433,11 @@ def _tap(
 ) -> tuple[np.ndarray, ...]:
     """t offsets of a branch at m centres.
 
-    `feats` and `coords` are pixel columns from `_columns`, the last one
-    zero; `index` (t, m) holds the column of each centre's neighbour, the
-    zero column when that neighbour is invalid or outside, `neigh_valid`
-    whether it is not, and `centre_xyz` the centres' (3, m) coordinates.
+    `feats` and `coords` are pixel columns from `_with_zero_column`, the
+    last one zero; `index` (t, m) holds the column of each centre's
+    neighbour, the zero column when that neighbour is invalid or outside,
+    `neigh_valid` whether it is not, and `centre_xyz` the centres' (3, m)
+    coordinates.
     Returns the C-contiguous (..., c_in, t, m) neighbour features, (3, t, m)
     coordinate deltas, (..., t, c_mid, m) hidden activations, (..., t, c_in,
     m) gates and (..., t, c_in, m) gated chunks, a zero at every invalid
@@ -481,21 +467,19 @@ def hdmk_forward_planes(
     feats: np.ndarray, coords: np.ndarray, valid: np.ndarray, params: HdMetaKernelParams,
     wrap_horizontal: bool = True, out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Raw-array meta kernel: (..., c_in, h, w) features to (..., c_out, h, w).
-
-    `feats` may instead be the (c_in, n) columns of the n valid pixels in
-    row-major order (`basicblock_forward`'s `columns`). Values stored at
-    invalid pixels never reach the output; the result is zero at invalid
-    pixels: the dense value times zero, +0 or -0. How it is evaluated is
-    `_hdmk_fill`'s. The leading axes "..." are those of `feats` and
-    `params.lead` broadcast together, one kernel evaluation per index; each
-    is the bytes of its own call. Given `out`, a C-ordered array of the
-    output's shape, it fills and returns that, each value cast to its dtype
-    as `np.asarray` casts, signed zeros kept, and beyond the dtype's range
-    to inf (with NumPy's overflow warning, unless the caller's `np.errstate`
-    ignores it).
+    """Raw-array meta kernel: (..., c_in, n) feature and (3, n) coordinate
+    columns of the n pixels that `valid` marks, in row-major order (as
+    `basicblock_forward` returns them), to (..., c_out, h, w) planes. The
+    result is zero at invalid pixels: the dense value times zero, +0 or -0.
+    How it is evaluated is `_hdmk_fill`'s. The leading axes "..." are those
+    of `feats` and `params.lead` broadcast together, one kernel evaluation
+    per index; each is the bytes of its own call. Given `out`, a C-ordered
+    array of the output's shape, it fills and returns that, each value cast
+    to its dtype as `np.asarray` casts, signed zeros kept, and beyond the
+    dtype's range to inf (with NumPy's overflow warning, unless the caller's
+    `np.errstate` ignores it).
     """
-    shape = (*np.broadcast_shapes(np.shape(feats)[:-3], params.lead), params.c_out, *valid.shape)
+    shape = (*np.broadcast_shapes(np.shape(feats)[:-2], params.lead), params.c_out, *valid.shape)
     out = np.empty(shape) if out is None else out
     if out.shape != shape or not out.flags.c_contiguous:
         raise ValueError(f"out must be a C-ordered {shape} array, got {out.shape}")
@@ -537,8 +521,8 @@ def _hdmk_fill(
     c_half = params.c_out // 2
     taps = len(UNIT_OFFSETS)
     centres, (padded, _, *support_ids), *supports = _stencils(valid, wrap_horizontal)
-    feat_cols = _columns(feats, centres)
-    coord_cols = _columns(coords, centres)
+    feat_cols = _with_zero_column(feats)
+    coord_cols = _with_zero_column(coords)
     for b, (branch, steps, support, ids) in enumerate(
         zip((params.branch1, params.branch2), _tap_steps(w), supports, support_ids)
     ):
@@ -577,12 +561,14 @@ def hdmk_forward(
     """Two-branch dynamic convolution over a feature-bearing range image.
 
     Consumes the stored (x, y, z) planes for coordinate deltas and the
-    feature planes for neighbor values; emits c_out feature planes on the
-    same validity mask: the planes of `hdmk_forward_planes`, stacked after
-    the base planes in one copy (`RangeImage.with_features`).
+    feature planes for neighbor values, gathered once at the valid pixels;
+    emits c_out feature planes on the same validity mask: the planes of
+    `hdmk_forward_planes`, stacked after the base planes in one copy
+    (`RangeImage.with_features`).
     """
+    cols = feat.channels[:, feat.valid]
     return feat.with_features(
-        hdmk_forward_planes(feat.feature_planes, feat.channels[:3], feat.valid, params, wrap_horizontal)
+        hdmk_forward_planes(cols[BASE_CHANNELS:], cols[:3], feat.valid, params, wrap_horizontal)
     )
 
 
@@ -610,9 +596,11 @@ def hdmk_backward(
     linear in c * h * w; tap (dh, dw) reads the window of the padded column
     map shifted by (dh, dw) (`_window`). Coordinate planes are constants.
     Accumulation runs in a fixed order (branch, then offset), so repeated
-    calls are bit-identical.
+    calls are bit-identical. The feature gradient is scattered to planes at
+    the valid pixels, +0 elsewhere.
     """
-    _check_hdmk_input(feat.feature_planes, feat.channels[:3], feat.valid, params)
+    cols = feat.channels[:, feat.valid]
+    _check_hdmk_input(cols[BASE_CHANNELS:], cols[:3], feat.valid, params)
     if params.lead:
         raise ValueError(f"the backward takes one kernel, got leading axes {params.lead}")
     c_in = params.c_in
@@ -626,8 +614,9 @@ def hdmk_backward(
     # Invalid output pixels are identically zero, so no gradient flows there.
     grad = (grad * feat.valid).reshape(params.c_out, n_px)
     centres, (padded, *_) = _stencils(feat.valid, wrap_horizontal)[:2]
-    feat_cols = _columns(feat.feature_planes, centres)
-    coord_cols = _columns(feat.channels[:3], centres)
+    feat_cols = _with_zero_column(cols[BASE_CHANNELS:])
+    coord_cols = _with_zero_column(cols[:3])
+    del cols
     centre_xyz = coord_cols.take(_window(padded, h, w).ravel(), axis=1)
     c_half = params.c_out // 2
 
@@ -668,9 +657,9 @@ def hdmk_backward(
             # Freed before the next tap allocates its own.
             del neigh_feat, delta, hid, gate, weighted, d_weighted, d_gate, d_pre
         branch_grads.append(BranchParams(d_w1, d_b1, d_w2, d_b2, d_w_acc, d_b_acc))
-    return HdMetaKernelGrads(
-        _planes(d_cols[:, :-1], padded, h, w), HdMetaKernelParams(*branch_grads)
-    )
+    d_feat = np.zeros((c_in, n_px))
+    d_feat[:, centres] = d_cols[:, :-1]
+    return HdMetaKernelGrads(d_feat.reshape(c_in, h, w), HdMetaKernelParams(*branch_grads))
 
 
 # ---------------------------------------------------------------------------

@@ -111,6 +111,21 @@ class TestRri1:
         with pytest.raises(FormatError, match=f"{path}: validity bytes must be 0 or 1"):
             read_rri1(path, img.sensor)
 
+    @pytest.mark.parametrize(
+        "shape", [(6, 3, 5), (3, 4, 8), (6, 8, 4), (5, 32)], ids=["size", "planes", "transposed", "flat"]
+    )
+    def test_write_refuses_planes_the_reader_would_reject(self, tmp_path, shape):
+        # Planes of another size than the sensor's, or fewer than the five
+        # base planes, would give a file that `read_rri1` rejects.
+        img = util.random_image(np.random.default_rng(25), 4, 8)
+        path = tmp_path / "x.rri1"
+        message = rf"^{re.escape(str(path))}: planes must be \(P >= 5, 4, 8\), got {re.escape(str(shape))}$"
+        with pytest.raises(FormatError, match=message):
+            write_rri1(path, img, np.zeros(shape, "<f4"))
+        assert not path.exists()
+        write_rri1(path, img, formats.stored_planes(img, 1))
+        assert read_rri1(path, img.sensor).plane_count == 6
+
 
 def rounding_image(extra):
     """2x3 image with one valid row; feature planes hold -0.0 at invalid

@@ -315,20 +315,23 @@ class TestStages:
     def test_stage_redeem_writes_what_the_f64_layers_give(self, tmp_path, toy, wrap):
         # The stage keeps the conv block on columns and rounds the features
         # into stored-precision planes; the f64 layers, each image built and
-        # written whole, give the same bytes, signed zeros included.
+        # written whole (the conv block's columns scattered into +0 planes),
+        # give the same bytes, signed zeros included.
         cfg = dataclasses.replace(toy.cfg, wrap_horizontal=wrap)
         pipeline.stage_redeem(cfg, toy.out / pipeline.RANGE_FILE, tmp_path / "stage")
         img = formats.read_rri1(toy.out / pipeline.RANGE_FILE, cfg.sensor)
         block = init_basicblock(cfg.seed, cfg.conv_channels)
         hdmk = init_params(cfg.seed, (cfg.conv_channels, cfg.mlp_hidden, cfg.feature_dim))
-        block_img = img.with_features(formats.as_stored(basicblock_forward(img, block, wrap)))
+        block_planes = np.zeros((block.c_out, *img.valid.shape))
+        block_planes[:, img.valid] = formats.as_stored(basicblock_forward(img, block, wrap))
+        block_img = img.with_features(block_planes)
         feat_img = hdmk_forward(block_img, hdmk, wrap)
         assert np.signbit(feat_img.feature_planes[:, ~img.valid]).any()
         api = tmp_path / "api"
         api.mkdir()
         formats.write_rri1(api / pipeline.BLOCK_FILE, block_img)
         formats.write_rri1(api / pipeline.FEATURES_FILE, feat_img)
-        formats.write_rfp1(api / pipeline.CLOUD_FILE, redeem_feature_points(feat_img, cfg.feature_dim))
+        formats.write_rfp1(api / pipeline.CLOUD_FILE, redeem_feature_points(feat_img))
         for name in (pipeline.BLOCK_FILE, pipeline.FEATURES_FILE, pipeline.CLOUD_FILE):
             assert (tmp_path / "stage" / name).read_bytes() == (api / name).read_bytes()
 

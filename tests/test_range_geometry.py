@@ -393,8 +393,3 @@ class TestRedeemFeaturePoints:
         img = build_range_image(np.zeros((0, 3)), SENSOR)
         cloud = redeem_feature_points(img)
         assert len(cloud) == 0
-
-    def test_plane_count_checked(self):
-        img = self.make_image(planes_extra=3)
-        with pytest.raises(ValueError):
-            redeem_feature_points(img, expected_dim=4)

@@ -62,6 +62,19 @@ class TestShiftPlanes:
 TINY_SHAPES = [(1, 1), (2, 3), (3, 1), (4, 2), (3, 3), (1, 12), (8, 16)]
 
 
+def columns(img):
+    """The (c_in, n) feature and (3, n) coordinate columns of img's n valid
+    pixels in row-major order, as the meta kernel takes them."""
+    return img.feature_planes[:, img.valid], img.channels[:3, img.valid]
+
+
+def scatter(cols, valid):
+    """(c, n) valid-pixel columns as (c, h, w) planes, +0 at invalid pixels."""
+    planes = np.zeros((len(cols), *valid.shape))
+    planes[:, valid] = cols
+    return planes
+
+
 def plan_taps(valid, pixels, wrap):
     """(plan, columns): the plan of `valid` and the columns that pixels[i]
     reads at [k, i], for tap k of UNIT_OFFSETS + DILATED_OFFSETS, through the
@@ -97,7 +110,9 @@ class TestNeighbourIndex:
         for valid in (np.ones(shape, dtype=bool), rng.random(shape) < 0.5):
             (centres, (padded, *_), *_), index = plan_taps(valid, pixel_ids.ravel(), wrap)
             arr = rng.normal(size=(2, h, w))
-            cols = rvfe._columns(arr, centres)
+            cols = rvfe._with_zero_column(arr[:, valid])
+            # A masked gather is not C-ordered; the columns the taps read are.
+            assert cols.flags.c_contiguous
             # Values stored at invalid pixels are never read.
             kept = np.where(valid, arr, 0.0)
             for k, (dh, dw) in enumerate(UNIT_OFFSETS + DILATED_OFFSETS):
@@ -159,7 +174,7 @@ class TestBasicBlock:
             proj=None,
         )
         out = basicblock_forward(img, identity)
-        np.testing.assert_array_equal(out, img.channels)
+        np.testing.assert_array_equal(out, img.channels[:, valid])
 
     @pytest.mark.parametrize("wrap", [True, False])
     def test_matches_loop_oracle(self, wrap):
@@ -177,15 +192,17 @@ class TestBasicBlock:
         t = t * params.scale2[:, None, None] + params.shift2[:, None, None] * mask
         res = np.einsum("oi,ihw->ohw", params.proj, x)
         expected = oracles.relu(t + res) * mask
-        np.testing.assert_allclose(out, expected, atol=1e-10)
+        np.testing.assert_allclose(out, expected[:, valid], atol=1e-10)
 
-    def test_returns_planes_with_positive_zero_at_invalid_pixels(self):
+    def test_returns_valid_pixel_columns_in_row_major_order(self):
         rng = np.random.default_rng(4)
         img = util.random_image(rng, 6, 8)
-        out = basicblock_forward(img, util.random_basicblock_params(rng, c_out=7))
-        assert out.shape == (7, 6, 8) and out.dtype == np.float64
-        assert out[:, ~img.valid].tobytes() == bytes(8 * out[:, ~img.valid].size)
-        assert out[:, img.valid].any()
+        params = util.random_basicblock_params(rng, c_out=7)
+        out = basicblock_forward(img, params)
+        assert out.shape == (7, img.valid.sum()) and out.dtype == np.float64
+        expected = oracles.dense_basicblock(img.channels, img.valid, params, True)
+        np.testing.assert_allclose(out, expected[:, img.valid], rtol=0, atol=1e-12)
+        assert out.any()
 
     def test_rejects_feature_bearing_input(self):
         rng = np.random.default_rng(5)
@@ -291,38 +308,22 @@ class TestHdmkForward:
         )
         np.testing.assert_allclose(out.feature_planes, expected, atol=1e-12)
 
-    def test_values_at_invalid_pixels_never_leak(self):
-        # Byte for byte: invalid pixels are read only as the zero column, so
-        # not even the signs of the zeros stored there depend on them.
-        for seed, junk in itertools.product((13, 26, 27), ((7e5, -3e6), (np.nan, np.inf))):
-            rng = np.random.default_rng(seed)
-            h, w = 8, 16
-            valid = rng.random((h, w)) < 0.6
-            feats = rng.normal(size=(4, h, w))
-            coords = rng.uniform(-5, 5, size=(3, h, w))
-            params = util.random_hdmk_params(rng, c_in=4)
-            base = hdmk_forward_planes(feats, coords, valid, params)
-            feats_junk = feats.copy()
-            feats_junk[:, ~valid] = junk[0]
-            coords_junk = coords.copy()
-            coords_junk[:, ~valid] = junk[1]
-            poisoned = hdmk_forward_planes(feats_junk, coords_junk, valid, params)
-            assert base.tobytes() == poisoned.tobytes(), (seed, junk)
-
     def test_valid_pixel_columns_give_the_bytes_of_planes(self):
-        # The conv block's columns, read without a gather back to planes,
-        # and its planes give the meta kernel the same bytes.
+        # The conv block's columns, read as they are, give the bytes that
+        # `hdmk_forward` gives on the image whose feature planes hold them.
         rng = np.random.default_rng(37)
         raw = util.random_image(rng, 8, 16, density=0.5)
         block = util.random_basicblock_params(rng, c_out=4)
-        planes = basicblock_forward(raw, block)
-        cols = basicblock_forward(raw, block, columns=True)
-        assert cols.tobytes() == planes[:, raw.valid].tobytes()
-        args = (raw.channels[:3], raw.valid, util.random_hdmk_params(rng, c_in=4))
-        assert hdmk_forward_planes(cols, *args).tobytes() == hdmk_forward_planes(planes, *args).tobytes()
+        cols = basicblock_forward(raw, block)
+        params = util.random_hdmk_params(rng, c_in=4)
+        args = (raw.channels[:3, raw.valid], raw.valid, params)
+        expected = hdmk_forward(raw.with_features(scatter(cols, raw.valid)), params).feature_planes
+        assert hdmk_forward_planes(cols, *args).tobytes() == expected.tobytes()
         n = int(raw.valid.sum())
         with pytest.raises(ValueError, match=rf"^features must be \(c_in=4, {n}\), got \(4, {n - 1}\)$"):
             hdmk_forward_planes(cols[:, 1:], *args)
+        with pytest.raises(ValueError, match=rf"^coords must be \(3, {n}\), got \(3, 8, 16\)$"):
+            hdmk_forward_planes(cols, raw.channels[:3], *args[1:])
 
     @pytest.mark.parametrize("bias", [0.0, 1e39], ids=["in-range", "beyond-f32"])
     def test_fills_single_precision_planes_as_the_writer_rounds(self, bias):
@@ -334,7 +335,7 @@ class TestHdmkForward:
         params = util.random_hdmk_params(rng, c_in=4)
         big = params.branch2.b_acc + bias
         params = params.with_tensor("branch2.b_acc", big)
-        args = (img.feature_planes, img.channels[:3], img.valid, params)
+        args = (*columns(img), img.valid, params)
         full = hdmk_forward_planes(*args)
         out = np.ones(full.shape, dtype=np.float32)
         with np.errstate(over="ignore"):
@@ -348,15 +349,13 @@ class TestHdmkForward:
             hdmk_forward_planes(*args, out=strided)
 
     def test_caller_arrays_stay_unmodified(self):
-        # The kernel gathers its own pixel columns; the arrays the caller
-        # passed are never written.
+        # The kernel appends the zero column to copies; the arrays the
+        # caller passed are never written.
         rng = np.random.default_rng(24)
         h, w = 8, 16
         valid = rng.random((h, w)) < 0.6
-        feats = rng.normal(size=(4, h, w))
-        coords = rng.uniform(-5, 5, size=(3, h, w))
-        feats[:, ~valid] = 7e5
-        coords[:, ~valid] = -3e6
+        feats = rng.normal(size=(4, valid.sum()))
+        coords = rng.uniform(-5, 5, size=(3, valid.sum()))
         inputs = (feats, coords, valid)
         before = [arr.tobytes() for arr in inputs]
         hdmk_forward_planes(feats, coords, valid, util.random_hdmk_params(rng, c_in=4))
@@ -390,8 +389,9 @@ class TestHdmkForward:
         rng = np.random.default_rng(15)
         img = util.random_image(rng, 6, 8, n_feat=3)
         params = util.random_hdmk_params(rng, c_in=4)
-        args = (img.feature_planes, img.channels[:3], img.valid, params)
-        message = r"^features must be \(c_in=4, 6, 8\), got \(3, 6, 8\)$"
+        args = (*columns(img), img.valid, params)
+        n = img.valid.sum()
+        message = rf"^features must be \(c_in=4, {n}\), got \(3, {n}\)$"
         with pytest.raises(ValueError, match=message):
             hdmk_forward_planes(*args)
         with pytest.raises(ValueError, match=message):
@@ -405,7 +405,7 @@ class TestHdmkForward:
         params = util.random_hdmk_params(rng, c_in=4)
         message = r"^valid mask must be \(h, w\), got shape \(1, 6, 8\)$"
         with pytest.raises(ValueError, match=message):
-            hdmk_forward_planes(img.feature_planes, img.channels[:3], img.valid[None], params)
+            hdmk_forward_planes(*columns(img), img.valid[None], params)
 
 
 MASKS = ["none", "one", "last", 0.15, 0.85, "all"]
@@ -427,27 +427,25 @@ def masked_image(rng, shape, mask, n_feat):
     return RangeImage(img.sensor, img.channels * valid, valid)
 
 
-def dense_block_planes(img, params, wrap):
-    return img.with_features(
-        oracles.dense_basicblock(img.channels, img.valid, params, wrap)
-    ).feature_planes
-
-
-def assert_matches_dense(out, expected, valid):
-    """(c, h, w) layer output against the dense formula: within criterion
-    3's 1e-12 at valid pixels, and byte for byte at invalid ones, where the
-    meta kernel's zero carries the sign of the dense value and RRI1 files
-    keep it."""
-    np.testing.assert_allclose(out[:, valid], expected[:, valid], rtol=0, atol=1e-12)
-    assert out[:, ~valid].tobytes() == expected[:, ~valid].tobytes()
+def assert_block_matches_dense(img, params, wrap):
+    """`basicblock_forward`'s valid-pixel columns against the dense formula's
+    planes at the valid pixels, within criterion 3's 1e-12; returns them."""
+    out = basicblock_forward(img, params, wrap)
+    expected = oracles.dense_basicblock(img.channels, img.valid, params, wrap)
+    np.testing.assert_allclose(out, expected[:, img.valid], rtol=0, atol=1e-12)
+    return out
 
 
 def assert_hdmk_matches_dense(feats, coords, valid, params, wrap):
-    """`hdmk_forward_planes` against the dense formula
-    (`assert_matches_dense`); returns its output."""
-    args = (feats, coords, valid, params, wrap)
-    out = hdmk_forward_planes(*args)
-    assert_matches_dense(out, oracles.dense_hdmk_forward_planes(*args), valid)
+    """`hdmk_forward_planes` on the columns of the (c_in, h, w) `feats` and
+    (3, h, w) `coords` planes against the dense formula on the planes:
+    within criterion 3's 1e-12 at valid pixels, and byte for byte at invalid
+    ones, where the meta kernel's zero carries the sign of the dense value
+    and RRI1 files keep it. Returns the output."""
+    out = hdmk_forward_planes(feats[:, valid], coords[:, valid], valid, params, wrap)
+    expected = oracles.dense_hdmk_forward_planes(feats, coords, valid, params, wrap)
+    np.testing.assert_allclose(out[:, valid], expected[:, valid], rtol=0, atol=1e-12)
+    assert out[:, ~valid].tobytes() == expected[:, ~valid].tobytes()
     return out
 
 
@@ -474,9 +472,7 @@ class TestDenseByteIdentity:
     def test_basic_block(self, shape, mask, wrap, c_out):
         rng = np.random.default_rng([*shape, MASKS.index(mask), wrap, c_out])
         img = masked_image(rng, shape, mask, n_feat=0)
-        params = util.random_basicblock_params(rng, c_out=c_out)
-        out = basicblock_forward(img, params, wrap)
-        assert_matches_dense(out, dense_block_planes(img, params, wrap), img.valid)
+        assert_block_matches_dense(img, util.random_basicblock_params(rng, c_out=c_out), wrap)
 
     # The pipeline's layers and dims on the widths of its tests.
     @pytest.mark.parametrize("shape", PIPELINE_SHAPES)
@@ -497,11 +493,9 @@ class TestDenseByteIdentity:
         masked image, the meta kernel reading the conv block's output."""
         rng = np.random.default_rng(seed)
         img = masked_image(rng, shape, mask, n_feat=0)
-        block = init_basicblock(0, 32)
-        out = basicblock_forward(img, block, wrap)
-        assert_matches_dense(out, dense_block_planes(img, block, wrap), img.valid)
+        out = assert_block_matches_dense(img, init_basicblock(0, 32), wrap)
         params = init_params(0, (32, 32, 64))
-        assert_hdmk_matches_dense(out, img.channels[:3], img.valid, params, wrap)
+        assert_hdmk_matches_dense(scatter(out, img.valid), img.channels[:3], img.valid, params, wrap)
 
     # Blocks of 8 or 16 centres split even these supports, so products start
     # mid-support.
@@ -579,7 +573,7 @@ class TestDenseByteIdentity:
         rng = np.random.default_rng(20)
         img = masked_image(rng, (8, 16), 0.15, n_feat=4)
         params = util.random_hdmk_params(rng, c_in=4, c_mid=5, c_out=6)
-        out = hdmk_forward_planes(img.feature_planes, img.channels[:3], img.valid, params)
+        out = hdmk_forward_planes(*columns(img), img.valid, params)
         signs = np.signbit(out[:, ~img.valid])
         assert not out[:, ~img.valid].any()
         assert signs.any() and not signs.all()
@@ -593,7 +587,7 @@ def layer_bytes(valid, wrap):
     raw = RangeImage(img.sensor, img.channels[:5] * valid, valid)
     block = basicblock_forward(raw, util.random_basicblock_params(rng), wrap)
     params = util.random_hdmk_params(rng, c_in=4, c_mid=5, c_out=6)
-    meta = hdmk_forward_planes(img.feature_planes, img.channels[:3], valid, params, wrap)
+    meta = hdmk_forward_planes(img.feature_planes[:, valid], img.channels[:3, valid], valid, params, wrap)
     return block.tobytes() + meta.tobytes()
 
 
@@ -633,7 +627,7 @@ class TestStencilPlan:
         rng = np.random.default_rng(4)
         img = masked_image(rng, (4, 6), 0.5, n_feat=4)
         params = util.random_hdmk_params(rng, c_in=4, c_mid=5, c_out=6)
-        args = (img.feature_planes, img.channels[:3])
+        args = columns(img)
         mask = as_mask(img.valid)
         rvfe._stencil_plan.cache_clear()
         expected = hdmk_forward_planes(*args, img.valid, params).tobytes()
@@ -713,8 +707,8 @@ def hdmk_peak_on_a_scan(seed, n_valid):
     valid = np.zeros(h * w, dtype=bool)
     valid[rng.choice(h * w, n_valid, replace=False)] = True
     valid = valid.reshape(h, w)
-    feats = rng.normal(size=(32, h, w)) * valid
-    coords = rng.uniform(-50.0, 50.0, size=(3, h, w)) * valid
+    feats = rng.normal(size=(32, h, w))[:, valid]
+    coords = rng.uniform(-50.0, 50.0, size=(3, h, w))[:, valid]
     params = init_params(0, (32, 32, 64))
     tracemalloc.start()
     try:
@@ -752,7 +746,7 @@ class TestForwardMemory:
         rng = np.random.default_rng(34)
         img = util.random_image(rng, 64, 128, density=0.3, n_feat=32)
         params = init_params(0, (32, 32, 64))
-        feats, coords = img.feature_planes, img.channels[:3]
+        feats, coords = columns(img)
         # The plan is built, and cached, outside the trace.
         for support in rvfe._stencils(img.valid, True)[2:]:
             assert len(support) > 8 * rvfe._COLUMN_BLOCK
@@ -767,14 +761,14 @@ class TestForwardMemory:
         assert peak - held < 1.15 * block
 
     def test_basic_block_peak_scales_with_valid_pixels(self):
-        # The same scan through the conv block. Every step runs on the 500
-        # valid columns; what remains is the 32 planes gathered back through
-        # the column map, about 1.08 times their bytes with the plan built
-        # in the call. Stacking the 37-plane image from them as well held
-        # 2.35 times; scattering into zeroed planes, then stacking them in a
-        # buffer of `with_features`' own before the constructor's copy held
-        # about 3.5 times; running the affine, ReLU and residual steps over
-        # full planes held about 6.5 times.
+        # The same scan through the conv block, with the plan built outside
+        # the trace. Every step runs on the 500 valid columns, and the block
+        # returns them: the peak is the columns, the second convolution's
+        # zero-padded input and accumulator, one tap's gather and product,
+        # the raw columns and the tap index, about 5.5 times the columns'
+        # bytes (0.7 MB). Gathering the 32 planes back through the column
+        # map held about 1.08 times those planes' 33.5 MB; running the
+        # affine, ReLU and residual steps over full planes about 6.5 times.
         h, w = 64, 2048
         rng = np.random.default_rng(23)
         valid = np.zeros(h * w, dtype=bool)
@@ -783,16 +777,15 @@ class TestForwardMemory:
         img = util.random_image(rng, h, w, density=1.0)
         img = RangeImage(img.sensor, img.channels * valid, valid)
         block = init_basicblock(0, 32)
-        out_bytes = 8 * block.c_out * h * w
-        rvfe._stencil_plan.cache_clear()
+        rvfe._stencils(valid, True)
         tracemalloc.start()
         try:
             out = basicblock_forward(img, block)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert out.nbytes == out_bytes
-        assert peak < 1.2 * out_bytes
+        assert out.nbytes == 8 * block.c_out * 500
+        assert peak < 6 * out.nbytes
 
     def test_conv_working_set_is_fixed(self):
         # One 3x3 convolution over the scan's 35,863 columns. Beyond the
@@ -998,6 +991,20 @@ GRADCHECK_SLICES = ["feat", *init_params(0, GRADCHECK_DIMS).tensors()]
 
 
 class TestBatchedGradcheck:
+    def test_feature_perturbations_at_invalid_pixels_leave_the_loss(self):
+        # Each stack of perturbed planes is gathered at the valid pixels, so
+        # a perturbed invalid pixel never reaches the kernel: both losses are
+        # the unperturbed loss, byte for byte, and their difference is 0.
+        for seed in (0, 3):
+            img, params, upstream = gradcheck_instance(seed, GRADCHECK_DIMS)
+            out = hdmk_forward_planes(*columns(img), img.valid, params)
+            loss = float(np.sum(upstream * out))
+            invalid = np.broadcast_to(~img.valid, img.feature_planes.shape)
+            elements = np.flatnonzero(invalid)
+            assert elements.size >= 2 * pipeline._COLUMN_BLOCK // img.valid.size
+            losses = pipeline.gradcheck_losses(img, params, upstream, "feat", elements)
+            assert losses.tobytes() == np.full((2, elements.size), loss).tobytes(), seed
+
     def test_losses_match_one_call_per_element(self):
         # Every element of every tensor of the seed-0 instance, both signs.
         assert util.gradcheck_loss_mismatches(0, GRADCHECK_DIMS) == []
@@ -1040,10 +1047,11 @@ class TestBatchedGradcheck:
         rng = np.random.default_rng(71)
         img = util.random_image(rng, 40, 30, n_feat=4, density=0.3)
         params = util.random_hdmk_params(rng, c_in=4, c_mid=5, c_out=6)
-        feats, coords = img.feature_planes, img.channels[:3]
-        base = feats if name == "feat" else params.tensors()[name]
+        feats, coords = columns(img)
+        base = img.feature_planes if name == "feat" else params.tensors()[name]
         stack = base + rng.normal(scale=0.1, size=(3, *base.shape))
         if name == "feat":
+            stack = stack[..., img.valid]
             out = hdmk_forward_planes(stack, coords, img.valid, params)
             ones = [hdmk_forward_planes(one, coords, img.valid, params) for one in stack]
         else:

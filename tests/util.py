@@ -74,7 +74,8 @@ def gradcheck_loss_mismatches(seed, dims, count=None) -> list[str]:
     (`gradcheck_losses`) differ in any byte from one forward call per
     perturbed element: every element, or `count` evenly spread."""
     img, params, upstream = gradcheck_instance(seed, dims)
-    feat, coords, valid = img.feature_planes, img.channels[:3], img.valid
+    feat, valid = img.feature_planes, img.valid
+    cols, coords = feat[:, valid], img.channels[:3, valid]
     mismatches = []
     for name, tensor in {"feat": feat, **params.tensors()}.items():
         elements = np.arange(tensor.size)
@@ -86,9 +87,9 @@ def gradcheck_loss_mismatches(seed, dims, count=None) -> list[str]:
                 value = tensor.copy()
                 value.flat[element] += step
                 if name == "feat":
-                    out = hdmk_forward_planes(value, coords, valid, params)
+                    out = hdmk_forward_planes(value[:, valid], coords, valid, params)
                 else:
-                    out = hdmk_forward_planes(feat, coords, valid, params.with_tensor(name, value))
+                    out = hdmk_forward_planes(cols, coords, valid, params.with_tensor(name, value))
                 one_by_one.append(float(np.sum(upstream * out)))
         batched = gradcheck_losses(img, params, upstream, name, elements)
         if batched.shape != (2, len(elements)) or batched.tobytes() != np.array(one_by_one).tobytes():
