@@ -113,6 +113,8 @@ def write_rri1(path, img: RangeImage, planes=None) -> None:
     if len(shape) != 3 or shape[0] < BASE_CHANNELS or shape[1:] != (h, w):
         raise FormatError(f"{path}: planes must be (P >= {BASE_CHANNELS}, {h}, {w}), got {shape}")
     planes = _finite_f32(path, planes, "channels")
+    if np.any(np.any(planes, axis=0) & ~img.valid):  # -0.0 counts as zero
+        raise FormatError(f"{path}: planes must hold 0 at invalid pixels")
     _write(path, b"RRI1", struct.pack("<III", h, w, len(planes)), planes, img.valid)
 
 
@@ -148,9 +150,10 @@ def read_rri1(path, sensor: SensorModel) -> RangeImage:
     r.end()
     if np.any(flags > 1):
         raise FormatError(f"{path}: validity bytes must be 0 or 1")
-    return RangeImage(
-        sensor, channels.reshape(planes, h, w), (flags == 1).reshape(h, w)
-    )
+    try:
+        return RangeImage(sensor, channels.reshape(planes, h, w), (flags == 1).reshape(h, w))
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -255,12 +258,12 @@ def read_kitti_bin_array(path) -> np.ndarray:
     return records
 
 
-def write_kitti_bin(path, points) -> None:
-    """Store the (x, y, z, intensity) columns of (N, >= 4) rows as raw f32."""
-    points = np.asarray(points)
-    if points.ndim != 2 or points.shape[1] < 4:
-        raise FormatError(f"{path}: need (N, >= 4) point rows, got {points.shape}")
-    _write(path, _finite_f32(path, points[:, :4], "points"))
+def write_kitti_bin(path, records) -> None:
+    """Store (N, 4) (x, y, z, intensity) records as raw f32."""
+    records = np.asarray(records)
+    if records.ndim != 2 or records.shape[1] != 4:
+        raise FormatError(f"{path}: need (N, 4) point records, got {records.shape}")
+    _write(path, _finite_f32(path, records, "points"))
 
 
 # ---------------------------------------------------------------------------

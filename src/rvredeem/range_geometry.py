@@ -32,13 +32,11 @@ import numpy as np
 from .core import (
     BASE_CHANNELS,
     CH_INTENSITY,
-    CH_RANGE,
     FeaturePointCloud,
     Point,
     RangeImage,
     SensorModel,
     clamp_intensity,
-    points_to_array,
 )
 
 logger = logging.getLogger(__name__)
@@ -129,30 +127,35 @@ def project_points(xyz: np.ndarray, sensor: SensorModel):
     return u, v, r, in_fov
 
 
-def build_range_image(points, sensor: SensorModel) -> RangeImage:
-    """Bin (N, 3..5) point rows (see `points_to_array`) into the range image.
+def build_range_image(records, sensor: SensorModel) -> RangeImage:
+    """Bin (N, 4) float `x y z intensity` records into the range image.
 
     Each in-view point lands at flat pixel id floor(v) * w + floor(u), and
     each pixel keeps its nearest point, the lowest input index among equal
-    ranges, so the result never depends on traversal order. The ranking key
-    is the range `project_points` derives from x, y, z, not the stored range
-    column. Two scatter-mins pick the winners: the least range per pixel,
-    then the least input position among the points at that range. Both are
-    exact: in-view ranges are finite and positive, so no NaN or signed zero
-    enters a minimum. Out-of-view points and in-view points that lose their
-    pixel are counted in log lines; an empty cloud, or one with nothing in
-    view, gives an image with no valid pixel. Coordinates and ranges must be
-    finite; intensities follow `clamp_intensity`, checked on every row, kept
-    or not.
+    ranges, so the result never depends on traversal order. The range is the
+    one `project_points` derives from x, y, z: it is both the ranking key and
+    the stored range plane. Two scatter-mins pick the winners: the least
+    range per pixel, then the least input position among the points at that
+    range. Both are exact: in-view ranges are finite and positive, so no NaN
+    or signed zero enters a minimum. Out-of-view points and in-view points
+    that lose their pixel are counted in log lines; an empty cloud, or one
+    with nothing in view, gives an image with no valid pixel. Coordinates
+    and ranges must be finite; intensities follow `clamp_intensity`, checked
+    on every row, kept or not. The caller's records are never written.
     """
-    arr = points_to_array(points)
-    if not (np.isfinite(arr[:, :3]).all() and np.isfinite(arr[:, CH_RANGE]).all()):
-        bad = np.flatnonzero(~np.isfinite(np.delete(arr, CH_INTENSITY, axis=1)).all(axis=1))
-        raise ValueError(f"point x, y, z and range must be finite; row {bad[0]} is not")
-    arr[:, CH_INTENSITY] = clamp_intensity(arr[:, CH_INTENSITY], "point intensity")
+    records = np.asarray(records, dtype=np.float64)
+    if records.ndim != 2 or records.shape[1] != 4:
+        raise ValueError(f"point records must be (N, 4) x y z intensity, got {records.shape}")
+    xyz = records[:, :3]
+    finite = np.isfinite(xyz).all(axis=1)
+    if finite.all():  # no NumPy warning from projecting a non-finite row
+        u, v, r, in_fov = project_points(xyz, sensor)
+        finite = np.isfinite(r)
+    if not finite.all():
+        raise ValueError(f"point x, y, z and range must be finite; row {np.argmin(finite)} is not")
+    intensity = clamp_intensity(records[:, CH_INTENSITY], "point intensity")
     h, w = sensor.height, sensor.width
-    u, v, r, in_fov = project_points(arr[:, :3], sensor)
-    dropped = int(arr.shape[0] - np.sum(in_fov))
+    dropped = int(records.shape[0] - np.sum(in_fov))
     if dropped:
         logger.info("build_range_image: %d point(s) outside the field of view", dropped)
     keep = np.flatnonzero(in_fov)
@@ -167,8 +170,9 @@ def build_range_image(points, sensor: SensorModel) -> RangeImage:
     collided = keep.size - won.size
     if collided:
         logger.info("build_range_image: %d in-view point(s) lost their pixel", collided)
+    rows = keep[win[won]]
     planes = np.zeros((BASE_CHANNELS, h * w), dtype=np.float64)
-    planes[:, won] = arr[keep[win[won]]].T
+    planes[:, won] = np.vstack([xyz[rows].T, intensity[rows], best[won]])
     valid = np.zeros(h * w, dtype=bool)
     valid[won] = True
     return RangeImage(sensor, planes.reshape(BASE_CHANNELS, h, w), valid.reshape(h, w))

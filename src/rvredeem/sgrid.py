@@ -11,16 +11,16 @@ together cannot change the result beyond floating-point noise.
 The result is one (B,) record array, so `rois.vector` is the (B, L)
 array of all vectors and `rois[i].vector` is box i's.
 
-The balls of all boxes come from one query over the scene, as in PV-RCNN's
-RoI-grid pooling. A world-frame prefilter keeps the (box, keypoint) pairs
-within reach of the box center: half the diagonal plus the larger radius,
-widened by `_REACH_SLACK` and `_REACH_FLOOR`. It drops no hit: a hit is
-within the radius of a grid point inside the box, and offset, rotation and
-squared sums round by a few ulps relative to the reach, far below the
-slack; the floor covers squares that underflow. Each grid point index then
-serves all boxes at once. The kept pairs' canonical coordinates, squared
-distances, (distance, keypoint index) order and cut at `neighbor_cap` are
-those of a `ball_query` over all keypoints.
+The balls of all boxes come from one query over the scene. A world-frame
+prefilter (`_near_pairs`) keeps the (box, keypoint) pairs within reach of
+the box center: half the diagonal plus the larger radius, widened by
+`_REACH_SLACK` (relative) and `_REACH_FLOOR` (absolute), tested on x
+windows a run of boxes at a time. It drops no hit: a hit is within the
+radius of a grid point inside the box, and offset, rotation and squared
+sums round by a few ulps relative to the reach, far below the slack; the
+floor covers squares that underflow, and each window edge is moved one ulp
+outward. Only the kept pairs are rotated into the box frame. Each grid
+point index then serves all boxes at once (`_pool_grids`).
 
 Per-branch sampling radii default to half the cell diagonal of that
 branch's grid, which makes neighboring grid-point balls touch without

@@ -26,7 +26,6 @@ from rvredeem.core import (
     load_config,
     normalize_yaw,
     parse_kv_file,
-    points_to_array,
 )
 from rvredeem.pointops import SharedMlp, VoxelGrid
 from rvredeem.rvfe import BasicBlockParams, BranchParams
@@ -71,6 +70,16 @@ class TestPoint:
         with pytest.raises(ValueError):
             Point(3.0, 4.0, 0.0, 0.0, 5.1)
 
+    def test_names_the_range_that_disagrees_with_xyz(self):
+        message = "stored range 99.0 disagrees with |xyz| = 5.0"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Point(5.0, 0.0, 0.0, 0.5, 99.0)
+
+    def test_accepts_range_within_tolerance(self):
+        assert Point(3.0, 4.0, 0.0, 0.5, 5.0 * (1 + 5e-10)).range == 5.0 * (1 + 5e-10)
+        with pytest.raises(ValueError, match="disagrees"):
+            Point(3.0, 4.0, 0.0, 0.5, 5.0 * (1 + 2e-9))
+
     def test_clamps_intensity(self, caplog):
         with caplog.at_level("WARNING"):
             p = Point(1.0, 0.0, 0.0, 1.5)
@@ -97,33 +106,6 @@ class TestClampIntensity:
             out = clamp_intensity(np.array([-0.5, 0.25, 2.0]), "scan intensity")
         np.testing.assert_array_equal(out, [0.0, 0.25, 1.0])
         assert "scan intensity: clamped 2 value(s)" in caplog.text
-
-
-class TestPointsToArray:
-    def test_from_list(self):
-        arr = points_to_array([[3.0, 4.0, 0.0, 0.25]])
-        assert arr.shape == (1, 5)
-        np.testing.assert_allclose(arr[0], [3.0, 4.0, 0.0, 0.25, 5.0])
-
-    def test_derives_range_column(self):
-        arr = points_to_array(np.array([[3.0, 4.0, 0.0, 0.1]]))
-        assert arr[0, 4] == 5.0
-
-    def test_rejects_bad_width(self):
-        with pytest.raises(ValueError):
-            points_to_array(np.zeros((2, 2)))
-
-    def test_rejects_range_column_that_disagrees_with_xyz(self):
-        # Same tolerance and message as Point.
-        message = "stored range 99.0 disagrees with |xyz| = 5.0"
-        with pytest.raises(ValueError, match=re.escape(message)):
-            points_to_array([[1.0, 2.0, 2.0, 0.0, 3.0], [5.0, 0.0, 0.0, 0.5, 99.0]])
-        with pytest.raises(ValueError, match=re.escape(message)):
-            Point(5.0, 0.0, 0.0, 0.5, 99.0)
-
-    def test_accepts_range_column_within_tolerance(self):
-        arr = points_to_array([[3.0, 4.0, 0.0, 0.5, 5.0 * (1 + 5e-10)]])
-        assert arr[0, 4] == 5.0 * (1 + 5e-10)
 
 
 class TestRangeImage:

@@ -112,18 +112,29 @@ class TestRri1:
             read_rri1(path, img.sensor)
 
     @pytest.mark.parametrize(
-        "shape", [(6, 3, 5), (3, 4, 8), (6, 8, 4), (5, 32)], ids=["size", "planes", "transposed", "flat"]
+        "shape",
+        [(6, 3, 5), (3, 4, 8), (6, 8, 4), (5, 32), None],
+        ids=["size", "planes", "transposed", "flat", "invalid-pixel"],
     )
     def test_write_refuses_planes_the_reader_would_reject(self, tmp_path, shape):
-        # Planes of another size than the sensor's, or fewer than the five
-        # base planes, would give a file that `read_rri1` rejects.
+        # Planes of another size than the sensor's, fewer than the five
+        # base planes, or nonzero at an invalid pixel would give a file that
+        # `read_rri1` rejects.
         img = util.random_image(np.random.default_rng(25), 4, 8)
         path = tmp_path / "x.rri1"
-        message = rf"^{re.escape(str(path))}: planes must be \(P >= 5, 4, 8\), got {re.escape(str(shape))}$"
-        with pytest.raises(FormatError, match=message):
-            write_rri1(path, img, np.zeros(shape, "<f4"))
+        if shape is None:
+            planes = formats.stored_planes(img, 1)
+            planes[5].flat[np.argmin(img.valid)] = 1.0
+            message = "planes must hold 0 at invalid pixels"
+        else:
+            planes = np.zeros(shape, "<f4")
+            message = rf"planes must be \(P >= 5, 4, 8\), got {re.escape(str(shape))}"
+        with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}: {message}$"):
+            write_rri1(path, img, planes)
         assert not path.exists()
-        write_rri1(path, img, formats.stored_planes(img, 1))
+        planes = formats.stored_planes(img, 1)
+        planes[5][~img.valid] = -0.0  # counts as zero, as in RangeImage
+        write_rri1(path, img, planes)
         assert read_rri1(path, img.sensor).plane_count == 6
 
 
@@ -170,16 +181,18 @@ class TestAsStored:
             b"RRI1" + struct.pack("<III", 2, 3, 8) + struct.pack(f"<{planes.size}f", *planes)
             + img.valid.astype(np.uint8).tobytes()
         )
-        with pytest.raises(ValueError) as from_file:
+        with pytest.raises(FormatError) as from_file:
             read_rri1(path, img.sensor)
         # No overflow warning comes first, even where warnings are errors:
-        # the value rounds to inf, which the image rejects as the reader does.
+        # the value rounds to inf, which the image rejects as the reader
+        # does, which names the file.
         feats = as_stored(img.feature_planes)
         assert feats[0, 0, 0] == math.inf
         base = RangeImage(img.sensor, img.channels[:5], img.valid)
         with pytest.raises(ValueError) as in_memory:
             base.with_features(feats)
-        assert str(in_memory.value) == str(from_file.value) == "channels must be finite"
+        assert str(in_memory.value) == "channels must be finite"
+        assert str(from_file.value) == f"{path}: {in_memory.value}"
         # The writer refuses that file before opening it.
         refused = tmp_path / "y.rri1"
         with pytest.raises(FormatError, match=f"{refused.name}: channels must be finite"):
@@ -512,11 +525,12 @@ class TestKittiBin:
             write_kitti_bin(path, np.array([[1.0, 2.0, 1e39, 0.5]]))
         assert not path.exists()
 
-    @pytest.mark.parametrize("shape", [(4, 3), (4,), (2, 2, 4)])
+    @pytest.mark.parametrize("shape", [(4, 3), (4,), (2, 2, 4), (4, 5)])
     def test_write_rejects_rows_without_intensity(self, tmp_path, shape):
-        # Three-column rows would be read back as fewer, scrambled records.
+        # Rows of another width would be read back as other, scrambled
+        # records; the raw record is x y z intensity and nothing else.
         path = tmp_path / "p.bin"
-        with pytest.raises(FormatError, match="need \\(N, >= 4\\) point rows"):
+        with pytest.raises(FormatError, match="need \\(N, 4\\) point records"):
             write_kitti_bin(path, np.ones(shape))
         assert not path.exists()
 

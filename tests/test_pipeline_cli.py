@@ -336,6 +336,29 @@ class TestStages:
             assert (tmp_path / "stage" / name).read_bytes() == (api / name).read_bytes()
 
 
+def assert_runs_to_the_end_with_nothing_in_view(toy, tmp_path, points):
+    """`points`, none in view, and one box run through every stage."""
+    bin_path, boxes_path = tmp_path / "points.bin", tmp_path / "boxes.txt"
+    formats.write_kitti_bin(bin_path, points)
+    assert bin_path.stat().st_size == 16 * len(points)
+    boxes_path.write_text("5.0 0.0 0.0 4.0 2.0 1.5 0.0\n", encoding="utf-8")
+    out = tmp_path / "out"
+    result = pipeline.run_pipeline(toy.cfg, bin_path, out, boxes_path)
+    assert result["status"] == "ok"
+    assert result["stages"]["fps"] == {"requested": toy.cfg.keypoint_count, "kept": 0}
+    assert result["stages"]["pool"]["boxes"] == 1
+    summary = (out / pipeline.SUMMARY_FILE).read_text()
+    assert f"stage project: points={len(points)} valid_pixels=0 " in summary
+    # The meta kernel runs with an empty support and redeems nothing.
+    assert "stage redeem: redeemed_points=0 " in summary
+    assert "stage voxelize: in_range_points=0 " in summary
+    keypoints = formats.read_rfp1(out / pipeline.KEYPOINTS_FILE)
+    assert len(keypoints) == 0 and keypoints.feature_dim == toy.cfg.feature_dim
+    # With no keypoint the box pools from empty grid points: one row.
+    refined = (out / pipeline.REFINED_FILE).read_text().splitlines()
+    assert len(refined) == 2 and refined[0].startswith("#")
+
+
 class TestPipeline:
     def test_one_shot_runs_every_stage(self, toy):
         assert toy.result["status"] == "ok"
@@ -602,24 +625,10 @@ class TestPipeline:
     def test_cloud_entirely_out_of_view_runs_to_the_end(self, toy, tmp_path):
         # Straight below the sensor: outside the field of view in every row.
         points = np.array([[1.0, 0.0, -10.0, 0.5], [0.0, -2.0, -30.0, 0.2]])
-        bin_path, boxes_path = tmp_path / "below.bin", tmp_path / "boxes.txt"
-        formats.write_kitti_bin(bin_path, points)
-        boxes_path.write_text("5.0 0.0 0.0 4.0 2.0 1.5 0.0\n", encoding="utf-8")
-        out = tmp_path / "out"
-        result = pipeline.run_pipeline(toy.cfg, bin_path, out, boxes_path)
-        assert result["status"] == "ok"
-        assert result["stages"]["fps"] == {"requested": toy.cfg.keypoint_count, "kept": 0}
-        assert result["stages"]["pool"]["boxes"] == 1
-        summary = (out / pipeline.SUMMARY_FILE).read_text()
-        assert "stage project: points=2 valid_pixels=0 " in summary
-        # The meta kernel runs with an empty support and redeems nothing.
-        assert "stage redeem: redeemed_points=0 " in summary
-        assert "stage voxelize: in_range_points=0 " in summary
-        keypoints = formats.read_rfp1(out / pipeline.KEYPOINTS_FILE)
-        assert len(keypoints) == 0 and keypoints.feature_dim == toy.cfg.feature_dim
-        # With no keypoint the box pools from empty grid points: one row.
-        refined = (out / pipeline.REFINED_FILE).read_text().splitlines()
-        assert len(refined) == 2 and refined[0].startswith("#")
+        assert_runs_to_the_end_with_nothing_in_view(toy, tmp_path, points)
+
+    def test_empty_cloud_runs_to_the_end(self, toy, tmp_path):
+        assert_runs_to_the_end_with_nothing_in_view(toy, tmp_path, np.zeros((0, 4)))
 
     def test_unrecognized_input_rejected(self, toy, tmp_path):
         stray = tmp_path / "scene.xyz"

@@ -1,12 +1,14 @@
 """Projection round trips, range-image binning, and feature redemption."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 import oracles
-from rvredeem.core import Point, SensorModel, points_to_array
+import util
+from rvredeem.core import Point, SensorModel
 from rvredeem.range_geometry import (
     PixelCoord,
     build_range_image,
@@ -148,7 +150,7 @@ class TestPointToPixel:
 class TestBuildRangeImage:
     def test_nearest_wins(self):
         # Two points along +x bin to the same pixel; the 5 m one must win.
-        pts = np.array([[7.0, 0.0, 0.0], [5.0, 0.0, 0.0]])
+        pts = util.records([[7.0, 0.0, 0.0], [5.0, 0.0, 0.0]])
         img = build_range_image(pts, SENSOR)
         assert int(np.sum(img.valid)) == 1
         assert img.channels[4, 32, 256] == 5.0
@@ -172,41 +174,48 @@ class TestBuildRangeImage:
         np.testing.assert_array_equal(img.valid, img_p.valid)
 
     def test_empty_cloud(self):
-        img = build_range_image(np.zeros((0, 3)), SENSOR)
+        img = build_range_image(np.zeros((0, 4)), SENSOR)
         assert not img.valid.any()
         assert not img.channels.any()
 
     def test_out_of_fov_counted(self, caplog):
         with caplog.at_level("INFO"):
-            img = build_range_image(np.array([[0.0, 0.0, 5.0]]), SENSOR)
+            img = build_range_image(np.array([[0.0, 0.0, 5.0, 0.5]]), SENSOR)
         assert not img.valid.any()
         assert "1 point(s) outside" in caplog.text
 
     def test_leaves_the_callers_array_unchanged(self):
         # Intensity 1.5 is clipped in the image, not in the caller's rows.
-        pts = np.array([[5.0, 0.0, 0.0, 1.5, 5.0]])
+        pts = np.array([[5.0, 0.0, 0.0, 1.5]])
         img = build_range_image(pts, SENSOR)
         assert img.channels[3, 32, 256] == 1.0
-        np.testing.assert_array_equal(pts, [[5.0, 0.0, 0.0, 1.5, 5.0]])
+        np.testing.assert_array_equal(pts, [[5.0, 0.0, 0.0, 1.5]])
 
     @pytest.mark.parametrize(
         "pts",
         [
             [[np.nan, 0.0, 0.0, 0.5], [10.0, 0.0, 0.0, 0.5]],
-            [[5.0, np.inf, 0.0]],
+            [[5.0, np.inf, 0.0, 0.5]],
             [[5.0, 0.0, -np.inf, 0.5]],
-            [[5.0, 0.0, 0.0, 0.5, np.nan]],
         ],
     )
     def test_rejects_nonfinite_coordinates(self, pts):
         with pytest.raises(ValueError, match="must be finite; row 0 is not"):
             build_range_image(np.array(pts), SENSOR)
 
-    def test_rejects_range_column_that_disagrees_with_xyz(self):
-        # Storing 99 would leave a range plane the nearest-point tie-break,
-        # which ranks by |xyz| = 5, never saw.
-        with pytest.raises(ValueError, match="stored range 99.0 disagrees with"):
-            build_range_image(np.array([[5.0, 0.0, 0.0, 0.5, 99.0]]), SENSOR)
+    def test_rejects_a_range_that_overflows(self):
+        # Finite coordinates whose |xyz| overflows: the derived range is
+        # checked too, after NumPy's overflow warning.
+        pts = np.array([[5.0, 0.0, 0.0, 0.5], [1e200, 0.0, 0.0, 0.5]])
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(ValueError, match="must be finite; row 1 is not"):
+                build_range_image(pts, SENSOR)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (2, 5), (4,), (1, 2, 4)])
+    def test_rejects_rows_that_are_not_records(self, shape):
+        message = re.escape(f"point records must be (N, 4) x y z intensity, got {shape}")
+        with pytest.raises(ValueError, match=message):
+            build_range_image(np.ones(shape), SENSOR)
 
     @pytest.mark.parametrize(
         "pts",
@@ -227,7 +236,7 @@ class TestBuildRangeImage:
 
     def test_stored_point_within_quantization_bound(self):
         rng = np.random.default_rng(17)
-        pts = rng.uniform(-30, 30, size=(500, 3))
+        pts = util.records(rng.uniform(-30, 30, size=(500, 3)))
         img = build_range_image(pts, SENSOR)
         bound_scale = max(
             SENSOR.fov_total / SENSOR.height, 2 * math.pi / SENSOR.width
@@ -243,12 +252,11 @@ class TestBuildRangeImage:
             assert err <= r * bound_scale
 
 
-def lexsort_image(pts, rank_by_stored_range=False):
-    """The oracle's image of `pts` (intensities in [0, 1]), ranked by |xyz|."""
-    rows = points_to_array(pts)
-    u, v, r, in_fov = project_points(rows[:, :3], SENSOR)
-    if rank_by_stored_range:
-        r = rows[:, 4]
+def lexsort_image(pts):
+    """The oracle's image of records `pts` (intensities in [0, 1]), ranked
+    by |xyz|."""
+    u, v, r, in_fov = project_points(pts[:, :3], SENSOR)
+    rows = np.column_stack([pts, r])
     return oracles.range_image_lexsort(rows, u, v, r, in_fov, SENSOR.height, SENSOR.width)
 
 
@@ -325,25 +333,13 @@ class TestBinningMatchesLexsortOracle:
             img = assert_matches_lexsort(pts)
             assert img.valid.sum() < pts.shape[0]
 
-    def test_ranks_by_derived_range_not_the_stored_column(self):
-        # Both stored ranges agree with |xyz| to 1e-9 but rank the other
-        # way round: |xyz| makes the first row's point the nearer.
-        near = [5.0, 0.0, 0.0, 0.25, 5.0 * (1.0 + 4e-10)]
-        far = [5.0 * (1.0 + 1e-10), 0.0, 0.0, 0.75, 5.0]
-        pts = np.array([far, near])
-        img = assert_matches_lexsort(pts)
-        assert img.channels[3, 32, 256] == 0.25
-        assert img.channels[4, 32, 256] == near[4]
-        planes, _ = lexsort_image(pts, rank_by_stored_range=True)
-        assert planes[3, 32, 256] == 0.75
-
     def test_all_out_of_view(self):
         pts = np.array([[0.0, 0.0, 5.0, 0.5], [1.0, 0.0, -10.0, 0.5], [0.1, 0.2, 3.0, 0.5]])
         img = assert_matches_lexsort(pts)
         assert not img.valid.any()
 
     def test_pixel_collisions_logged(self, caplog):
-        pts = np.array([[7.0, 0.0, 0.0], [5.0, 0.0, 0.0], [6.0, 0.0, 0.0], [0.0, 5.0, 0.0]])
+        pts = util.records([[7.0, 0.0, 0.0], [5.0, 0.0, 0.0], [6.0, 0.0, 0.0], [0.0, 5.0, 0.0]])
         with caplog.at_level("INFO"):
             img = build_range_image(pts, SENSOR)
         assert int(img.valid.sum()) == 2
@@ -361,7 +357,7 @@ class TestBinningMatchesLexsortOracle:
 class TestRedeemFeaturePoints:
     def make_image(self, seed=18, planes_extra=3):
         rng = np.random.default_rng(seed)
-        pts = rng.uniform(-25, 25, size=(800, 3))
+        pts = util.records(rng.uniform(-25, 25, size=(800, 3)))
         img = build_range_image(pts, SENSOR)
         feats = rng.normal(size=(planes_extra, SENSOR.height, SENSOR.width))
         return img.with_features(feats * img.valid)
@@ -390,6 +386,6 @@ class TestRedeemFeaturePoints:
         np.testing.assert_array_equal(cloud.xyz, [[5.0, 0.0, 0.0]])
 
     def test_empty_image(self):
-        img = build_range_image(np.zeros((0, 3)), SENSOR)
+        img = build_range_image(np.zeros((0, 4)), SENSOR)
         cloud = redeem_feature_points(img)
         assert len(cloud) == 0

@@ -21,6 +21,12 @@ def make_sensor(h: int, w: int) -> SensorModel:
     return SensorModel(height=h, width=w, fov_up=math.pi / 8, fov_down=math.pi / 8)
 
 
+def records(xyz) -> np.ndarray:
+    """(N, 4) `x y z intensity` records of the points `xyz`, intensity 0."""
+    xyz = np.asarray(xyz, dtype=np.float64)
+    return np.column_stack([xyz, np.zeros(len(xyz))])
+
+
 def random_image(rng, h=8, w=16, n_feat=0, density=0.75) -> RangeImage:
     """Range image with a random mask and random per-pixel values.
 
