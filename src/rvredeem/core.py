@@ -25,10 +25,7 @@ import numpy as np
 
 logger = logging.getLogger(__name__)
 
-# Fixed channel layout of the first five range-image planes.
-CH_X = 0
-CH_Y = 1
-CH_Z = 2
+# The first five range-image planes are x, y, z, intensity and range.
 CH_INTENSITY = 3
 CH_RANGE = 4
 BASE_CHANNELS = 5

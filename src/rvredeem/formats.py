@@ -25,10 +25,11 @@ Values are stored in single precision; readers widen to float64. Code that
 needs bit-stable composition across process boundaries therefore goes on
 with values rounded as their file stores them, never with the wider ones.
 `as_stored` is that one rounding, for stage outputs and generated
-parameters alike. A stage may instead build a file's planes in stored
-precision (`stored_planes`), which `write_rri1` then sends out unconverted.
-Writers refuse, before opening the file, a value that single precision
-holds only as inf, so no artifact is written that its reader would reject.
+parameters alike. A stage may instead build an RRI1 file's feature planes
+in the stored dtype (`STORED`), which `write_rri1` sends out beside the
+image's base planes, unconverted. Writers refuse, before opening the file,
+a value that single precision holds only as inf, so no artifact is written
+that its reader would reject.
 """
 
 from __future__ import annotations
@@ -43,6 +44,8 @@ import numpy as np
 from .core import BASE_CHANNELS, Box3D, FeaturePointCloud, RangeImage, SensorModel
 
 _POINT_RECORD = 16  # four little-endian f32 per KITTI point
+
+STORED = np.dtype("<f4")  # the dtype of every stored value
 
 
 class FormatError(ValueError):
@@ -71,7 +74,7 @@ class _Reader:
     def unpack(self, fmt: str) -> tuple:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
-    def array(self, count: int, dtype="<f4") -> np.ndarray:
+    def array(self, count: int, dtype=STORED) -> np.ndarray:
         return np.frombuffer(self.take(count * np.dtype(dtype).itemsize), dtype)
 
     def end(self) -> None:
@@ -92,7 +95,7 @@ def _finite_f32(path, values, what: str) -> np.ndarray:
     """
     with np.errstate(over="ignore"):
         # ascontiguousarray would promote rank-0 tensors to rank 1.
-        arr = np.asarray(values, dtype="<f4", order="C")
+        arr = np.asarray(values, dtype=STORED, order="C")
     # min and max see every inf and NaN without a payload-sized temporary.
     if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
         raise FormatError(f"{path}: {what} must be finite in single precision")
@@ -103,28 +106,21 @@ def _finite_f32(path, values, what: str) -> np.ndarray:
 # RRI1 range images
 # ---------------------------------------------------------------------------
 
-def write_rri1(path, img: RangeImage, planes=None) -> None:
-    """`img` as RRI1, or with `planes` those (P >= 5, h, w) planes, zero at
-    img's invalid pixels, in place of img's own: a `stored_planes` buffer
-    goes out as it is, with no conversion."""
+def write_rri1(path, img: RangeImage, features=None) -> None:
+    """`img` as RRI1; given `features`, img's five base planes and then
+    those (F, h, w) planes, zero at img's invalid pixels. Each part goes out
+    as its own buffer, with no conversion if it is already `STORED`."""
     h, w = img.sensor.height, img.sensor.width
-    planes = img.channels if planes is None else planes
-    shape = np.shape(planes)
-    if len(shape) != 3 or shape[0] < BASE_CHANNELS or shape[1:] != (h, w):
-        raise FormatError(f"{path}: planes must be (P >= {BASE_CHANNELS}, {h}, {w}), got {shape}")
-    planes = _finite_f32(path, planes, "channels")
-    if np.any(np.any(planes, axis=0) & ~img.valid):  # -0.0 counts as zero
-        raise FormatError(f"{path}: planes must hold 0 at invalid pixels")
-    _write(path, b"RRI1", struct.pack("<III", h, w, len(planes)), planes, img.valid)
-
-
-def stored_planes(img: RangeImage, features: int) -> np.ndarray:
-    """(5 + features, h, w) planes in the precision RRI1 stores: img's base
-    planes, then `features` zero planes for a layer to fill, so that the
-    writer sends them out with no conversion."""
-    planes = np.zeros((BASE_CHANNELS + features, *img.valid.shape), dtype="<f4")
-    planes[:BASE_CHANNELS] = img.channels[:BASE_CHANNELS]
-    return planes
+    parts = [img.channels]
+    if features is not None:
+        shape = np.shape(features)
+        if len(shape) != 3 or shape[1:] != (h, w):
+            raise FormatError(f"{path}: features must be (F, {h}, {w}), got {shape}")
+        if np.any(np.any(features, axis=0) & ~img.valid):  # -0.0 counts as zero
+            raise FormatError(f"{path}: features must hold 0 at invalid pixels")
+        parts = [img.channels[:BASE_CHANNELS], features]
+    parts = [_finite_f32(path, part, "channels") for part in parts]
+    _write(path, b"RRI1", struct.pack("<III", h, w, sum(map(len, parts))), *parts, img.valid)
 
 
 def as_stored(values) -> np.ndarray:
@@ -134,7 +130,7 @@ def as_stored(values) -> np.ndarray:
     array-backed type rejects it as not finite, as its reader would.
     """
     with np.errstate(over="ignore"):
-        return np.asarray(values, dtype=np.float32).astype(np.float64)
+        return np.asarray(values, dtype=STORED).astype(np.float64)
 
 
 def read_rri1(path, sensor: SensorModel) -> RangeImage:
@@ -163,7 +159,7 @@ def read_rri1(path, sensor: SensorModel) -> RangeImage:
 def write_rfp1(path, cloud: FeaturePointCloud) -> None:
     n = len(cloud)
     d_f = cloud.feature_dim
-    records = np.empty((n, 4 + d_f), dtype="<f4")
+    records = np.empty((n, 4 + d_f), dtype=STORED)
     with np.errstate(over="ignore"):
         records[:, :3] = cloud.xyz
         records[:, 3] = cloud.intensity
@@ -251,7 +247,7 @@ def read_kitti_bin_array(path) -> np.ndarray:
         raise FormatError(
             f"{path}: size {len(data)} is not a multiple of {_POINT_RECORD}"
         )
-    records = np.frombuffer(data, dtype="<f4").astype(np.float64).reshape(-1, 4)
+    records = np.frombuffer(data, dtype=STORED).astype(np.float64).reshape(-1, 4)
     bad = np.flatnonzero(~np.all(np.isfinite(records), axis=1))
     if bad.size:
         raise FormatError(f"{path}: non-finite values at record {int(bad[0])}")

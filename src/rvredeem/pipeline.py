@@ -12,10 +12,11 @@ later arithmetic (conv-block columns, RoI vectors) is first rounded in
 memory by `formats.as_stored` exactly as its artifact stores it, so the
 rounding is part of the stage's defined output, not an accident of process
 boundaries. Data that only goes on to a writer is rounded once, as the
-writer rounds: the meta kernel rounds its features into the stored-precision
-planes of `features.rri1` (`formats.stored_planes`), which the cloud is
-gathered from; other data is rounded by its writer. Stages read only their
-inputs, never a file they wrote.
+writer rounds: the meta kernel rounds its features into the feature planes
+of `features.rri1`, allocated in the stored dtype (`formats.STORED`), and
+the cloud's features are those planes gathered at the valid pixels; other
+data is rounded by its writer. Stages read only their inputs, never a file
+they wrote.
 
 Weight files are outputs only. Parameters are generated from the config
 seed on the single-precision grid, so the RWT1 file a stage writes holds
@@ -33,13 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import formats
-from .core import (
-    BASE_CHANNELS,
-    FeaturePointCloud,
-    PipelineConfig,
-    RangeImage,
-    SensorModel,
-)
+from .core import FeaturePointCloud, PipelineConfig, RangeImage, SensorModel
 from .pointops import (
     SharedMlp,
     VoxelGrid,
@@ -83,24 +78,17 @@ REFINED_FILE = "refined.txt"
 SUMMARY_FILE = "summary.txt"
 CHECKSUMS_FILE = "checksums.txt"
 
-# Checksum order for reports; summary and checksum files are excluded
-# because the summary carries wall-clock timings.
-ARTIFACT_ORDER = (
-    POINTS_FILE,
-    GT_BOXES_FILE,
-    RANGE_FILE,
-    WEIGHTS_FILE,
-    BLOCK_FILE,
-    FEATURES_FILE,
-    CLOUD_FILE,
-    KEYPOINTS_FILE,
-    VOXEL_IDX_FILE,
-    VOXEL_COUNT_FILE,
-    VOXEL_MEAN_FILE,
-    SGRID_WEIGHTS_FILE,
-    ROI_FILE,
-    REFINED_FILE,
-)
+# The files each stage writes, in checksum order for reports; summary and
+# checksum files are excluded because the summary carries wall-clock timings.
+STAGE_FILES = {
+    "synth": (POINTS_FILE, GT_BOXES_FILE),
+    "project": (RANGE_FILE,),
+    "redeem": (WEIGHTS_FILE, BLOCK_FILE, FEATURES_FILE, CLOUD_FILE),
+    "fps": (KEYPOINTS_FILE,),
+    "voxelize": (VOXEL_IDX_FILE, VOXEL_COUNT_FILE, VOXEL_MEAN_FILE),
+    "pool": (SGRID_WEIGHTS_FILE, ROI_FILE, REFINED_FILE),
+}
+ARTIFACT_ORDER = tuple(name for files in STAGE_FILES.values() for name in files)
 
 
 class PipelineError(RuntimeError):
@@ -216,24 +204,25 @@ def stage_redeem(cfg: PipelineConfig, range_path, out_dir) -> dict:
     formats.write_rwt1(out_dir / WEIGHTS_FILE, pack_rvfe_weights(block, hdmk))
 
     # The conv block's output stays on the valid pixels' columns, rounded as
-    # block.rri1 stores them; each file's planes are built in the precision
-    # RRI1 stores, and the features are evaluated straight into theirs.
+    # block.rri1 stores them; each file's feature planes are built in the
+    # dtype RRI1 stores, and the features are evaluated straight into theirs.
     wrap = cfg.wrap_horizontal
     cols = formats.as_stored(basicblock_forward(img, block, wrap))
-    planes = formats.stored_planes(img, block.c_out)
-    planes[BASE_CHANNELS:, img.valid] = cols
+    planes = np.zeros((block.c_out, *img.valid.shape), formats.STORED)
+    planes[:, img.valid] = cols
     formats.write_rri1(out_dir / BLOCK_FILE, img, planes)
     del planes  # freed before the features' planes are allocated
 
-    planes = formats.stored_planes(img, hdmk.c_out)
+    planes = np.empty((hdmk.c_out, *img.valid.shape), formats.STORED)
     with np.errstate(over="ignore"):  # inf beyond single precision, which the writer refuses
-        hdmk_forward_planes(
-            cols, img.channels[:3, img.valid], img.valid, hdmk, wrap, out=planes[BASE_CHANNELS:]
-        )
+        hdmk_forward_planes(cols, img.channels[:3, img.valid], img.valid, hdmk, wrap, out=planes)
     del cols
     formats.write_rri1(out_dir / FEATURES_FILE, img, planes)
+    # The cloud keeps the valid pixels' columns; the planes go before its f64 copy.
+    features = planes.reshape(len(planes), -1).take(np.flatnonzero(img.valid), axis=1)
+    del planes
 
-    cloud = redeem_feature_points(img, planes)
+    cloud = redeem_feature_points(img, features)
     formats.write_rfp1(out_dir / CLOUD_FILE, cloud)
     return {"redeemed_points": len(cloud), "feature_dim": cloud.feature_dim}
 
@@ -325,13 +314,13 @@ def stage_pool(cfg: PipelineConfig, keypoints_path, boxes_path, out_dir) -> dict
 # One-shot pipeline
 # ---------------------------------------------------------------------------
 
-def _checksum_artifacts(out_dir: Path) -> dict[str, str]:
-    out = {}
-    for name in ARTIFACT_ORDER:
-        path = out_dir / name
-        if path.exists():
-            out[name] = formats.sha256_file(path)
-    return out
+def _checksum_artifacts(out_dir: Path, stages) -> dict[str, str]:
+    """sha256 of the files the completed `stages` wrote, in ARTIFACT_ORDER;
+    a file an earlier run left in `out_dir` is not this run's."""
+    written = {name for stage in stages for name in STAGE_FILES[stage]}
+    return {
+        name: formats.sha256_file(out_dir / name) for name in ARTIFACT_ORDER if name in written
+    }
 
 
 def _write_reports(
@@ -342,7 +331,7 @@ def _write_reports(
     timings: dict,
     notes: list[str],
 ) -> dict[str, str]:
-    checksums = _checksum_artifacts(out_dir)
+    checksums = _checksum_artifacts(out_dir, infos)
     (out_dir / CHECKSUMS_FILE).write_text(
         "".join(f"{digest}  {name}\n" for name, digest in checksums.items()),
         encoding="utf-8",

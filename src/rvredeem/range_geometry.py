@@ -178,16 +178,17 @@ def build_range_image(records, sensor: SensorModel) -> RangeImage:
     return RangeImage(sensor, planes.reshape(BASE_CHANNELS, h, w), valid.reshape(h, w))
 
 
-def redeem_feature_points(img: RangeImage, planes=None) -> FeaturePointCloud:
+def redeem_feature_points(img: RangeImage, features=None) -> FeaturePointCloud:
     """One feature point per valid pixel, in row-major pixel order.
 
-    Every plane is read at the valid pixels' flat ids in one gather; given
-    `planes`, (P, h, w) planes on img's mask of any float dtype, those in
-    place of img's own. Coordinates and intensity come from the stored
-    planes, never re-derived from pixel centers, so no quantization error
-    enters the cloud. The embedding is the pixel's feature-plane vector.
+    Coordinates and intensity are gathered from img's stored planes, never
+    re-derived from pixel centers, so no quantization error enters the
+    cloud. The embedding is `features`, (F, n_valid) columns of any float
+    dtype in that pixel order, or else img's feature planes gathered there.
     Output count equals the valid-mask popcount.
     """
-    planes = img.channels if planes is None else planes
-    columns = planes.reshape(len(planes), -1).take(np.flatnonzero(img.valid), axis=1)
-    return FeaturePointCloud(columns[:3].T, columns[CH_INTENSITY], columns[BASE_CHANNELS:].T)
+    ids = np.flatnonzero(img.valid)
+    planes = img.channels.reshape(img.plane_count, -1)
+    features = planes[BASE_CHANNELS:].take(ids, axis=1) if features is None else features
+    kept = planes[: CH_INTENSITY + 1].take(ids, axis=1)  # x, y, z, intensity
+    return FeaturePointCloud(kept[:3].T, kept[CH_INTENSITY], np.transpose(features))

@@ -17,40 +17,49 @@ columns wrap when `wrap_horizontal` is set, matching a full-circle scan.
 A neighbor that is missing or masked invalid contributes an exact zero
 vector, so masked pixels can never influence a valid pixel's output.
 
-Forward passes are sparse, on valid-pixel columns, the layers' one feature
-form: the conv block returns the (c_out, n) columns of the n valid pixels
-in row-major order, and the meta kernel takes (..., c_in, n) feature and
-(3, n) coordinate columns in that order and fills (..., c_out, h, w)
-planes. A caller that holds planes gathers them once at the valid pixels,
-so values stored at invalid pixels never reach a layer. One cached plan per
-(shape, wrap flag, mask bytes), `_stencil_plan`, kept for the last mask,
-tells every layer where to evaluate: the valid pixels, and each meta-kernel
-branch's support, the pixels whose stencil reaches a valid one. Each layer
-appends a zero column to its columns (`_with_zero_column`), and the plan's
-padded column map sends invalid pixels and the outside of the image to it.
-On the map a tap (dh, dw) is one constant step, so a block's tap columns
-take one add and one gather, and the plan holds no per-tap array: per call
-only the mask's bytes, the column blocks and the tap columns are computed.
+Forward passes run on valid-pixel columns, the layers' one feature form:
+(c, n) arrays of the n valid pixels in row-major order. A caller that holds
+planes gathers them once, so values stored at invalid pixels never reach a
+layer. The meta kernel fills (..., c_out, h, w) planes.
 
-Both layers walk their columns in fixed-width blocks (`_column_blocks`):
-each convolution of the conv block its valid-pixel columns in blocks of
+The stencil plan. One cached plan per (shape, wrap flag, mask bytes),
+`_stencil_plan`, kept for the last mask, tells every layer where to
+evaluate: the valid pixels, and each meta-kernel branch's support, the
+pixels whose stencil reaches a valid one. Each layer appends a zero column
+to its columns (`_with_zero_column`), and the plan's padded column map
+sends invalid pixels and the outside of the image to it. On the map a tap
+(dh, dw) is one constant step (`_tap_steps`), so a block's tap columns take
+one add and one gather, and the plan holds no per-tap array: per call only
+the mask's bytes, the column blocks and the tap columns are computed.
+
+The block walk. Both layers walk their columns in fixed-width blocks
+(`_column_blocks`): each convolution its valid-pixel columns in blocks of
 _CONV_BLOCK, each meta-kernel branch its support in blocks of _COLUMN_BLOCK
-centres. Every array a block needs is the fresh result of the call that
-computes it, dropped before the next block starts, so time scales with the
-evaluated pixels and the working set beyond inputs and output is fixed.
-The widths set the shape of every BLAS call, and so the output bytes. What
-the outputs hold, and how closely they match a dense evaluation, is stated
-in the README ("Sparse feature extraction").
+centres. A meta-kernel block's tap columns are the padded column map at its
+centres' grid indices plus the branch's nine steps, the middle tap being
+the centre's own column. One `_tap` call evaluates all nine taps, and tap
+k's gated chunks are rows k * c_in ... of the (9 * c_in, m) accumulator
+operand. The block's invalid centres are zeroed in place, and it is written
+as one slice when its pixels are consecutive, with a scatter otherwise. Off
+its support every chunk of a branch is zero and every pixel invalid, so the
+branch's output there is its accumulator bias times zero, filled once.
+Every array a block needs is the fresh result of the call that computes
+it, dropped before the next block starts, so time scales with the evaluated
+pixels and the working set beyond inputs and output is fixed. The widths
+set the shape of every BLAS call, and so the output bytes. What the outputs
+hold, and how closely they match a dense evaluation, is stated in the
+README ("Sparse feature extraction").
 
-The meta kernel's forward takes leading axes, as `sgrid.pointnet_aggregate`
-takes neighbourhoods: (..., c_in, n) features, or branch tensors with
-leading axes (`HdMetaKernelParams.lead`), give (..., c_out, h, w), one
-kernel per index. The gradient check evaluates a group of perturbations of
-one tensor this way. The axes lead every stacked product, so each index's
-slice is the BLAS call of its own 2-D product and holds the bytes of its
-own call; what does not depend on them (the coordinate deltas, the other
-branch) is evaluated once. Blocks stay _COLUMN_BLOCK centres per index, so
-the caller bounds the stack.
+Leading axes. The meta kernel's forward takes them, as
+`sgrid.pointnet_aggregate` takes neighbourhoods: (..., c_in, n) features,
+or branch tensors with leading axes (`HdMetaKernelParams.lead`), give
+(..., c_out, h, w), one kernel per index. The gradient check evaluates a
+group of perturbations of one tensor this way. The axes lead every stacked
+product, so each index's slice is the BLAS call of its own 2-D product and
+holds the bytes of its own call; what does not depend on them (the
+coordinate deltas, a branch whose tensors and input lack them) is evaluated
+once and broadcast. Blocks stay _COLUMN_BLOCK centres per index, so the
+caller bounds the stack.
 
 The meta kernel has an analytic backward pass (coordinates are constants;
 gradients flow to input features and all parameters). It recomputes its
@@ -60,11 +69,11 @@ linear in c * h * w; it accumulates feature gradients in the columns,
 scatters them to planes, and returns the parameter gradients as an
 `HdMetaKernelParams`. BasicBlock is forward-only.
 
-All arithmetic is 64-bit. Initializers round their values to single
-precision through `formats.as_stored`, so a 32-bit weight file holds
+Rounding. All arithmetic is 64-bit. Initializers round their values to
+single precision through `formats.as_stored`, so a 32-bit weight file holds
 exactly the parameters in use and no stage needs to read it back. The meta
-kernel rounds its output as it writes it into planes of another dtype that
-the caller passes (`hdmk_forward_planes`'s `out`).
+kernel rounds its output only as it writes it into planes of another dtype
+that the caller passes (`hdmk_forward_planes`'s `out`).
 """
 
 from __future__ import annotations
@@ -281,19 +290,17 @@ def _dilate(padded_valid: np.ndarray, h: int, w: int, offsets: np.ndarray) -> np
 
 @functools.lru_cache(maxsize=1)
 def _stencil_plan(h: int, w: int, wrap_horizontal: bool, mask_bytes: bytes):
-    """Where the layers evaluate on one mask and how they read their taps,
-    as read-only arrays: (centres, grid, support 1, support 2).
+    """The plan of one mask, as read-only int64 arrays: (centres, grid,
+    support 1, support 2).
 
-    The conv block's centres, the valid pixels, and each branch's support,
-    the pixels with a valid neighbour (`_dilate`), are increasing flat
-    pixel indices.
+    The centres, the valid pixels, and each branch's support, the pixels
+    with a valid neighbour (`_dilate`), are increasing flat pixel indices.
     `grid` holds the padded column map, then the centres' and each
     support's indices on it. The map holds each pixel's column among the
     centres on the (h + 2 * _PAD, w + 2 * _PAD) grid of `_window`, and the
     zero column len(centres) at invalid pixels and on the margin rows.
     Margin columns hold the columns they wrap to when columns wrap, the zero
-    column otherwise. So tap (dh, dw) of every pixel is one constant step on
-    it (`_tap_steps`), and the plan holds no per-tap array.
+    column otherwise.
     """
     valid = np.frombuffer(mask_bytes, dtype=bool)
     centres = np.flatnonzero(valid)
@@ -442,8 +449,7 @@ def _tap(
     coordinate deltas, (..., t, c_mid, m) hidden activations, (..., t, c_in,
     m) gates and (..., t, c_in, m) gated chunks, a zero at every invalid
     neighbour; "..." are the leading axes of `feats` or of the branch
-    tensors that each result depends on. Each tap's slice of a stacked
-    product rounds as a 2-D product would.
+    tensors that each result depends on.
     """
     neigh_feat = feats.take(index, axis=-1, mode="clip")
     delta = coords.take(index, axis=1, mode="clip")
@@ -469,15 +475,13 @@ def hdmk_forward_planes(
 ) -> np.ndarray:
     """Raw-array meta kernel: (..., c_in, n) feature and (3, n) coordinate
     columns of the n pixels that `valid` marks, in row-major order (as
-    `basicblock_forward` returns them), to (..., c_out, h, w) planes. The
+    `basicblock_forward` returns them), to (..., c_out, h, w) planes, "..."
+    the leading axes of `feats` and `params.lead` broadcast together. The
     result is zero at invalid pixels: the dense value times zero, +0 or -0.
-    How it is evaluated is `_hdmk_fill`'s. The leading axes "..." are those
-    of `feats` and `params.lead` broadcast together, one kernel evaluation
-    per index; each is the bytes of its own call. Given `out`, a C-ordered
-    array of the output's shape, it fills and returns that, each value cast
-    to its dtype as `np.asarray` casts, signed zeros kept, and beyond the
-    dtype's range to inf (with NumPy's overflow warning, unless the caller's
-    `np.errstate` ignores it).
+    Given `out`, a C-ordered array of the output's shape, it fills and
+    returns that, each value cast to its dtype as `np.asarray` casts, signed
+    zeros kept, and beyond the dtype's range to inf (with NumPy's overflow
+    warning, unless the caller's `np.errstate` ignores it).
     """
     shape = (*np.broadcast_shapes(np.shape(feats)[:-2], params.lead), params.c_out, *valid.shape)
     out = np.empty(shape) if out is None else out
@@ -497,23 +501,9 @@ def _hdmk_fill(
     full: np.ndarray,
 ) -> None:
     """The meta kernel evaluated into `full`, a given (..., c_out, h * w)
-    array, every entry written.
-
-    Each branch is evaluated only on its support, the centres with at least
-    one valid neighbour. Everywhere else all nine weighted chunks are zero,
-    so the branch output is exactly its accumulator bias, and every pixel
-    there is invalid: its half is filled once with that bias times zero,
-    only when the support misses a pixel. A block's tap columns are the
-    padded column map at its centres' indices on the padded grid, which the
-    plan holds, plus the branch's nine steps (`_tap_steps`); the middle
-    tap, offset (0, 0), is the centre's own column. One `_tap` call
-    evaluates all nine taps of a block, and its gated chunks are the rows of
-    the (9 * c_in, n) accumulator operand. A block's invalid centres are
-    zeroed in place; a block of consecutive pixels is written as one slice
-    of the output, any other row by row with a 1-D scatter (with leading
-    axes, one scatter), so beyond the fill no pass runs over the whole
-    output. A branch whose tensors and input lack the leading axes is
-    evaluated once and broadcast to every index.
+    array, every entry written: each branch block by block on its support,
+    and off it, only when the support misses a pixel, one fill. Beyond that
+    fill no pass runs over the whole output.
     """
     _check_hdmk_input(feats, coords, valid, params)
     h, w = valid.shape

@@ -113,29 +113,39 @@ class TestRri1:
 
     @pytest.mark.parametrize(
         "shape",
-        [(6, 3, 5), (3, 4, 8), (6, 8, 4), (5, 32), None],
-        ids=["size", "planes", "transposed", "flat", "invalid-pixel"],
+        [(1, 3, 5), (1, 8, 4), (1, 32), None],
+        ids=["size", "transposed", "flat", "invalid-pixel"],
     )
     def test_write_refuses_planes_the_reader_would_reject(self, tmp_path, shape):
-        # Planes of another size than the sensor's, fewer than the five
-        # base planes, or nonzero at an invalid pixel would give a file that
-        # `read_rri1` rejects.
+        # Feature planes of another size than the sensor's, or nonzero at an
+        # invalid pixel, would give a file that `read_rri1` rejects.
         img = util.random_image(np.random.default_rng(25), 4, 8)
         path = tmp_path / "x.rri1"
         if shape is None:
-            planes = formats.stored_planes(img, 1)
-            planes[5].flat[np.argmin(img.valid)] = 1.0
-            message = "planes must hold 0 at invalid pixels"
+            features = np.zeros((1, 4, 8), formats.STORED)
+            features[0].flat[np.argmin(img.valid)] = 1.0
+            message = "features must hold 0 at invalid pixels"
         else:
-            planes = np.zeros(shape, "<f4")
-            message = rf"planes must be \(P >= 5, 4, 8\), got {re.escape(str(shape))}"
+            features = np.zeros(shape, formats.STORED)
+            message = rf"features must be \(F, 4, 8\), got {re.escape(str(shape))}"
         with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}: {message}$"):
-            write_rri1(path, img, planes)
+            write_rri1(path, img, features)
         assert not path.exists()
-        planes = formats.stored_planes(img, 1)
-        planes[5][~img.valid] = -0.0  # counts as zero, as in RangeImage
-        write_rri1(path, img, planes)
-        assert read_rri1(path, img.sensor).plane_count == 6
+        features = np.where(img.valid, 1.5, -0.0)[None]  # -0.0 counts as zero, as in RangeImage
+        write_rri1(path, img, features)
+        loaded = read_rri1(path, img.sensor)
+        stored = as_stored(np.concatenate([img.channels, features]))
+        assert loaded.channels.tobytes() == stored.tobytes()
+
+    def test_write_sends_base_planes_then_features(self, tmp_path):
+        # The file holds img's five base planes, then the feature planes, as
+        # an image holding both writes them.
+        img = util.random_image(np.random.default_rng(26), 4, 8, n_feat=2)
+        features = np.where(img.valid, np.arange(32.0).reshape(4, 8), 0.0)[None]
+        written, whole = tmp_path / "a.rri1", tmp_path / "b.rri1"
+        write_rri1(written, img, features.astype(formats.STORED))
+        write_rri1(whole, img.with_features(features))
+        assert written.read_bytes() == whole.read_bytes()
 
 
 def rounding_image(extra):

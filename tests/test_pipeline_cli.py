@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -489,6 +490,35 @@ class TestPipeline:
         assert any("pool skipped" in note for note in result["notes"])
         assert not (out / pipeline.ROI_FILE).exists()
 
+    def test_rerun_reports_only_its_own_artifacts(self, toy, tmp_path):
+        # A run from points without boxes into the directory of a full run
+        # lists, checksums and summarizes only the files its stages wrote;
+        # the earlier run's other files stay where they are.
+        out = tmp_path / "out"
+        shutil.copytree(toy.out, out)
+        points = tmp_path / "points.bin"
+        shutil.copy(toy.out / pipeline.POINTS_FILE, points)
+        result = pipeline.run_pipeline(toy.cfg, points, out)
+        own = [
+            pipeline.RANGE_FILE,
+            pipeline.WEIGHTS_FILE,
+            pipeline.BLOCK_FILE,
+            pipeline.FEATURES_FILE,
+            pipeline.CLOUD_FILE,
+            pipeline.KEYPOINTS_FILE,
+            pipeline.VOXEL_IDX_FILE,
+            pipeline.VOXEL_COUNT_FILE,
+            pipeline.VOXEL_MEAN_FILE,
+        ]
+        assert list(result["checksums"]) == own
+        assert result["checksums"] == {name: toy.result["checksums"][name] for name in own}
+        listed = (out / pipeline.CHECKSUMS_FILE).read_text().splitlines()
+        assert [line.split("  ")[1] for line in listed] == own
+        summary = (out / pipeline.SUMMARY_FILE).read_text().splitlines()
+        reported = [line.split(":")[0] for line in summary if line.startswith("artifact ")]
+        assert reported == [f"artifact {name}" for name in own]
+        assert (out / pipeline.ROI_FILE).exists()
+
     def test_bin_input_with_boxes_runs_pool(self, toy):
         out = toy.root / "frombin_boxes"
         result = pipeline.run_pipeline(
@@ -568,9 +598,11 @@ class TestPipeline:
     def test_redeem_stage_peak_is_near_the_features_image(self, tmp_path, workload):
         # A workload at seed 0. The stage holds the features in the single
         # precision features.rri1 stores, the conv block's output on the
-        # valid pixels' columns, and no f64 block or features image: about
-        # 1.8 (sky) and 1.95 (scan) times the file. Building the f64 block
-        # and features images and rounding each in its writer held 3.7 times.
+        # valid pixels' columns, and no f64 block or features image, and it
+        # drops the feature planes before the cloud's f64 copy: about 1.72
+        # (sky) and 1.89 (scan) times the file. Gathering the cloud beside
+        # the planes held 2.14 times on scan; building the f64 block and
+        # features images and rounding each in its writer held 3.7 times.
         cfg, points, _ = benchmark_inputs(workload, tmp_path)
         out = tmp_path / "out"
         pipeline.stage_project(cfg, points, out)
@@ -580,7 +612,7 @@ class TestPipeline:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * (out / pipeline.FEATURES_FILE).stat().st_size
+        assert peak <= 2.0 * (out / pipeline.FEATURES_FILE).stat().st_size
 
     def test_zero_box_scene_pools_nothing(self, tmp_path):
         # The proposals-512 benchmark sensor over a scene with no boxes.
